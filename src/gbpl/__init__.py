@@ -2,14 +2,18 @@
 
 The package is organized as a small numpy library:
 
-- ``nnet``: fixed-architecture MLP with manual backpropagation.
+- ``nnet``: fixed-architecture MLP with manual backpropagation, and the softmax.
 - ``losses``: per-sample loss adapters fed to the trainers.
 - ``surrogate``: welfare, surrogate losses, and their exact equivalences.
-- ``posterior``: Gibbs posteriors, MAP training, SGLD, Laplace, credible intervals.
+- ``posterior``: Gibbs posteriors, MAP training, SGLD, Laplace, draw persistence.
 - ``counterfactual``: IPW/DR pseudo-outcomes and nuisance estimation.
 - ``dgp``: seeded synthetic and semi-synthetic data generators.
-- ``methods`` / ``baselines``: fitted decision rules.
-- ``evaluation``: welfare/regret metrics, PAC-Bayes bounds, trial aggregation.
+- ``methods`` / ``baselines``: fitted decision rules; ``FittedPolicy.decide``
+  is the one place a score becomes a decision.
+- ``evaluation``: welfare/regret metrics (``test_welfare`` is the one welfare
+  path), posterior welfare credible intervals, PAC-Bayes bounds, trial
+  aggregation.
+- ``configio``: the one codec between config dataclasses, dicts and schemas.
 - ``experiment`` / ``cli``: deterministic benchmark harness and its frontend.
 """
 

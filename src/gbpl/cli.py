@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from gbpl import nnet
+from gbpl.configio import schema, to_dict, write_json
 from gbpl.dgp import (
     DgpSpec,
     generate_full_feedback,
@@ -34,27 +35,21 @@ from gbpl.evaluation import (
     test_welfare,
 )
 from gbpl.experiment import (
-    CONFIG_SCHEMA,
+    _SPLIT_TAG,
+    ExperimentConfig,
     PosteriorVizConfig,
     parse_config,
     run_experiment,
     run_posterior_viz,
-    viz_config_to_dict,
+    split_rows,
 )
 from gbpl.methods import (
     POLICY_TANH_SCORE,
-    POLICY_SOFTMAX,
     FittedPolicy,
     fit_policy_fullvector,
     fit_score_binary,
 )
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
-from gbpl.experiment import split_rows
-
-
-def _write_manifest(directory: Path, payload: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -77,15 +72,10 @@ def _cmd_simulate(args) -> int:
     else:
         full, _ = generate_full_feedback(spec)
         write_full_feedback_csv(out, full)
-    _write_manifest(
-        out.parent,
-        {
-            "command": "simulate",
-            "family": spec.family, "n": spec.n, "d": spec.d, "k": spec.k,
-            "noise_sd": spec.noise_sd, "seed": spec.seed,
-            "logged": bool(args.logged), "logging": args.logging, "clip": args.clip,
-            "out": str(out),
-        },
+    write_json(
+        out.parent / "manifest.json",
+        {"command": "simulate", "dgp": to_dict(spec), "logged": bool(args.logged),
+         "logging": args.logging, "clip": args.clip, "out": str(out)},
     )
     print(f"wrote {out}")
     return 0
@@ -94,7 +84,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     data = read_full_feedback_csv(args.data)
     n = data.n
-    train_rows, val_rows, _ = split_rows(n, (0.6, 0.2, 0.2), [args.seed, 0x5917])
+    train_rows, val_rows, _ = split_rows(n, (0.6, 0.2, 0.2), [args.seed, _SPLIT_TAG])
     gibbs = GibbsConfig(
         zeta=args.zeta,
         eta=args.eta,
@@ -117,17 +107,10 @@ def _cmd_train(args) -> int:
         policy = fit_policy_fullvector(data.x, data.y, gibbs, cfg, train_rows, val_rows, hidden)
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
-    _write_manifest(
-        out,
-        {
-            "command": "train",
-            "data": str(args.data),
-            "semantics": policy.semantics,
-            "zeta": args.zeta, "eta": args.eta, "tau2": args.tau2,
-            "hidden": list(hidden), "seed": args.seed,
-            "learning_rate": args.learning_rate, "batch_size": args.batch_size,
-            "max_epochs": args.max_epochs, "patience": args.patience,
-        },
+    write_json(
+        out / "manifest.json",
+        {"command": "train", "data": str(args.data), "semantics": policy.semantics,
+         "gibbs": to_dict(gibbs), "train": to_dict(cfg), "hidden": list(hidden)},
     )
     print(f"saved model to {out}")
     return 0
@@ -145,13 +128,13 @@ def _cmd_evaluate(args) -> int:
                "rule": rule, "n": data.n}
     print(json.dumps(metrics, indent=2, sort_keys=True))
     if args.out:
-        Path(args.out).write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        write_json(Path(args.out), metrics)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     if args.print_schema:
-        print(json.dumps(CONFIG_SCHEMA, indent=2))
+        print(json.dumps(schema(ExperimentConfig), indent=2))
         return 0
     raw = json.loads(Path(args.config).read_text())
     if args.out:

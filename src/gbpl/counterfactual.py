@@ -268,10 +268,7 @@ def fit_propensity(
         arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
         loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
         params = map_train(arch, loss, flat, cfg, rows, rows)
-        logits = nnet.forward(arch, params, x_out)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        e /= e.sum(axis=1, keepdims=True)
+        e = nnet.softmax(nnet.forward(arch, params, x_out))
     else:
         raise ValueError(f"unknown propensity model {model!r}")
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from gbpl.counterfactual import LoggedDataset, clip_propensities
 from gbpl.losses import sigmoid
+from gbpl.nnet import softmax
 from gbpl.surrogate import FullFeedbackDataset
 
 BINARY_FAMILIES = ("binary1", "binary2", "binary3")
@@ -188,10 +189,7 @@ def generate_logged(
         e = np.column_stack([p1, 1.0 - p1])
     elif logging == LOGGING_SOFTMAX:
         betas = rng.standard_normal((full.d, k)) / np.sqrt(full.d)
-        logits = full.x @ betas
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        e /= e.sum(axis=1, keepdims=True)
+        e = softmax(full.x @ betas)
     else:
         raise ValueError(f"unknown logging policy {logging!r}")
     e = clip_propensities(e, clip)  # floor clip, ceiling 1 - (K-1) clip, rows sum to 1

@@ -1,5 +1,9 @@
-"""Welfare and regret evaluation, tuning-parameter selection, PAC-Bayes
-bound arithmetic, and trial aggregation."""
+"""Welfare and regret evaluation, tuning-parameter selection, posterior
+welfare credible intervals, PAC-Bayes bound arithmetic, and trial aggregation.
+
+``test_welfare`` is the one place a policy's welfare is computed: the harness,
+scale selection and the per-draw welfare behind credible intervals all call it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbpl.methods import FittedPolicy
+from gbpl import nnet
+from gbpl.methods import POLICY_SOFTMAX, POLICY_TANH_SCORE, FittedPolicy
 from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
 
 RULE_DETERMINISTIC = "deterministic"
@@ -67,6 +72,39 @@ def select_zeta_by_validation(
     best = welfare.max()
     tied = [z for (z, _), w in zip(candidates, welfare) if w >= best - 1e-12]
     return min(tied)
+
+
+# ---------------------------------------------------------------------------
+# posterior welfare
+
+_DRAW_SEMANTICS = {nnet.HEAD_TANH: POLICY_TANH_SCORE, nnet.HEAD_SOFTMAX: POLICY_SOFTMAX}
+
+
+def draw_welfare(posterior, test: FullFeedbackDataset, rule: str = RULE_DETERMINISTIC):
+    """Test welfare of every draw of a ``posterior.PosteriorDraws``, in draw order.
+
+    A tanh head is read as a bounded binary score and a softmax head as a
+    simplex policy; other heads have no welfare semantics.
+    """
+    semantics = _DRAW_SEMANTICS.get(posterior.arch.head)
+    if semantics is None:
+        raise ValueError("posterior welfare needs a tanh or softmax head")
+    return np.array([test_welfare(test, FittedPolicy(posterior.arch, w, semantics), rule)
+                     for w in posterior.draws])
+
+
+def welfare_credible_interval(values, level: float = 0.95) -> tuple[float, float, float]:
+    """(mean, lower, upper) of per-draw welfare values such as ``draw_welfare``'s.
+
+    The interval edges are the (1-level)/2 and 1-(1-level)/2 empirical
+    quantiles with linear interpolation, so lower <= upper always.
+    """
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
+    vals = np.asarray(values, dtype=np.float64)
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
+    return float(vals.mean()), float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,18 @@ Reruns of the same config produce byte-identical CSV files.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from gbpl import nnet
 from gbpl.baselines import BASELINE_KINDS, fit_baseline
+from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.counterfactual import (
     PSEUDO_DR,
     PSEUDO_IPW,
@@ -44,7 +45,9 @@ from gbpl.evaluation import (
     TrialResult,
     aggregate,
     oracle_welfare,
+    select_zeta_by_validation,
     test_welfare,
+    welfare_credible_interval,
 )
 from gbpl.methods import (
     POLICY_TANH_SCORE,
@@ -58,7 +61,6 @@ from gbpl.posterior import (
     TrainConfig,
     map_train,
     sgld_sample,
-    welfare_credible_interval,
 )
 from gbpl.losses import BinarySurrogateLoss
 from gbpl.surrogate import FullFeedbackDataset
@@ -75,7 +77,8 @@ class MethodSpec:
 
     ``kind`` is ``"gbpl"`` or a baseline kind; surrogate methods carry either
     a fixed ``zeta`` or a ``zeta_grid`` selected by validation welfare.
-    A surrogate method with neither gets the default grid.
+    A surrogate method with neither gets the default grid; every scale must
+    be positive.
     """
 
     name: str
@@ -89,6 +92,11 @@ class MethodSpec:
                 raise ValueError(f"method {self.name!r}: give at most one of zeta / zeta_grid")
             if self.zeta is None and self.zeta_grid is None:
                 object.__setattr__(self, "zeta_grid", DEFAULT_ZETA_GRID)
+            scales = self.zeta_grid if self.zeta is None else (self.zeta,)
+            if not scales:
+                raise ValueError(f"method {self.name!r}: zeta_grid is empty")
+            if any(z <= 0 for z in scales):
+                raise ValueError(f"method {self.name!r}: zeta values must be positive")
         elif self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
 
@@ -266,11 +274,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
                 policy = _fit_gbpl(td, m.zeta, cfg, seed)
                 selected = m.zeta
             else:
-                fits = [(z, _fit_gbpl(td, z, cfg, seed)) for z in m.zeta_grid]
-                welfare_val = [test_welfare(val_table, p, rule) for _, p in fits]
-                best = max(welfare_val)
-                selected = min(z for (z, _), w in zip(fits, welfare_val) if w >= best - 1e-12)
-                policy = dict(fits)[selected]
+                fits = {z: _fit_gbpl(td, z, cfg, seed) for z in m.zeta_grid}
+                selected = select_zeta_by_validation(list(fits.items()), val_table, rule)
+                policy = fits[selected]
         else:
             train_cfg = replace(cfg.train, seed=seed)
             fit_data = FullFeedbackDataset(td.x, td.table)
@@ -289,11 +295,6 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     return results
 
 
-def _run_trial_from_dict(args) -> tuple[int, list[TrialResult]]:
-    cfg_dict, trial = args
-    return trial, _run_trial(parse_config(cfg_dict), trial)
-
-
 def _fmt(v: float) -> str:
     return repr(float(v))
 
@@ -306,12 +307,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     jobs = int(os.environ.get("GBPL_JOBS", cfg.jobs))
     if jobs > 1 and cfg.trials > 1:
-        cfg_dict = config_to_dict(cfg)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_run_trial_from_dict,
-                                  [(cfg_dict, t) for t in range(cfg.trials)]))
-        pairs.sort(key=lambda p: p[0])
-        per_trial = [rows for _, rows in pairs]
+            per_trial = list(pool.map(_run_trial, repeat(cfg), range(cfg.trials)))
     else:
         per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
 
@@ -344,9 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     if r.method_id == m.name:
                         fh.write(f"{m.name},{t},{_fmt(r.welfare)}\n")
 
-    (out / "manifest.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "manifest.json", to_dict(cfg))
     return out
 
 
@@ -415,11 +410,14 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
                 f"{_fmt(hi[j])},{_fmt(target[j])}\n"
             )
 
-    mean_w, lo_w, hi_w = welfare_credible_interval(draws, test, "deterministic", cfg.level)
+    # one pass over the draws through this module's test_welfare binding, which
+    # perfbench traces as the run's evaluation layer; it equals
+    # evaluation.draw_welfare(draws, test, RULE_DETERMINISTIC)
     per_draw = [
         test_welfare(test, FittedPolicy(arch, w, POLICY_TANH_SCORE), RULE_DETERMINISTIC)
         for w in draws.draws
     ]
+    mean_w, lo_w, hi_w = welfare_credible_interval(per_draw, cfg.level)
     with (out / "welfare_draws.csv").open("w", newline="") as fh:
         fh.write("draw,welfare\n")
         for s, v in enumerate(per_draw):
@@ -438,182 +436,10 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
             for s in range(fpts.shape[0]):
                 fh.write(f"{_fmt(x0)},{s},{_fmt(fpts[s, j])}\n")
 
-    manifest = viz_config_to_dict(cfg)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", to_dict(cfg))
     return out
 
 
-# ---------------------------------------------------------------------------
-# config (de)serialization
-
-CONFIG_SCHEMA = {
-    "dgp": {
-        "family": "binary1|binary2|binary3|multi1|multi2|multi3|onedimviz|semisynthetic_csv",
-        "n": "int >= 1",
-        "d": "int, optional (family default)",
-        "k": "int, optional (family default)",
-        "noise_sd": "float >= 0, optional (family default)",
-        "csv_path": "string, required for semisynthetic_csv",
-    },
-    "feedback": {
-        "mode": "full|logged (default full)",
-        "logging": "logistic|softmax (logged mode)",
-        "clip": "float in (0, 1/K], overlap clip (default 0.05)",
-        "pseudo": "ipw|dr (logged mode, default dr)",
-        "propensity": "true|fitted (default true)",
-        "folds": "int >= 0, cross-fitting folds for the outcome regression (default 0)",
-    },
-    "methods": [
-        {
-            "name": "unique display name",
-            "kind": "gbpl|diff_reg|plugin_reg|plugin_reg_k|weighted_logistic|direct_welfare",
-            "zeta": "float > 0 (gbpl, fixed scale)",
-            "zeta_grid": "list of floats (gbpl, validation-selected scale)",
-        }
-    ],
-    "split": "three positive fractions summing to 1 (default [0.6, 0.2, 0.2])",
-    "trials": "int >= 1",
-    "base_seed": "int",
-    "train": {
-        "learning_rate": "float > 0 (default 1e-3)",
-        "batch_size": "int >= 1 (default 128)",
-        "max_epochs": "int >= 1 (default 100)",
-        "patience": "int >= 1 (default 10)",
-        "weight_decay": "float >= 0 (default 0)",
-    },
-    "eta": "float > 0 (default 1)",
-    "tau2": "float > 0 (default 1)",
-    "hidden": "list of ints (default [128, 128])",
-    "jobs": "int >= 1; env GBPL_JOBS overrides",
-    "output_dir": "path",
-}
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain JSON-style dict."""
-    dgp_raw = dict(raw["dgp"])
-    dgp = DgpSpec(
-        family=dgp_raw["family"],
-        n=int(dgp_raw["n"]),
-        d=dgp_raw.get("d"),
-        k=dgp_raw.get("k"),
-        noise_sd=dgp_raw.get("noise_sd"),
-        seed=0,
-        csv_path=dgp_raw.get("csv_path"),
-    )
-    methods = tuple(
-        MethodSpec(
-            name=m["name"],
-            kind=m["kind"],
-            zeta=m.get("zeta"),
-            zeta_grid=tuple(m["zeta_grid"]) if m.get("zeta_grid") else None,
-        )
-        for m in raw["methods"]
-    )
-    fb_raw = raw.get("feedback", {})
-    feedback = FeedbackSpec(
-        mode=fb_raw.get("mode", "full"),
-        logging=fb_raw.get("logging", "logistic"),
-        clip=float(fb_raw.get("clip", 0.05)),
-        pseudo=fb_raw.get("pseudo", PSEUDO_DR),
-        propensity=fb_raw.get("propensity", "true"),
-        folds=int(fb_raw.get("folds", 0)),
-    )
-    tr_raw = raw.get("train", {})
-    train = TrainConfig(
-        learning_rate=float(tr_raw.get("learning_rate", 1e-3)),
-        batch_size=int(tr_raw.get("batch_size", 128)),
-        max_epochs=int(tr_raw.get("max_epochs", 100)),
-        patience=int(tr_raw.get("patience", 10)),
-        weight_decay=float(tr_raw.get("weight_decay", 0.0)),
-    )
-    return ExperimentConfig(
-        dgp=dgp,
-        methods=methods,
-        output_dir=raw["output_dir"],
-        feedback=feedback,
-        split=tuple(raw.get("split", (0.6, 0.2, 0.2))),
-        trials=int(raw.get("trials", 10)),
-        base_seed=int(raw.get("base_seed", 0)),
-        train=train,
-        eta=float(raw.get("eta", 1.0)),
-        tau2=float(raw.get("tau2", 1.0)),
-        hidden=tuple(raw.get("hidden", (128, 128))),
-        jobs=int(raw.get("jobs", 1)),
-    )
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dgp": {
-            "family": cfg.dgp.family,
-            "n": cfg.dgp.n,
-            "d": cfg.dgp.d,
-            "k": cfg.dgp.k,
-            "noise_sd": cfg.dgp.noise_sd,
-            "csv_path": cfg.dgp.csv_path,
-        },
-        "feedback": {
-            "mode": cfg.feedback.mode,
-            "logging": cfg.feedback.logging,
-            "clip": cfg.feedback.clip,
-            "pseudo": cfg.feedback.pseudo,
-            "propensity": cfg.feedback.propensity,
-            "folds": cfg.feedback.folds,
-        },
-        "methods": [
-            {
-                "name": m.name,
-                "kind": m.kind,
-                "zeta": m.zeta,
-                "zeta_grid": list(m.zeta_grid) if m.zeta_grid else None,
-            }
-            for m in cfg.methods
-        ],
-        "split": list(cfg.split),
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "max_epochs": cfg.train.max_epochs,
-            "patience": cfg.train.patience,
-            "weight_decay": cfg.train.weight_decay,
-        },
-        "eta": cfg.eta,
-        "tau2": cfg.tau2,
-        "hidden": list(cfg.hidden),
-        "jobs": cfg.jobs,
-        "output_dir": str(cfg.output_dir),
-    }
-
-
-def viz_config_to_dict(cfg: PosteriorVizConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "zeta": cfg.zeta,
-        "eta": cfg.eta,
-        "tau2": cfg.tau2,
-        "hidden": list(cfg.hidden),
-        "split": list(cfg.split),
-        "seed": cfg.seed,
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "max_epochs": cfg.train.max_epochs,
-            "patience": cfg.train.patience,
-            "weight_decay": cfg.train.weight_decay,
-        },
-        "sgld": {
-            "step_size": cfg.sgld.step_size,
-            "burn_in": cfg.sgld.burn_in,
-            "n_draws": cfg.sgld.n_draws,
-            "thin": cfg.sgld.thin,
-            "batch_size": cfg.sgld.batch_size,
-            "clip_norm": cfg.sgld.clip_norm,
-        },
-        "grid_points": cfg.grid_points,
-        "eval_points": list(cfg.eval_points),
-        "level": cfg.level,
-        "output_dir": str(cfg.output_dir),
-    }
+    """Build an ExperimentConfig from a plain JSON-style dict (see ``configio``)."""
+    return from_dict(ExperimentConfig, raw)

@@ -6,7 +6,10 @@ network output ``out`` computed on ``x[rows]``, and ``output_grad(out, rows)``
 returns d(sum of those losses)/d(out). Trainers combine the latter with
 ``nnet.backward`` to get exact parameter gradients.
 
-``rows=None`` means all rows in stored order.
+Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
+the ``batch`` and exposes its ``x`` and ``n``; subclasses add only their own
+parameters and the two loss methods. ``rows=None`` means all rows in stored
+order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbpl.nnet import Batch
+from gbpl.nnet import Batch, softmax
 
 
 def _rows(a: np.ndarray, rows) -> np.ndarray:
@@ -33,15 +36,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BinarySurrogateLoss:
-    """Squared surrogate for a bounded scalar score against outcome gaps.
+class BatchLoss:
+    """The dataset an adapter trains on; the targets' meaning is the subclass's."""
 
-    Per row: 0.5 * (u / sqrt(zeta) - sqrt(zeta) * f)^2, with f the tanh-head
-    output and u the (pseudo-)difference in outcomes.
-    """
-
-    batch: Batch  # targets: (n,) outcome differences
-    zeta: float
+    batch: Batch
 
     @property
     def x(self):
@@ -50,6 +48,17 @@ class BinarySurrogateLoss:
     @property
     def n(self):
         return self.batch.n
+
+
+@dataclass(frozen=True)
+class BinarySurrogateLoss(BatchLoss):
+    """Squared surrogate for a bounded scalar score against outcome gaps.
+
+    Per row: 0.5 * (u / sqrt(zeta) - sqrt(zeta) * f)^2, with f the tanh-head
+    output and u the (pseudo-)difference in outcomes (targets, shape (n,)).
+    """
+
+    zeta: float
 
     def values(self, out, rows=None):
         u = _rows(self.batch.targets, rows)
@@ -63,23 +72,14 @@ class BinarySurrogateLoss:
 
 
 @dataclass(frozen=True)
-class FullVectorSurrogateLoss:
+class FullVectorSurrogateLoss(BatchLoss):
     """Symmetric squared surrogate for a simplex policy against all outcomes.
 
     Per row: 0.5 * sum_a (y_a / sqrt(zeta) - sqrt(zeta) * delta_a)^2 with
-    delta the softmax-head output.
+    delta the softmax-head output and y the (n, K) outcome-vector targets.
     """
 
-    batch: Batch  # targets: (n, K) outcome vectors
     zeta: float
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
 
     def values(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
@@ -92,25 +92,16 @@ class FullVectorSurrogateLoss:
 
 
 @dataclass(frozen=True)
-class MaskedRegressionLoss:
+class MaskedRegressionLoss(BatchLoss):
     """Squared error on one designated output column per row.
 
     Used for outcome regressions on logged data: only the column of the
     realized action contributes; gradients on all other columns are exactly
     zero. With a single column and all rows pointing at it, this is plain
-    least squares.
+    least squares. Targets are the (n,) observed values.
     """
 
-    batch: Batch  # targets: (n,) observed values
     cols: np.ndarray  # (n,) int column per row
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
 
     def values(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
@@ -128,18 +119,9 @@ class MaskedRegressionLoss:
 
 
 @dataclass(frozen=True)
-class MultiRegressionLoss:
-    """Squared error summed over all output columns (full-feedback regression)."""
-
-    batch: Batch  # targets: (n, K)
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
+class MultiRegressionLoss(BatchLoss):
+    """Squared error summed over all output columns against (n, K) targets
+    (full-feedback regression)."""
 
     def values(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
@@ -151,22 +133,13 @@ class MultiRegressionLoss:
 
 
 @dataclass(frozen=True)
-class WeightedLogisticLoss:
+class WeightedLogisticLoss(BatchLoss):
     """Weighted binary cross-entropy on a scalar logit (identity head).
 
     Per row: w * (log(1 + exp(z)) - t * z) for label t in {0, 1}. Rows with
     weight zero contribute nothing, so ties in the labeling rule are harmless.
+    Targets are the (n,) labels, weights the (n,) nonnegative row weights.
     """
-
-    batch: Batch  # targets: (n,) labels in {0, 1}; weights: (n,) nonnegative
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
 
     def values(self, out, rows=None):
         t = _rows(self.batch.targets, rows)
@@ -181,18 +154,9 @@ class WeightedLogisticLoss:
 
 
 @dataclass(frozen=True)
-class NegativeWelfareLoss:
-    """Negative realized welfare of a softmax policy, per row: -sum_a delta_a * y_a."""
-
-    batch: Batch  # targets: (n, K) outcome (or pseudo-outcome) vectors
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
+class NegativeWelfareLoss(BatchLoss):
+    """Negative realized welfare of a softmax policy, per row: -sum_a delta_a * y_a,
+    with y the (n, K) outcome (or pseudo-outcome) targets."""
 
     def values(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
@@ -204,7 +168,7 @@ class NegativeWelfareLoss:
 
 
 @dataclass(frozen=True)
-class CrossEntropyLogitsLoss:
+class CrossEntropyLogitsLoss(BatchLoss):
     """Multinomial logistic loss taken directly on logits (identity head).
 
     Per row: logsumexp(z) - z[col]. Working in logit space keeps the loss and
@@ -212,16 +176,7 @@ class CrossEntropyLogitsLoss:
     predictions afterwards come from the matching softmax-head forward pass.
     """
 
-    batch: Batch
     cols: np.ndarray  # (n,) int class per row
-
-    @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
 
     def values(self, out, rows=None):
         c = _rows(self.cols, rows)
@@ -231,9 +186,7 @@ class CrossEntropyLogitsLoss:
 
     def output_grad(self, out, rows=None):
         c = _rows(self.cols, rows)
-        shifted = out - out.max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p = softmax(out)
         idx = np.arange(out.shape[0])
         p[idx, c] -= 1.0
         return p

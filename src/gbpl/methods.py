@@ -23,6 +23,11 @@ POLICY_SIGN_REGRESSION = "sign_regression"
 POLICY_ARGMAX_REGRESSION = "argmax_regression"
 POLICY_LOGIT_CLASSIFIER = "logit_classifier"
 
+# the two decision rules: a scalar output thresholded at zero (column 0 on a
+# nonnegative score), or the argmax column with ties to the lowest
+_THRESHOLD_RULES = (POLICY_TANH_SCORE, POLICY_SIGN_REGRESSION, POLICY_LOGIT_CLASSIFIER)
+_ARGMAX_RULES = (POLICY_SOFTMAX, POLICY_ARGMAX_REGRESSION)
+
 
 @dataclass(frozen=True)
 class FittedPolicy:
@@ -44,27 +49,17 @@ class FittedPolicy:
             return np.column_stack([p1, 1.0 - p1])
         if self.semantics == POLICY_SOFTMAX:
             return out
-        return _one_hot(self.decide(x), self._n_actions())
+        k = 2 if self.semantics in _THRESHOLD_RULES else self.arch.output_dim
+        return _one_hot(self.decide(x), k)
 
     def decide(self, x: np.ndarray) -> np.ndarray:
         """Deterministic action choice as column indices."""
         out = self.score(x)
-        if self.semantics == POLICY_TANH_SCORE:
+        if self.semantics in _THRESHOLD_RULES:
             return np.where(out[:, 0] >= 0.0, 0, 1)
-        if self.semantics == POLICY_SOFTMAX:
+        if self.semantics in _ARGMAX_RULES:
             return out.argmax(axis=1)
-        if self.semantics == POLICY_SIGN_REGRESSION:
-            return np.where(out[:, 0] >= 0.0, 0, 1)
-        if self.semantics == POLICY_ARGMAX_REGRESSION:
-            return out.argmax(axis=1)
-        if self.semantics == POLICY_LOGIT_CLASSIFIER:
-            return np.where(out[:, 0] >= 0.0, 0, 1)
         raise ValueError(f"unknown policy semantics {self.semantics!r}")
-
-    def _n_actions(self) -> int:
-        if self.semantics in (POLICY_SIGN_REGRESSION, POLICY_LOGIT_CLASSIFIER):
-            return 2
-        return self.arch.output_dim
 
 
 def _one_hot(cols: np.ndarray, k: int) -> np.ndarray:

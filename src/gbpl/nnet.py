@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from gbpl.configio import from_dict, to_dict, write_json
+
 HEAD_TANH = "tanh"
 HEAD_SOFTMAX = "softmax"
 HEAD_IDENTITY = "identity"
@@ -119,14 +121,20 @@ def unflatten(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarra
     return layers
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, K) matrix of logits.
+
+    Max subtraction keeps exp in range; rows then sum to 1 up to roundoff.
+    """
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _apply_head(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
     if arch.head == HEAD_TANH:
         return np.tanh(z)
     if arch.head == HEAD_SOFTMAX:
-        # max subtraction keeps exp in range; rows then sum to 1 up to roundoff
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(z)
     return z
 
 
@@ -200,27 +208,15 @@ def save_params(directory: str | Path, arch: MlpArchitecture, params: np.ndarray
     if vec.shape != (arch.param_count,):
         raise ValueError("parameter vector does not match the architecture")
     (directory / "params.bin").write_bytes(vec.tobytes())
-    sidecar = {
-        "input_dim": arch.input_dim,
-        "hidden_dims": list(arch.hidden_dims),
-        "output_dim": arch.output_dim,
-        "head": arch.head,
-        "dim": int(vec.size),
-        "dtype": "<f8",
-    }
-    (directory / "arch.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(directory / "arch.json",
+               {"arch": to_dict(arch), "dim": int(vec.size), "dtype": "<f8"})
 
 
 def load_params(directory: str | Path) -> tuple[MlpArchitecture, np.ndarray]:
     directory = Path(directory)
     sidecar = json.loads((directory / "arch.json").read_text())
-    arch = MlpArchitecture(
-        input_dim=sidecar["input_dim"],
-        hidden_dims=tuple(sidecar["hidden_dims"]),
-        output_dim=sidecar["output_dim"],
-        head=sidecar["head"],
-    )
-    vec = np.frombuffer((directory / "params.bin").read_bytes(), dtype="<f8").copy()
+    arch = from_dict(MlpArchitecture, sidecar["arch"])
+    vec = np.fromfile(directory / "params.bin", dtype="<f8")
     if vec.size != sidecar["dim"] or vec.size != arch.param_count:
         raise ValueError("blob length does not match the declared architecture")
     return arch, vec

@@ -2,8 +2,10 @@
 
 Exact posteriors on finite parameter sets, the variational objective they
 uniquely minimize, MAP training of the MLP under a Gaussian prior by Adam,
-constant-step SGLD sampling, a diagonal curvature approximation around the
-MAP, and welfare credible intervals from posterior draws.
+constant-step SGLD sampling, persistence of the draws, and a diagonal
+curvature approximation around the MAP. Welfare credible intervals over the
+draws live in ``evaluation`` (``draw_welfare`` and
+``welfare_credible_interval``).
 
 The MAP objective throughout is
 
@@ -23,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from gbpl import nnet
-from gbpl.surrogate import FullFeedbackDataset, GibbsConfig
+from gbpl.configio import from_dict, to_dict, write_json
+from gbpl.surrogate import GibbsConfig
 
 VARIANCE_FLOOR = 1e-8
 STATIONARITY_TOL = 1e-3
@@ -281,60 +284,25 @@ def sgld_sample(
 
 
 def save_draws(directory: str | Path, posterior: PosteriorDraws) -> None:
-    """Persist draws as one binary blob per draw plus a JSON manifest."""
+    """Persist the (S, P) draw matrix as one little-endian float64 blob,
+    ``draws.bin``, plus a JSON manifest of the architecture and sampler."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for s in range(posterior.n_draws):
-        blob = np.ascontiguousarray(posterior.draws[s].astype("<f8"))
-        (directory / f"draw_{s:05d}.bin").write_bytes(blob.tobytes())
-    meta = posterior.meta
-    manifest = {
-        "arch": {
-            "input_dim": posterior.arch.input_dim,
-            "hidden_dims": list(posterior.arch.hidden_dims),
-            "output_dim": posterior.arch.output_dim,
-            "head": posterior.arch.head,
-        },
-        "n_draws": posterior.n_draws,
-        "sampler_meta": {
-            "burn_in": meta.burn_in,
-            "thin": meta.thin,
-            "step_size": meta.step_size,
-            "batch_size": meta.batch_size,
-            "seed": meta.seed,
-            "clip_norm": meta.clip_norm,
-            "n_draws": meta.n_draws,
-        },
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (directory / "draws.bin").write_bytes(np.ascontiguousarray(posterior.draws, "<f8").tobytes())
+    write_json(directory / "manifest.json", {"arch": to_dict(posterior.arch),
+                                             "n_draws": posterior.n_draws,
+                                             "sampler_meta": to_dict(posterior.meta)})
 
 
 def load_draws(directory: str | Path) -> PosteriorDraws:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    arch = nnet.MlpArchitecture(
-        input_dim=manifest["arch"]["input_dim"],
-        hidden_dims=tuple(manifest["arch"]["hidden_dims"]),
-        output_dim=manifest["arch"]["output_dim"],
-        head=manifest["arch"]["head"],
-    )
-    sm = manifest["sampler_meta"]
-    meta = SgldConfig(
-        step_size=sm["step_size"],
-        burn_in=sm["burn_in"],
-        n_draws=sm["n_draws"],
-        thin=sm["thin"],
-        batch_size=sm["batch_size"],
-        seed=sm["seed"],
-        clip_norm=sm["clip_norm"],
-    )
-    draws = np.stack(
-        [
-            np.frombuffer((directory / f"draw_{s:05d}.bin").read_bytes(), dtype="<f8")
-            for s in range(manifest["n_draws"])
-        ]
-    )
-    return PosteriorDraws(arch=arch, draws=draws.copy(), meta=meta)
+    arch = from_dict(nnet.MlpArchitecture, manifest["arch"])
+    draws = np.fromfile(directory / "draws.bin", dtype="<f8")
+    if draws.size != manifest["n_draws"] * arch.param_count:
+        raise ValueError("draw blob length does not match the manifest")
+    return PosteriorDraws(arch=arch, draws=draws.reshape(manifest["n_draws"], -1),
+                          meta=from_dict(SgldConfig, manifest["sampler_meta"]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,50 +359,3 @@ def diag_laplace(
         else:
             variances[j] = 1.0 / h
     return DiagLaplaceResult(variances=variances, negative_curvature=flagged)
-
-
-# ---------------------------------------------------------------------------
-# welfare credible intervals
-
-RULE_DETERMINISTIC = "deterministic"
-RULE_RANDOMIZED = "randomized"
-
-
-def _welfare_of_draw(arch, w, test: FullFeedbackDataset, rule: str) -> float:
-    out = nnet.forward(arch, w, test.x)
-    if arch.head == nnet.HEAD_TANH:
-        f = out[:, 0]
-        if rule == RULE_DETERMINISTIC:
-            pick = np.where(f >= 0.0, 0, 1)  # column 0 holds Y(1)
-            return float(test.y[np.arange(test.n), pick].mean())
-        delta1 = (f + 1.0) / 2.0
-        return float((delta1 * test.y[:, 0] + (1.0 - delta1) * test.y[:, 1]).mean())
-    if arch.head == nnet.HEAD_SOFTMAX:
-        if rule == RULE_DETERMINISTIC:
-            pick = out.argmax(axis=1)
-            return float(test.y[np.arange(test.n), pick].mean())
-        return float((out * test.y).sum(axis=1).mean())
-    raise ValueError("credible intervals need a tanh or softmax head")
-
-
-def welfare_credible_interval(
-    posterior: PosteriorDraws,
-    test: FullFeedbackDataset,
-    rule: str = RULE_DETERMINISTIC,
-    level: float = 0.95,
-) -> tuple[float, float, float]:
-    """(mean, lower, upper) of per-draw test welfare.
-
-    The interval edges are the (1-level)/2 and 1-(1-level)/2 empirical
-    quantiles with linear interpolation, so lower <= upper always.
-    """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    if rule not in (RULE_DETERMINISTIC, RULE_RANDOMIZED):
-        raise ValueError(f"unknown rule {rule!r}")
-    vals = np.array(
-        [_welfare_of_draw(posterior.arch, w, test, rule) for w in posterior.draws]
-    )
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
-    return float(vals.mean()), float(lo), float(hi)

@@ -343,18 +343,23 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         raise ValueError("project_simplex expects a 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / j > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return project_simplex_rows(v[None, :])[0]
 
 
 def project_simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection of an (n, K) matrix."""
+    """Row-wise simplex projection of an (n, K) matrix.
+
+    Each row is sorted in descending order; the threshold theta is the
+    cumulative-sum correction at the last index rho where the sorted entry
+    stays above it, and the projection is max(v - theta, 0).
+    """
     v = np.asarray(v, dtype=np.float64)
-    return np.apply_along_axis(project_simplex, 1, v)
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    j = np.arange(1, v.shape[1] + 1)
+    rho = v.shape[1] - 1 - np.argmax((u - css / j > 0)[:, ::-1], axis=1)
+    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def population_score_binary(m_over_zeta: float | np.ndarray):

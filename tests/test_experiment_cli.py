@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gbpl import cli
 from gbpl import experiment as ex
+from gbpl.configio import from_dict
 from gbpl.dgp import DgpSpec, read_full_feedback_csv, read_logged_csv
 from gbpl.posterior import SgldConfig, TrainConfig
 
@@ -158,6 +160,50 @@ class TestRunExperiment:
             ex.MethodSpec(name="bad", kind="gbpl", zeta=0.1, zeta_grid=(1.0,))
 
 
+class TestConfigValidation:
+    def _raw(self, method):
+        return _smoke_config("unused", methods=[method])
+
+    def test_empty_zeta_grid_rejected(self):
+        with pytest.raises(ValueError, match="'cv-empty'.*empty"):
+            ex.parse_config(self._raw({"name": "cv-empty", "kind": "gbpl", "zeta_grid": []}))
+
+    def test_nonpositive_zeta_rejected(self):
+        with pytest.raises(ValueError, match="'fixed-zero'.*positive"):
+            ex.parse_config(self._raw({"name": "fixed-zero", "kind": "gbpl", "zeta": 0.0}))
+
+    def test_nonpositive_grid_entry_rejected(self):
+        with pytest.raises(ValueError, match="'cv-negative'.*positive"):
+            ex.parse_config(
+                self._raw({"name": "cv-negative", "kind": "gbpl", "zeta_grid": [1.0, -0.1]})
+            )
+
+    def test_unknown_top_level_key_rejected(self):
+        raw = _smoke_config("unused")
+        raw["trails"] = 3
+        with pytest.raises(ValueError, match="ExperimentConfig.*trails"):
+            ex.parse_config(raw)
+
+    def test_unknown_method_key_names_the_method(self):
+        method = {"name": "typo", "kind": "gbpl", "zeta": 0.1, "zetta": 0.2}
+        with pytest.raises(ValueError, match="'typo'.*zetta"):
+            ex.parse_config(self._raw(method))
+
+
+class TestManifestRoundTrip:
+    def test_experiment_manifest_rebuilds_its_config(self, tmp_path):
+        cfg = ex.parse_config(_smoke_config(tmp_path / "run"))
+        out = ex.run_experiment(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert from_dict(ex.ExperimentConfig, manifest) == cfg
+
+    def test_default_viz_manifest_rebuilds_its_config(self, tmp_path):
+        cfg = ex.PosteriorVizConfig(output_dir=str(tmp_path / "viz"))
+        out = ex.run_posterior_viz(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert from_dict(ex.PosteriorVizConfig, manifest) == cfg
+
+
 class TestPosteriorViz:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -299,6 +345,21 @@ class TestCli:
         assert rc == 0
         schema = json.loads(capsys.readouterr().out)
         assert "methods" in schema and "dgp" in schema
+
+    def test_print_schema_lists_every_nested_field(self, capsys):
+        assert cli.main(["experiment", "--print-schema"]) == 0
+        schema = json.loads(capsys.readouterr().out)
+
+        def check(cls, node):
+            assert set(node) == {f.name for f in dataclasses.fields(cls)}
+            for f in dataclasses.fields(cls):
+                value = getattr(cls, f.name, None)
+                if dataclasses.is_dataclass(value):
+                    check(type(value), node[f.name])
+
+        check(ex.ExperimentConfig, schema)
+        check(ex.DgpSpec, schema["dgp"])
+        check(ex.MethodSpec, schema["methods"][0])
 
     def test_experiment_requires_config(self, capsys):
         assert cli.main(["experiment"]) == 2

@@ -4,6 +4,7 @@ import pytest
 from dataclasses import dataclass, replace
 
 from gbpl import nnet, posterior
+from gbpl.evaluation import draw_welfare, welfare_credible_interval
 from gbpl.losses import BinarySurrogateLoss, MaskedRegressionLoss
 from gbpl.posterior import (
     GibbsConfig,
@@ -16,7 +17,6 @@ from gbpl.posterior import (
     map_train,
     sgld_sample,
     variational_objective,
-    welfare_credible_interval,
 )
 from gbpl.surrogate import FullFeedbackDataset
 
@@ -309,7 +309,7 @@ class TestWelfareCredibleInterval:
             meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=5, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-        mean, lo, hi = welfare_credible_interval(draws, test, "deterministic", 0.95)
+        mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, "deterministic"), 0.95)
         assert lo == hi == mean
 
     def test_quantile_ordering_random_draw_sets(self):
@@ -318,7 +318,7 @@ class TestWelfareCredibleInterval:
         for _ in range(100):
             draws = self._draws(rng, n_draws=int(rng.integers(2, 30)))
             for rule in ("deterministic", "randomized"):
-                mean, lo, hi = welfare_credible_interval(draws, test, rule, 0.9)
+                mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, rule), 0.9)
                 assert lo <= hi
                 assert lo <= mean + 1e-12 and mean <= hi + 1e-12 or lo <= hi
 
@@ -326,8 +326,8 @@ class TestWelfareCredibleInterval:
         rng = np.random.default_rng(17)
         test = FullFeedbackDataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)))
         draws = self._draws(rng, n_draws=50)
-        _, lo95, hi95 = welfare_credible_interval(draws, test, "randomized", 0.95)
-        _, lo50, hi50 = welfare_credible_interval(draws, test, "randomized", 0.5)
+        _, lo95, hi95 = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.95)
+        _, lo50, hi50 = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.5)
         assert lo95 <= lo50 <= hi50 <= hi95
 
     def test_softmax_head_interval(self):
@@ -340,5 +340,5 @@ class TestWelfareCredibleInterval:
             meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=15, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((25, 2)), rng.standard_normal((25, 3)))
-        mean, lo, hi = welfare_credible_interval(draws, test, "randomized", 0.95)
+        mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.95)
         assert lo <= mean <= hi

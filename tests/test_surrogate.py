@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gbpl import surrogate as sg
 from gbpl.evaluation import oracle_welfare
@@ -340,3 +343,44 @@ class TestWelfareRiskIdentities:
             r1 = float(np.mean(sg.fullvector_loss(zeta, data.y, d1)))
             r2 = float(np.mean(sg.fullvector_loss(zeta, data.y, d2)))
             assert abs((w1 - w2) - (r2 - r1)) < 1e-10
+
+
+def _reference_projection(v):
+    """Per-row sort-and-threshold projection, one row at a time."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+# small matrices whose entries often tie: a few repeated values mixed with floats
+_matrices = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.integers(2, 7)),
+    elements=st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                       st.floats(-10.0, 10.0, allow_subnormal=False)),
+)
+
+
+class TestProjectSimplexRowsProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_matrices)
+    def test_kkt_conditions(self, v):
+        p = sg.project_simplex_rows(v)
+        assert np.all(p >= 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # p = max(v - theta, 0): v - p is one threshold on the support and
+        # bounds every entry off it
+        for vi, pi in zip(v, p):
+            support = pi > 0
+            gap = vi[support] - pi[support]
+            theta = gap.mean()
+            assert np.all(np.abs(gap - theta) <= 1e-12 * max(1.0, abs(theta)) * vi.size)
+            assert np.all(vi[~support] <= theta + 1e-12 * max(1.0, abs(theta)))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_matrices)
+    def test_matches_per_row_reference_bitwise(self, v):
+        expected = np.array([_reference_projection(row) for row in v])
+        assert sg.project_simplex_rows(v).tobytes() == expected.tobytes()
+        assert sg.project_simplex(v[0]).tobytes() == expected[0].tobytes()
