@@ -25,7 +25,7 @@ from gbpl.methods import (
     POLICY_SOFTMAX,
     FittedPolicy,
 )
-from gbpl.posterior import GibbsConfig, TrainConfig, map_train
+from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import FullFeedbackDataset
 
 KIND_DIFF_REG = "diff_reg"
@@ -41,8 +41,6 @@ BASELINE_KINDS = (
     KIND_WEIGHTED_LOGISTIC,
     KIND_DIRECT_WELFARE,
 )
-
-_FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
 
 
 def fit_baseline(
@@ -77,7 +75,7 @@ def fit_baseline(
         u = data.outcome_diff()
         arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
         loss = MaskedRegressionLoss(nnet.Batch(x, u), np.zeros(data.n, dtype=np.intp))
-        params = map_train(arch, loss, _FLAT_PRIOR, cfg, train_rows, val_rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
         return FittedPolicy(arch, params, POLICY_SIGN_REGRESSION)
 
     if kind in (KIND_PLUGIN_REG, KIND_PLUGIN_REG_K):
@@ -89,7 +87,7 @@ def fit_baseline(
             loss = MultiRegressionLoss(nnet.Batch(x, data.y))
         else:
             loss = MaskedRegressionLoss(nnet.Batch(x, data.y_obs), data.action_columns())
-        params = map_train(arch, loss, _FLAT_PRIOR, cfg, train_rows, val_rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
         return FittedPolicy(arch, params, POLICY_ARGMAX_REGRESSION)
 
     if kind == KIND_WEIGHTED_LOGISTIC:
@@ -100,7 +98,7 @@ def fit_baseline(
         weights = np.abs(u)
         arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
         loss = WeightedLogisticLoss(nnet.Batch(x, labels, weights))
-        params = map_train(arch, loss, _FLAT_PRIOR, cfg, train_rows, val_rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
         return FittedPolicy(arch, params, POLICY_LOGIT_CLASSIFIER)
 
     # direct_welfare
@@ -108,5 +106,5 @@ def fit_baseline(
         raise ValueError("direct_welfare needs a full (or pseudo) outcome table")
     arch = nnet.MlpArchitecture(d, hidden, data.k, nnet.HEAD_SOFTMAX)
     loss = NegativeWelfareLoss(nnet.Batch(x, data.y))
-    params = map_train(arch, loss, _FLAT_PRIOR, cfg, train_rows, val_rows)
+    params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
     return FittedPolicy(arch, params, POLICY_SOFTMAX)

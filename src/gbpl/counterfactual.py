@@ -25,7 +25,7 @@ from gbpl.losses import (
     WeightedLogisticLoss,
     sigmoid,
 )
-from gbpl.posterior import GibbsConfig, TrainConfig, map_train
+from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import (
     FullFeedbackDataset,
     project_simplex_rows,
@@ -249,7 +249,6 @@ def fit_propensity(
             label = (1, 0)[label_col] if logged.k == 2 else label_col + 1
             raise ValueError(f"action {label} is never observed; cannot fit its propensity")
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
-    flat = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)  # maximum likelihood, prior off
     rows = np.arange(logged.n)
     x_out = logged.x if predict_x is None else np.asarray(predict_x, dtype=np.float64)
 
@@ -261,13 +260,13 @@ def fit_propensity(
         loss = WeightedLogisticLoss(
             nnet.Batch(logged.x, labels, np.ones(logged.n))
         )
-        params = map_train(arch, loss, flat, cfg, rows, rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
         p1 = sigmoid(nnet.forward(arch, params, x_out)[:, 0])
         e = np.column_stack([p1, 1.0 - p1])
     elif model == PROPENSITY_SOFTMAX:
         arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
         loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
-        params = map_train(arch, loss, flat, cfg, rows, rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
         e = nnet.softmax(nnet.forward(arch, params, x_out))
     else:
         raise ValueError(f"unknown propensity model {model!r}")
@@ -304,7 +303,6 @@ def fit_outcome_regression(
     if arch.output_dim != logged.k or arch.head != nnet.HEAD_IDENTITY:
         raise ValueError("outcome regression needs a K-output identity head")
     cfg = cfg or TrainConfig()
-    flat = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
     cols = logged.action_columns()
     loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), cols)
 
@@ -318,7 +316,7 @@ def fit_outcome_regression(
         val_rows, tr_rows = perm[:n_val], perm[n_val:]
         if tr_rows.size == 0:
             tr_rows = perm
-        params = map_train(arch, loss, flat, cfg, tr_rows, val_rows)
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows, val_rows)
         return nnet.forward(arch, params, x_out)
 
     if fold_id is None:

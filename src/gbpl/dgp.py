@@ -214,24 +214,16 @@ def semisynthetic_from_csv(path: str | Path, k: int, effect_seed: int) -> FullFe
     standardized response + tanh(x'w_a / sqrt(d) + c_a) with unit-norm
     directions w_a and intercepts c_a drawn from ``effect_seed``.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if len(rows) < 2:
-        raise ValueError("need at least 2 data rows")
-    try:
-        table = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"non-numeric value in {path.name}: {exc}") from exc
+    header, table = _read_table(path)
+    if table.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 data rows")
     if table.shape[1] < 2:
-        raise ValueError("need at least one feature column plus the response")
+        raise ValueError(f"{path}: need at least one feature column plus the response")
     x = table[:, :-1]
     resp = table[:, -1]
     sd = resp.std()
     if sd == 0.0:
-        raise ValueError(f"response column {header[-1]!r} has zero variance")
+        raise ValueError(f"{path}: response column {header[-1]!r} has zero variance")
     z = (resp - resp.mean()) / sd
 
     d = x.shape[1]
@@ -252,6 +244,39 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header and finite numeric body of a CSV with at least one data row; a
+    malformed file raises ``ValueError`` naming the file and the cause."""
+    with Path(path).open(newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    header, rows = lines[0], lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {i} has {len(row)} fields, the header {len(header)}")
+    try:
+        table = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric value: {exc}") from exc
+    if not np.all(np.isfinite(table)):
+        line, col = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(f"{path}: non-finite value in column {header[col]!r} on line {line + 2}")
+    return header, table
+
+
+def _check_columns(path, header: list[str], expected: list[str]) -> None:
+    if header != expected:
+        raise ValueError(f"{path}: expected columns {','.join(expected)}, got {','.join(header)}")
+
+
+def _names(prefix: str, header: list[str]) -> list[str]:
+    """``prefix1..prefixN`` for the N header columns that start with ``prefix``."""
+    return [f"{prefix}{j + 1}" for j in range(sum(c.startswith(prefix) for c in header))]
+
+
 def write_full_feedback_csv(path: str | Path, data: FullFeedbackDataset) -> None:
     """Columns x_1..x_d, y_1..y_K (binary: y_1 = Y(1), y_2 = Y(0))."""
     path = Path(path)
@@ -265,15 +290,11 @@ def write_full_feedback_csv(path: str | Path, data: FullFeedbackDataset) -> None
 
 
 def read_full_feedback_csv(path: str | Path) -> FullFeedbackDataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    d = sum(1 for c in header if c.startswith("x_"))
-    k = sum(1 for c in header if c.startswith("y_"))
-    table = np.array([[float(v) for v in row] for row in rows])
-    return FullFeedbackDataset(table[:, :d], table[:, d : d + k])
+    """Inverse of ``write_full_feedback_csv``; columns must be x_1..x_d, y_1..y_K."""
+    header, table = _read_table(path)
+    xs, ys = _names("x_", header), _names("y_", header)
+    _check_columns(path, header, xs + ys)
+    return FullFeedbackDataset(table[:, : len(xs)], table[:, len(xs) :])
 
 
 def write_logged_csv(path: str | Path, logged: LoggedDataset) -> None:
@@ -294,17 +315,20 @@ def write_logged_csv(path: str | Path, logged: LoggedDataset) -> None:
 
 
 def read_logged_csv(path: str | Path, k: int | None = None) -> LoggedDataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    d = sum(1 for c in header if c.startswith("x_"))
-    n_e = sum(1 for c in header if c.startswith("e_"))
-    table = np.array([[float(v) for v in row] for row in rows])
-    a = table[:, d].astype(np.intp)
-    y_obs = table[:, d + 1]
-    e = table[:, d + 2 : d + 2 + n_e] if n_e else None
-    if k is None:
-        k = n_e if n_e else (2 if np.all(np.isin(a, (0, 1))) else int(a.max()))
-    return LoggedDataset(x=table[:, :d], a=a, y_obs=y_obs, k=k, true_propensity=e)
+    """Inverse of ``write_logged_csv``. K is the number of e_ columns, or ``k``
+    when the file has none; actions must be integer labels."""
+    header, table = _read_table(path)
+    xs, es = _names("x_", header), _names("e_", header)
+    _check_columns(path, header, xs + ["action", "y_obs"] + es)
+    d = len(xs)
+    a = table[:, d]
+    if np.any(a != np.round(a)):
+        raise ValueError(f"{path}: non-integer action label")
+    if k is None and not es:
+        raise ValueError(f"{path}: no e_ columns to take K from; pass k")
+    e = table[:, d + 2 :] if es else None
+    try:
+        return LoggedDataset(table[:, :d], a.astype(np.intp), table[:, d + 1],
+                             len(es) if k is None else k, e)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -9,7 +9,8 @@ returns d(sum of those losses)/d(out). Trainers combine the latter with
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
 the ``batch`` and exposes its ``x`` and ``n``; subclasses add only their own
 parameters and the two loss methods. ``rows=None`` means all rows in stored
-order.
+order. The surrogate adapters take their ``values`` from ``surrogate``'s
+``binary_loss`` and ``fullvector_loss``, where the formulas are written once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl.nnet import Batch, softmax
+from gbpl.surrogate import binary_loss, fullvector_loss
 
 
 def _rows(a: np.ndarray, rows) -> np.ndarray:
@@ -54,17 +56,14 @@ class BatchLoss:
 class BinarySurrogateLoss(BatchLoss):
     """Squared surrogate for a bounded scalar score against outcome gaps.
 
-    Per row: 0.5 * (u / sqrt(zeta) - sqrt(zeta) * f)^2, with f the tanh-head
-    output and u the (pseudo-)difference in outcomes (targets, shape (n,)).
+    Per row: ``binary_loss(zeta, u, f)``, with f the tanh-head output and u
+    the (pseudo-)difference in outcomes (targets, shape (n,)).
     """
 
     zeta: float
 
     def values(self, out, rows=None):
-        u = _rows(self.batch.targets, rows)
-        f = out[:, 0]
-        r = np.sqrt(self.zeta)
-        return 0.5 * (u / r - r * f) ** 2
+        return binary_loss(self.zeta, _rows(self.batch.targets, rows), out[:, 0])
 
     def output_grad(self, out, rows=None):
         u = _rows(self.batch.targets, rows)
@@ -75,16 +74,14 @@ class BinarySurrogateLoss(BatchLoss):
 class FullVectorSurrogateLoss(BatchLoss):
     """Symmetric squared surrogate for a simplex policy against all outcomes.
 
-    Per row: 0.5 * sum_a (y_a / sqrt(zeta) - sqrt(zeta) * delta_a)^2 with
-    delta the softmax-head output and y the (n, K) outcome-vector targets.
+    Per row: ``fullvector_loss(zeta, y, delta)``, with delta the softmax-head
+    output and y the (n, K) outcome-vector targets.
     """
 
     zeta: float
 
     def values(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
-        r = np.sqrt(self.zeta)
-        return 0.5 * ((y / r - r * out) ** 2).sum(axis=1)
+        return fullvector_loss(self.zeta, _rows(self.batch.targets, rows), out)
 
     def output_grad(self, out, rows=None):
         y = _rows(self.batch.targets, rows)

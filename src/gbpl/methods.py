@@ -15,7 +15,6 @@ import numpy as np
 from gbpl import nnet
 from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
-from gbpl.surrogate import FullFeedbackDataset
 
 POLICY_TANH_SCORE = "tanh_score"
 POLICY_SOFTMAX = "softmax_policy"
@@ -106,14 +105,3 @@ def fit_policy_fullvector(
     params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
     return FittedPolicy(arch, params, POLICY_SOFTMAX)
 
-
-def fit_score_binary_data(
-    data: FullFeedbackDataset,
-    gibbs: GibbsConfig,
-    cfg: TrainConfig,
-    train_rows: np.ndarray,
-    val_rows: np.ndarray,
-    hidden: tuple[int, ...] = (128, 128),
-) -> FittedPolicy:
-    """Convenience wrapper taking a binary full-feedback dataset."""
-    return fit_score_binary(data.x, data.outcome_diff(), gibbs, cfg, train_rows, val_rows, hidden)

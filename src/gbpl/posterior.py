@@ -12,8 +12,9 @@ The MAP objective throughout is
     eta * sum_i loss_i(w) + ||w||^2 / (2 * tau2)
 
 with minibatch gradients rescaled by n_train / batch so every step targets the
-full-sample objective. Training and sampling are single-threaded per run and
-deterministic given their seeds; distinct seeds may run concurrently.
+full-sample objective; ``objective_gradient`` forms that gradient for Adam, SGLD
+and the Laplace curvature alike. Training and sampling are single-threaded per
+run and deterministic given their seeds; distinct seeds may run concurrently.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from gbpl.surrogate import GibbsConfig
 
 VARIANCE_FLOOR = 1e-8
 STATIONARITY_TOL = 1e-3
+
+# maximum likelihood: a prior this wide leaves the data term alone
+FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +106,35 @@ def _prior_value(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float) ->
     return sq / (2.0 * gibbs.tau2) + 0.5 * weight_decay * sq
 
 
+def _rows_and_scale(loss, gibbs, rows, n_scale):
+    """Covariates of ``rows`` and the data-term weight eta * n_scale / len(rows)."""
+    x = loss.x if rows is None else loss.x[rows]
+    m = x.shape[0]
+    return x, gibbs.eta * ((n_scale if n_scale is not None else m) / m)
+
+
 def objective_gradient(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0):
     """Gradient of the MAP objective restricted to ``rows``.
 
     ``n_scale`` rescales the data term to a target sample size (minibatch
-    steps pass the training-set size); defaults to len(rows).
+    steps pass the training-set size); defaults to len(rows). A non-finite
+    loss on ``rows`` or a non-finite gradient raises ``FloatingPointError``.
     """
-    x = loss.x if rows is None else loss.x[rows]
+    x, scale = _rows_and_scale(loss, gibbs, rows, n_scale)
     out = nnet.forward(arch, params, x)
-    g_out = loss.output_grad(out, rows)
-    m = x.shape[0]
-    scale = gibbs.eta * ((n_scale if n_scale is not None else m) / m)
-    data_grad = nnet.backward(arch, params, x, g_out) * scale
-    return data_grad + _prior_grad(params, gibbs, weight_decay)
+    if not np.isfinite(loss.values(out, rows)).all():
+        raise FloatingPointError("non-finite training loss; reduce the step size")
+    grad = nnet.backward(arch, params, x, loss.output_grad(out, rows)) * scale
+    grad += _prior_grad(params, gibbs, weight_decay)
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite objective gradient; reduce the step size")
+    return grad
 
 
 def map_objective(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0) -> float:
     """Value of the MAP objective restricted to ``rows`` (see objective_gradient)."""
-    x = loss.x if rows is None else loss.x[rows]
-    out = nnet.forward(arch, params, x)
-    vals = loss.values(out, rows)
-    m = x.shape[0]
-    scale = gibbs.eta * ((n_scale if n_scale is not None else m) / m)
+    x, scale = _rows_and_scale(loss, gibbs, rows, n_scale)
+    vals = loss.values(nnet.forward(arch, params, x), rows)
     return float(scale * vals.sum() + _prior_value(params, gibbs, weight_decay))
 
 
@@ -172,14 +183,7 @@ def map_train(
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             rows = train_rows[order[start : start + cfg.batch_size]]
-            x = loss.x[rows]
-            out = nnet.forward(arch, params, x)
-            batch_vals = loss.values(out, rows)
-            if not np.all(np.isfinite(batch_vals)):
-                raise FloatingPointError("non-finite training loss; reduce the step size")
-            scale = gibbs.eta * (n_train / rows.size)
-            grad = nnet.backward(arch, params, x, loss.output_grad(out, rows)) * scale
-            grad += _prior_grad(params, gibbs, cfg.weight_decay)
+            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, cfg.weight_decay)
             t += 1
             m = beta1 * m + (1.0 - beta1) * grad
             v = beta2 * v + (1.0 - beta2) * grad**2

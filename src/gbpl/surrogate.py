@@ -4,7 +4,8 @@ The central fact exploited throughout the package: minimizing a scaled squared
 error in outcome-difference space equals maximizing empirical welfare minus a
 quadratic penalty whose strength is a fixed multiple of the scale ``zeta``.
 This module exposes the per-sample losses, the welfare functionals, and
-checkers that verify the equivalences exactly on finite policy grids.
+checkers that verify the equivalences exactly on finite policy grids. The
+surrogate formulas are written only here; the ``losses`` adapters call them.
 
 Conventions, binary problems (K = 2): actions are labeled 1 and 0; column 0 of
 an outcome matrix holds Y(1), column 1 holds Y(0). A bounded score f in [-1, 1]
@@ -111,7 +112,7 @@ def binary_loss(zeta: float | np.ndarray, u: float | np.ndarray, f: float | np.n
 
     Broadcasts over array arguments, including the scale.
     """
-    if np.any(np.asarray(zeta) <= 0):
+    if (np.asarray(zeta) <= 0).any():
         raise ValueError("zeta must be positive")
     r = np.sqrt(zeta)
     return 0.5 * (np.asarray(u) / r - r * np.asarray(f)) ** 2
@@ -176,10 +177,12 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray) -> float:
 
 
 def penalty_value(delta: np.ndarray, kind: str, baseline: int | None = None) -> float:
-    """Mean quadratic penalty of the given surrogate kind (unit weight)."""
+    """Mean unit-weight quadratic penalty of a kind; binary is the gap with baseline 2."""
     delta = np.asarray(delta, dtype=np.float64)
     if kind == KIND_BINARY:
-        return float(np.mean((2.0 * delta[:, 0] - 1.0) ** 2))
+        if delta.shape[1] != 2:
+            raise ValueError("the binary penalty needs two-column policy rows")
+        kind, baseline = KIND_BASELINE_GAP, 2
     if kind == KIND_FULL_VECTOR:
         return float(np.mean((delta**2).sum(axis=1)))
     if kind == KIND_BASELINE_GAP:
@@ -235,7 +238,19 @@ class EquivalenceReport:
     max_affine_error: float
 
 
-def _build_report(surrogate: np.ndarray, penalized: np.ndarray, slope: float, lam: float):
+def _grid_report(data, policy_grid, lam, slope, kind, baseline, surrogate_loss):
+    """Mean ``surrogate_loss(delta)`` and welfare penalized at ``lam`` for each
+    (n, K) policy ``delta`` of the grid, compared as an :class:`EquivalenceReport`."""
+    grid = [np.asarray(p, dtype=np.float64) for p in policy_grid]
+    if not grid:
+        raise ValueError("policy grid must be nonempty")
+    surrogate = np.empty(len(grid))
+    penalized = np.empty(len(grid))
+    for j, delta in enumerate(grid):
+        if delta.shape != data.y.shape:
+            raise ValueError("each policy must be an (n, K) matrix matching the data")
+        surrogate[j] = float(np.mean(surrogate_loss(delta)))
+        penalized[j] = penalized_welfare(data, delta, lam, kind, baseline)
     argmin_s = _argopt_set(surrogate, maximize=False)
     argmax_w = _argopt_set(penalized, maximize=True)
     ds = surrogate[:, None] - surrogate[None, :]
@@ -259,24 +274,17 @@ def verify_equivalence_binary(
     """Binary check: mean surrogate loss vs welfare penalized at zeta/4.
 
     ``policy_grid`` is a sequence of treatment-probability vectors, one value
-    in [0, 1] per dataset row. Scores enter the surrogate through f = 2 delta
-    - 1, and the two objectives differ by an affine map with slope -2.
+    in [0, 1] per dataset row. Each becomes the policy rows (p, 1 - p) of the
+    baseline-gap check with baseline action 2, whose gap is u = Y(1) - Y(0),
+    whose score is f = 2 p - 1 and whose halved loss is ``binary_loss``.
     """
-    grid = [np.asarray(p, dtype=np.float64) for p in policy_grid]
-    if not grid:
-        raise ValueError("policy grid must be nonempty")
-    u = data.outcome_diff()
-    lam = zeta / 4.0
-    surrogate = np.empty(len(grid))
-    penalized = np.empty(len(grid))
-    for j, p in enumerate(grid):
-        if p.shape != (data.n,) or np.any(p < 0) or np.any(p > 1):
-            raise ValueError("each policy must map rows to [0, 1]")
-        f = 2.0 * p - 1.0
-        surrogate[j] = float(np.mean(binary_loss(zeta, u, f)))
-        delta = np.column_stack([p, 1.0 - p])
-        penalized[j] = penalized_welfare(data, delta, lam, KIND_BINARY)
-    return _build_report(surrogate, penalized, slope=-2.0, lam=lam)
+    def policy_rows(p):
+        p = np.asarray(p, dtype=np.float64)
+        if data.k != 2 or p.shape != (data.n,) or np.any(p < 0) or np.any(p > 1):
+            raise ValueError("each policy must map the rows of a binary dataset to [0, 1]")
+        return np.column_stack([p, 1.0 - p])
+
+    return verify_equivalence_gap(data, map(policy_rows, policy_grid), zeta, baseline=2)
 
 
 def verify_equivalence_fullvector(
@@ -289,18 +297,8 @@ def verify_equivalence_fullvector(
     welfare differences equal pairwise surrogate differences with the sign
     flipped.
     """
-    grid = [np.asarray(p, dtype=np.float64) for p in policy_grid]
-    if not grid:
-        raise ValueError("policy grid must be nonempty")
-    lam = zeta / 2.0
-    surrogate = np.empty(len(grid))
-    penalized = np.empty(len(grid))
-    for j, delta in enumerate(grid):
-        if delta.shape != data.y.shape:
-            raise ValueError("each policy must be an (n, K) matrix matching the data")
-        surrogate[j] = float(np.mean(fullvector_loss(zeta, data.y, delta)))
-        penalized[j] = penalized_welfare(data, delta, lam, KIND_FULL_VECTOR)
-    return _build_report(surrogate, penalized, slope=-1.0, lam=lam)
+    return _grid_report(data, policy_grid, zeta / 2.0, -1.0, KIND_FULL_VECTOR, None,
+                        lambda delta: fullvector_loss(zeta, data.y, delta))
 
 
 def verify_equivalence_gap(
@@ -308,25 +306,17 @@ def verify_equivalence_gap(
 ) -> EquivalenceReport:
     """Baseline-gap check: halved gap loss vs welfare penalized at zeta/4.
 
-    Scores are f_a = 2 delta_a - 1 for the non-baseline actions; the affine
-    slope is -2, as in the binary case.
+    ``policy_grid`` is a sequence of (n, K) simplex-row matrices. Scores are
+    f_a = 2 delta_a - 1 for the non-baseline actions; the affine slope is -2,
+    as in the binary case.
     """
-    grid = [np.asarray(p, dtype=np.float64) for p in policy_grid]
-    if not grid:
-        raise ValueError("policy grid must be nonempty")
-    lam = zeta / 4.0
-    k = data.k
-    others = [a for a in range(k) if a != baseline - 1]
-    surrogate = np.empty(len(grid))
-    penalized = np.empty(len(grid))
-    for j, delta in enumerate(grid):
-        if delta.shape != data.y.shape:
-            raise ValueError("each policy must be an (n, K) matrix matching the data")
-        _check_simplex(delta)
-        f = 2.0 * delta[:, others] - 1.0
-        surrogate[j] = float(np.mean(0.5 * baseline_gap_loss(zeta, data.y, f, baseline)))
-        penalized[j] = penalized_welfare(data, delta, lam, KIND_BASELINE_GAP, baseline)
-    return _build_report(surrogate, penalized, slope=-2.0, lam=lam)
+    others = [a for a in range(data.k) if a != baseline - 1]
+
+    def halved_gap_loss(delta):
+        return 0.5 * baseline_gap_loss(zeta, data.y, 2.0 * delta[:, others] - 1.0, baseline)
+
+    return _grid_report(data, policy_grid, zeta / 4.0, -2.0, KIND_BASELINE_GAP, baseline,
+                        halved_gap_loss)
 
 
 # ---------------------------------------------------------------------------

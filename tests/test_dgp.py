@@ -191,3 +191,46 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(loaded.a, logged.a)
         np.testing.assert_array_equal(loaded.y_obs, logged.y_obs)
         np.testing.assert_array_equal(loaded.true_propensity, logged.true_propensity)
+
+
+# (reader, file text, reader keyword arguments, the cause the error must name)
+_MALFORMED_CSV = {
+    "empty_file": (dgp.read_full_feedback_csv, "", {}, "empty file"),
+    "header_only": (dgp.read_full_feedback_csv, "x_1,y_1,y_2\n", {}, "no data rows"),
+    "ragged_rows": (dgp.read_full_feedback_csv, "x_1,y_1,y_2\n1.0,2.0,3.0\n1.0,2.0\n", {},
+                    "line 3 has 2 fields"),
+    "columns_out_of_order": (dgp.read_full_feedback_csv, "y_1,y_2,x_1\n1.0,2.0,3.0\n", {},
+                             "expected columns x_1,y_1,y_2"),
+    "nan_value": (dgp.read_full_feedback_csv, "x_1,y_1,y_2\n1.0,nan,3.0\n", {},
+                  "non-finite value in column 'y_1' on line 2"),
+    "non_numeric_value": (dgp.read_full_feedback_csv, "x_1,y_1,y_2\n1.0,abc,3.0\n", {},
+                          "non-numeric"),
+    "logged_k_unknown": (dgp.read_logged_csv,
+                         "x_1,action,y_obs\n0.1,1,0.5\n0.2,2,0.1\n0.3,4,0.2\n", {},
+                         "no e_ columns"),
+    "logged_non_integer_action": (dgp.read_logged_csv,
+                                  "x_1,action,y_obs,e_1,e_2\n0.1,1.7,0.5,0.5,0.5\n", {},
+                                  "non-integer action"),
+    "logged_k_disagrees_with_e": (dgp.read_logged_csv,
+                                  "x_1,action,y_obs,e_1,e_2\n0.1,1,0.5,0.5,0.5\n", {"k": 3},
+                                  "true_propensity must be"),
+}
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+    def test_rejected_naming_file_and_cause(self, case, tmp_path):
+        reader, text, kwargs, cause = _MALFORMED_CSV[case]
+        path = tmp_path / f"{case}.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            reader(path, **kwargs)
+        assert str(path) in str(info.value)
+        assert cause in str(info.value)
+
+    def test_logged_k_given_without_e_columns(self, tmp_path):
+        path = tmp_path / "logged.csv"
+        path.write_text("x_1,action,y_obs\n0.1,1,0.5\n0.2,2,0.1\n0.3,4,0.2\n")
+        logged = dgp.read_logged_csv(path, k=5)
+        assert logged.k == 5
+        np.testing.assert_array_equal(logged.a, [1, 2, 4])

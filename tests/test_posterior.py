@@ -187,6 +187,44 @@ class TestMapObjective:
         assert doubled == pytest.approx(2.0 * half - prior, rel=1e-12)
 
 
+
+class _InfGradRegression(MaskedRegressionLoss):
+    """Finite losses, but one output gradient entry is infinite."""
+
+    def output_grad(self, out, rows=None):
+        g = super().output_grad(out, rows)
+        g[0, 0] = np.inf
+        return g
+
+
+class _InfValueRegression(MaskedRegressionLoss):
+    """Finite output gradients, but every loss value is infinite."""
+
+    def values(self, out, rows=None):
+        return np.full(out.shape[0], np.inf)
+
+
+class TestNonFiniteGuards:
+    def test_map_train_raises_on_nonfinite_gradient(self):
+        # one epoch of one batch: without the guard the NaN step is never
+        # taken up and the initial parameters come back silently
+        rng = np.random.default_rng(30)
+        n = 16
+        x = rng.standard_normal((n, 2))
+        loss = _InfGradRegression(nnet.Batch(x, rng.standard_normal(n)), np.zeros(n, dtype=np.intp))
+        arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
+        cfg = TrainConfig(batch_size=12, max_epochs=1, patience=1, seed=0)
+        with pytest.raises(FloatingPointError, match="gradient"), np.errstate(invalid="ignore"):
+            map_train(arch, loss, GibbsConfig(zeta=1.0), cfg, np.arange(12), np.arange(12, 16))
+
+    def test_sgld_raises_on_nonfinite_loss(self):
+        arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=31)
+        bad = _InfValueRegression(loss.batch, loss.cols)
+        sgld = SgldConfig(step_size=0.005, burn_in=2, n_draws=2, thin=1, batch_size=25, seed=3)
+        with pytest.raises(FloatingPointError, match="non-finite training loss"):
+            sgld_sample(arch, bad, gibbs, np.array([0.0, mean]), sgld)
+
+
 def _conjugate_gaussian_setup(seed=0, n=50, tau2=1.0, eta=1.0):
     """Intercept-only quadratic model: covariates are zero, so the identity
     output equals the bias and the Gibbs posterior over it is Gaussian with

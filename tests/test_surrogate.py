@@ -384,3 +384,64 @@ class TestProjectSimplexRowsProperties:
         expected = np.array([_reference_projection(row) for row in v])
         assert sg.project_simplex_rows(v).tobytes() == expected.tobytes()
         assert sg.project_simplex(v[0]).tobytes() == expected[0].tobytes()
+
+
+_outcomes = st.floats(-10.0, 10.0, allow_subnormal=False)
+_zetas = st.floats(0.01, 10.0)
+
+
+@st.composite
+def _binary_cases(draw):
+    """Binary data, a grid of treatment-probability vectors, and a scale."""
+    n = draw(st.integers(1, 12))
+    y = draw(hnp.arrays(np.float64, (n, 2), elements=_outcomes))
+    probs = hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0, allow_subnormal=False))
+    return y, draw(st.lists(probs, min_size=1, max_size=6)), draw(_zetas)
+
+
+@st.composite
+def _simplex_cases(draw):
+    """K-action data, a grid of simplex-row policies, a scale and a baseline."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    y = draw(hnp.arrays(np.float64, (n, k), elements=_outcomes))
+    weights = hnp.arrays(np.float64, (n, k), elements=st.floats(0.01, 1.0))
+    weight_grid = draw(st.lists(weights, min_size=1, max_size=6))
+    grid = [g / g.sum(axis=1, keepdims=True) for g in weight_grid]
+    return y, grid, draw(_zetas), draw(st.integers(1, k))
+
+
+def _data(y):
+    return sg.FullFeedbackDataset(np.zeros((y.shape[0], 1)), y)
+
+
+def _affine_bound(report):
+    return 1e-10 * (1.0 + float(np.abs(report.surrogate).max()))
+
+
+class TestEquivalenceCheckerProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_binary_cases())
+    def test_binary_arrays_match_reference_bitwise(self, case):
+        y, grid, zeta = case
+        data = _data(y)
+        report = sg.verify_equivalence_binary(data, grid, zeta)
+        u = y[:, 0] - y[:, 1]
+        surrogate = [float(np.mean(sg.binary_loss(zeta, u, 2.0 * p - 1.0))) for p in grid]
+        penalized = [sg.empirical_welfare(data, np.column_stack([p, 1.0 - p]))
+                     - zeta / 4.0 * float(np.mean((2.0 * p - 1.0) ** 2)) for p in grid]
+        assert report.surrogate.tobytes() == np.array(surrogate).tobytes()
+        assert report.penalized.tobytes() == np.array(penalized).tobytes()
+        assert report.max_affine_error <= _affine_bound(report)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_simplex_cases())
+    def test_fullvector_and_gap_affine_identity(self, case):
+        y, grid, zeta, baseline = case
+        data = _data(y)
+        for report in (sg.verify_equivalence_fullvector(data, grid, zeta),
+                       sg.verify_equivalence_gap(data, grid, zeta, baseline)):
+            assert report.max_affine_error <= _affine_bound(report)
+
+    def test_binary_penalty_rejects_k_action_rows(self):
+        with pytest.raises(ValueError, match="two-column"):
+            sg.penalty_value(np.full((4, 3), 1.0 / 3.0), sg.KIND_BINARY)
