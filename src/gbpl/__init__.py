@@ -7,9 +7,11 @@ The package is organized as a small numpy library:
 - ``surrogate``: welfare, surrogate losses, and their exact equivalences.
 - ``posterior``: Gibbs posteriors, MAP training, SGLD, Laplace, draw persistence.
 - ``counterfactual``: IPW/DR pseudo-outcomes and nuisance estimation.
-- ``dgp``: seeded synthetic and semi-synthetic data generators.
-- ``methods`` / ``baselines``: fitted decision rules; ``FittedPolicy.decide``
-  is the one place a score becomes a decision.
+- ``dgp``: seeded synthetic and semi-synthetic data generators, and CSV I/O
+  (``write_table`` writes every CSV the package produces).
+- ``methods`` / ``baselines``: fitted decision rules; ``FittedPolicy`` takes
+  its rule from the network's head and is the one place a score becomes a
+  decision.
 - ``evaluation``: welfare/regret metrics (``test_welfare`` is the one welfare
   path), posterior welfare credible intervals, PAC-Bayes bounds, trial
   aggregation.

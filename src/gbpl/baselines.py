@@ -18,13 +18,7 @@ from gbpl.losses import (
     NegativeWelfareLoss,
     WeightedLogisticLoss,
 )
-from gbpl.methods import (
-    POLICY_ARGMAX_REGRESSION,
-    POLICY_LOGIT_CLASSIFIER,
-    POLICY_SIGN_REGRESSION,
-    POLICY_SOFTMAX,
-    FittedPolicy,
-)
+from gbpl.methods import FittedPolicy
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import FullFeedbackDataset
 
@@ -76,7 +70,7 @@ def fit_baseline(
         arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
         loss = MaskedRegressionLoss(nnet.Batch(x, u), np.zeros(data.n, dtype=np.intp))
         params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
-        return FittedPolicy(arch, params, POLICY_SIGN_REGRESSION)
+        return FittedPolicy(arch, params)
 
     if kind in (KIND_PLUGIN_REG, KIND_PLUGIN_REG_K):
         if kind == KIND_PLUGIN_REG and (not full or data.k != 2):
@@ -88,7 +82,7 @@ def fit_baseline(
         else:
             loss = MaskedRegressionLoss(nnet.Batch(x, data.y_obs), data.action_columns())
         params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
-        return FittedPolicy(arch, params, POLICY_ARGMAX_REGRESSION)
+        return FittedPolicy(arch, params)
 
     if kind == KIND_WEIGHTED_LOGISTIC:
         if not full or data.k != 2:
@@ -99,7 +93,7 @@ def fit_baseline(
         arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
         loss = WeightedLogisticLoss(nnet.Batch(x, labels, weights))
         params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
-        return FittedPolicy(arch, params, POLICY_LOGIT_CLASSIFIER)
+        return FittedPolicy(arch, params)
 
     # direct_welfare
     if not full:
@@ -107,4 +101,4 @@ def fit_baseline(
     arch = nnet.MlpArchitecture(d, hidden, data.k, nnet.HEAD_SOFTMAX)
     loss = NegativeWelfareLoss(nnet.Batch(x, data.y))
     params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows)
-    return FittedPolicy(arch, params, POLICY_SOFTMAX)
+    return FittedPolicy(arch, params)

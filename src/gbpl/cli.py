@@ -43,12 +43,7 @@ from gbpl.experiment import (
     run_posterior_viz,
     split_rows,
 )
-from gbpl.methods import (
-    POLICY_TANH_SCORE,
-    FittedPolicy,
-    fit_policy_fullvector,
-    fit_score_binary,
-)
+from gbpl.methods import FittedPolicy, fit_policy_fullvector, fit_score_binary
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
 
 
@@ -109,8 +104,8 @@ def _cmd_train(args) -> int:
     nnet.save_params(out, policy.arch, policy.params)
     write_json(
         out / "manifest.json",
-        {"command": "train", "data": str(args.data), "semantics": policy.semantics,
-         "gibbs": to_dict(gibbs), "train": to_dict(cfg), "hidden": list(hidden)},
+        {"command": "train", "data": str(args.data), "gibbs": to_dict(gibbs),
+         "train": to_dict(cfg), "hidden": list(hidden)},
     )
     print(f"saved model to {out}")
     return 0
@@ -118,9 +113,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     data = read_full_feedback_csv(args.data)
-    arch, params = nnet.load_params(Path(args.model))
-    manifest = json.loads((Path(args.model) / "manifest.json").read_text())
-    policy = FittedPolicy(arch, params, manifest.get("semantics", POLICY_TANH_SCORE))
+    policy = FittedPolicy(*nnet.load_params(Path(args.model)))
     rule = args.rule
     welfare = test_welfare(data, policy, rule)
     oracle = oracle_welfare(data)
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a saved model on a full-feedback CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, help="directory holding arch.json and params.bin")
     p.add_argument("--rule", choices=["deterministic", "randomized"], default="deterministic")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evaluate)
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="path to the JSON config")
     p.add_argument("--out", default=None, help="override output_dir")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel trials (env GBPL_JOBS overrides)")
+                   help="parallel trials (overrides the config's jobs)")
     p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
     p.set_defaults(func=_cmd_experiment)
 

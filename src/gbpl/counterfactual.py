@@ -72,6 +72,10 @@ class LoggedDataset:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
         object.__setattr__(self, "a", np.asarray(self.a, dtype=np.intp))
         object.__setattr__(self, "y_obs", np.asarray(self.y_obs, dtype=np.float64))
+        if self.x.ndim != 2:
+            raise ValueError(f"x must be a 2-D (n, d) array, got shape {self.x.shape}")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("x must be finite")
         n = self.x.shape[0]
         if self.a.shape != (n,) or self.y_obs.shape != (n,):
             raise ValueError("a and y_obs must have one entry per row of x")
@@ -87,6 +91,8 @@ class LoggedDataset:
             object.__setattr__(self, "true_propensity", e)
             if e.shape != (n, self.k):
                 raise ValueError("true_propensity must be (n, K)")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("true_propensity must be finite")
             if np.any(np.abs(e.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("propensity rows must sum to 1")
             if np.any(e < PROPENSITY_FLOOR):

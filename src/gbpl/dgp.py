@@ -240,8 +240,20 @@ def semisynthetic_from_csv(path: str | Path, k: int, effect_seed: int) -> FullFe
 # CSV interchange
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows as CSV with "\\n" line ends, quoting only fields
+    that hold a comma, a quote or a line end.
+
+    Floats, numpy floats included, are written as ``repr(float(v))``, which
+    reads back bit for bit; ints as ``str``; ``None`` as an empty field.
+    """
+    def field(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([field(v) for v in row] for row in rows)
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -279,14 +291,8 @@ def _names(prefix: str, header: list[str]) -> list[str]:
 
 def write_full_feedback_csv(path: str | Path, data: FullFeedbackDataset) -> None:
     """Columns x_1..x_d, y_1..y_K (binary: y_1 = Y(1), y_2 = Y(0))."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x_{j + 1}" for j in range(data.d)] + [f"y_{a + 1}" for a in range(data.k)]
-        )
-        for i in range(data.n):
-            writer.writerow([_fmt(v) for v in data.x[i]] + [_fmt(v) for v in data.y[i]])
+    header = [f"x_{j + 1}" for j in range(data.d)] + [f"y_{a + 1}" for a in range(data.k)]
+    write_table(path, header, np.hstack([data.x, data.y]))
 
 
 def read_full_feedback_csv(path: str | Path) -> FullFeedbackDataset:
@@ -299,19 +305,13 @@ def read_full_feedback_csv(path: str | Path) -> FullFeedbackDataset:
 
 def write_logged_csv(path: str | Path, logged: LoggedDataset) -> None:
     """Columns x_1..x_d, action, y_obs, and e_1..e_K when propensities are known."""
-    path = Path(path)
-    has_e = logged.true_propensity is not None
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x_{j + 1}" for j in range(logged.d)] + ["action", "y_obs"]
-        if has_e:
-            header += [f"e_{a + 1}" for a in range(logged.k)]
-        writer.writerow(header)
-        for i in range(logged.n):
-            row = [_fmt(v) for v in logged.x[i]] + [str(int(logged.a[i])), _fmt(logged.y_obs[i])]
-            if has_e:
-                row += [_fmt(v) for v in logged.true_propensity[i]]
-            writer.writerow(row)
+    e = logged.true_propensity
+    header = [f"x_{j + 1}" for j in range(logged.d)] + ["action", "y_obs"]
+    if e is not None:
+        header += [f"e_{a + 1}" for a in range(logged.k)]
+    tails = np.empty((logged.n, 0)) if e is None else e
+    write_table(path, header, ([*x, int(a), y, *p] for x, a, y, p
+                               in zip(logged.x, logged.a, logged.y_obs, tails)))
 
 
 def read_logged_csv(path: str | Path, k: int | None = None) -> LoggedDataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.methods import POLICY_SOFTMAX, POLICY_TANH_SCORE, FittedPolicy
+from gbpl.methods import FittedPolicy
 from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
 
 RULE_DETERMINISTIC = "deterministic"
@@ -77,19 +77,17 @@ def select_zeta_by_validation(
 # ---------------------------------------------------------------------------
 # posterior welfare
 
-_DRAW_SEMANTICS = {nnet.HEAD_TANH: POLICY_TANH_SCORE, nnet.HEAD_SOFTMAX: POLICY_SOFTMAX}
-
 
 def draw_welfare(posterior, test: FullFeedbackDataset, rule: str = RULE_DETERMINISTIC):
     """Test welfare of every draw of a ``posterior.PosteriorDraws``, in draw order.
 
-    A tanh head is read as a bounded binary score and a softmax head as a
-    simplex policy; other heads have no welfare semantics.
+    Each draw acts as a :class:`FittedPolicy`: a tanh head as a bounded binary
+    score, a softmax head as a simplex policy. An identity head is a
+    regression, not a policy, and is rejected.
     """
-    semantics = _DRAW_SEMANTICS.get(posterior.arch.head)
-    if semantics is None:
+    if posterior.arch.head == nnet.HEAD_IDENTITY:
         raise ValueError("posterior welfare needs a tanh or softmax head")
-    return np.array([test_welfare(test, FittedPolicy(posterior.arch, w, semantics), rule)
+    return np.array([test_welfare(test, FittedPolicy(posterior.arch, w), rule)
                      for w in posterior.draws])
 
 
@@ -176,12 +174,15 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """One method's summary; the variances and standard errors of a
+    single-trial run are None."""
+
     method_id: str
     welfare_mean: float
-    welfare_var: float
-    welfare_se: float
+    welfare_var: float | None
+    welfare_se: float | None
     regret_mean: float
-    regret_se: float
+    regret_se: float | None
     trials: int
 
 

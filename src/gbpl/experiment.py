@@ -15,10 +15,9 @@ Reruns of the same config produce byte-identical CSV files.
 
 from __future__ import annotations
 
-import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -38,10 +37,11 @@ from gbpl.counterfactual import (
     ipw_pseudo_outcomes,
     make_folds,
 )
-from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged
+from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged, write_table
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
     RULE_RANDOMIZED,
+    AggregateRow,
     TrialResult,
     aggregate,
     oracle_welfare,
@@ -49,12 +49,7 @@ from gbpl.evaluation import (
     test_welfare,
     welfare_credible_interval,
 )
-from gbpl.methods import (
-    POLICY_TANH_SCORE,
-    FittedPolicy,
-    fit_policy_fullvector,
-    fit_score_binary,
-)
+from gbpl.methods import FittedPolicy, fit_policy_fullvector, fit_score_binary
 from gbpl.posterior import (
     GibbsConfig,
     SgldConfig,
@@ -295,51 +290,35 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     return results
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials and write trials.csv, aggregate.csv, welfare_lists.csv,
     and manifest.json into the output directory. Idempotent per config."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = int(os.environ.get("GBPL_JOBS", cfg.jobs))
-    if jobs > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if cfg.jobs > 1 and cfg.trials > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             per_trial = list(pool.map(_run_trial, repeat(cfg), range(cfg.trials)))
     else:
         per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
 
-    with (out / "trials.csv").open("w", newline="") as fh:
-        fh.write("trial,method,welfare,regret,selected_zeta,seed\n")
-        for t, rows in enumerate(per_trial):
-            for r in rows:
-                z = "" if r.selected_zeta is None else _fmt(r.selected_zeta)
-                fh.write(f"{t},{r.method_id},{_fmt(r.welfare)},{_fmt(r.regret)},{z},{r.seed}\n")
+    write_table(out / "trials.csv",
+                ["trial", "method", "welfare", "regret", "selected_zeta", "seed"],
+                ((t, r.method_id, r.welfare, r.regret, r.selected_zeta, r.seed)
+                 for t, rows in enumerate(per_trial) for r in rows))
 
-    with (out / "aggregate.csv").open("w", newline="") as fh:
-        fh.write("method,welfare_mean,welfare_var,welfare_se,regret_mean,regret_se,trials\n")
-        for m in cfg.methods:
-            rows = [r for trial_rows in per_trial for r in trial_rows if r.method_id == m.name]
-            if len(rows) >= 2:
-                agg = aggregate(rows)
-                fh.write(
-                    f"{agg.method_id},{_fmt(agg.welfare_mean)},{_fmt(agg.welfare_var)},"
-                    f"{_fmt(agg.welfare_se)},{_fmt(agg.regret_mean)},{_fmt(agg.regret_se)},"
-                    f"{agg.trials}\n"
-                )
-            else:
-                fh.write(f"{m.name},{_fmt(rows[0].welfare)},,,{_fmt(rows[0].regret)},,1\n")
+    by_method = {m.name: [r for rows in per_trial for r in rows if r.method_id == m.name]
+                 for m in cfg.methods}
+    write_table(out / "aggregate.csv",
+                ["method", "welfare_mean", "welfare_var", "welfare_se", "regret_mean",
+                 "regret_se", "trials"],
+                (astuple(aggregate(rows) if len(rows) >= 2 else
+                         AggregateRow(name, rows[0].welfare, None, None, rows[0].regret, None, 1))
+                 for name, rows in by_method.items()))
 
-    with (out / "welfare_lists.csv").open("w", newline="") as fh:
-        fh.write("method,trial,welfare\n")
-        for m in cfg.methods:
-            for t, rows in enumerate(per_trial):
-                for r in rows:
-                    if r.method_id == m.name:
-                        fh.write(f"{m.name},{t},{_fmt(r.welfare)}\n")
+    write_table(out / "welfare_lists.csv", ["method", "trial", "welfare"],
+                ((name, t, r.welfare) for name, rows in by_method.items()
+                 for t, r in enumerate(rows)))
 
     write_json(out / "manifest.json", to_dict(cfg))
     return out
@@ -402,39 +381,24 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     alpha = (1.0 - cfg.level) / 2.0
     lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0)
     target = np.clip(1.2 * np.sin(grid) / cfg.zeta, -1.0, 1.0)
-    with (out / "score_grid.csv").open("w", newline="") as fh:
-        fh.write("x,f_mean,f_lo,f_hi,target\n")
-        for j in range(grid.size):
-            fh.write(
-                f"{_fmt(grid[j])},{_fmt(fs[:, j].mean())},{_fmt(lo[j])},"
-                f"{_fmt(hi[j])},{_fmt(target[j])}\n"
-            )
+    write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
+                ((grid[j], fs[:, j].mean(), lo[j], hi[j], target[j]) for j in range(grid.size)))
 
     # one pass over the draws through this module's test_welfare binding, which
     # perfbench traces as the run's evaluation layer; it equals
     # evaluation.draw_welfare(draws, test, RULE_DETERMINISTIC)
-    per_draw = [
-        test_welfare(test, FittedPolicy(arch, w, POLICY_TANH_SCORE), RULE_DETERMINISTIC)
-        for w in draws.draws
-    ]
+    per_draw = [test_welfare(test, FittedPolicy(arch, w), RULE_DETERMINISTIC) for w in draws.draws]
     mean_w, lo_w, hi_w = welfare_credible_interval(per_draw, cfg.level)
-    with (out / "welfare_draws.csv").open("w", newline="") as fh:
-        fh.write("draw,welfare\n")
-        for s, v in enumerate(per_draw):
-            fh.write(f"{s},{_fmt(v)}\n")
-    with (out / "welfare_interval.csv").open("w", newline="") as fh:
-        fh.write("mean,lo,hi,level\n")
-        fh.write(f"{_fmt(mean_w)},{_fmt(lo_w)},{_fmt(hi_w)},{_fmt(cfg.level)}\n")
+    write_table(out / "welfare_draws.csv", ["draw", "welfare"], enumerate(per_draw))
+    write_table(out / "welfare_interval.csv", ["mean", "lo", "hi", "level"],
+                [(mean_w, lo_w, hi_w, cfg.level)])
 
     pts = np.asarray(cfg.eval_points, dtype=np.float64)
     fpts = np.stack(
         [nnet.forward(arch, w, pts[:, None])[:, 0] for w in draws.draws]
     )  # (S, len(pts))
-    with (out / "score_draws_at_points.csv").open("w", newline="") as fh:
-        fh.write("x0,draw,f\n")
-        for j, x0 in enumerate(pts):
-            for s in range(fpts.shape[0]):
-                fh.write(f"{_fmt(x0)},{s},{_fmt(fpts[s, j])}\n")
+    write_table(out / "score_draws_at_points.csv", ["x0", "draw", "f"],
+                ((x0, s, fpts[s, j]) for j, x0 in enumerate(pts) for s in range(fpts.shape[0])))
 
     write_json(out / "manifest.json", to_dict(cfg))
     return out

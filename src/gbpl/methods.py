@@ -1,9 +1,10 @@
 """Fitted decision rules and the squared-surrogate training entry points.
 
-A :class:`FittedPolicy` bundles a trained network with the semantics of its
-head: how raw outputs become a randomized policy (simplex rows) and a
-deterministic action choice. Binary scores decide action 1 when the score is
-nonnegative; simplex policies decide by argmax with ties to the lowest column.
+A :class:`FittedPolicy` is a trained network whose head says how it acts. A
+one-column output is a score that decides action column 0 when nonnegative; a
+wider output decides by argmax with ties to the lowest column. As a
+randomized policy, a tanh score f acts as (f + 1) / 2, a softmax output as its
+simplex rows, and an identity (regression) head as its one-hot decisions.
 """
 
 from __future__ import annotations
@@ -16,55 +17,37 @@ from gbpl import nnet
 from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
 
-POLICY_TANH_SCORE = "tanh_score"
-POLICY_SOFTMAX = "softmax_policy"
-POLICY_SIGN_REGRESSION = "sign_regression"
-POLICY_ARGMAX_REGRESSION = "argmax_regression"
-POLICY_LOGIT_CLASSIFIER = "logit_classifier"
-
-# the two decision rules: a scalar output thresholded at zero (column 0 on a
-# nonnegative score), or the argmax column with ties to the lowest
-_THRESHOLD_RULES = (POLICY_TANH_SCORE, POLICY_SIGN_REGRESSION, POLICY_LOGIT_CLASSIFIER)
-_ARGMAX_RULES = (POLICY_SOFTMAX, POLICY_ARGMAX_REGRESSION)
-
 
 @dataclass(frozen=True)
 class FittedPolicy:
-    """A trained score or policy model together with its decision semantics."""
+    """A trained score or policy network, read as a decision rule by its head."""
 
     arch: nnet.MlpArchitecture
     params: np.ndarray
-    semantics: str
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Raw head output on covariates."""
         return nnet.forward(self.arch, self.params, x)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
-        """Randomized policy as simplex rows (one-hot for deterministic kinds)."""
+        """Randomized policy as simplex rows (one-hot for an identity head)."""
+        if self.arch.head == nnet.HEAD_IDENTITY:
+            cols = self.decide(x)
+            out = np.zeros((cols.size, max(2, self.arch.output_dim)))
+            out[np.arange(cols.size), cols] = 1.0
+            return out
         out = self.score(x)
-        if self.semantics == POLICY_TANH_SCORE:
+        if self.arch.head == nnet.HEAD_TANH:
             p1 = (out[:, 0] + 1.0) / 2.0
             return np.column_stack([p1, 1.0 - p1])
-        if self.semantics == POLICY_SOFTMAX:
-            return out
-        k = 2 if self.semantics in _THRESHOLD_RULES else self.arch.output_dim
-        return _one_hot(self.decide(x), k)
+        return out
 
     def decide(self, x: np.ndarray) -> np.ndarray:
         """Deterministic action choice as column indices."""
         out = self.score(x)
-        if self.semantics in _THRESHOLD_RULES:
+        if out.shape[1] == 1:
             return np.where(out[:, 0] >= 0.0, 0, 1)
-        if self.semantics in _ARGMAX_RULES:
-            return out.argmax(axis=1)
-        raise ValueError(f"unknown policy semantics {self.semantics!r}")
-
-
-def _one_hot(cols: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((cols.size, k))
-    out[np.arange(cols.size), cols] = 1.0
-    return out
+        return out.argmax(axis=1)
 
 
 def fit_score_binary(
@@ -85,7 +68,7 @@ def fit_score_binary(
     loss = BinarySurrogateLoss(nnet.Batch(np.asarray(x, dtype=np.float64),
                                           np.asarray(u, dtype=np.float64)), gibbs.zeta)
     params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
-    return FittedPolicy(arch, params, POLICY_TANH_SCORE)
+    return FittedPolicy(arch, params)
 
 
 def fit_policy_fullvector(
@@ -103,5 +86,5 @@ def fit_policy_fullvector(
     arch = nnet.MlpArchitecture(x.shape[1], hidden, y.shape[1], nnet.HEAD_SOFTMAX)
     loss = FullVectorSurrogateLoss(nnet.Batch(np.asarray(x, dtype=np.float64), y), gibbs.zeta)
     params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
-    return FittedPolicy(arch, params, POLICY_SOFTMAX)
+    return FittedPolicy(arch, params)
 

@@ -161,7 +161,7 @@ def _forward_cached(arch, params, x):
 def backward(
     arch: MlpArchitecture,
     params: np.ndarray,
-    batch: Batch | np.ndarray,
+    x: np.ndarray,
     loss_grad_at_output: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the scalar total loss with respect to the flat parameters.
@@ -171,7 +171,6 @@ def backward(
     the ReLU masks are chained exactly; the result matches central finite
     differences to roundoff for smooth configurations.
     """
-    x = batch.x if isinstance(batch, Batch) else batch
     out, acts = _forward_cached(arch, params, x)
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
     if g.shape != out.shape:

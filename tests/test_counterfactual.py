@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import analytic_grad, finite_diff_grad, max_rel_error, total_loss
 from gbpl import counterfactual as cf
@@ -197,6 +200,41 @@ class TestClipPropensities:
     def test_clip_at_one_over_k_forces_uniform(self):
         e = np.array([[0.9, 0.05, 0.05]])
         np.testing.assert_allclose(cf.clip_propensities(e, 1.0 / 3.0), 1.0 / 3.0)
+
+
+class TestClipPropensitiesProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_floor_sum_and_feasible_rows(self, data):
+        n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 6))
+        clip = data.draw(st.floats(1e-4, 1.0 / k))
+        w = data.draw(hnp.arrays(np.float64, (2 * n, k), elements=st.floats(1e-3, 1.0)))
+        rows = w / w.sum(axis=1, keepdims=True)
+        # first n rows anywhere on the simplex, last n rows already feasible
+        e = np.vstack([rows[:n], clip + (1.0 - k * clip) * rows[n:]])
+        out = cf.clip_propensities(e, clip)
+        assert np.all(out >= clip - 1e-12)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        feasible = np.all(e >= clip, axis=1)
+        assert feasible[n:].all()
+        np.testing.assert_allclose(out[feasible], e[feasible], rtol=0, atol=1e-12)
+
+
+# (x, true propensities, the field the error must name)
+_BAD_LOGGED = {
+    "x_one_dimensional": (np.zeros(2), None, "x"),
+    "x_non_finite": (np.array([[np.nan], [1.0]]), None, "x"),
+    "propensity_non_finite": (np.zeros((2, 1)), np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                              "true_propensity"),
+}
+
+
+class TestLoggedDatasetValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_LOGGED))
+    def test_rejected_naming_the_field(self, case):
+        x, e, field = _BAD_LOGGED[case]
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            cf.LoggedDataset(x, np.array([1, 0]), np.zeros(2), k=2, true_propensity=e)
 
 
 class TestFitPropensity:

@@ -1,9 +1,16 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gbpl import dgp
+from gbpl.counterfactual import LoggedDataset
+from gbpl.surrogate import FullFeedbackDataset
 
 
 class TestSpecValidation:
@@ -191,6 +198,54 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(loaded.a, logged.a)
         np.testing.assert_array_equal(loaded.y_obs, logged.y_obs)
         np.testing.assert_array_equal(loaded.true_propensity, logged.true_propensity)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(2, 4))  # (n, d, K)
+
+
+def _same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestCsvRoundtripProperties:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_full_feedback_bit_exact(self, data):
+        n, d, k = data.draw(_SHAPES)
+        full = FullFeedbackDataset(data.draw(hnp.arrays(np.float64, (n, d), elements=_FINITE)),
+                                   data.draw(hnp.arrays(np.float64, (n, k), elements=_FINITE)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "full.csv"
+            dgp.write_full_feedback_csv(path, full)
+            loaded = dgp.read_full_feedback_csv(path)
+        _same_bits(loaded.x, full.x)
+        _same_bits(loaded.y, full.y)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_logged_bit_exact(self, data):
+        n, d, k = data.draw(_SHAPES)
+        labels = (0, 1) if k == 2 else tuple(range(1, k + 1))
+        e = None
+        if data.draw(st.booleans()):
+            w = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(1e-3, 1.0)))
+            e = w / w.sum(axis=1, keepdims=True)
+        logged = LoggedDataset(
+            data.draw(hnp.arrays(np.float64, (n, d), elements=_FINITE)),
+            data.draw(hnp.arrays(np.intp, n, elements=st.sampled_from(labels))),
+            data.draw(hnp.arrays(np.float64, n, elements=_FINITE)), k, e)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "logged.csv"
+            dgp.write_logged_csv(path, logged)
+            loaded = dgp.read_logged_csv(path, k=None if e is not None else k)
+        _same_bits(loaded.x, logged.x)
+        np.testing.assert_array_equal(loaded.a, logged.a)
+        _same_bits(loaded.y_obs, logged.y_obs)
+        if e is None:
+            assert loaded.true_propensity is None
+        else:
+            _same_bits(loaded.true_propensity, e)
 
 
 # (reader, file text, reader keyword arguments, the cause the error must name)

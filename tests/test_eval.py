@@ -6,6 +6,8 @@ import pytest
 from dataclasses import replace
 
 from gbpl import evaluation as ev
+from gbpl import nnet
+from gbpl.methods import FittedPolicy
 from gbpl.surrogate import FullFeedbackDataset
 
 
@@ -59,6 +61,33 @@ class TestTestWelfare:
         data = FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
         half = np.full((2, 2), 0.5)
         assert ev.test_welfare(data, half, "deterministic") == 0.5  # picks column 0 twice
+
+
+_X = np.array([[-2.0], [0.0], [1.0]])
+_E = np.exp([[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+_TANH = (np.tanh(_X[:, 0]) + 1.0) / 2.0
+
+# (head, one-layer weights W (1, o), decisions on _X, policy rows on _X); the
+# net is f(x) = x W, so a zero row ties every column and a zero score is >= 0
+_HEAD_CASES = {
+    "tanh": (nnet.HEAD_TANH, [[1.0]], [1, 0, 0], np.column_stack([_TANH, 1.0 - _TANH])),
+    "softmax": (nnet.HEAD_SOFTMAX, [[1.0, 0.0, -1.0]], [2, 0, 0],
+                _E / _E.sum(axis=1, keepdims=True)),
+    "identity_1": (nnet.HEAD_IDENTITY, [[1.0]], [1, 0, 0], [[0, 1], [1, 0], [1, 0]]),
+    "identity_k": (nnet.HEAD_IDENTITY, [[1.0, 0.0, -1.0]], [2, 0, 0],
+                   [[0, 0, 1], [1, 0, 0], [1, 0, 0]]),
+}
+
+
+class TestFittedPolicyHeads:
+    @pytest.mark.parametrize("case", sorted(_HEAD_CASES))
+    def test_decide_and_delta_follow_the_head(self, case):
+        head, w, decisions, rows = _HEAD_CASES[case]
+        w = np.array(w)
+        arch = nnet.MlpArchitecture(1, (), w.shape[1], head)
+        policy = FittedPolicy(arch, np.concatenate([w.ravel(), np.zeros(w.shape[1])]))
+        np.testing.assert_array_equal(policy.decide(_X), decisions)
+        np.testing.assert_allclose(policy.delta(_X), rows, rtol=0, atol=1e-15)
 
 
 class TestSelectZeta:

@@ -1,14 +1,22 @@
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gbpl import cli
+from gbpl import cli, nnet
 from gbpl import experiment as ex
 from gbpl.configio import from_dict
-from gbpl.dgp import DgpSpec, read_full_feedback_csv, read_logged_csv
+from gbpl.dgp import (
+    DgpSpec,
+    generate_full_feedback,
+    read_full_feedback_csv,
+    read_logged_csv,
+    write_full_feedback_csv,
+)
 from gbpl.posterior import SgldConfig, TrainConfig
+from gbpl.surrogate import empirical_welfare
 
 
 def _fast_train():
@@ -153,6 +161,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ex.parse_config(raw)
 
+    def test_method_name_with_comma_reads_back(self, tmp_path):
+        names = {"GBPL, zeta 0.1", "DiffReg"}
+        methods = [{"name": "GBPL, zeta 0.1", "kind": "gbpl", "zeta": 0.1},
+                   {"name": "DiffReg", "kind": "diff_reg"}]
+        out = ex.run_experiment(ex.parse_config(_smoke_config(tmp_path / "run", methods)))
+        for name in ("trials.csv", "aggregate.csv", "welfare_lists.csv"):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["method"] for row in rows} == names
+            assert all(None not in row for row in rows)  # no spilled fields
+
     def test_cv_without_grid_uses_default(self):
         spec = ex.MethodSpec(name="GBPLNet (CV)", kind="gbpl")
         assert spec.zeta_grid == ex.DEFAULT_ZETA_GRID == (1.0, 0.1, 0.01, 0.001)
@@ -261,13 +280,12 @@ class TestPosteriorVizReferenceScale:
 
 
 class TestParallelJobs:
-    def test_parallel_trials_match_serial(self, tmp_path, monkeypatch):
+    def test_parallel_trials_match_serial(self, tmp_path):
         serial = _smoke_config(tmp_path / "serial")
         ex.run_experiment(ex.parse_config(serial))
         parallel = _smoke_config(tmp_path / "parallel")
-        monkeypatch.setenv("GBPL_JOBS", "2")
+        parallel["jobs"] = 2
         ex.run_experiment(ex.parse_config(parallel))
-        monkeypatch.delenv("GBPL_JOBS")
         for name in ("trials.csv", "aggregate.csv", "welfare_lists.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
@@ -332,6 +350,19 @@ class TestCli:
         assert rc == 0
         report = json.loads(metrics.read_text())
         assert report["regret"] >= -1e-12
+
+    def test_evaluate_softmax_model_without_manifest(self, tmp_path, capsys):
+        data, _ = generate_full_feedback(DgpSpec(family="multi1", n=40, d=4, k=3, seed=3))
+        data_csv, model_dir = tmp_path / "data.csv", tmp_path / "model"
+        write_full_feedback_csv(data_csv, data)
+        arch = nnet.MlpArchitecture(4, (8,), 3, nnet.HEAD_SOFTMAX)
+        params = nnet.init_params(arch, np.random.default_rng(0))
+        nnet.save_params(model_dir, arch, params)  # arch.json and params.bin only
+        rc = cli.main(["evaluate", "--data", str(data_csv), "--model", str(model_dir),
+                       "--rule", "randomized"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["welfare"] == empirical_welfare(data, nnet.forward(arch, params, data.x))
 
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
