@@ -3,8 +3,8 @@
 An adapter owns the covariates and targets for a dataset and exposes the loss
 in output space: ``values(out, rows)`` returns the per-row losses for the
 network output ``out`` computed on ``x[rows]``, and ``output_grad(out, rows)``
-returns d(sum of those losses)/d(out). Trainers combine the latter with
-``nnet.backward`` to get exact parameter gradients.
+returns d(sum of those losses)/d(out). ``nnet.backward`` turns the latter into
+exact parameter gradients, given the ``x`` and workspace that made ``out``.
 
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
 the ``batch`` and exposes its ``x`` and ``n``; subclasses add only their own

@@ -8,8 +8,9 @@ single flat float64 vector laid out layer by layer, weights before biases,
 row-major, so gradients, optimizers, and samplers can treat the model as a
 plain vector function.
 
-All functions here are pure: they never mutate their inputs and are safe to
-call concurrently on shared arrays.
+No function here mutates its inputs. ``forward`` and ``backward`` write into
+a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
+to one caller: each call overwrites what the last one left in it.
 """
 
 from __future__ import annotations
@@ -121,41 +122,52 @@ def unflatten(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarra
     return layers
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, K) matrix of logits.
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of an (n, K) matrix of logits, into ``out`` if given.
 
     Max subtraction keeps exp in range; rows then sum to 1 up to roundoff.
     """
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
-def _apply_head(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
-    if arch.head == HEAD_TANH:
-        return np.tanh(z)
-    if arch.head == HEAD_SOFTMAX:
-        return softmax(z)
-    return z
+class Workspace:
+    """Buffers for passes of up to ``rows`` rows; fewer rows use the leading ones.
+
+    ``acts[i]`` holds layer i's output, post-head for the last layer. The flat
+    ``grad`` and the hidden-layer ``deltas`` are allocated by the first ``backward``.
+    """
+
+    def __init__(self, arch: MlpArchitecture, rows: int):
+        self.acts = [np.empty((rows, fan_out)) for _, fan_out in arch.layer_dims]
+        self.grad = self.deltas = None
 
 
-def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch, returning the post-head output."""
-    out, _ = _forward_cached(arch, params, x)
-    return out
+def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
+            ws: Workspace | None = None) -> np.ndarray:
+    """Evaluate the network on a batch, returning the post-head output.
 
-
-def _forward_cached(arch, params, x):
+    With a workspace the output is a view into it, overwritten by the next call.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"x has shape {x.shape}, expected (n, {arch.input_dim})")
+    n = x.shape[0]
+    ws = Workspace(arch, n) if ws is None else ws
     layers = unflatten(arch, np.asarray(params, dtype=np.float64))
-    activations = [x]
     h = x
     for li, (w, b) in enumerate(layers):
-        z = h @ w + b
-        h = np.maximum(z, 0.0) if li < len(layers) - 1 else z
-        activations.append(h)
-    return _apply_head(arch, h), activations
+        h = np.matmul(h, w, out=ws.acts[li][:n])
+        h += b
+        if li < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+    if arch.head == HEAD_TANH:
+        np.tanh(h, out=h)
+    elif arch.head == HEAD_SOFTMAX:
+        softmax(h, out=h)
+    return h
 
 
 def backward(
@@ -163,6 +175,7 @@ def backward(
     params: np.ndarray,
     x: np.ndarray,
     loss_grad_at_output: np.ndarray,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Gradient of the scalar total loss with respect to the flat parameters.
 
@@ -170,8 +183,17 @@ def backward(
     output, shape (n, output_dim). The head Jacobian, the affine layers, and
     the ReLU masks are chained exactly; the result matches central finite
     differences to roundoff for smooth configurations.
+
+    With a workspace, the activations are the ones the preceding
+    ``forward(arch, params, x, ws)`` left there, and the result is
+    ``ws.grad``, overwritten by the next call.
     """
-    out, acts = _forward_cached(arch, params, x)
+    x = np.asarray(x, dtype=np.float64)
+    if ws is None:
+        ws = Workspace(arch, x.shape[0])
+        forward(arch, params, x, ws)
+    n = x.shape[0]
+    out = ws.acts[-1][:n]
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
     if g.shape != out.shape:
         raise ValueError(f"loss gradient has shape {g.shape}, expected {out.shape}")
@@ -185,18 +207,22 @@ def backward(
     else:
         gz = g
 
+    if ws.grad is None:
+        ws.grad = np.empty(arch.param_count)
+        ws.deltas = [np.empty_like(a) for a in ws.acts[:-1]]
     layers = unflatten(arch, np.asarray(params, dtype=np.float64))
-    grads: list[np.ndarray | None] = [None] * len(layers)
+    grads = unflatten(arch, ws.grad)
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        h_in = acts[li]
-        gw = h_in.T @ gz
-        gb = gz.sum(axis=0)
-        grads[li] = np.concatenate([gw.ravel(), gb])
+        h_in = x if li == 0 else ws.acts[li - 1][:n]
+        gw, gb = grads[li]
+        np.matmul(h_in.T, gz, out=gw)
+        gz.sum(axis=0, out=gb)
         if li > 0:
-            gh = gz @ w.T
-            gz = gh * (acts[li] > 0.0)
-    return np.concatenate(grads)
+            gh = ws.deltas[li - 1][:n]
+            np.matmul(gz, layers[li][0].T, out=gh)
+            gh *= h_in > 0.0
+            gz = gh
+    return ws.grad
 
 
 def save_params(directory: str | Path, arch: MlpArchitecture, params: np.ndarray) -> None:

@@ -97,8 +97,21 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
 
 
-def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float) -> np.ndarray:
-    return params / gibbs.tau2 + weight_decay * params
+class GradientWorkspace(nnet.Workspace):
+    """An ``nnet.Workspace`` plus two parameter-sized buffers for the prior gradient."""
+
+    def __init__(self, arch: nnet.MlpArchitecture, rows: int):
+        super().__init__(arch, rows)
+        self.prior = np.empty((2, arch.param_count))
+
+
+def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
+                out: np.ndarray) -> np.ndarray:
+    """params / tau2 + weight_decay * params, formed in the two rows of ``out``."""
+    total, decay = out
+    np.divide(params, gibbs.tau2, out=total)
+    total += np.multiply(weight_decay, params, out=decay)
+    return total
 
 
 def _prior_value(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float) -> float:
@@ -113,19 +126,24 @@ def _rows_and_scale(loss, gibbs, rows, n_scale):
     return x, gibbs.eta * ((n_scale if n_scale is not None else m) / m)
 
 
-def objective_gradient(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0):
+def objective_gradient(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0,
+                       ws=None):
     """Gradient of the MAP objective restricted to ``rows``.
 
     ``n_scale`` rescales the data term to a target sample size (minibatch
     steps pass the training-set size); defaults to len(rows). A non-finite
     loss on ``rows`` or a non-finite gradient raises ``FloatingPointError``.
+    With a ``GradientWorkspace`` the returned array is its ``ws.grad``, which
+    the next call overwrites.
     """
     x, scale = _rows_and_scale(loss, gibbs, rows, n_scale)
-    out = nnet.forward(arch, params, x)
+    ws = GradientWorkspace(arch, x.shape[0]) if ws is None else ws
+    out = nnet.forward(arch, params, x, ws)
     if not np.isfinite(loss.values(out, rows)).all():
         raise FloatingPointError("non-finite training loss; reduce the step size")
-    grad = nnet.backward(arch, params, x, loss.output_grad(out, rows)) * scale
-    grad += _prior_grad(params, gibbs, weight_decay)
+    grad = nnet.backward(arch, params, x, loss.output_grad(out, rows), ws)
+    grad *= scale
+    grad += _prior_grad(params, gibbs, weight_decay, ws.prior)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite objective gradient; reduce the step size")
     return grad
@@ -173,23 +191,29 @@ def map_train(
     best_val = val_objective(params)
     since_best = 0
 
-    # Adam state
+    # Adam state; a step updates it in place, in textbook operation order, via s1 and s2
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    s1, s2 = np.empty_like(params), np.empty_like(params)
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    ws = GradientWorkspace(arch, min(cfg.batch_size, n_train))
 
     for _ in range(cfg.max_epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             rows = train_rows[order[start : start + cfg.batch_size]]
-            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, cfg.weight_decay)
+            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, cfg.weight_decay, ws)
             t += 1
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad**2
-            m_hat = m / (1.0 - beta1**t)
-            v_hat = v / (1.0 - beta2**t)
-            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            m *= beta1
+            m += np.multiply(1.0 - beta1, grad, out=s1)
+            v *= beta2
+            v += np.multiply(1.0 - beta2, np.square(grad, out=s1), out=s1)
+            np.divide(m, 1.0 - beta1**t, out=s1)  # m_hat
+            s1 *= cfg.learning_rate
+            np.sqrt(np.divide(v, 1.0 - beta2**t, out=s2), out=s2)  # sqrt(v_hat)
+            s2 += eps
+            params -= np.divide(s1, s2, out=s1)
         cur = val_objective(params)
         if cur < best_val:
             best_val = cur
@@ -266,17 +290,24 @@ def sgld_sample(
     n = rows.size
     b = min(sgld.batch_size, n)
     w = np.array(init, dtype=np.float64)
+    noise = np.empty_like(w)
+    ws = GradientWorkspace(arch, b)
 
     draws = np.empty((sgld.n_draws, w.size))
     collected = 0
     total = sgld.burn_in + sgld.n_draws * sgld.thin
     for t in range(1, total + 1):
         batch = rows[rng.choice(n, size=b, replace=False)]
-        grad = objective_gradient(arch, w, loss, gibbs, batch, n_scale=n)
+        grad = objective_gradient(arch, w, loss, gibbs, batch, n_scale=n, ws=ws)
         norm = float(np.sqrt(grad @ grad))
         if norm > sgld.clip_norm:
             grad *= sgld.clip_norm / norm
-        w = w - 0.5 * sgld.step_size * grad + np.sqrt(sgld.step_size) * rng.standard_normal(w.size)
+        # in place, in the operation order of w - (0.5 * step) * grad + sqrt(step) * noise
+        grad *= 0.5 * sgld.step_size
+        w -= grad
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt(sgld.step_size)
+        w += noise
         if not np.all(np.isfinite(w)):
             raise FloatingPointError("non-finite parameter during sampling")
         if t > sgld.burn_in and (t - sgld.burn_in) % sgld.thin == 0:

@@ -72,3 +72,101 @@ def check_gradient(arch, adapter, rng, n_coords=50, h=1e-5, tol=1e-5):
     err = max_rel_error(exact, approx, floor=floor)
     assert err < tol, f"gradient mismatch: max relative error {err:.3e}"
     return err
+
+
+# ---------------------------------------------------------------------------
+# allocating reference implementations of the training step: every layer and
+# every Adam/SGLD update builds fresh arrays, and backward recomputes the
+# forward pass. The library's in-place versions must match them bit for bit.
+
+
+def reference_forward(arch, params, x):
+    """Post-head output and the list of layer inputs/outputs, freshly allocated."""
+    layers = nnet.unflatten(arch, params)
+    acts = [np.asarray(x, dtype=np.float64)]
+    for li, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if li < len(layers) - 1 else z)
+    if arch.head == nnet.HEAD_TANH:
+        return np.tanh(acts[-1]), acts
+    if arch.head == nnet.HEAD_SOFTMAX:
+        e = np.exp(acts[-1] - acts[-1].max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True), acts
+    return acts[-1], acts
+
+
+def reference_backward(arch, params, x, g):
+    out, acts = reference_forward(arch, params, x)
+    if arch.head == nnet.HEAD_TANH:
+        gz = g * (1.0 - out**2)
+    elif arch.head == nnet.HEAD_SOFTMAX:
+        gz = out * (g - (g * out).sum(axis=1, keepdims=True))
+    else:
+        gz = g
+    layers = nnet.unflatten(arch, params)
+    grads = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        grads[li] = np.concatenate([(acts[li].T @ gz).ravel(), gz.sum(axis=0)])
+        if li > 0:
+            gz = (gz @ layers[li][0].T) * (acts[li] > 0.0)
+    return np.concatenate(grads)
+
+
+def reference_objective_gradient(arch, params, loss, gibbs, rows, n_scale, weight_decay=0.0):
+    x = loss.x[rows]
+    scale = gibbs.eta * (n_scale / x.shape[0])
+    out, _ = reference_forward(arch, params, x)
+    grad = reference_backward(arch, params, x, loss.output_grad(out, rows)) * scale
+    return grad + (params / gibbs.tau2 + weight_decay * params)
+
+
+def reference_map_train(arch, loss, gibbs, cfg, train_rows, val_rows):
+    """map_train's Adam loop with early stopping, one fresh array per operation."""
+    rng = np.random.default_rng(cfg.seed)
+    params = nnet.init_params(arch, rng)
+    n_train = train_rows.size
+
+    def val_objective(w):
+        return float(loss.values(reference_forward(arch, w, loss.x[val_rows])[0], val_rows).mean())
+
+    best_params, best_val, since_best = params.copy(), val_objective(params), 0
+    m, v, t = np.zeros_like(params), np.zeros_like(params), 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            rows = train_rows[order[start : start + cfg.batch_size]]
+            grad = reference_objective_gradient(arch, params, loss, gibbs, rows, n_train,
+                                                cfg.weight_decay)
+            t += 1
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad**2
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        cur = val_objective(params)
+        if cur < best_val:
+            best_params, best_val, since_best = params.copy(), cur, 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    return best_params
+
+
+def reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps):
+    """The first ``steps`` SGLD iterates over all rows, one fresh array per operation."""
+    rng = np.random.default_rng(sgld.seed)
+    n = loss.n
+    b = min(sgld.batch_size, n)
+    w = np.array(init, dtype=np.float64)
+    iterates = []
+    for _ in range(steps):
+        batch = np.arange(n)[rng.choice(n, size=b, replace=False)]
+        grad = reference_objective_gradient(arch, w, loss, gibbs, batch, n)
+        norm = float(np.sqrt(grad @ grad))
+        if norm > sgld.clip_norm:
+            grad *= sgld.clip_norm / norm
+        w = w - 0.5 * sgld.step_size * grad + np.sqrt(sgld.step_size) * rng.standard_normal(w.size)
+        iterates.append(w)
+    return np.array(iterates)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import analytic_grad, check_gradient, finite_diff_grad, max_rel_error
+from conftest import (
+    analytic_grad,
+    check_gradient,
+    finite_diff_grad,
+    max_rel_error,
+    reference_backward,
+)
 from gbpl import nnet
 from gbpl.losses import (
     BinarySurrogateLoss,
@@ -161,6 +167,70 @@ class TestBackward:
                 else:
                     adapter = MultiRegressionLoss(nnet.Batch(x, rng.standard_normal((n, k))))
                 check_gradient(arch, adapter, rng, n_coords=50)
+
+
+_HEAD_CASES = ((nnet.HEAD_TANH, 1), (nnet.HEAD_SOFTMAX, 4), (nnet.HEAD_IDENTITY, 3))
+
+
+def _net_and_batch(rng, head, out_dim, n):
+    arch = nnet.MlpArchitecture(5, (9, 7), out_dim, head)
+    params = nnet.init_params(arch, rng) + 0.1 * rng.standard_normal(arch.param_count)
+    return arch, params, rng.standard_normal((n, 5)), rng.standard_normal((n, out_dim))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_workspace_backward_matches_stateless_bitwise(self, head, out_dim):
+        arch, params, x, g = _net_and_batch(np.random.default_rng(40), head, out_dim, 16)
+        ws = nnet.Workspace(arch, 16)
+        out = nnet.forward(arch, params, x, ws)
+        assert out.tobytes() == nnet.forward(arch, params, x).tobytes()
+        got = nnet.backward(arch, params, x, g, ws)
+        assert got is ws.grad
+        assert got.tobytes() == nnet.backward(arch, params, x, g).tobytes()
+        assert got.tobytes() == reference_backward(arch, params, x, g).tobytes()
+
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_short_batch_uses_leading_rows(self, head, out_dim):
+        rng = np.random.default_rng(41)
+        arch, params, x, g = _net_and_batch(rng, head, out_dim, 16)
+        ws = nnet.Workspace(arch, 16)
+        nnet.forward(arch, params, x, ws)
+        nnet.backward(arch, params, x, g, ws)  # leaves stale rows behind the short batch
+        xs, gs = x[3:10] + 0.5, g[3:10]
+        out = nnet.forward(arch, params, xs, ws)
+        assert out.shape == (7, out_dim)
+        assert out.tobytes() == nnet.forward(arch, params, xs).tobytes()
+        got = nnet.backward(arch, params, xs, gs, ws)
+        assert got.tobytes() == nnet.backward(arch, params, xs, gs).tobytes()
+        assert got.tobytes() == reference_backward(arch, params, xs, gs).tobytes()
+
+    def test_stateless_forward_returns_independent_arrays(self):
+        rng = np.random.default_rng(42)
+        arch, params, x, _ = _net_and_batch(rng, nnet.HEAD_IDENTITY, 3, 10)
+        a = nnet.forward(arch, params, x)
+        kept = a.copy()
+        b = nnet.forward(arch, params, 2.0 * x)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, kept)
+
+    def test_forward_allocates_no_gradient_buffers(self):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(43), nnet.HEAD_TANH, 1, 6)
+        ws = nnet.Workspace(arch, 6)
+        nnet.forward(arch, params, x, ws)
+        assert ws.grad is None and ws.deltas is None
+
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_inputs_are_not_mutated(self, head, out_dim):
+        arch, params, x, g = _net_and_batch(np.random.default_rng(44), head, out_dim, 12)
+        copies = [a.copy() for a in (params, x, g)]
+        ws = nnet.Workspace(arch, 12)
+        nnet.forward(arch, params, x)
+        nnet.backward(arch, params, x, g)
+        nnet.forward(arch, params, x, ws)
+        nnet.backward(arch, params, x, g, ws)
+        for before, after in zip(copies, (params, x, g)):
+            assert before.tobytes() == after.tobytes()
 
 
 class TestSerialization:

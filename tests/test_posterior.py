@@ -3,9 +3,10 @@ import pytest
 
 from dataclasses import dataclass, replace
 
+from conftest import reference_map_train, reference_sgld_iterates
 from gbpl import nnet, posterior
 from gbpl.evaluation import draw_welfare, welfare_credible_interval
-from gbpl.losses import BinarySurrogateLoss, MaskedRegressionLoss
+from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss, MaskedRegressionLoss
 from gbpl.posterior import (
     GibbsConfig,
     PosteriorDraws,
@@ -156,6 +157,27 @@ class TestMapTrain:
         with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
             map_train(arch, loss, gibbs, cfg, np.arange(24), np.arange(24, 32))
 
+    @pytest.mark.parametrize("head", [nnet.HEAD_TANH, nnet.HEAD_SOFTMAX])
+    def test_matches_allocating_reference_bitwise(self, head):
+        # 70 training rows in batches of 16 leave a short last batch of 6
+        rng = np.random.default_rng(9)
+        n = 100
+        x = rng.standard_normal((n, 4))
+        if head == nnet.HEAD_TANH:
+            arch = nnet.MlpArchitecture(4, (12, 8), 1, head)
+            loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+        else:
+            arch = nnet.MlpArchitecture(4, (12, 8), 3, head)
+            loss = FullVectorSurrogateLoss(nnet.Batch(x, rng.standard_normal((n, 3))), 0.5)
+        gibbs = GibbsConfig(zeta=0.5, eta=1.3, tau2=2.0)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=12, patience=3, seed=8,
+                          weight_decay=0.05)
+        perm = rng.permutation(n)
+        train_rows, val_rows = perm[:70], perm[70:]
+        got = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
+        want = reference_map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMapObjective:
     def test_matches_hand_computation(self):
@@ -271,6 +293,21 @@ class TestSgld:
         d1 = sgld_sample(arch, loss, gibbs, init, sgld)
         d2 = sgld_sample(arch, loss, gibbs, init, sgld)
         assert np.array_equal(d1.draws, d2.draws)
+
+    def test_matches_allocating_reference_bitwise(self):
+        rng = np.random.default_rng(14)
+        n = 60
+        x = rng.standard_normal((n, 3))
+        arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.3)
+        gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
+        init = nnet.init_params(arch, rng)
+        # a clip norm this small clips every step
+        sgld = SgldConfig(step_size=1e-3, burn_in=0, n_draws=20, thin=1, batch_size=16, seed=5,
+                          clip_norm=0.5)
+        draws = sgld_sample(arch, loss, gibbs, init, sgld)
+        want = reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps=20)
+        assert draws.draws.tobytes() == want.tobytes()
 
     def test_persistence_roundtrip(self, tmp_path):
         arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=11)
