@@ -15,7 +15,7 @@ The package is organized as a small numpy library:
 - ``evaluation``: welfare/regret metrics (``test_welfare`` is the one welfare
   path), posterior welfare credible intervals, PAC-Bayes bounds, trial
   aggregation.
-- ``configio``: the one codec between config dataclasses, dicts and schemas.
+- ``configio``: the one codec between config dataclasses, dicts, flags and schemas.
 - ``experiment`` / ``cli``: deterministic benchmark harness and its frontend.
 """
 

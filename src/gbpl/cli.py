@@ -5,7 +5,8 @@ one method on a CSV and save the model), ``evaluate`` (score a saved model on
 a CSV), ``experiment`` (the full benchmark harness from a JSON config),
 ``posterior-viz`` (the one-dimensional uncertainty run), and ``paccheck``
 (the PAC-Bayes bound calculator). Every run that writes files also writes a
-``manifest.json`` echoing the resolved configuration.
+``manifest.json`` echoing the resolved configuration. Config flags are the
+fields of the config dataclasses in kebab-case (``configio.add_flags``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from gbpl import nnet
-from gbpl.configio import schema, to_dict, write_json
+from gbpl.configio import add_flags, from_args, schema, to_dict, write_json
 from gbpl.dgp import (
+    LOGGING_LOGISTIC,
+    LOGGING_SOFTMAX,
     DgpSpec,
     generate_full_feedback,
     generate_logged,
@@ -27,6 +30,8 @@ from gbpl.dgp import (
     write_logged_csv,
 )
 from gbpl.evaluation import (
+    RULE_DETERMINISTIC,
+    RULE_RANDOMIZED,
     PacBayesInputs,
     oracle_welfare,
     pac_bayes_bound,
@@ -38,25 +43,18 @@ from gbpl.experiment import (
     _SPLIT_TAG,
     ExperimentConfig,
     PosteriorVizConfig,
+    fit_gbpl,
     parse_config,
     run_experiment,
     run_posterior_viz,
     split_rows,
 )
-from gbpl.methods import FittedPolicy, fit_policy_fullvector, fit_score_binary
-from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
+from gbpl.methods import FittedPolicy
+from gbpl.posterior import GibbsConfig, TrainConfig
 
 
 def _cmd_simulate(args) -> int:
-    spec = DgpSpec(
-        family=args.family,
-        n=args.n,
-        d=args.d,
-        k=args.k,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-        csv_path=args.csv_path,
-    )
+    spec = from_args(DgpSpec, args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.logged:
@@ -78,34 +76,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     data = read_full_feedback_csv(args.data)
-    n = data.n
-    train_rows, val_rows, _ = split_rows(n, (0.6, 0.2, 0.2), [args.seed, _SPLIT_TAG])
-    gibbs = GibbsConfig(
-        zeta=args.zeta,
-        eta=args.eta,
-        tau2=args.tau2,
-        kind="binary" if data.k == 2 else "full_vector",
-    )
-    cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
-    hidden = tuple(args.hidden)
-    if data.k == 2:
-        policy = fit_score_binary(
-            data.x, data.outcome_diff(), gibbs, cfg, train_rows, val_rows, hidden
-        )
-    else:
-        policy = fit_policy_fullvector(data.x, data.y, gibbs, cfg, train_rows, val_rows, hidden)
+    cfg = from_args(TrainConfig, args)
+    train_rows, val_rows, _ = split_rows(data.n, (0.6, 0.2, 0.2), [cfg.seed, _SPLIT_TAG])
+    policy = fit_gbpl(data.x, data.y, train_rows, val_rows, args.zeta, args.eta, args.tau2,
+                      cfg, tuple(args.hidden))
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
     write_json(
         out / "manifest.json",
-        {"command": "train", "data": str(args.data), "gibbs": to_dict(gibbs),
-         "train": to_dict(cfg), "hidden": list(hidden)},
+        {"command": "train", "data": str(args.data),
+         "gibbs": {"zeta": args.zeta, "eta": args.eta, "tau2": args.tau2},
+         "train": to_dict(cfg), "hidden": args.hidden},
     )
     print(f"saved model to {out}")
     return 0
@@ -114,11 +95,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     data = read_full_feedback_csv(args.data)
     policy = FittedPolicy(*nnet.load_params(Path(args.model)))
-    rule = args.rule
-    welfare = test_welfare(data, policy, rule)
+    welfare = test_welfare(data, policy, args.rule)
     oracle = oracle_welfare(data)
     metrics = {"welfare": welfare, "oracle_welfare": oracle, "regret": oracle - welfare,
-               "rule": rule, "n": data.n}
+               "rule": args.rule, "n": data.n}
     print(json.dumps(metrics, indent=2, sort_keys=True))
     if args.out:
         write_json(Path(args.out), metrics)
@@ -134,49 +114,21 @@ def _cmd_experiment(args) -> int:
         raw["output_dir"] = args.out
     if args.jobs is not None:
         raw["jobs"] = args.jobs
-    cfg = parse_config(raw)
-    out = run_experiment(cfg)
+    out = run_experiment(parse_config(raw))
     print(f"results in {out}")
     return 0
 
 
 def _cmd_posterior_viz(args) -> int:
-    cfg = PosteriorVizConfig(
-        output_dir=args.out,
-        n=args.n,
-        zeta=args.zeta,
-        seed=args.seed,
-        train=TrainConfig(
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            weight_decay=args.weight_decay,
-        ),
-        sgld=SgldConfig(
-            step_size=args.sgld_step,
-            burn_in=args.burn_in,
-            n_draws=args.draws,
-            thin=args.thin,
-            batch_size=args.batch_size,
-        ),
-        grid_points=args.grid_points,
-    )
-    out = run_posterior_viz(cfg)
+    out = run_posterior_viz(from_args(PosteriorVizConfig, args, output_dir=args.out))
     print(f"results in {out}")
     return 0
 
 
 def _cmd_paccheck(args) -> int:
-    inputs = PacBayesInputs(
-        empirical_risk_mean=args.risk,
-        kl=args.kl,
-        n=args.n,
-        delta=args.delta,
-        v=args.v,
-        b=args.b,
-        lam=args.lam if args.lam is not None else 0.5 / args.b,
-    )
+    lam = args.lam if args.lam is not None else 0.5 / args.b
+    inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
+                            delta=args.delta, v=args.v, b=args.b, lam=lam)
     lam_star = pac_bayes_lambda_star(inputs)
     at_star = replace(inputs, lam=lam_star)
     report = {
@@ -195,16 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv-path", dest="csv_path", default=None,
-                   help="source CSV for the semisynthetic family")
+    add_flags(p, DgpSpec)
     p.add_argument("--logged", action="store_true", help="emit logged data instead of full feedback")
-    p.add_argument("--logging", choices=["logistic", "softmax"], default="logistic")
+    p.add_argument("--logging", choices=[LOGGING_LOGISTIC, LOGGING_SOFTMAX], default=LOGGING_LOGISTIC)
     p.add_argument("--clip", type=float, default=0.05)
     p.add_argument("--sidecar", default=None,
                    help="where to store the hidden full table (logged mode, evaluation only)")
@@ -213,22 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a surrogate score/policy on a full-feedback CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--zeta", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--tau2", type=float, default=1.0)
+    add_flags(p, GibbsConfig(zeta=0.1), skip=("kind", "baseline"))
+    add_flags(p, TrainConfig)
     p.add_argument("--hidden", type=int, nargs="*", default=[128, 128])
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=128)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a saved model on a full-feedback CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="directory holding arch.json and params.bin")
-    p.add_argument("--rule", choices=["deterministic", "randomized"], default="deterministic")
+    p.add_argument("--rule", choices=[RULE_DETERMINISTIC, RULE_RANDOMIZED],
+                   default=RULE_DETERMINISTIC)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -242,19 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("posterior-viz", help="one-dimensional posterior uncertainty run")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1500)
-    p.add_argument("--zeta", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=128)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=1e-4)
-    p.add_argument("--sgld-step", dest="sgld_step", type=float, default=2e-5)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=1200)
-    p.add_argument("--draws", type=int, default=300)
-    p.add_argument("--thin", type=int, default=8)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=200)
+    add_flags(p, PosteriorVizConfig, skip=("output_dir",))
     p.set_defaults(func=_cmd_posterior_viz)
 
     p = sub.add_parser("paccheck", help="evaluate the PAC-Bayes risk bound")

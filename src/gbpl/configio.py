@@ -1,14 +1,16 @@
-"""One codec between frozen config dataclasses, JSON files and a schema.
+"""One codec between frozen config dataclasses, JSON files, flags and a schema.
 
 Everything is driven by ``dataclasses.fields`` and the resolved type hints:
 nested dataclasses recurse, tuples travel as lists, omitted keys take the
-field defaults, and unknown keys are rejected by name.
+field defaults, and unknown keys and wrongly typed values are rejected by name.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import numbers
 import types
 import typing
 from pathlib import Path
@@ -22,30 +24,55 @@ def to_dict(cfg) -> dict:
 def from_dict(cls, raw: dict):
     """Build dataclass ``cls`` from a dict produced by :func:`to_dict` or JSON."""
     hints = typing.get_type_hints(cls)
+    owner = f"{cls.__name__} {raw['name']!r}" if "name" in raw else cls.__name__
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        owner = f"{cls.__name__} {raw['name']!r}" if "name" in raw else cls.__name__
         raise ValueError(f"{owner}: unknown key(s) {', '.join(unknown)}")
-    return cls(**{k: _decode(hints[k], v) for k, v in raw.items()})
+    return cls(**{k: _decode(hints[k], v, f"{owner}: {k}") for k, v in raw.items()})
 
 
 def schema(obj) -> dict:
     """Every field of a dataclass (or instance) as ``"type = default"``; nested
     dataclasses expand in place, a tuple of them as a one-element list."""
-    hints = typing.get_type_hints(obj if isinstance(obj, type) else type(obj))
     out = {}
-    for f in dataclasses.fields(obj):
-        hint, default = hints[f.name], getattr(obj, f.name, dataclasses.MISSING)
-        tp = _optional(hint)
-        item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
-        if dataclasses.is_dataclass(tp):
-            out[f.name] = schema(tp if default is dataclasses.MISSING else default)
-        elif dataclasses.is_dataclass(item):
-            out[f.name] = [schema(item)]
+    for path, hint, default in _leaves(obj):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        if dataclasses.is_dataclass(_item(hint)):
+            _put(out, path, [schema(_item(hint))])
         else:
-            name = hint.__name__ if isinstance(hint, type) else str(hint)
-            out[f.name] = name if default is dataclasses.MISSING else f"{name} = {default!r}"
+            _put(out, path, name if default is dataclasses.MISSING else f"{name} = {default!r}")
     return out
+
+
+def add_flags(parser: argparse.ArgumentParser, obj, skip=()) -> None:
+    """A ``--kebab-name`` flag per leaf field of dataclass ``obj`` (a class or an
+    instance) not in ``skip``, defaulting to its value there or else required.
+    Leaves of one name share a flag, so they must share a default."""
+    seen = {}
+    for path, hint, default in _leaves(obj):
+        name = path[-1]
+        if seen.get(name, default) != default:
+            raise ValueError(f"{'.'.join(path)} defaults to {default!r}, "
+                             f"another {name} to {seen[name]!r}")
+        if name in seen or name in skip:
+            continue
+        seen[name] = default
+        item = _item(hint)
+        opts = ({"required": True} if default is dataclasses.MISSING
+                else {"default": default, "help": "default: %(default)s"})
+        parser.add_argument("--" + name.replace("_", "-"), type=item or _optional(hint),
+                            nargs="*" if item else None, **opts)
+
+
+def from_args(cls, args: argparse.Namespace, **fixed):
+    """Dataclass ``cls`` from :func:`add_flags` flags and top-level ``fixed``
+    fields, decoded by :func:`from_dict`; leaves without a flag keep defaults."""
+    raw = {}
+    for path, _, default in _leaves(cls):
+        value = vars(args).get(path[-1], default)
+        if value is not dataclasses.MISSING:
+            _put(raw, path, value)
+    return from_dict(cls, {**raw, **fixed})
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -61,6 +88,26 @@ def _encode(v):
     return v
 
 
+def _leaves(obj):
+    """(path, type hint, default or ``MISSING``) of each non-dataclass field
+    under dataclass ``obj``, depth first."""
+    hints = typing.get_type_hints(obj if isinstance(obj, type) else type(obj))
+    for f in dataclasses.fields(obj):
+        default = getattr(obj, f.name, dataclasses.MISSING)
+        if dataclasses.is_dataclass(hints[f.name]):
+            node = hints[f.name] if default is dataclasses.MISSING else default
+            for path, hint, leaf in _leaves(node):
+                yield (f.name, *path), hint, leaf
+        else:
+            yield (f.name,), hints[f.name], default
+
+
+def _put(tree: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        tree = tree.setdefault(key, {})
+    tree[path[-1]] = value
+
+
 def _optional(tp):
     """``X`` for ``X | None``; any other type unchanged."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
@@ -68,12 +115,25 @@ def _optional(tp):
     return tp
 
 
-def _decode(tp, v):
+def _item(tp):
+    """The item type of ``tuple[X, ...]`` (or of ``tuple[X, ...] | None``), else None."""
     tp = _optional(tp)
-    if v is None:
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
+
+
+def _decode(tp, v, where: str):
+    """``v`` as type ``tp``, else a ``ValueError`` naming ``where``; no number
+    field takes a bool, and an int field takes only integral numbers."""
+    if v is None and _optional(tp) is not tp:
         return None
+    tp = _optional(tp)
     if dataclasses.is_dataclass(tp):
-        return from_dict(tp, v)
-    if typing.get_origin(tp) is tuple:
-        return tuple(_decode(typing.get_args(tp)[0], x) for x in v)
-    return float(v) if tp is float else v
+        if isinstance(v, dict):
+            return from_dict(tp, v)
+    elif _item(tp):
+        if isinstance(v, (list, tuple)):
+            return tuple(_decode(_item(tp), x, where) for x in v)
+    elif not isinstance(v, bool) and isinstance(v, numbers.Real if tp in (int, float) else tp):
+        if tp is not int or float(v).is_integer():
+            return tp(v)
+    raise ValueError(f"{where} must be {getattr(tp, '__name__', tp)}, got {v!r}")

@@ -58,7 +58,7 @@ from gbpl.posterior import (
     sgld_sample,
 )
 from gbpl.losses import BinarySurrogateLoss
-from gbpl.surrogate import FullFeedbackDataset
+from gbpl.surrogate import KIND_BINARY, KIND_FULL_VECTOR, FullFeedbackDataset
 
 KIND_GBPL = "gbpl"
 DEFAULT_ZETA_GRID = (1.0, 0.1, 0.01, 0.001)
@@ -136,11 +136,15 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if len({m.name for m in self.methods}) != len(self.methods):
             raise ValueError("method names must be unique")
-        frac = np.asarray(self.split, dtype=np.float64)
-        if frac.shape != (3,) or np.any(frac <= 0) or abs(frac.sum() - 1.0) > 1e-9:
-            raise ValueError("split must be three positive fractions summing to 1")
+        _check_split(self.split)
         if self.trials < 1:
             raise ValueError("trials must be positive")
+
+
+def _check_split(split) -> None:
+    frac = np.asarray(split, dtype=np.float64)
+    if frac.shape != (3,) or np.any(frac <= 0) or abs(frac.sum() - 1.0) > 1e-9:
+        raise ValueError("split must be three positive fractions summing to 1")
 
 
 def split_rows(n: int, split, seed_entropy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,15 +247,17 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
     )
 
 
-def _fit_gbpl(td: _TrialData, zeta: float, cfg: ExperimentConfig, seed: int):
-    gibbs = GibbsConfig(zeta=zeta, eta=cfg.eta, tau2=cfg.tau2,
-                        kind="binary" if td.k == 2 else "full_vector")
-    train_cfg = replace(cfg.train, seed=seed)
-    if td.k == 2:
-        u = td.table[:, 0] - td.table[:, 1]
-        return fit_score_binary(td.x, u, gibbs, train_cfg, td.train_rows, td.val_rows, cfg.hidden)
-    return fit_policy_fullvector(td.x, td.table, gibbs, train_cfg,
-                                 td.train_rows, td.val_rows, cfg.hidden)
+def fit_gbpl(x: np.ndarray, table: np.ndarray, train_rows: np.ndarray, val_rows: np.ndarray,
+             zeta: float, eta: float, tau2: float, cfg: TrainConfig,
+             hidden: tuple[int, ...]) -> FittedPolicy:
+    """The surrogate fit for a K-column (pseudo-)outcome table: a tanh score on
+    the column difference at K = 2, a softmax policy on the rows otherwise."""
+    binary = table.shape[1] == 2
+    gibbs = GibbsConfig(zeta, eta, tau2, kind=KIND_BINARY if binary else KIND_FULL_VECTOR)
+    if binary:
+        u = table[:, 0] - table[:, 1]
+        return fit_score_binary(x, u, gibbs, cfg, train_rows, val_rows, hidden)
+    return fit_policy_fullvector(x, table, gibbs, cfg, train_rows, val_rows, hidden)
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
@@ -263,17 +269,17 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     results = []
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
+        train_cfg = replace(cfg.train, seed=seed)
         selected = None
         if m.kind == KIND_GBPL:
-            if m.zeta is not None:
-                policy = _fit_gbpl(td, m.zeta, cfg, seed)
-                selected = m.zeta
-            else:
-                fits = {z: _fit_gbpl(td, z, cfg, seed) for z in m.zeta_grid}
+            fits = {z: fit_gbpl(td.x, td.table, td.train_rows, td.val_rows,
+                                z, cfg.eta, cfg.tau2, train_cfg, cfg.hidden)
+                    for z in ((m.zeta,) if m.zeta is not None else m.zeta_grid)}
+            selected = m.zeta
+            if selected is None:
                 selected = select_zeta_by_validation(list(fits.items()), val_table, rule)
-                policy = fits[selected]
+            policy = fits[selected]
         else:
-            train_cfg = replace(cfg.train, seed=seed)
             fit_data = FullFeedbackDataset(td.x, td.table)
             policy = fit_baseline(m.kind, fit_data, train_cfg,
                                   td.train_rows, td.val_rows, cfg.hidden)
@@ -351,6 +357,11 @@ class PosteriorVizConfig:
     eval_points: tuple[float, ...] = (-2.0, -1.0, 0.0, 1.0, 2.0)
     level: float = 0.95
 
+    def __post_init__(self):
+        _check_split(self.split)
+        if not 0.0 < self.level < 1.0 or self.grid_points < 1:
+            raise ValueError("level must lie in (0, 1) and grid_points be positive")
+
 
 def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     """Train the MAP score, sample the generalized posterior, and emit CSVs:
@@ -365,7 +376,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [cfg.seed, _SPLIT_TAG])
     test = _subset_full(full, test_rows)
 
-    gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2, kind="binary")
+    gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2, kind=KIND_BINARY)
     arch = nnet.MlpArchitecture(1, cfg.hidden, 1, nnet.HEAD_TANH)
     loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), cfg.zeta)
     train_cfg = replace(cfg.train, seed=cfg.seed)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -7,7 +8,7 @@ import pytest
 
 from gbpl import cli, nnet
 from gbpl import experiment as ex
-from gbpl.configio import from_dict
+from gbpl.configio import add_flags, from_dict, schema
 from gbpl.dgp import (
     DgpSpec,
     generate_full_feedback,
@@ -15,7 +16,7 @@ from gbpl.dgp import (
     read_logged_csv,
     write_full_feedback_csv,
 )
-from gbpl.posterior import SgldConfig, TrainConfig
+from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
 from gbpl.surrogate import empirical_welfare
 
 
@@ -207,6 +208,41 @@ class TestConfigValidation:
         method = {"name": "typo", "kind": "gbpl", "zeta": 0.1, "zetta": 0.2}
         with pytest.raises(ValueError, match="'typo'.*zetta"):
             ex.parse_config(self._raw(method))
+
+    @pytest.mark.parametrize(
+        "path, value, owner",
+        [
+            (("trials",), 2.5, "ExperimentConfig: trials"),  # non-integral number for int
+            (("hidden",), [4.7], "ExperimentConfig: hidden"),  # the same, inside a tuple
+            (("trials",), True, "ExperimentConfig: trials"),  # bool for int
+            (("dgp", "n"), "200", "DgpSpec: n"),  # string for int
+            (("trials",), None, "ExperimentConfig: trials"),  # null for a non-optional field
+            (("output_dir",), 5, "ExperimentConfig: output_dir"),  # non-string for str
+            (("methods", 0, "zeta"), True, "MethodSpec 'm': zeta"),  # bool for float
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, path, value, owner):
+        raw = self._raw({"name": "m", "kind": "gbpl", "zeta": 0.1})
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=f"{owner} must be"):
+            ex.parse_config(raw)
+
+    def test_integral_float_for_int_accepted(self):
+        raw = _smoke_config("unused")
+        raw["trials"] = 3.0
+        assert ex.parse_config(raw).trials == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"split": (0.5, 0.5)}, {"split": (0.7, 0.2, 0.2)}, {"level": 1.5}, {"level": 0.0},
+         {"grid_points": 0}],
+    )
+    def test_viz_config_checked_when_built(self, change):
+        with pytest.raises(ValueError, match="split|level"):
+            ex.PosteriorVizConfig(output_dir="unused", **change)
 
 
 class TestManifestRoundTrip:
@@ -408,11 +444,87 @@ class TestCli:
     def test_posterior_viz_subcommand(self, tmp_path):
         rc = cli.main(
             ["posterior-viz", "--out", str(tmp_path / "viz"), "--n", "200",
-             "--max-epochs", "3", "--burn-in", "10", "--draws", "5", "--thin", "1",
+             "--max-epochs", "3", "--burn-in", "10", "--n-draws", "5", "--thin", "1",
              "--grid-points", "20"]
         )
         assert rc == 0
         assert (tmp_path / "viz" / "score_grid.csv").exists()
+
+
+def _leaf_schema(node, path=()):
+    """(path, schema string) of every leaf field in a ``configio.schema`` dict."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_schema(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+class TestGeneratedCli:
+    SUBCOMMANDS = ("simulate", "train", "evaluate", "experiment", "posterior-viz", "paccheck")
+    # (subcommand, minimal argv, config object, leaves without a flag)
+    CONFIGS = (
+        ("simulate", ["--family", "binary1", "--n", "7", "--out", "o"], ex.DgpSpec, ()),
+        ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ("kind", "baseline")),
+        ("train", ["--data", "d", "--out", "o"], TrainConfig, ()),
+        ("posterior-viz", ["--out", "o"], ex.PosteriorVizConfig, ("output_dir",)),
+    )
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_exits_zero(self, sub, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([sub, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: gbpl {sub}")
+
+    @pytest.mark.parametrize("sub, argv, cfg, skip", CONFIGS)
+    def test_every_leaf_field_has_a_flag_with_the_schema_default(self, sub, argv, cfg, skip,
+                                                                  capsys):
+        with pytest.raises(SystemExit):
+            cli.main([sub, "--help"])
+        usage = capsys.readouterr().out
+        parsed = vars(cli.build_parser().parse_args([sub, *argv]))
+        leaves = [(path, text) for path, text in _leaf_schema(schema(cfg)) if path[-1] not in skip]
+        assert leaves
+        for path, text in leaves:
+            name = path[-1]
+            assert f"--{name.replace('_', '-')} " in usage, name
+            if " = " in text:
+                assert text.endswith(f" = {parsed[name]!r}"), (path, text, parsed[name])
+            else:  # a field without a default is a required flag
+                assert f"[--{name} " not in usage, name
+
+    def test_shared_leaves_must_agree_on_their_default(self):
+        cfg = ex.PosteriorVizConfig(output_dir="unused", train=TrainConfig(batch_size=64))
+        with pytest.raises(ValueError, match="batch_size"):
+            add_flags(argparse.ArgumentParser(), cfg)
+
+    def test_shared_flag_sets_every_leaf(self, tmp_path):
+        out = tmp_path / "viz"
+        rc = cli.main(
+            ["posterior-viz", "--out", str(out), "--n", "120", "--hidden", "4",
+             "--max-epochs", "2", "--burn-in", "2", "--n-draws", "2", "--thin", "1",
+             "--grid-points", "3", "--batch-size", "64", "--seed", "3"]
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["train"]["batch_size"] == manifest["sgld"]["batch_size"] == 64
+        assert manifest["seed"] == manifest["train"]["seed"] == manifest["sgld"]["seed"] == 3
+        assert manifest["hidden"] == [4]
+
+    def test_flags_decode_like_json(self, tmp_path):
+        out = tmp_path / "viz"
+        with pytest.raises(ValueError, match="level"):
+            cli.main(["posterior-viz", "--out", str(out), "--level", "1.5"])
+        assert not out.exists()  # rejected before any fitting
+
+    @pytest.mark.parametrize("k, head", [(2, nnet.HEAD_TANH), (3, nnet.HEAD_SOFTMAX)])
+    def test_fit_gbpl_picks_the_surrogate_by_table_width(self, k, head):
+        data, _ = generate_full_feedback(DgpSpec(family="multi1", n=40, d=4, k=k, seed=1))
+        rows = np.arange(40)
+        policy = ex.fit_gbpl(data.x, data.y, rows[:30], rows[30:], 0.1, 1.0, 1.0,
+                             TrainConfig(max_epochs=1), (4,))
+        assert policy.arch.head == head
 
 
 class TestMethodSeedIsolation:
