@@ -3,7 +3,7 @@
 Logged data hides the counterfactual outcomes, so the surrogate objectives
 run on pseudo-outcomes instead: inverse-propensity-weighted (IPW) or doubly
 robust (DR). This script simulates a logged dataset with a known logging
-policy, fits the nuisances (propensity by linear-logistic fit, outcome
+policy, fits the nuisances (propensity by a linear softmax fit, outcome
 regression by a masked network), builds both pseudo-outcome tables, trains a
 policy on each, and evaluates everything against the hidden full-feedback
 table that only the simulator knows.
@@ -35,7 +35,7 @@ uniform = np.full((test.n, logged.k), 1.0 / logged.k)
 print(f"uniform-randomization welfare (no learning):          {test_welfare(test, uniform, 'randomized'):.4f}")
 
 # nuisances: estimated propensities and a masked outcome regression
-e_hat = fit_propensity(logged, model="softmax", clip=0.05)
+e_hat = fit_propensity(logged, clip=0.05)
 mae = np.abs(e_hat - logged.true_propensity).mean()
 print(f"propensity fit mean absolute error vs truth: {mae:.4f}")
 

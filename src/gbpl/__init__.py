@@ -22,7 +22,7 @@ The package is organized as a small numpy library:
 from gbpl.nnet import MlpArchitecture, Batch, init_params, forward, backward
 from gbpl.surrogate import FullFeedbackDataset, GibbsConfig, project_simplex
 from gbpl.posterior import TrainConfig, SgldConfig, PosteriorDraws, map_train, sgld_sample
-from gbpl.counterfactual import LoggedDataset, NuisanceSet
+from gbpl.counterfactual import LoggedDataset
 from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged
 from gbpl.methods import FittedPolicy
 from gbpl.evaluation import PacBayesInputs, TrialResult, AggregateRow
@@ -44,7 +44,6 @@ __all__ = [
     "map_train",
     "sgld_sample",
     "LoggedDataset",
-    "NuisanceSet",
     "DgpSpec",
     "generate_full_feedback",
     "generate_logged",

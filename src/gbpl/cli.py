@@ -19,6 +19,7 @@ from pathlib import Path
 
 from gbpl import nnet
 from gbpl.configio import add_flags, from_args, schema, to_dict, write_json
+from gbpl.counterfactual import DEFAULT_EPSILON_CLIP
 from gbpl.dgp import (
     LOGGING_LOGISTIC,
     LOGGING_SOFTMAX,
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(p, DgpSpec)
     p.add_argument("--logged", action="store_true", help="emit logged data instead of full feedback")
     p.add_argument("--logging", choices=[LOGGING_LOGISTIC, LOGGING_SOFTMAX], default=LOGGING_LOGISTIC)
-    p.add_argument("--clip", type=float, default=0.05)
+    p.add_argument("--clip", type=float, default=DEFAULT_EPSILON_CLIP)
     p.add_argument("--sidecar", default=None,
                    help="where to store the hidden full table (logged mode, evaluation only)")
     p.add_argument("--out", required=True)

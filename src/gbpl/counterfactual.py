@@ -8,8 +8,7 @@ correct, after which every full-feedback objective applies verbatim.
 
 Action coding: K-action problems use labels 1..K mapped to columns 0..K-1.
 Binary problems (K = 2) use labels {1, 0}, with action 1 in column 0 and
-action 0 in column 1; conversion between the two codings is explicit via
-``to_binary_labels`` / ``from_binary_labels``.
+action 0 in column 1 (``LoggedDataset.action_columns``).
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.losses import (
-    CrossEntropyLogitsLoss,
-    MaskedRegressionLoss,
-    WeightedLogisticLoss,
-    sigmoid,
-)
+from gbpl.losses import CrossEntropyLogitsLoss, MaskedRegressionLoss
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import (
     FullFeedbackDataset,
@@ -37,22 +31,6 @@ PROPENSITY_FLOOR = 1e-6
 
 PSEUDO_IPW = "ipw"
 PSEUDO_DR = "dr"
-
-
-def to_binary_labels(a: np.ndarray) -> np.ndarray:
-    """Map K=2 one-based labels {1, 2} to the binary coding {1, 0}."""
-    a = np.asarray(a)
-    if not np.all(np.isin(a, (1, 2))):
-        raise ValueError("expected labels in {1, 2}")
-    return np.where(a == 1, 1, 0)
-
-
-def from_binary_labels(a: np.ndarray) -> np.ndarray:
-    """Map binary-coded labels {1, 0} back to one-based labels {1, 2}."""
-    a = np.asarray(a)
-    if not np.all(np.isin(a, (0, 1))):
-        raise ValueError("expected labels in {0, 1}")
-    return np.where(a == 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -113,24 +91,6 @@ class LoggedDataset:
         return self.a - 1
 
 
-@dataclass(frozen=True)
-class NuisanceSet:
-    """Estimated (or true) propensities and outcome regressions, plus fold ids."""
-
-    e_hat: np.ndarray
-    gamma_hat: np.ndarray | None = None
-    fold_id: np.ndarray | None = None
-    epsilon_clip: float = DEFAULT_EPSILON_CLIP
-
-    def __post_init__(self):
-        e = np.asarray(self.e_hat, dtype=np.float64)
-        object.__setattr__(self, "e_hat", e)
-        if self.epsilon_clip <= 0:
-            raise ValueError("epsilon_clip must be positive")
-        if np.any(e < self.epsilon_clip) or np.any(e > 1.0):
-            raise ValueError("e_hat entries must lie in [epsilon_clip, 1]")
-
-
 def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     """Nearest propensity rows with every entry at least ``clip``.
 
@@ -150,21 +110,19 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     return clip + rem * q
 
 
-def _check_propensities(e_hat: np.ndarray, n: int, k: int, floor: float) -> np.ndarray:
+def _check_propensities(e_hat: np.ndarray, n: int, k: int) -> np.ndarray:
     e_hat = np.asarray(e_hat, dtype=np.float64)
     if e_hat.shape != (n, k):
         raise ValueError(f"propensity matrix must be ({n}, {k})")
-    if np.any(e_hat < floor):
-        raise ValueError(f"propensity below the floor {floor}")
+    if np.any(e_hat < PROPENSITY_FLOOR):
+        raise ValueError(f"propensity below the floor {PROPENSITY_FLOOR}")
     return e_hat
 
 
-def ipw_pseudo_outcomes(
-    logged: LoggedDataset, e_hat: np.ndarray, min_propensity: float = PROPENSITY_FLOOR
-) -> np.ndarray:
+def ipw_pseudo_outcomes(logged: LoggedDataset, e_hat: np.ndarray) -> np.ndarray:
     """Indicator-weighted observed outcomes: row i, column a is
     y_i / e_hat[i, a] when action a was logged and 0 otherwise."""
-    e_hat = _check_propensities(e_hat, logged.n, logged.k, min_propensity)
+    e_hat = _check_propensities(e_hat, logged.n, logged.k)
     cols = logged.action_columns()
     out = np.zeros((logged.n, logged.k))
     idx = np.arange(logged.n)
@@ -173,14 +131,11 @@ def ipw_pseudo_outcomes(
 
 
 def dr_pseudo_outcomes(
-    logged: LoggedDataset,
-    e_hat: np.ndarray,
-    gamma_hat: np.ndarray,
-    min_propensity: float = PROPENSITY_FLOOR,
+    logged: LoggedDataset, e_hat: np.ndarray, gamma_hat: np.ndarray
 ) -> np.ndarray:
     """Outcome-regression predictions plus a propensity-weighted residual
     correction on the logged column."""
-    e_hat = _check_propensities(e_hat, logged.n, logged.k, min_propensity)
+    e_hat = _check_propensities(e_hat, logged.n, logged.k)
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
     if gamma_hat.shape != (logged.n, logged.k):
         raise ValueError("gamma_hat must be (n, K)")
@@ -196,7 +151,6 @@ def pseudo_difference_binary(
     e_hat: np.ndarray,
     gamma_hat: np.ndarray | None = None,
     kind: str = PSEUDO_IPW,
-    min_propensity: float = PROPENSITY_FLOOR,
 ) -> np.ndarray:
     """Per-row pseudo outcome difference for binary problems.
 
@@ -206,7 +160,7 @@ def pseudo_difference_binary(
     """
     if logged.k != 2:
         raise ValueError("pseudo differences are for binary problems")
-    e_hat = _check_propensities(e_hat, logged.n, 2, min_propensity)
+    e_hat = _check_propensities(e_hat, logged.n, 2)
     treated = logged.a == 1
     e1, e0 = e_hat[:, 0], e_hat[:, 1]
     if kind == PSEUDO_IPW:
@@ -227,24 +181,21 @@ def pseudo_difference_binary(
 # ---------------------------------------------------------------------------
 # nuisance estimation
 
-PROPENSITY_LOGISTIC = "logistic"
-PROPENSITY_SOFTMAX = "softmax"
-
 
 def fit_propensity(
     logged: LoggedDataset,
-    model: str = PROPENSITY_SOFTMAX,
     clip: float = DEFAULT_EPSILON_CLIP,
     cfg: TrainConfig | None = None,
     predict_x: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Linear-logistic propensity fit on the network stack, clipped.
+    """Linear softmax propensity fit on the network stack, clipped.
 
-    Binary ``"logistic"`` fits a single zero-hidden-layer logit; ``"softmax"``
-    fits K linear logits with the multinomial loss. Predictions are clipped to
-    [clip, 1 - clip] and renormalized row-wise. Every action must appear at
-    least once. ``predict_x`` requests predictions for other covariates than
-    the training rows.
+    K linear logits are fitted with the multinomial cross-entropy for every K,
+    K = 2 included; column j is the propensity of ``action_columns`` j, so at
+    K = 2 action 1 is column 0. Predictions are projected onto the simplex
+    rows with every entry at least ``clip`` (``clip_propensities``). Every
+    action must appear at least once. ``predict_x`` requests predictions for
+    other covariates than the training rows.
     """
     if not (0.0 < clip <= 1.0 / logged.k):
         raise ValueError("clip must lie in (0, 1/K]")
@@ -257,27 +208,10 @@ def fit_propensity(
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
     rows = np.arange(logged.n)
     x_out = logged.x if predict_x is None else np.asarray(predict_x, dtype=np.float64)
-
-    if model == PROPENSITY_LOGISTIC:
-        if logged.k != 2:
-            raise ValueError("logistic propensity model is binary only")
-        arch = nnet.MlpArchitecture(logged.d, (), 1, nnet.HEAD_IDENTITY)
-        labels = (logged.a == 1).astype(np.float64)
-        loss = WeightedLogisticLoss(
-            nnet.Batch(logged.x, labels, np.ones(logged.n))
-        )
-        params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
-        p1 = sigmoid(nnet.forward(arch, params, x_out)[:, 0])
-        e = np.column_stack([p1, 1.0 - p1])
-    elif model == PROPENSITY_SOFTMAX:
-        arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
-        loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
-        params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
-        e = nnet.softmax(nnet.forward(arch, params, x_out))
-    else:
-        raise ValueError(f"unknown propensity model {model!r}")
-
-    return clip_propensities(e, clip)
+    arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
+    loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
+    params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
+    return clip_propensities(nnet.softmax(nnet.forward(arch, params, x_out)), clip)
 
 
 def make_folds(n: int, n_folds: int, seed: int = 0) -> np.ndarray:

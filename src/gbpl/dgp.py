@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gbpl.counterfactual import LoggedDataset, clip_propensities
+from gbpl.counterfactual import DEFAULT_EPSILON_CLIP, LoggedDataset, clip_propensities
 from gbpl.losses import sigmoid
 from gbpl.nnet import softmax
 from gbpl.surrogate import FullFeedbackDataset
@@ -162,8 +162,7 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth
 def generate_logged(
     spec: DgpSpec,
     logging: str = LOGGING_LOGISTIC,
-    clip: float = 0.05,
-    seed: int | None = None,
+    clip: float = DEFAULT_EPSILON_CLIP,
 ) -> tuple[LoggedDataset, FullFeedbackDataset]:
     """Convert a full-feedback draw into logged data under a stochastic
     logging policy with a random linear index.
@@ -173,14 +172,14 @@ def generate_logged(
     the true propensities attached) together with the hidden full-feedback
     table, which is meant for evaluation only and must not reach learners.
 
-    Logging randomness comes from its own stream keyed by ``seed`` (default:
-    the spec seed), kept apart from the data stream.
+    Logging randomness comes from its own stream keyed by the spec seed, kept
+    apart from the data stream.
     """
     if not (0.0 < clip <= 1.0 / (spec.k or 2)):
         raise ValueError("clip must lie in (0, 1/K]")
     full, _ = generate_full_feedback(spec)
     k = full.k
-    rng = np.random.default_rng([spec.seed if seed is None else seed, 0x106])
+    rng = np.random.default_rng([spec.seed, 0x106])
     if logging == LOGGING_LOGISTIC:
         if k != 2:
             raise ValueError("logistic logging is binary only")

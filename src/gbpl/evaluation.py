@@ -41,7 +41,11 @@ def test_welfare(test: FullFeedbackDataset, policy, rule: str = RULE_DETERMINIST
     Deterministic evaluation takes the fitted rule's own decision (binary
     scores threshold at zero; simplex rows argmax with ties to the lowest
     column); randomized evaluation averages outcomes under the simplex rows.
+    A fitted policy must act on as many actions as ``test`` has columns.
     """
+    if isinstance(policy, FittedPolicy) and policy.n_actions != test.k:
+        raise ValueError(f"policy acts on {policy.n_actions} actions but the data "
+                         f"has {test.k}")
     if rule == RULE_DETERMINISTIC:
         if isinstance(policy, FittedPolicy):
             cols = policy.decide(test.x)
@@ -95,11 +99,14 @@ def welfare_credible_interval(values, level: float = 0.95) -> tuple[float, float
     """(mean, lower, upper) of per-draw welfare values such as ``draw_welfare``'s.
 
     The interval edges are the (1-level)/2 and 1-(1-level)/2 empirical
-    quantiles with linear interpolation, so lower <= upper always.
+    quantiles with linear interpolation, so lower <= upper always. The values
+    must be nonempty and finite.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0 or not np.all(np.isfinite(vals)):
+        raise ValueError("welfare values must be nonempty and finite")
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
     return float(vals.mean()), float(lo), float(hi)

@@ -27,10 +27,10 @@ from gbpl import nnet
 from gbpl.baselines import BASELINE_KINDS, fit_baseline
 from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.counterfactual import (
+    DEFAULT_EPSILON_CLIP,
     PSEUDO_DR,
     PSEUDO_IPW,
     LoggedDataset,
-    NuisanceSet,
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
@@ -100,7 +100,7 @@ class MethodSpec:
 class FeedbackSpec:
     mode: str = "full"  # "full" | "logged"
     logging: str = "logistic"
-    clip: float = 0.05
+    clip: float = DEFAULT_EPSILON_CLIP
     pseudo: str = PSEUDO_DR
     propensity: str = "true"  # "true" | "fitted"
     folds: int = 0  # cross-fitting folds for the outcome regression; 0 disables
@@ -207,9 +207,8 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
     if cfg.feedback.propensity == "true":
         e_hat = logged.true_propensity
     else:
-        model = "logistic" if logged.k == 2 else "softmax"
         e_hat = fit_propensity(
-            _subset_logged(logged, train_rows), model, cfg.feedback.clip, nuisance_cfg,
+            _subset_logged(logged, train_rows), cfg.feedback.clip, nuisance_cfg,
             predict_x=logged.x,
         )
 
@@ -230,12 +229,9 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
             gamma_hat[:] = fit_outcome_regression(
                 train_logged, arch, nuisance_cfg, predict_x=logged.x
             )
-        # fold ids index the training subset, so they stay out of the row-aligned set
-        nuisances = NuisanceSet(e_hat, gamma_hat, epsilon_clip=cfg.feedback.clip)
-        table = dr_pseudo_outcomes(logged, nuisances.e_hat, nuisances.gamma_hat)
+        table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
     else:
-        nuisances = NuisanceSet(e_hat, epsilon_clip=cfg.feedback.clip)
-        table = ipw_pseudo_outcomes(logged, nuisances.e_hat)
+        table = ipw_pseudo_outcomes(logged, e_hat)
 
     return _TrialData(
         x=logged.x,

@@ -25,6 +25,11 @@ class FittedPolicy:
     arch: nnet.MlpArchitecture
     params: np.ndarray
 
+    @property
+    def n_actions(self) -> int:
+        """Number of actions the rule chooses among: two for a one-column score."""
+        return max(2, self.arch.output_dim)
+
     def score(self, x: np.ndarray) -> np.ndarray:
         """Raw head output on covariates."""
         return nnet.forward(self.arch, self.params, x)
@@ -33,7 +38,7 @@ class FittedPolicy:
         """Randomized policy as simplex rows (one-hot for an identity head)."""
         if self.arch.head == nnet.HEAD_IDENTITY:
             cols = self.decide(x)
-            out = np.zeros((cols.size, max(2, self.arch.output_dim)))
+            out = np.zeros((cols.size, self.n_actions))
             out[np.arange(cols.size), cols] = 1.0
             return out
         out = self.score(x)

@@ -1,7 +1,7 @@
 """Fixed-architecture multilayer perceptron with manual backpropagation.
 
 Every learned object in the package (bounded score nets, softmax policy nets,
-nuisance regressions, linear-logistic propensities) is an instance of the same
+nuisance regressions, linear softmax propensities) is an instance of the same
 family: dense layers with ReLU hidden activations and one of three output
 heads (scalar tanh, row-wise softmax, or raw affine). Parameters live in a
 single flat float64 vector laid out layer by layer, weights before biases,

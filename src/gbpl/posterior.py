@@ -29,8 +29,10 @@ from gbpl import nnet
 from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.surrogate import GibbsConfig
 
+# diag_laplace: clamp for variances, stationarity bound on the gradient, central-difference step
 VARIANCE_FLOOR = 1e-8
 STATIONARITY_TOL = 1e-3
+FD_STEP = 1e-4
 
 # maximum likelihood: a prior this wide leaves the data term alone
 FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
@@ -163,7 +165,6 @@ def map_train(
     cfg: TrainConfig,
     train_rows: np.ndarray,
     val_rows: np.ndarray,
-    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize the MAP objective by minibatch Adam with early stopping.
 
@@ -180,7 +181,7 @@ def map_train(
     if train_rows.size == 0 or val_rows.size == 0:
         raise ValueError("train and validation sets must be nonempty")
     rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(arch, rng) if init is None else np.array(init, dtype=np.float64)
+    params = nnet.init_params(arch, rng)
     n_train = train_rows.size
 
     def val_objective(w):
@@ -360,36 +361,34 @@ def diag_laplace(
     gibbs: GibbsConfig,
     map_point: np.ndarray,
     rows: np.ndarray | None = None,
-    fd_step: float = 1e-4,
-    grad_tol: float = STATIONARITY_TOL,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> DiagLaplaceResult:
     """Per-coordinate posterior variances 1 / H_jj around a stationary point.
 
     H_jj is estimated by central finite differences of the full objective
     gradient. Coordinates with non-positive curvature are clamped to
-    ``variance_floor`` and flagged. Requires the gradient max-norm at
-    ``map_point`` to be below ``grad_tol``. Cost is two gradient evaluations
-    per parameter, so this is meant for small networks.
+    ``VARIANCE_FLOOR`` and flagged. Requires the gradient max-norm at
+    ``map_point`` to be below ``STATIONARITY_TOL``. Cost is two gradient
+    evaluations per parameter, so this is meant for small networks.
     """
     w = np.array(map_point, dtype=np.float64)
     g0 = objective_gradient(arch, w, loss, gibbs, rows)
-    if float(np.abs(g0).max()) >= grad_tol:
+    if float(np.abs(g0).max()) >= STATIONARITY_TOL:
         raise ValueError(
-            f"map_point is not stationary (gradient max-norm {np.abs(g0).max():.3e} >= {grad_tol})"
+            f"map_point is not stationary (gradient max-norm {np.abs(g0).max():.3e} "
+            f">= {STATIONARITY_TOL})"
         )
     p = w.size
     variances = np.empty(p)
     flagged = np.zeros(p, dtype=bool)
     for j in range(p):
-        w[j] += fd_step
+        w[j] += FD_STEP
         gp = objective_gradient(arch, w, loss, gibbs, rows)[j]
-        w[j] -= 2.0 * fd_step
+        w[j] -= 2.0 * FD_STEP
         gm = objective_gradient(arch, w, loss, gibbs, rows)[j]
-        w[j] += fd_step
-        h = (gp - gm) / (2.0 * fd_step)
-        if h <= 0 or 1.0 / h < variance_floor:
-            variances[j] = variance_floor
+        w[j] += FD_STEP
+        h = (gp - gm) / (2.0 * FD_STEP)
+        if h <= 0 or 1.0 / h < VARIANCE_FLOOR:
+            variances[j] = VARIANCE_FLOOR
             flagged[j] = h <= 0
         else:
             variances[j] = 1.0 / h

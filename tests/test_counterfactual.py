@@ -18,12 +18,6 @@ def _simplex_rows(rng, n, k):
 
 
 class TestActionCoding:
-    def test_binary_roundtrip(self):
-        a = np.array([1, 2, 2, 1])
-        b = cf.to_binary_labels(a)
-        assert np.array_equal(b, [1, 0, 0, 1])
-        assert np.array_equal(cf.from_binary_labels(b), a)
-
     def test_action_columns(self):
         logged = cf.LoggedDataset(np.zeros((3, 1)), np.array([1, 0, 1]), np.zeros(3), k=2)
         assert np.array_equal(logged.action_columns(), [0, 1, 0])
@@ -171,24 +165,6 @@ class TestPseudoDifference:
         np.testing.assert_allclose(got, gamma[:, 0] - gamma[:, 1], atol=1e-12)
 
 
-class TestNuisanceSet:
-    def test_bounds_enforced(self):
-        ok = cf.NuisanceSet(np.array([[0.3, 0.7], [0.5, 0.5]]), epsilon_clip=0.1)
-        assert ok.epsilon_clip == 0.1
-        with pytest.raises(ValueError):
-            cf.NuisanceSet(np.array([[0.01, 0.99]]), epsilon_clip=0.05)
-        with pytest.raises(ValueError):
-            cf.NuisanceSet(np.array([[0.3, 1.2]]), epsilon_clip=0.05)
-
-    def test_optional_fields(self):
-        rng = np.random.default_rng(0)
-        gamma = rng.standard_normal((3, 2))
-        ns = cf.NuisanceSet(np.full((3, 2), 0.5), gamma_hat=gamma,
-                            fold_id=np.array([0, 1, 0]))
-        assert np.array_equal(ns.gamma_hat, gamma)
-        assert np.array_equal(ns.fold_id, [0, 1, 0])
-
-
 class TestClipPropensities:
     def test_floor_holds_even_after_normalization(self):
         e = np.array([[0.98, 0.01, 0.01], [0.4, 0.35, 0.25]])
@@ -246,9 +222,9 @@ class TestFitPropensity:
 
     def test_uniform_logging_recovered(self):
         rng = np.random.default_rng(5)
-        for k, model in ((2, "logistic"), (4, "softmax")):
+        for k in (2, 4):
             logged = self._uniform_logged(rng, 10_000, k)
-            e = cf.fit_propensity(logged, model, clip=0.01)
+            e = cf.fit_propensity(logged, clip=0.01)
             assert np.mean(np.abs(e - 1.0 / k)) < 0.05
 
     def test_separable_saturates_at_clip_without_overflow(self):
@@ -258,7 +234,7 @@ class TestFitPropensity:
         a = (x[:, 0] > 0).astype(int)
         logged = cf.LoggedDataset(x, a, np.zeros(n), k=2)
         clip = 0.05
-        e = cf.fit_propensity(logged, "logistic", clip=clip)
+        e = cf.fit_propensity(logged, clip=clip)
         assert np.all(np.isfinite(e))
         assert e.min() == pytest.approx(clip, abs=1e-9)
         assert e.max() == pytest.approx(1.0 - clip, abs=1e-9)
@@ -266,7 +242,7 @@ class TestFitPropensity:
     def test_clip_floor_contract(self):
         rng = np.random.default_rng(7)
         logged = self._uniform_logged(rng, 400, 3)
-        e = cf.fit_propensity(logged, "softmax", clip=0.1)
+        e = cf.fit_propensity(logged, clip=0.1)
         assert e.min() >= 0.1 - 1e-12
 
     def test_unobserved_action_named_in_error(self):
@@ -274,7 +250,21 @@ class TestFitPropensity:
         x = rng.standard_normal((50, 2))
         logged = cf.LoggedDataset(x, np.full(50, 1), np.zeros(50), k=3)
         with pytest.raises(ValueError, match="action 2"):
-            cf.fit_propensity(logged, "softmax")
+            cf.fit_propensity(logged)
+
+
+class TestPropensityColumnOrder:
+    def test_binary_fit_puts_action_one_in_column_zero(self):
+        # x > 0 makes action 1 likely, so its propensity (column 0) is large there
+        rng = np.random.default_rng(12)
+        n = 2000
+        x = rng.standard_normal((n, 1))
+        a = (rng.random(n) < np.where(x[:, 0] > 0, 0.8, 0.2)).astype(int)
+        e = cf.fit_propensity(cf.LoggedDataset(x, a, np.zeros(n), k=2), clip=0.01)
+        pos = x[:, 0] > 0
+        assert e[pos, 0].mean() > 0.7
+        assert e[~pos, 0].mean() < 0.3
+        np.testing.assert_allclose(e.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestFitOutcomeRegression:

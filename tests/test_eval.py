@@ -90,6 +90,26 @@ class TestFittedPolicyHeads:
         np.testing.assert_allclose(policy.delta(_X), rows, rtol=0, atol=1e-15)
 
 
+class TestActionCountMismatch:
+    # (head, output columns, data columns): a tanh score acts on two actions
+    @pytest.mark.parametrize("head, out, k", [(nnet.HEAD_TANH, 1, 5), (nnet.HEAD_SOFTMAX, 5, 2)])
+    @pytest.mark.parametrize("rule", [ev.RULE_DETERMINISTIC, ev.RULE_RANDOMIZED])
+    def test_rejected_naming_both_counts(self, head, out, k, rule):
+        rng = np.random.default_rng(6)
+        data = FullFeedbackDataset(rng.standard_normal((8, 3)), rng.standard_normal((8, k)))
+        arch = nnet.MlpArchitecture(3, (4,), out, head)
+        policy = FittedPolicy(arch, nnet.init_params(arch, rng))
+        with pytest.raises(ValueError, match=rf"{max(2, out)} actions.*has {k}"):
+            ev.test_welfare(data, policy, rule)
+
+
+class TestWelfareCredibleInterval:
+    @pytest.mark.parametrize("values", [[], [1.0, np.nan], [np.inf, 0.5]])
+    def test_empty_or_non_finite_rejected(self, values):
+        with pytest.raises(ValueError, match="nonempty and finite"):
+            ev.welfare_credible_interval(values)
+
+
 class TestSelectZeta:
     def test_single_candidate(self):
         rng = np.random.default_rng(4)

@@ -400,6 +400,15 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["welfare"] == empirical_welfare(data, nnet.forward(arch, params, data.x))
 
+    def test_evaluate_rejects_model_for_other_action_count(self, tmp_path):
+        data, _ = generate_full_feedback(DgpSpec(family="binary2", n=40, d=4, seed=4))
+        data_csv, model_dir = tmp_path / "data.csv", tmp_path / "model"
+        write_full_feedback_csv(data_csv, data)
+        arch = nnet.MlpArchitecture(4, (8,), 3, nnet.HEAD_SOFTMAX)
+        nnet.save_params(model_dir, arch, nnet.init_params(arch, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="3 actions.*has 2"):
+            cli.main(["evaluate", "--data", str(data_csv), "--model", str(model_dir)])
+
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_smoke_config(tmp_path / "run", trials=1)))
