@@ -34,13 +34,14 @@ print(f"oracle test welfare (hindsight best realized outcome): {oracle_welfare(t
 uniform = np.full((test.n, logged.k), 1.0 / logged.k)
 print(f"uniform-randomization welfare (no learning):          {test_welfare(test, uniform, 'randomized'):.4f}")
 
-# nuisances: estimated propensities and a masked outcome regression
-e_hat = fit_propensity(logged, clip=0.05)
+# nuisances, fitted on the training rows only: estimated propensities and a
+# masked outcome regression
+e_hat = fit_propensity(logged, train_rows, clip=0.05)
 mae = np.abs(e_hat - logged.true_propensity).mean()
 print(f"propensity fit mean absolute error vs truth: {mae:.4f}")
 
 cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10, seed=11)
-gamma_hat = fit_outcome_regression(logged, cfg=cfg)
+gamma_hat = fit_outcome_regression(logged, train_rows, cfg=cfg)
 
 tables = {
     "IPW": ipw_pseudo_outcomes(logged, logged.true_propensity),

@@ -78,7 +78,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     data = read_full_feedback_csv(args.data)
     cfg = from_args(TrainConfig, args)
-    train_rows, val_rows, _ = split_rows(data.n, (0.6, 0.2, 0.2), [cfg.seed, _SPLIT_TAG])
+    train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
     policy = fit_gbpl(data.x, data.y, train_rows, val_rows, args.zeta, args.eta, args.tau2,
                       cfg, tuple(args.hidden))
     out = Path(args.out)

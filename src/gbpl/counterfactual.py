@@ -6,6 +6,9 @@ pseudo-outcome matrix whose conditional mean matches the true outcome
 regression whenever the propensity (IPW) or at least one nuisance (DR) is
 correct, after which every full-feedback objective applies verbatim.
 
+The nuisance fits take the logged table and the rows they may learn from,
+as every fit in a trial does, and predict every row.
+
 Action coding: K-action problems use labels 1..K mapped to columns 0..K-1.
 Binary problems (K = 2) use labels {1, 0}, with action 1 in column 0 and
 action 0 in column 1 (``LoggedDataset.action_columns``).
@@ -121,13 +124,9 @@ def _check_propensities(e_hat: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def ipw_pseudo_outcomes(logged: LoggedDataset, e_hat: np.ndarray) -> np.ndarray:
     """Indicator-weighted observed outcomes: row i, column a is
-    y_i / e_hat[i, a] when action a was logged and 0 otherwise."""
-    e_hat = _check_propensities(e_hat, logged.n, logged.k)
-    cols = logged.action_columns()
-    out = np.zeros((logged.n, logged.k))
-    idx = np.arange(logged.n)
-    out[idx, cols] = logged.y_obs / e_hat[idx, cols]
-    return out
+    y_i / e_hat[i, a] when action a was logged and 0 otherwise. This is the
+    DR table with a zero outcome regression."""
+    return dr_pseudo_outcomes(logged, e_hat, np.zeros((logged.n, logged.k)))
 
 
 def dr_pseudo_outcomes(
@@ -184,34 +183,31 @@ def pseudo_difference_binary(
 
 def fit_propensity(
     logged: LoggedDataset,
+    train_rows: np.ndarray,
     clip: float = DEFAULT_EPSILON_CLIP,
     cfg: TrainConfig | None = None,
-    predict_x: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Linear softmax propensity fit on the network stack, clipped.
+    """Linear softmax propensities for every row, fitted on ``train_rows``.
 
     K linear logits are fitted with the multinomial cross-entropy for every K,
     K = 2 included; column j is the propensity of ``action_columns`` j, so at
     K = 2 action 1 is column 0. Predictions are projected onto the simplex
     rows with every entry at least ``clip`` (``clip_propensities``). Every
-    action must appear at least once. ``predict_x`` requests predictions for
-    other covariates than the training rows.
+    action must appear at least once among ``train_rows``.
     """
     if not (0.0 < clip <= 1.0 / logged.k):
         raise ValueError("clip must lie in (0, 1/K]")
     cols = logged.action_columns()
-    counts = np.bincount(cols, minlength=logged.k)
-    for label_col, cnt in enumerate(counts):
-        if cnt == 0:
-            label = (1, 0)[label_col] if logged.k == 2 else label_col + 1
-            raise ValueError(f"action {label} is never observed; cannot fit its propensity")
+    missing = np.flatnonzero(np.bincount(cols[train_rows], minlength=logged.k) == 0)
+    if missing.size:
+        label = (1, 0)[missing[0]] if logged.k == 2 else missing[0] + 1
+        raise ValueError(f"action {label} is never observed in the training rows; "
+                         "cannot fit its propensity")
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
-    rows = np.arange(logged.n)
-    x_out = logged.x if predict_x is None else np.asarray(predict_x, dtype=np.float64)
     arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
     loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
-    params = map_train(arch, loss, FLAT_PRIOR, cfg, rows, rows)
-    return clip_propensities(nnet.softmax(nnet.forward(arch, params, x_out)), clip)
+    params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, train_rows)
+    return clip_propensities(nnet.softmax(nnet.forward(arch, params, logged.x)), clip)
 
 
 def make_folds(n: int, n_folds: int, seed: int = 0) -> np.ndarray:
@@ -225,53 +221,48 @@ def make_folds(n: int, n_folds: int, seed: int = 0) -> np.ndarray:
 
 def fit_outcome_regression(
     logged: LoggedDataset,
-    arch: nnet.MlpArchitecture | None = None,
+    train_rows: np.ndarray,
     cfg: TrainConfig | None = None,
-    fold_id: np.ndarray | None = None,
-    predict_x: np.ndarray | None = None,
+    hidden: tuple[int, ...] = (128, 128),
+    folds: int = 0,
 ) -> np.ndarray:
-    """Outcome regression gamma_hat (n, K) by masked squared loss.
+    """Outcome regression gamma_hat (n, K) for every row, by masked squared loss.
 
-    One MLP with a K-output identity head is trained on the observed column
-    per row. Without ``fold_id`` predictions are in-sample; with folds, the
-    predictions for fold j come from a model trained on all other folds
-    (cross-fitting). ``predict_x`` (incompatible with folds) requests
-    predictions for other covariates from the model trained on all rows.
-    Deterministic given ``cfg.seed``.
+    An MLP with a K-output identity head learns the observed column per row;
+    each fit holds out a fifth of its rows for early stopping. With ``folds``
+    = 0 one model fitted on ``train_rows`` predicts every row. With ``folds``
+    >= 2 the rows of fold j (``make_folds(train_rows.size, folds, cfg.seed)``)
+    are predicted by a model fitted on the other folds, and the rows outside
+    ``train_rows`` by one fitted on all of them. Deterministic given the seed.
     """
-    arch = arch or nnet.MlpArchitecture(logged.d, (128, 128), logged.k, nnet.HEAD_IDENTITY)
-    if arch.output_dim != logged.k or arch.head != nnet.HEAD_IDENTITY:
-        raise ValueError("outcome regression needs a K-output identity head")
+    if folds < 0 or folds == 1:
+        raise ValueError("folds must be 0 or at least 2")
     cfg = cfg or TrainConfig()
-    cols = logged.action_columns()
-    loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), cols)
-
-    def fit_predict(train_rows: np.ndarray, x_out: np.ndarray) -> np.ndarray:
-        if train_rows.size == 0 or x_out.shape[0] == 0:
-            raise ValueError("empty fold")
-        # hold out a slice of the training rows for early stopping
-        rng = np.random.default_rng(cfg.seed)
-        perm = train_rows[rng.permutation(train_rows.size)]
-        n_val = max(1, train_rows.size // 5)
-        val_rows, tr_rows = perm[:n_val], perm[n_val:]
-        if tr_rows.size == 0:
-            tr_rows = perm
-        params = map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows, val_rows)
-        return nnet.forward(arch, params, x_out)
-
-    if fold_id is None:
-        all_rows = np.arange(logged.n)
-        x_out = logged.x if predict_x is None else np.asarray(predict_x, dtype=np.float64)
-        return fit_predict(all_rows, x_out)
-    if predict_x is not None:
-        raise ValueError("predict_x cannot be combined with cross-fitting folds")
-    fold_id = np.asarray(fold_id)
-    if fold_id.shape != (logged.n,):
-        raise ValueError("fold_id must assign one fold per row")
+    train_rows = np.asarray(train_rows, dtype=np.intp)
+    arch = nnet.MlpArchitecture(logged.d, hidden, logged.k, nnet.HEAD_IDENTITY)
+    loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), logged.action_columns())
     gamma = np.empty((logged.n, logged.k))
-    for j in np.unique(fold_id):
-        mask = fold_id == j
-        gamma[mask] = fit_predict(np.nonzero(~mask)[0], logged.x[mask])
+
+    def fit_predict(fit_rows: np.ndarray, out_rows: np.ndarray) -> None:
+        # hold out a slice of the fit rows for early stopping
+        rng = np.random.default_rng(cfg.seed)
+        perm = fit_rows[rng.permutation(fit_rows.size)]
+        n_val = max(1, fit_rows.size // 5)
+        val_rows, tr_rows = perm[:n_val], perm[n_val:]
+        params = map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows if tr_rows.size else perm, val_rows)
+        gamma[out_rows] = nnet.forward(arch, params, logged.x[out_rows])
+
+    if train_rows.size == 0:
+        raise ValueError("train_rows is empty")
+    if folds == 0:
+        fit_predict(train_rows, np.arange(logged.n))
+        return gamma
+    fold = make_folds(train_rows.size, folds, cfg.seed)
+    for j in range(folds):
+        fit_predict(train_rows[fold != j], train_rows[fold == j])
+    rest = np.setdiff1d(np.arange(logged.n), train_rows)
+    if rest.size:
+        fit_predict(train_rows, rest)
     return gamma
 
 

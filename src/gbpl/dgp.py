@@ -37,7 +37,9 @@ class DgpSpec:
     """Parameters of one synthetic draw. Omitted fields take family defaults:
     binary families force K = 2; multi families default to K = 5, d = 10;
     the one-dimensional visualization family forces d = 1, K = 2 and uses
-    noise 0.6 by default; all others default to noise 1.0."""
+    noise 0.6 by default; all others default to noise 1.0. The
+    ``semisynthetic_csv`` family uses every row of ``csv_path``, and ``n``
+    must equal their number."""
 
     family: str
     n: int
@@ -139,6 +141,8 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth
     """
     if spec.family == SEMISYNTHETIC_FAMILY:
         data = semisynthetic_from_csv(spec.csv_path, spec.k or 2, spec.seed)
+        if data.n != spec.n:
+            raise ValueError(f"{spec.csv_path}: n = {spec.n} but the file has {data.n} rows")
         gamma = data.y  # the construction is noiseless given the csv
         return data, DgpTruth(gamma=gamma, oracle_cols=gamma.argmax(axis=1))
     rng = np.random.default_rng(spec.seed)

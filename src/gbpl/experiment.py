@@ -30,12 +30,10 @@ from gbpl.counterfactual import (
     DEFAULT_EPSILON_CLIP,
     PSEUDO_DR,
     PSEUDO_IPW,
-    LoggedDataset,
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
     ipw_pseudo_outcomes,
-    make_folds,
 )
 from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged, write_table
 from gbpl.evaluation import (
@@ -103,7 +101,7 @@ class FeedbackSpec:
     clip: float = DEFAULT_EPSILON_CLIP
     pseudo: str = PSEUDO_DR
     propensity: str = "true"  # "true" | "fitted"
-    folds: int = 0  # cross-fitting folds for the outcome regression; 0 disables
+    folds: int = 0  # cross-fitting folds for the outcome regression: 0, or at least 2
 
     def __post_init__(self):
         if self.mode not in ("full", "logged"):
@@ -112,8 +110,8 @@ class FeedbackSpec:
             raise ValueError("pseudo must be 'ipw' or 'dr'")
         if self.propensity not in ("true", "fitted"):
             raise ValueError("propensity must be 'true' or 'fitted'")
-        if self.folds < 0:
-            raise ValueError("folds must be nonnegative")
+        if self.folds < 0 or self.folds == 1:
+            raise ValueError("folds must be 0 or at least 2")
 
 
 @dataclass(frozen=True)
@@ -166,11 +164,6 @@ def _subset_full(data: FullFeedbackDataset, rows: np.ndarray) -> FullFeedbackDat
     return FullFeedbackDataset(data.x[rows], data.y[rows])
 
 
-def _subset_logged(logged: LoggedDataset, rows: np.ndarray) -> LoggedDataset:
-    e = None if logged.true_propensity is None else logged.true_propensity[rows]
-    return LoggedDataset(logged.x[rows], logged.a[rows], logged.y_obs[rows], logged.k, e)
-
-
 @dataclass
 class _TrialData:
     """Everything one trial's method fits see: a training table (realized or
@@ -181,66 +174,30 @@ class _TrialData:
     train_rows: np.ndarray
     val_rows: np.ndarray
     test: FullFeedbackDataset  # realized outcomes, evaluation only
-    k: int
 
 
 def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
     data_seed = cfg.base_seed + trial
     spec = replace(cfg.dgp, seed=data_seed)
-    if cfg.feedback.mode == "full":
+    fb = cfg.feedback
+    if fb.mode == "full":
         full, _ = generate_full_feedback(spec)
-        train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [data_seed, _SPLIT_TAG])
-        return _TrialData(
-            x=full.x,
-            table=full.y,
-            train_rows=train_rows,
-            val_rows=val_rows,
-            test=_subset_full(full, test_rows),
-            k=full.k,
-        )
-
-    logged, hidden_full = generate_logged(spec, cfg.feedback.logging, cfg.feedback.clip)
-    train_rows, val_rows, test_rows = split_rows(logged.n, cfg.split, [data_seed, _SPLIT_TAG])
-    nuisance_seed = method_seed(cfg.base_seed, trial, "__nuisance__")
-    nuisance_cfg = replace(cfg.train, seed=nuisance_seed)
-
-    if cfg.feedback.propensity == "true":
-        e_hat = logged.true_propensity
     else:
-        e_hat = fit_propensity(
-            _subset_logged(logged, train_rows), cfg.feedback.clip, nuisance_cfg,
-            predict_x=logged.x,
-        )
-
-    if cfg.feedback.pseudo == PSEUDO_DR:
-        train_logged = _subset_logged(logged, train_rows)
-        arch = nnet.MlpArchitecture(logged.d, cfg.hidden, logged.k, nnet.HEAD_IDENTITY)
-        gamma_hat = np.empty((logged.n, logged.k))
-        if cfg.feedback.folds >= 2:
-            fold_id = make_folds(train_rows.size, cfg.feedback.folds, nuisance_seed)
-            gamma_hat[train_rows] = fit_outcome_regression(
-                train_logged, arch, nuisance_cfg, fold_id=fold_id
-            )
-            rest = np.setdiff1d(np.arange(logged.n), train_rows)
-            gamma_hat[rest] = fit_outcome_regression(
-                train_logged, arch, nuisance_cfg, predict_x=logged.x[rest]
-            )
+        logged, full = generate_logged(spec, fb.logging, fb.clip)
+    train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [data_seed, _SPLIT_TAG])
+    if fb.mode == "full":
+        table = full.y
+    else:  # the hidden full table serves only the test set
+        nuisance_cfg = replace(cfg.train, seed=method_seed(cfg.base_seed, trial, "__nuisance__"))
+        e_hat = (logged.true_propensity if fb.propensity == "true"
+                 else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
+        if fb.pseudo == PSEUDO_DR:
+            gamma_hat = fit_outcome_regression(logged, train_rows, nuisance_cfg, cfg.hidden,
+                                               fb.folds)
+            table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
         else:
-            gamma_hat[:] = fit_outcome_regression(
-                train_logged, arch, nuisance_cfg, predict_x=logged.x
-            )
-        table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
-    else:
-        table = ipw_pseudo_outcomes(logged, e_hat)
-
-    return _TrialData(
-        x=logged.x,
-        table=table,
-        train_rows=train_rows,
-        val_rows=val_rows,
-        test=_subset_full(hidden_full, test_rows),
-        k=logged.k,
-    )
+            table = ipw_pseudo_outcomes(logged, e_hat)
+    return _TrialData(full.x, table, train_rows, val_rows, _subset_full(full, test_rows))
 
 
 def fit_gbpl(x: np.ndarray, table: np.ndarray, train_rows: np.ndarray, val_rows: np.ndarray,
@@ -258,7 +215,7 @@ def fit_gbpl(x: np.ndarray, table: np.ndarray, train_rows: np.ndarray, val_rows:
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     td = _prepare_trial(cfg, trial)
-    rule = RULE_DETERMINISTIC if td.k == 2 else RULE_RANDOMIZED
+    rule = RULE_DETERMINISTIC if td.table.shape[1] == 2 else RULE_RANDOMIZED
     oracle = oracle_welfare(td.test)
     val_table = FullFeedbackDataset(td.x[td.val_rows], td.table[td.val_rows])
 
@@ -276,8 +233,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
                 selected = select_zeta_by_validation(list(fits.items()), val_table, rule)
             policy = fits[selected]
         else:
-            fit_data = FullFeedbackDataset(td.x, td.table)
-            policy = fit_baseline(m.kind, fit_data, train_cfg,
+            policy = fit_baseline(m.kind, td.x, td.table, train_cfg,
                                   td.train_rows, td.val_rows, cfg.hidden)
         welfare = test_welfare(td.test, policy, rule)
         results.append(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gbpl import baselines as bl
-from gbpl.counterfactual import LoggedDataset
 from gbpl.evaluation import oracle_welfare, test_welfare
 from gbpl.posterior import TrainConfig
 from gbpl.surrogate import FullFeedbackDataset
@@ -27,7 +26,7 @@ class TestSeparableRecovery:
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=40, patience=8, seed=1)
         for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG, bl.KIND_WEIGHTED_LOGISTIC,
                      bl.KIND_DIRECT_WELFARE):
-            policy = bl.fit_baseline(kind, data, cfg, train, val, hidden=(64, 64))
+            policy = bl.fit_baseline(kind, data.x, data.y, cfg, train, val, hidden=(64, 64))
             regret = oracle - test_welfare(test_data, policy, "deterministic")
             assert regret < 0.05, f"{kind}: regret {regret:.4f}"
 
@@ -43,8 +42,10 @@ class TestWeightedLogistic:
         unit = FullFeedbackDataset(x, y / 2.0)  # |gap| = 1 everywhere
         rows = np.arange(n)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=128, max_epochs=30, patience=30, seed=3)
-        p_w = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, data, cfg, rows[:400], rows[400:], (16,))
-        p_u = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, unit, cfg, rows[:400], rows[400:], (16,))
+        p_w = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, x, data.y, cfg, rows[:400], rows[400:],
+                              (16,))
+        p_u = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, x, unit.y, cfg, rows[:400], rows[400:],
+                              (16,))
         np.testing.assert_array_equal(p_w.decide(x), p_u.decide(x))
 
     def test_gap_ties_keep_zero_weight(self):
@@ -56,7 +57,8 @@ class TestWeightedLogistic:
         data = FullFeedbackDataset(x, y)
         rows = np.arange(n)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=5, patience=5, seed=5)
-        policy = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, data, cfg, rows[:80], rows[80:], (8,))
+        policy = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, data.x, data.y, cfg, rows[:80],
+                                 rows[80:], (8,))
         assert np.all(np.isin(policy.decide(x), (0, 1)))
 
 
@@ -70,7 +72,8 @@ class TestDirectWelfare:
         data = FullFeedbackDataset(x, base)
         rows = np.arange(n)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=128, max_epochs=40, patience=10, seed=7)
-        policy = bl.fit_baseline(bl.KIND_DIRECT_WELFARE, data, cfg, rows[:1400], rows[1400:], (32,))
+        policy = bl.fit_baseline(bl.KIND_DIRECT_WELFARE, data.x, data.y, cfg, rows[:1400],
+                                 rows[1400:], (32,))
         delta = policy.delta(x)
         assert delta[:, 2].mean() >= 0.9
 
@@ -84,7 +87,7 @@ class TestContracts:
         fresh = rng.standard_normal((50, 4)) * 10.0
         for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG, bl.KIND_WEIGHTED_LOGISTIC,
                      bl.KIND_DIRECT_WELFARE):
-            policy = bl.fit_baseline(kind, data, cfg, rows[:200], rows[200:], (8,))
+            policy = bl.fit_baseline(kind, data.x, data.y, cfg, rows[:200], rows[200:], (8,))
             delta = policy.delta(fresh)
             assert delta.shape == (50, 2)
             np.testing.assert_allclose(delta.sum(axis=1), 1.0, atol=1e-9)
@@ -96,8 +99,8 @@ class TestContracts:
         data = _separable_binary(rng, 200)
         rows = np.arange(200)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=4, patience=4, seed=11)
-        p1 = bl.fit_baseline(bl.KIND_DIFF_REG, data, cfg, rows[:150], rows[150:], (8,))
-        p2 = bl.fit_baseline(bl.KIND_DIFF_REG, data, cfg, rows[:150], rows[150:], (8,))
+        p1 = bl.fit_baseline(bl.KIND_DIFF_REG, data.x, data.y, cfg, rows[:150], rows[150:], (8,))
+        p2 = bl.fit_baseline(bl.KIND_DIFF_REG, data.x, data.y, cfg, rows[:150], rows[150:], (8,))
         assert np.array_equal(p1.params, p2.params)
 
     def test_kind_feedback_compatibility(self):
@@ -106,23 +109,4 @@ class TestContracts:
         rows = np.arange(20)
         data_k = FullFeedbackDataset(rng.standard_normal((20, 2)), rng.standard_normal((20, 3)))
         with pytest.raises(ValueError):
-            bl.fit_baseline(bl.KIND_DIFF_REG, data_k, cfg, rows[:10], rows[10:])
-        logged = LoggedDataset(
-            rng.standard_normal((20, 2)), np.ones(20, dtype=int), np.zeros(20), k=3
-        )
-        with pytest.raises(ValueError):
-            bl.fit_baseline(bl.KIND_DIRECT_WELFARE, logged, cfg, rows[:10], rows[10:])
-
-    def test_plugin_reg_k_on_logged_data(self):
-        rng = np.random.default_rng(13)
-        n, k = 400, 3
-        x = rng.standard_normal((n, 2))
-        gamma = np.column_stack([x[:, 0], -x[:, 0], np.zeros(n)])
-        cols = rng.integers(0, k, size=n)
-        logged = LoggedDataset(x, cols + 1, gamma[np.arange(n), cols], k=k)
-        rows = np.arange(n)
-        cfg = TrainConfig(learning_rate=1e-2, batch_size=128, max_epochs=60, patience=60, seed=14)
-        policy = bl.fit_baseline(bl.KIND_PLUGIN_REG_K, logged, cfg, rows[:300], rows[300:], ())
-        picked = policy.decide(x)
-        agreement = np.mean(picked == gamma.argmax(axis=1))
-        assert agreement > 0.9
+            bl.fit_baseline(bl.KIND_DIFF_REG, data_k.x, data_k.y, cfg, rows[:10], rows[10:])

@@ -224,7 +224,7 @@ class TestFitPropensity:
         rng = np.random.default_rng(5)
         for k in (2, 4):
             logged = self._uniform_logged(rng, 10_000, k)
-            e = cf.fit_propensity(logged, clip=0.01)
+            e = cf.fit_propensity(logged, np.arange(logged.n), clip=0.01)
             assert np.mean(np.abs(e - 1.0 / k)) < 0.05
 
     def test_separable_saturates_at_clip_without_overflow(self):
@@ -234,7 +234,7 @@ class TestFitPropensity:
         a = (x[:, 0] > 0).astype(int)
         logged = cf.LoggedDataset(x, a, np.zeros(n), k=2)
         clip = 0.05
-        e = cf.fit_propensity(logged, clip=clip)
+        e = cf.fit_propensity(logged, np.arange(n), clip=clip)
         assert np.all(np.isfinite(e))
         assert e.min() == pytest.approx(clip, abs=1e-9)
         assert e.max() == pytest.approx(1.0 - clip, abs=1e-9)
@@ -242,7 +242,7 @@ class TestFitPropensity:
     def test_clip_floor_contract(self):
         rng = np.random.default_rng(7)
         logged = self._uniform_logged(rng, 400, 3)
-        e = cf.fit_propensity(logged, clip=0.1)
+        e = cf.fit_propensity(logged, np.arange(logged.n), clip=0.1)
         assert e.min() >= 0.1 - 1e-12
 
     def test_unobserved_action_named_in_error(self):
@@ -250,7 +250,17 @@ class TestFitPropensity:
         x = rng.standard_normal((50, 2))
         logged = cf.LoggedDataset(x, np.full(50, 1), np.zeros(50), k=3)
         with pytest.raises(ValueError, match="action 2"):
-            cf.fit_propensity(logged)
+            cf.fit_propensity(logged, np.arange(50))
+
+    def test_action_logged_only_outside_train_rows_named(self):
+        # action 3 appears only in the last rows, which the fit may not use
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((60, 2))
+        a = np.tile([1, 2], 30)
+        a[50:] = 3
+        logged = cf.LoggedDataset(x, a, np.zeros(60), k=3)
+        with pytest.raises(ValueError, match="action 3"):
+            cf.fit_propensity(logged, np.arange(50))
 
 
 class TestPropensityColumnOrder:
@@ -260,7 +270,7 @@ class TestPropensityColumnOrder:
         n = 2000
         x = rng.standard_normal((n, 1))
         a = (rng.random(n) < np.where(x[:, 0] > 0, 0.8, 0.2)).astype(int)
-        e = cf.fit_propensity(cf.LoggedDataset(x, a, np.zeros(n), k=2), clip=0.01)
+        e = cf.fit_propensity(cf.LoggedDataset(x, a, np.zeros(n), k=2), np.arange(n), clip=0.01)
         pos = x[:, 0] > 0
         assert e[pos, 0].mean() > 0.7
         assert e[~pos, 0].mean() < 0.3
@@ -278,36 +288,39 @@ class TestFitOutcomeRegression:
         a = np.where(cols == 0, 1, 0)
         y_obs = gamma[np.arange(n), cols]
         logged = cf.LoggedDataset(x, a, y_obs, k=k)
-        arch = nnet.MlpArchitecture(d, (), k, nnet.HEAD_IDENTITY)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=256, max_epochs=200, patience=30, seed=0)
-        gamma_hat = cf.fit_outcome_regression(logged, arch, cfg)
+        gamma_hat = cf.fit_outcome_regression(logged, np.arange(n), cfg, hidden=())
         rmse = np.sqrt(np.mean((gamma_hat - gamma) ** 2, axis=0))
         assert np.all(rmse < 0.05)
 
     def test_cross_fitting_uses_out_of_fold_models(self):
-        # outcomes are constant per fold, so out-of-fold predictions must
-        # carry the other fold's constant
+        # outcomes are constant per fold of the train rows, so out-of-fold
+        # predictions must carry the other fold's constant; rows outside the
+        # train rows are predicted by the fit on every train row, which never
+        # sees their outcomes
         rng = np.random.default_rng(10)
-        n = 400
+        n, seed = 500, 1
         x = rng.standard_normal((n, 2))
-        fold_id = np.arange(n) % 2
-        y_obs = fold_id.astype(float)  # fold 0 -> 0, fold 1 -> 1
-        a = np.ones(n, dtype=int)
-        logged = cf.LoggedDataset(x, a, y_obs, k=2)
-        arch = nnet.MlpArchitecture(2, (), 2, nnet.HEAD_IDENTITY)
-        cfg = TrainConfig(learning_rate=5e-2, batch_size=128, max_epochs=100, patience=100, seed=1)
-        gamma_hat = cf.fit_outcome_regression(logged, arch, cfg, fold_id=fold_id)
-        assert np.all(np.abs(gamma_hat[fold_id == 0, 0] - 1.0) < 0.1)
-        assert np.all(np.abs(gamma_hat[fold_id == 1, 0] - 0.0) < 0.1)
+        train_rows = rng.permutation(n)[:400]
+        fold = cf.make_folds(train_rows.size, 2, seed)
+        y_obs = np.full(n, 10.0)
+        y_obs[train_rows] = fold  # fold 0 -> 0, fold 1 -> 1
+        logged = cf.LoggedDataset(x, np.ones(n, dtype=int), y_obs, k=2)
+        cfg = TrainConfig(learning_rate=5e-2, batch_size=128, max_epochs=100, patience=100,
+                          seed=seed)
+        gamma_hat = cf.fit_outcome_regression(logged, train_rows, cfg, hidden=(), folds=2)
+        assert np.all(np.abs(gamma_hat[train_rows[fold == 0], 0] - 1.0) < 0.1)
+        assert np.all(np.abs(gamma_hat[train_rows[fold == 1], 0] - 0.0) < 0.1)
+        rest = np.setdiff1d(np.arange(n), train_rows)
+        assert np.all(np.abs(gamma_hat[rest, 0] - 0.5) < 0.25)
 
     def test_single_fold_is_in_sample(self):
         rng = np.random.default_rng(11)
         n = 100
         x = rng.standard_normal((n, 2))
         logged = cf.LoggedDataset(x, np.ones(n, dtype=int), rng.standard_normal(n), k=2)
-        arch = nnet.MlpArchitecture(2, (), 2, nnet.HEAD_IDENTITY)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=5, patience=5, seed=2)
-        out = cf.fit_outcome_regression(logged, arch, cfg)
+        out = cf.fit_outcome_regression(logged, np.arange(n), cfg, hidden=())
         assert out.shape == (n, 2)
 
     def test_empty_fold_rejected(self):
@@ -316,8 +329,39 @@ class TestFitOutcomeRegression:
         logged = cf.LoggedDataset(
             rng.standard_normal((n, 2)), np.ones(n, dtype=int), np.zeros(n), k=2
         )
-        with pytest.raises(ValueError):
-            cf.fit_outcome_regression(logged, fold_id=np.zeros(n, dtype=int))
+        with pytest.raises(ValueError, match="train_rows is empty"):
+            cf.fit_outcome_regression(logged, np.arange(0))
+        with pytest.raises(ValueError, match="n_folds <= n"):
+            cf.fit_outcome_regression(logged, np.arange(1), folds=2)
+
+    @pytest.mark.parametrize("folds", [1, -1])
+    def test_one_fold_rejected(self, folds):
+        logged = cf.LoggedDataset(np.zeros((10, 2)), np.ones(10, dtype=int), np.zeros(10), k=2)
+        with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
+            cf.fit_outcome_regression(logged, np.arange(10), folds=folds)
+
+    def test_cross_fitting_fit_count_and_rows(self, monkeypatch):
+        # folds + 1 fits: one per fold on the other folds' rows, one on every
+        # train row; each trains on all but a fifth of its rows (at least one
+        # held out), the counts perfbench's optimiser_steps assumes
+        calls = []
+
+        def fake_map_train(arch, loss, gibbs, cfg, tr_rows, val_rows):
+            calls.append((tr_rows.size, val_rows.size))
+            return np.zeros(arch.param_count)
+
+        monkeypatch.setattr(cf, "map_train", fake_map_train)
+        rng = np.random.default_rng(13)
+        n, n_train, folds = 50, 37, 2
+        logged = cf.LoggedDataset(rng.standard_normal((n, 2)), np.ones(n, dtype=int),
+                                  np.zeros(n), k=2)
+        train_rows = rng.permutation(n)[:n_train]
+        cf.fit_outcome_regression(logged, train_rows, TrainConfig(seed=3), hidden=(4,),
+                                  folds=folds)
+        fit_rows = [n_train] + [n_train - (n_train + folds - 1 - j) // folds
+                                for j in range(folds)]
+        expected = [(r - max(1, r // 5), max(1, r // 5)) for r in fit_rows]
+        assert sorted(calls) == sorted(expected)
 
     def test_masked_gradient_zero_on_unobserved_columns(self):
         # column 1 is never observed, so every parameter feeding only that

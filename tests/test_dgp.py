@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -176,6 +177,16 @@ class TestSemisynthetic:
         for a in range(3):
             effects = data.y[:, a] - z
             assert np.all(np.abs(effects) < 1.0)
+
+    def test_n_must_match_the_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "thirty.csv"
+        _write_csv(p, rng.standard_normal((30, 2)), rng.standard_normal(30))
+        spec = dgp.DgpSpec(family="semisynthetic_csv", n=5, k=3, csv_path=str(p))
+        with pytest.raises(ValueError, match=r"thirty\.csv: n = 5 but the file has 30 rows"):
+            dgp.generate_full_feedback(spec)
+        data, _ = dgp.generate_full_feedback(dataclasses.replace(spec, n=30))
+        assert data.n == 30
 
 
 class TestCsvRoundtrip:

@@ -230,6 +230,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{owner} must be"):
             ex.parse_config(raw)
 
+    def test_one_fold_rejected(self):
+        with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
+            ex.FeedbackSpec(mode="logged", folds=1)
+
     def test_integral_float_for_int_accepted(self):
         raw = _smoke_config("unused")
         raw["trials"] = 3.0
@@ -386,6 +390,26 @@ class TestCli:
         assert rc == 0
         report = json.loads(metrics.read_text())
         assert report["regret"] >= -1e-12
+
+    def test_train_splits_every_row_into_train_and_validation(self, tmp_path, monkeypatch):
+        data_csv = tmp_path / "train.csv"
+        cli.main(["simulate", "--family", "binary2", "--n", "57", "--d", "3",
+                  "--out", str(data_csv)])
+        seen = {}
+        real_fit = cli.fit_gbpl
+
+        def spy(x, table, train_rows, val_rows, *rest):
+            seen["train"], seen["val"] = train_rows, val_rows
+            return real_fit(x, table, train_rows, val_rows, *rest)
+
+        monkeypatch.setattr(cli, "fit_gbpl", spy)
+        rc = cli.main(["train", "--data", str(data_csv), "--hidden", "4", "--max-epochs", "1",
+                       "--out", str(tmp_path / "model")])
+        assert rc == 0
+        train, val = seen["train"], seen["val"]
+        assert np.intersect1d(train, val).size == 0
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, val])), np.arange(57))
+        assert val.size == 57 // 5
 
     def test_evaluate_softmax_model_without_manifest(self, tmp_path, capsys):
         data, _ = generate_full_feedback(DgpSpec(family="multi1", n=40, d=4, k=3, seed=3))
