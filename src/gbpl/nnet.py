@@ -10,7 +10,10 @@ plain vector function.
 
 No function here mutates its inputs. ``forward`` and ``backward`` write into
 a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
-to one caller: each call overwrites what the last one left in it.
+to one caller: each call overwrites what the last one left in it. ``forward``
+streams more rows than its workspace holds through it in blocks of the
+workspace's row count, so an inference pass needs memory for one block, not
+for every row; a throwaway workspace has at most ``BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ HEAD_SOFTMAX = "softmax"
 HEAD_IDENTITY = "identity"
 
 _HEADS = (HEAD_TANH, HEAD_SOFTMAX, HEAD_IDENTITY)
+
+# rows per block of a forward pass without a workspace: 512 x 128 float64 is
+# 512 KB per hidden layer, and larger blocks are no faster
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -137,29 +144,41 @@ class Workspace:
     """Buffers for passes of up to ``rows`` rows; fewer rows use the leading ones.
 
     ``acts[i]`` holds layer i's output, post-head for the last layer. The flat
-    ``grad`` and the hidden-layer ``deltas`` are allocated by the first ``backward``.
+    ``grad``, its per-layer views ``grads`` and the hidden-layer ``deltas`` are
+    allocated by the first ``backward``. The per-layer views of the last float64
+    parameter array passed in are kept, keyed on that array object, so the
+    caller may update it in place between calls but must not resize it.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
+        self.rows = rows
         self.acts = [np.empty((rows, fan_out)) for _, fan_out in arch.layer_dims]
-        self.grad = self.deltas = None
+        self.grad = self.grads = self.deltas = None
+        self._params = self._layers = None
+
+    def layers(self, arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``unflatten(arch, params)``, built once per parameter array.
+
+        Other dtypes and non-contiguous arrays are copied first, so a kept
+        view always shares memory with the array it is keyed on.
+        """
+        params = np.ascontiguousarray(params, dtype=np.float64)
+        if params is not self._params:
+            self._layers = unflatten(arch, params)
+            self._params = params
+        return self._layers
 
 
-def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
-            ws: Workspace | None = None) -> np.ndarray:
-    """Evaluate the network on a batch, returning the post-head output.
-
-    With a workspace the output is a view into it, overwritten by the next call.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise ValueError(f"x has shape {x.shape}, expected (n, {arch.input_dim})")
+def _forward_block(arch: MlpArchitecture, layers, x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The post-head output for at most ``ws.rows`` rows, as a view into ``ws``."""
     n = x.shape[0]
-    ws = Workspace(arch, n) if ws is None else ws
-    layers = unflatten(arch, np.asarray(params, dtype=np.float64))
     h = x
     for li, (w, b) in enumerate(layers):
-        h = np.matmul(h, w, out=ws.acts[li][:n])
+        out = ws.acts[li][:n]
+        if w.shape[0] == 1:  # a rank-one product: the broadcast is faster than matmul
+            h = np.multiply(h, w, out=out)
+        else:
+            h = np.matmul(h, w, out=out)
         h += b
         if li < len(layers) - 1:
             np.maximum(h, 0.0, out=h)
@@ -168,6 +187,35 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     elif arch.head == HEAD_SOFTMAX:
         softmax(h, out=h)
     return h
+
+
+def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
+            ws: Workspace | None = None) -> np.ndarray:
+    """Evaluate the network on a batch, returning the post-head output.
+
+    Without a workspace, one of ``min(n, BLOCK_ROWS)`` rows is made. When ``x``
+    fits in the workspace the output is a view into it, overwritten by the next
+    call; otherwise the rows are streamed through it in blocks into a fresh
+    (n, output_dim) array. A row comes out as one pass over every row gives it,
+    up to BLAS choosing its kernel by problem size, which can move a row of a
+    narrow output layer by a few ulp.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ValueError(f"x has shape {x.shape}, expected (n, {arch.input_dim})")
+    n = x.shape[0]
+    ws = Workspace(arch, min(n, BLOCK_ROWS)) if ws is None else ws
+    layers = ws.layers(arch, params)
+    if n <= ws.rows:
+        return _forward_block(arch, layers, x, ws)
+    out = np.empty((n, arch.output_dim))
+    for start in range(0, n, ws.rows):
+        # numpy sends a single row down BLAS's vector-product path, which rounds
+        # differently, so a last lone row is computed along with the one before it
+        lo = min(start, n - 2) if ws.rows > 1 else start
+        stop = start + ws.rows
+        out[start:stop] = _forward_block(arch, layers, x[lo:stop], ws)[start - lo:]
+    return out
 
 
 def backward(
@@ -185,14 +233,17 @@ def backward(
     differences to roundoff for smooth configurations.
 
     With a workspace, the activations are the ones the preceding
-    ``forward(arch, params, x, ws)`` left there, and the result is
-    ``ws.grad``, overwritten by the next call.
+    ``forward(arch, params, x, ws)`` left there, so ``x`` must fit in it, and
+    the result is ``ws.grad``, overwritten by the next call.
     """
     x = np.asarray(x, dtype=np.float64)
-    if ws is None:
-        ws = Workspace(arch, x.shape[0])
-        forward(arch, params, x, ws)
     n = x.shape[0]
+    if ws is None:
+        ws = Workspace(arch, n)
+        forward(arch, params, x, ws)
+    elif n > ws.rows:
+        raise ValueError(f"backward needs every row's activations: x has {n} rows, "
+                         f"the workspace holds {ws.rows}")
     out = ws.acts[-1][:n]
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
     if g.shape != out.shape:
@@ -209,17 +260,21 @@ def backward(
 
     if ws.grad is None:
         ws.grad = np.empty(arch.param_count)
+        ws.grads = unflatten(arch, ws.grad)
         ws.deltas = [np.empty_like(a) for a in ws.acts[:-1]]
-    layers = unflatten(arch, np.asarray(params, dtype=np.float64))
-    grads = unflatten(arch, ws.grad)
+    layers = ws.layers(arch, params)
     for li in range(len(layers) - 1, -1, -1):
         h_in = x if li == 0 else ws.acts[li - 1][:n]
-        gw, gb = grads[li]
+        gw, gb = ws.grads[li]
         np.matmul(h_in.T, gz, out=gw)
         gz.sum(axis=0, out=gb)
         if li > 0:
             gh = ws.deltas[li - 1][:n]
-            np.matmul(gz, layers[li][0].T, out=gh)
+            w_t = layers[li][0].T
+            if gz.shape[1] == 1:  # a rank-one product: the broadcast is faster than matmul
+                np.multiply(gz, w_t, out=gh)
+            else:
+                np.matmul(gz, w_t, out=gh)
             gh *= h_in > 0.0
             gz = gh
     return ws.grad

@@ -125,6 +125,8 @@ def _rows_and_scale(loss, gibbs, rows, n_scale):
     """Covariates of ``rows`` and the data-term weight eta * n_scale / len(rows)."""
     x = loss.x if rows is None else loss.x[rows]
     m = x.shape[0]
+    if m == 0:
+        raise ValueError("rows must be nonempty")
     return x, gibbs.eta * ((n_scale if n_scale is not None else m) / m)
 
 
@@ -183,9 +185,11 @@ def map_train(
     rng = np.random.default_rng(cfg.seed)
     params = nnet.init_params(arch, rng)
     n_train = train_rows.size
+    ws = GradientWorkspace(arch, min(cfg.batch_size, n_train))
 
     def val_objective(w):
-        out = nnet.forward(arch, w, loss.x[val_rows])
+        # streamed through the training workspace; the per-row losses are averaged once
+        out = nnet.forward(arch, w, loss.x[val_rows], ws)
         return float(loss.values(out, val_rows).mean())
 
     best_params = params.copy()
@@ -198,7 +202,6 @@ def map_train(
     s1, s2 = np.empty_like(params), np.empty_like(params)
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    ws = GradientWorkspace(arch, min(cfg.batch_size, n_train))
 
     for _ in range(cfg.max_epochs):
         order = rng.permutation(n_train)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from conftest import (
     finite_diff_grad,
     max_rel_error,
     reference_backward,
+    reference_forward,
 )
 from gbpl import nnet
+from gbpl.methods import FittedPolicy
 from gbpl.losses import (
     BinarySurrogateLoss,
     FullVectorSurrogateLoss,
@@ -231,6 +235,87 @@ class TestWorkspace:
         nnet.backward(arch, params, x, g, ws)
         for before, after in zip(copies, (params, x, g)):
             assert before.tobytes() == after.tobytes()
+
+
+_STREAM_SIZES = (1, nnet.BLOCK_ROWS, nnet.BLOCK_ROWS + 1, 3 * nnet.BLOCK_ROWS - 7)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("n", _STREAM_SIZES)
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_blocked_forward_matches_one_pass_bitwise(self, head, out_dim, n):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(50), head, out_dim, n)
+        want = reference_forward(arch, params, x)[0].tobytes()
+        assert nnet.forward(arch, params, x).tobytes() == want
+        assert nnet.forward(arch, params, x, nnet.Workspace(arch, 128)).tobytes() == want
+
+    @pytest.mark.parametrize("head,out_dim", ((nnet.HEAD_SOFTMAX, 3), (nnet.HEAD_IDENTITY, 2)))
+    def test_default_width_narrow_head_within_roundoff(self, head, out_dim):
+        # BLAS may pick its kernel by problem size: OpenBLAS computes a 128 -> 2..4
+        # product of a few thousand rows with another summation order than one
+        # block's, so a row can move by a few ulp between the two
+        rng = np.random.default_rng(51)
+        arch = nnet.MlpArchitecture(10, (128, 128), out_dim, head)
+        params = nnet.init_params(arch, rng)
+        x = rng.standard_normal((4200, 10))
+        want = reference_forward(arch, params, x)[0]
+        np.testing.assert_allclose(nnet.forward(arch, params, x), want, rtol=1e-14, atol=1e-15)
+
+    def test_streamed_result_is_a_fresh_array(self):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(52), nnet.HEAD_IDENTITY, 3, 40)
+        ws = nnet.Workspace(arch, 16)
+        out = nnet.forward(arch, params, x, ws)
+        assert out.shape == (40, 3)
+        assert not any(np.shares_memory(out, a) for a in ws.acts)
+        kept = out.copy()
+        nnet.forward(arch, params, 2.0 * x, ws)
+        assert np.array_equal(out, kept)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cached_views_follow_in_place_updates(self, dtype):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(53), nnet.HEAD_TANH, 1, 40)
+        params = params.astype(dtype)
+        ws = nnet.Workspace(arch, 16)
+        before = nnet.forward(arch, params, x, ws)
+        params *= 0.5
+        after = nnet.forward(arch, params, x, ws)
+        want = reference_forward(arch, params.astype(np.float64), x)[0]
+        assert after.tobytes() == want.tobytes()
+        assert not np.array_equal(before, after)
+
+    def test_backward_rejects_more_rows_than_the_workspace(self):
+        arch, params, x, g = _net_and_batch(np.random.default_rng(54), nnet.HEAD_TANH, 1, 9)
+        ws = nnet.Workspace(arch, 8)
+        nnet.forward(arch, params, x, ws)
+        with pytest.raises(ValueError, match="9 rows.*holds 8"):
+            nnet.backward(arch, params, x, g, ws)
+
+    @pytest.mark.parametrize("head", [nnet.HEAD_TANH, nnet.HEAD_IDENTITY])
+    def test_rank_one_products_match_reference_bitwise(self, head):
+        # the first layer of a 1-input net and the input gradient below a
+        # 1-output head are broadcasts, not matrix products
+        rng = np.random.default_rng(55)
+        arch = nnet.MlpArchitecture(1, (64, 64), 1, head)
+        params = nnet.init_params(arch, rng) + 0.1 * rng.standard_normal(arch.param_count)
+        x, g = rng.standard_normal((200, 1)), rng.standard_normal((200, 1))
+        assert nnet.forward(arch, params, x).tobytes() == \
+            reference_forward(arch, params, x)[0].tobytes()
+        assert nnet.backward(arch, params, x, g).tobytes() == \
+            reference_backward(arch, params, x, g).tobytes()
+
+    def test_decide_peak_memory_bounded_by_the_block(self):
+        # one pass over 20,000 rows used to hold two 20,000 x 128 activations (41 MB)
+        rng = np.random.default_rng(56)
+        arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
+        policy = FittedPolicy(arch, nnet.init_params(arch, rng))
+        x = rng.standard_normal((20000, 10))
+        tracemalloc.start()
+        try:
+            policy.decide(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,23 @@ class TestMapTrain:
         with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
             map_train(arch, loss, gibbs, cfg, np.arange(24), np.arange(24, 32))
 
+    def test_validation_pass_peak_memory_bounded_by_the_batch(self):
+        # the validation pass used to hold two 5,000 x 128 activations (10 MB)
+        rng = np.random.default_rng(12)
+        n_train, n_val = 256, 5000
+        x = rng.standard_normal((n_train + n_val, 10))
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n_train + n_val)), 0.5)
+        arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
+        cfg = TrainConfig(batch_size=128, max_epochs=2, patience=5, seed=0)
+        rows = np.arange(n_train + n_val)
+        tracemalloc.start()
+        try:
+            map_train(arch, loss, GibbsConfig(zeta=0.5), cfg, rows[:n_train], rows[n_train:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("head", [nnet.HEAD_TANH, nnet.HEAD_SOFTMAX])
     def test_matches_allocating_reference_bitwise(self, head):
         # 70 training rows in batches of 16 leave a short last batch of 6
@@ -308,6 +327,12 @@ class TestSgld:
         draws = sgld_sample(arch, loss, gibbs, init, sgld)
         want = reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps=20)
         assert draws.draws.tobytes() == want.tobytes()
+
+    def test_empty_rows_rejected(self):
+        arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=12)
+        sgld = SgldConfig(step_size=0.005, burn_in=2, n_draws=2, thin=1, batch_size=25, seed=3)
+        with pytest.raises(ValueError, match="rows must be nonempty"):
+            sgld_sample(arch, loss, gibbs, np.array([0.0, mean]), sgld, rows=[])
 
     def test_persistence_roundtrip(self, tmp_path):
         arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=11)
