@@ -313,6 +313,8 @@ class PosteriorVizConfig:
         _check_split(self.split)
         if not 0.0 < self.level < 1.0 or self.grid_points < 1:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
+        if not np.isfinite(self.eval_points).all():
+            raise ValueError(f"eval_points must be finite, got {self.eval_points}")
 
 
 def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
@@ -334,32 +336,28 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     train_cfg = replace(cfg.train, seed=cfg.seed)
     map_params = map_train(arch, loss, gibbs, train_cfg, train_rows, val_rows)
 
-    sgld_cfg = replace(cfg.sgld, seed=cfg.seed)
-    draws = sgld_sample(arch, loss, gibbs, map_params, sgld_cfg, rows=train_rows)
-
     grid = np.linspace(-2.5, 2.5, cfg.grid_points)
-    fs = np.stack(
-        [nnet.forward(arch, w, grid[:, None])[:, 0] for w in draws.draws]
-    )  # (S, grid)
+    pts = np.asarray(cfg.eval_points, dtype=np.float64)
+
+    def summary(w):  # grid scores, test welfare via this module's traced binding, point scores
+        return np.concatenate([nnet.forward(arch, w, grid[:, None])[:, 0],
+                               [test_welfare(test, FittedPolicy(arch, w), RULE_DETERMINISTIC)],
+                               nnet.forward(arch, w, pts[:, None])[:, 0]])
+
+    sgld_cfg = replace(cfg.sgld, seed=cfg.seed)
+    stats = sgld_sample(arch, loss, gibbs, map_params, sgld_cfg, rows=train_rows, summary=summary)
+    fs, per_draw, fpts = stats[:, :grid.size], stats[:, grid.size], stats[:, grid.size + 1:]
+
     alpha = (1.0 - cfg.level) / 2.0
     lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0)
     target = np.clip(1.2 * np.sin(grid) / cfg.zeta, -1.0, 1.0)
     write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
                 ((grid[j], fs[:, j].mean(), lo[j], hi[j], target[j]) for j in range(grid.size)))
 
-    # one pass over the draws through this module's test_welfare binding, which
-    # perfbench traces as the run's evaluation layer; it equals
-    # evaluation.draw_welfare(draws, test, RULE_DETERMINISTIC)
-    per_draw = [test_welfare(test, FittedPolicy(arch, w), RULE_DETERMINISTIC) for w in draws.draws]
     mean_w, lo_w, hi_w = welfare_credible_interval(per_draw, cfg.level)
     write_table(out / "welfare_draws.csv", ["draw", "welfare"], enumerate(per_draw))
     write_table(out / "welfare_interval.csv", ["mean", "lo", "hi", "level"],
                 [(mean_w, lo_w, hi_w, cfg.level)])
-
-    pts = np.asarray(cfg.eval_points, dtype=np.float64)
-    fpts = np.stack(
-        [nnet.forward(arch, w, pts[:, None])[:, 0] for w in draws.draws]
-    )  # (S, len(pts))
     write_table(out / "score_draws_at_points.csv", ["x0", "draw", "f"],
                 ((x0, s, fpts[s, j]) for j, x0 in enumerate(pts) for s in range(fpts.shape[0])))
 

@@ -13,8 +13,8 @@ The MAP objective throughout is
 
 with minibatch gradients rescaled by n_train / batch so every step targets the
 full-sample objective; ``objective_gradient`` forms that gradient for Adam, SGLD
-and the Laplace curvature alike. Training and sampling are single-threaded per
-run and deterministic given their seeds; distinct seeds may run concurrently.
+and the Laplace curvature alike. A run uses one Python thread, but numpy's BLAS may
+use several per matrix product; runs are deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -281,13 +281,16 @@ def sgld_sample(
     init: np.ndarray,
     sgld: SgldConfig,
     rows: np.ndarray | None = None,
-) -> PosteriorDraws:
+    summary=None,
+) -> PosteriorDraws | np.ndarray:
     """Constant-step SGLD on the MAP objective.
 
     Each iteration takes half a gradient step on the full-sample-scaled
     objective (gradient clipped at ``clip_norm`` in global norm) and injects
     N(0, step) noise. The first ``burn_in`` iterates are discarded, then every
-    ``thin``-th iterate is recorded until ``n_draws`` draws are collected.
+    ``thin``-th iterate is recorded until ``n_draws`` draws are collected: as
+    ``PosteriorDraws``, or as the (n_draws, m) matrix of ``summary(w)`` rows if a
+    ``summary`` is given (it must not keep or modify w).
     """
     rng = np.random.default_rng(sgld.seed)
     rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -297,8 +300,7 @@ def sgld_sample(
     noise = np.empty_like(w)
     ws = GradientWorkspace(arch, b)
 
-    draws = np.empty((sgld.n_draws, w.size))
-    collected = 0
+    kept = None  # (n_draws, P) or (n_draws, m), sized by the first recorded row
     total = sgld.burn_in + sgld.n_draws * sgld.thin
     for t in range(1, total + 1):
         batch = rows[rng.choice(n, size=b, replace=False)]
@@ -315,11 +317,11 @@ def sgld_sample(
         if not np.all(np.isfinite(w)):
             raise FloatingPointError("non-finite parameter during sampling")
         if t > sgld.burn_in and (t - sgld.burn_in) % sgld.thin == 0:
-            draws[collected] = w
-            collected += 1
-            if collected == sgld.n_draws:
-                break
-    return PosteriorDraws(arch=arch, draws=draws, meta=sgld)
+            row = w if summary is None else summary(w)
+            if kept is None:
+                kept = np.empty((sgld.n_draws, row.size))
+            kept[(t - sgld.burn_in) // sgld.thin - 1] = row
+    return PosteriorDraws(arch=arch, draws=kept, meta=sgld) if summary is None else kept
 
 
 def save_draws(directory: str | Path, posterior: PosteriorDraws) -> None:

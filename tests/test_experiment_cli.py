@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,10 +243,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "change",
         [{"split": (0.5, 0.5)}, {"split": (0.7, 0.2, 0.2)}, {"level": 1.5}, {"level": 0.0},
-         {"grid_points": 0}],
+         {"grid_points": 0}, {"eval_points": (float("nan"), 1.0)}],
     )
     def test_viz_config_checked_when_built(self, change):
-        with pytest.raises(ValueError, match="split|level"):
+        with pytest.raises(ValueError, match="split|level|eval_points"):
             ex.PosteriorVizConfig(output_dir="unused", **change)
 
 
@@ -306,6 +307,26 @@ class TestPosteriorViz:
         manifest = json.loads((viz_dir / "manifest.json").read_text())
         assert manifest["n"] == 300
         assert manifest["sgld"]["n_draws"] == 25
+
+
+class TestPosteriorVizMemory:
+    def test_peak_stays_below_half_the_draw_matrix(self, tmp_path):
+        # the default (64, 64) net with 300 draws: an (S, P) draw matrix alone is 300 x 4,353
+        # float64 = 9.96 MB; the run keeps only each draw's grid, welfare and point summaries
+        cfg = ex.PosteriorVizConfig(
+            output_dir=str(tmp_path / "v"),
+            train=TrainConfig(max_epochs=2, patience=2, weight_decay=1e-4),
+            sgld=SgldConfig(burn_in=0, n_draws=300, thin=1),
+        )
+        draw_matrix = cfg.sgld.n_draws * nnet.MlpArchitecture(1, cfg.hidden, 1).param_count * 8
+        assert draw_matrix == 300 * 4353 * 8
+        tracemalloc.start()
+        try:
+            ex.run_posterior_viz(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < draw_matrix / 2
 
 
 class TestPosteriorVizReferenceScale:

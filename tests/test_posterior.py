@@ -328,6 +328,26 @@ class TestSgld:
         want = reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps=20)
         assert draws.draws.tobytes() == want.tobytes()
 
+    def test_summary_rows_equal_the_summary_of_each_draw(self):
+        rng = np.random.default_rng(15)
+        n = 60
+        x = rng.standard_normal((n, 3))
+        arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.3)
+        gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
+        init = nnet.init_params(arch, rng)
+        sgld = SgldConfig(step_size=1e-3, burn_in=7, n_draws=9, thin=3, batch_size=16, seed=6)
+        pts = rng.standard_normal((4, 3))
+
+        def summary(w):
+            return np.concatenate([nnet.forward(arch, w, pts)[:, 0], [w @ w]])
+
+        draws = sgld_sample(arch, loss, gibbs, init, sgld)
+        stats = sgld_sample(arch, loss, gibbs, init, sgld, summary=summary)
+        assert stats.shape == (sgld.n_draws, pts.shape[0] + 1)
+        want = np.stack([summary(w) for w in draws.draws])
+        assert stats.tobytes() == want.tobytes()
+
     def test_empty_rows_rejected(self):
         arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=12)
         sgld = SgldConfig(step_size=0.005, burn_in=2, n_draws=2, thin=1, batch_size=25, seed=3)
