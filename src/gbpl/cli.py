@@ -6,7 +6,9 @@ a CSV), ``experiment`` (the full benchmark harness from a JSON config),
 ``posterior-viz`` (the one-dimensional uncertainty run), and ``paccheck``
 (the PAC-Bayes bound calculator). Every run that writes files also writes a
 ``manifest.json`` echoing the resolved configuration. Config flags are the
-fields of the config dataclasses in kebab-case (``configio.add_flags``).
+fields of the config dataclasses in kebab-case (``configio.add_flags``). Every
+config is decoded before any data file is read, and one that fails to decode
+is a usage error (exit 2) naming the field.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,8 +57,19 @@ from gbpl.methods import FittedPolicy
 from gbpl.posterior import GibbsConfig, TrainConfig
 
 
+@contextmanager
+def _usage_errors(args):
+    """Report a ``ValueError`` raised while decoding a config as a usage error
+    of the subcommand; only config decoding belongs inside."""
+    try:
+        yield
+    except ValueError as err:
+        args.usage_error(str(err))
+
+
 def _cmd_simulate(args) -> int:
-    spec = from_args(DgpSpec, args)
+    with _usage_errors(args):
+        spec = from_args(DgpSpec, args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.logged:
@@ -76,17 +90,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    with _usage_errors(args):
+        gibbs = from_args(GibbsConfig, args)
+        cfg = from_args(TrainConfig, args)
     data = read_full_feedback_csv(args.data)
-    cfg = from_args(TrainConfig, args)
     train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
-    policy = fit_gbpl(data.x, data.y, train_rows, val_rows, args.zeta, args.eta, args.tau2,
+    policy = fit_gbpl(data.x, data.y, train_rows, val_rows, gibbs.zeta, gibbs.eta, gibbs.tau2,
                       cfg, tuple(args.hidden))
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
     write_json(
         out / "manifest.json",
         {"command": "train", "data": str(args.data),
-         "gibbs": {"zeta": args.zeta, "eta": args.eta, "tau2": args.tau2},
+         "gibbs": {"zeta": gibbs.zeta, "eta": gibbs.eta, "tau2": gibbs.tau2},
          "train": to_dict(cfg), "hidden": args.hidden},
     )
     print(f"saved model to {out}")
@@ -115,21 +131,26 @@ def _cmd_experiment(args) -> int:
         raw["output_dir"] = args.out
     if args.jobs is not None:
         raw["jobs"] = args.jobs
-    out = run_experiment(parse_config(raw))
+    with _usage_errors(args):
+        cfg = parse_config(raw)
+    out = run_experiment(cfg)
     print(f"results in {out}")
     return 0
 
 
 def _cmd_posterior_viz(args) -> int:
-    out = run_posterior_viz(from_args(PosteriorVizConfig, args, output_dir=args.out))
+    with _usage_errors(args):
+        cfg = from_args(PosteriorVizConfig, args, output_dir=args.out)
+    out = run_posterior_viz(cfg)
     print(f"results in {out}")
     return 0
 
 
 def _cmd_paccheck(args) -> int:
     lam = args.lam if args.lam is not None else 0.5 / args.b
-    inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
-                            delta=args.delta, v=args.v, b=args.b, lam=lam)
+    with _usage_errors(args):
+        inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
+                                delta=args.delta, v=args.v, b=args.b, lam=lam)
     lam_star = pac_bayes_lambda_star(inputs)
     at_star = replace(inputs, lam=lam_star)
     report = {
@@ -155,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar", default=None,
                    help="where to store the hidden full table (logged mode, evaluation only)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("train", help="fit a surrogate score/policy on a full-feedback CSV")
     p.add_argument("--data", required=True)
@@ -163,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(p, TrainConfig)
     p.add_argument("--hidden", type=int, nargs="*", default=[128, 128])
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, usage_error=p.error)
 
     p = sub.add_parser("evaluate", help="score a saved model on a full-feedback CSV")
     p.add_argument("--data", required=True)
@@ -171,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=[RULE_DETERMINISTIC, RULE_RANDOMIZED],
                    default=RULE_DETERMINISTIC)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, usage_error=p.error)
 
     p = sub.add_parser("experiment", help="run the benchmark harness from a JSON config")
     p.add_argument("--config", help="path to the JSON config")
@@ -179,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel trials (overrides the config's jobs)")
     p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, usage_error=p.error)
 
     p = sub.add_parser("posterior-viz", help="one-dimensional posterior uncertainty run")
     p.add_argument("--out", required=True)
     add_flags(p, PosteriorVizConfig, skip=("output_dir",))
-    p.set_defaults(func=_cmd_posterior_viz)
+    p.set_defaults(func=_cmd_posterior_viz, usage_error=p.error)
 
     p = sub.add_parser("paccheck", help="evaluate the PAC-Bayes risk bound")
     p.add_argument("--risk", type=float, required=True, help="posterior mean empirical risk")
@@ -194,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--lam", type=float, default=None, help="defaults to 0.5/b")
-    p.set_defaults(func=_cmd_paccheck)
+    p.set_defaults(func=_cmd_paccheck, usage_error=p.error)
 
     return parser
 

@@ -145,38 +145,6 @@ def dr_pseudo_outcomes(
     return out
 
 
-def pseudo_difference_binary(
-    logged: LoggedDataset,
-    e_hat: np.ndarray,
-    gamma_hat: np.ndarray | None = None,
-    kind: str = PSEUDO_IPW,
-) -> np.ndarray:
-    """Per-row pseudo outcome difference for binary problems.
-
-    IPW: 1[A=1] Y / e1 - 1[A=0] Y / e0. DR adds the regression difference and
-    the residual corrections. Equals column 0 minus column 1 of the matching
-    pseudo-outcome matrix.
-    """
-    if logged.k != 2:
-        raise ValueError("pseudo differences are for binary problems")
-    e_hat = _check_propensities(e_hat, logged.n, 2)
-    treated = logged.a == 1
-    e1, e0 = e_hat[:, 0], e_hat[:, 1]
-    if kind == PSEUDO_IPW:
-        return np.where(treated, logged.y_obs / e1, 0.0) - np.where(
-            ~treated, logged.y_obs / e0, 0.0
-        )
-    if kind == PSEUDO_DR:
-        if gamma_hat is None:
-            raise ValueError("DR pseudo differences need gamma_hat")
-        gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
-        g1, g0 = gamma_hat[:, 0], gamma_hat[:, 1]
-        corr1 = np.where(treated, (logged.y_obs - g1) / e1, 0.0)
-        corr0 = np.where(~treated, (logged.y_obs - g0) / e0, 0.0)
-        return (g1 - g0) + corr1 - corr0
-    raise ValueError(f"unknown pseudo-outcome kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # nuisance estimation
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbpl import nnet
 from gbpl.methods import FittedPolicy
 from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
 
@@ -82,21 +81,8 @@ def select_zeta_by_validation(
 # posterior welfare
 
 
-def draw_welfare(posterior, test: FullFeedbackDataset, rule: str = RULE_DETERMINISTIC):
-    """Test welfare of every draw of a ``posterior.PosteriorDraws``, in draw order.
-
-    Each draw acts as a :class:`FittedPolicy`: a tanh head as a bounded binary
-    score, a softmax head as a simplex policy. An identity head is a
-    regression, not a policy, and is rejected.
-    """
-    if posterior.arch.head == nnet.HEAD_IDENTITY:
-        raise ValueError("posterior welfare needs a tanh or softmax head")
-    return np.array([test_welfare(test, FittedPolicy(posterior.arch, w), rule)
-                     for w in posterior.draws])
-
-
 def welfare_credible_interval(values, level: float = 0.95) -> tuple[float, float, float]:
-    """(mean, lower, upper) of per-draw welfare values such as ``draw_welfare``'s.
+    """(mean, lower, upper) of per-draw welfare values, one ``test_welfare`` per draw.
 
     The interval edges are the (1-level)/2 and 1-(1-level)/2 empirical
     quantiles with linear interpolation, so lower <= upper always. The values

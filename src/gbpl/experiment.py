@@ -56,7 +56,12 @@ from gbpl.posterior import (
     sgld_sample,
 )
 from gbpl.losses import BinarySurrogateLoss
-from gbpl.surrogate import KIND_BINARY, KIND_FULL_VECTOR, FullFeedbackDataset
+from gbpl.surrogate import (
+    KIND_BINARY,
+    KIND_FULL_VECTOR,
+    FullFeedbackDataset,
+    population_score_binary,
+)
 
 KIND_GBPL = "gbpl"
 DEFAULT_ZETA_GRID = (1.0, 0.1, 0.01, 0.001)
@@ -137,6 +142,8 @@ class ExperimentConfig:
         _check_split(self.split)
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def _check_split(split) -> None:
@@ -350,7 +357,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
 
     alpha = (1.0 - cfg.level) / 2.0
     lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0)
-    target = np.clip(1.2 * np.sin(grid) / cfg.zeta, -1.0, 1.0)
+    target = population_score_binary(1.2 * np.sin(grid) / cfg.zeta)
     write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
                 ((grid[j], fs[:, j].mean(), lo[j], hi[j], target[j]) for j in range(grid.size)))
 

@@ -2,19 +2,18 @@
 
 Exact posteriors on finite parameter sets, the variational objective they
 uniquely minimize, MAP training of the MLP under a Gaussian prior by Adam,
-constant-step SGLD sampling, persistence of the draws, and a diagonal
-curvature approximation around the MAP. Welfare credible intervals over the
-draws live in ``evaluation`` (``draw_welfare`` and
-``welfare_credible_interval``).
+constant-step SGLD sampling, and persistence of the draws. Welfare credible
+intervals over per-draw welfare live in ``evaluation``
+(``welfare_credible_interval``).
 
 The MAP objective throughout is
 
     eta * sum_i loss_i(w) + ||w||^2 / (2 * tau2)
 
 with minibatch gradients rescaled by n_train / batch so every step targets the
-full-sample objective; ``objective_gradient`` forms that gradient for Adam, SGLD
-and the Laplace curvature alike. A run uses one Python thread, but numpy's BLAS may
-use several per matrix product; runs are deterministic given their seeds.
+full-sample objective; ``objective_gradient`` forms that gradient for Adam and
+SGLD alike. A run uses one Python thread, but numpy's BLAS may use several per
+matrix product; runs are deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ import numpy as np
 from gbpl import nnet
 from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.surrogate import GibbsConfig
-
-# diag_laplace: clamp for variances, stationarity bound on the gradient, central-difference step
-VARIANCE_FLOOR = 1e-8
-STATIONARITY_TOL = 1e-3
-FD_STEP = 1e-4
 
 # maximum likelihood: a prior this wide leaves the data term alone
 FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
@@ -116,48 +110,27 @@ def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
     return total
 
 
-def _prior_value(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float) -> float:
-    sq = float(params @ params)
-    return sq / (2.0 * gibbs.tau2) + 0.5 * weight_decay * sq
+def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_decay=0.0):
+    """Gradient of the MAP objective restricted to ``rows``, formed in ``ws``.
 
-
-def _rows_and_scale(loss, gibbs, rows, n_scale):
-    """Covariates of ``rows`` and the data-term weight eta * n_scale / len(rows)."""
-    x = loss.x if rows is None else loss.x[rows]
+    ``n_scale`` rescales the data term to a target sample size (minibatch
+    steps pass the training-set size). A non-finite loss on ``rows`` or a
+    non-finite gradient raises ``FloatingPointError``. The returned array is
+    the ``GradientWorkspace``'s ``ws.grad``, which the next call overwrites.
+    """
+    x = loss.x[rows]
     m = x.shape[0]
     if m == 0:
         raise ValueError("rows must be nonempty")
-    return x, gibbs.eta * ((n_scale if n_scale is not None else m) / m)
-
-
-def objective_gradient(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0,
-                       ws=None):
-    """Gradient of the MAP objective restricted to ``rows``.
-
-    ``n_scale`` rescales the data term to a target sample size (minibatch
-    steps pass the training-set size); defaults to len(rows). A non-finite
-    loss on ``rows`` or a non-finite gradient raises ``FloatingPointError``.
-    With a ``GradientWorkspace`` the returned array is its ``ws.grad``, which
-    the next call overwrites.
-    """
-    x, scale = _rows_and_scale(loss, gibbs, rows, n_scale)
-    ws = GradientWorkspace(arch, x.shape[0]) if ws is None else ws
     out = nnet.forward(arch, params, x, ws)
     if not np.isfinite(loss.values(out, rows)).all():
         raise FloatingPointError("non-finite training loss; reduce the step size")
     grad = nnet.backward(arch, params, x, loss.output_grad(out, rows), ws)
-    grad *= scale
+    grad *= gibbs.eta * (n_scale / m)
     grad += _prior_grad(params, gibbs, weight_decay, ws.prior)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite objective gradient; reduce the step size")
     return grad
-
-
-def map_objective(arch, params, loss, gibbs, rows=None, n_scale=None, weight_decay=0.0) -> float:
-    """Value of the MAP objective restricted to ``rows`` (see objective_gradient)."""
-    x, scale = _rows_and_scale(loss, gibbs, rows, n_scale)
-    vals = loss.values(nnet.forward(arch, params, x), rows)
-    return float(scale * vals.sum() + _prior_value(params, gibbs, weight_decay))
 
 
 def map_train(
@@ -207,7 +180,7 @@ def map_train(
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             rows = train_rows[order[start : start + cfg.batch_size]]
-            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, cfg.weight_decay, ws)
+            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, ws, cfg.weight_decay)
             t += 1
             m *= beta1
             m += np.multiply(1.0 - beta1, grad, out=s1)
@@ -304,7 +277,7 @@ def sgld_sample(
     total = sgld.burn_in + sgld.n_draws * sgld.thin
     for t in range(1, total + 1):
         batch = rows[rng.choice(n, size=b, replace=False)]
-        grad = objective_gradient(arch, w, loss, gibbs, batch, n_scale=n, ws=ws)
+        grad = objective_gradient(arch, w, loss, gibbs, batch, n, ws)
         norm = float(np.sqrt(grad @ grad))
         if norm > sgld.clip_norm:
             grad *= sgld.clip_norm / norm
@@ -344,57 +317,3 @@ def load_draws(directory: str | Path) -> PosteriorDraws:
         raise ValueError("draw blob length does not match the manifest")
     return PosteriorDraws(arch=arch, draws=draws.reshape(manifest["n_draws"], -1),
                           meta=from_dict(SgldConfig, manifest["sampler_meta"]))
-
-
-# ---------------------------------------------------------------------------
-# diagonal Gaussian approximation
-
-
-@dataclass(frozen=True)
-class DiagLaplaceResult:
-    variances: np.ndarray
-    negative_curvature: np.ndarray  # bool mask of clamped coordinates
-
-    @property
-    def any_clamped(self) -> bool:
-        return bool(self.negative_curvature.any())
-
-
-def diag_laplace(
-    arch: nnet.MlpArchitecture,
-    loss,
-    gibbs: GibbsConfig,
-    map_point: np.ndarray,
-    rows: np.ndarray | None = None,
-) -> DiagLaplaceResult:
-    """Per-coordinate posterior variances 1 / H_jj around a stationary point.
-
-    H_jj is estimated by central finite differences of the full objective
-    gradient. Coordinates with non-positive curvature are clamped to
-    ``VARIANCE_FLOOR`` and flagged. Requires the gradient max-norm at
-    ``map_point`` to be below ``STATIONARITY_TOL``. Cost is two gradient
-    evaluations per parameter, so this is meant for small networks.
-    """
-    w = np.array(map_point, dtype=np.float64)
-    g0 = objective_gradient(arch, w, loss, gibbs, rows)
-    if float(np.abs(g0).max()) >= STATIONARITY_TOL:
-        raise ValueError(
-            f"map_point is not stationary (gradient max-norm {np.abs(g0).max():.3e} "
-            f">= {STATIONARITY_TOL})"
-        )
-    p = w.size
-    variances = np.empty(p)
-    flagged = np.zeros(p, dtype=bool)
-    for j in range(p):
-        w[j] += FD_STEP
-        gp = objective_gradient(arch, w, loss, gibbs, rows)[j]
-        w[j] -= 2.0 * FD_STEP
-        gm = objective_gradient(arch, w, loss, gibbs, rows)[j]
-        w[j] += FD_STEP
-        h = (gp - gm) / (2.0 * FD_STEP)
-        if h <= 0 or 1.0 / h < VARIANCE_FLOOR:
-            variances[j] = VARIANCE_FLOOR
-            flagged[j] = h <= 0
-        else:
-            variances[j] = 1.0 / h
-    return DiagLaplaceResult(variances=variances, negative_curvature=flagged)

@@ -355,54 +355,3 @@ def project_simplex_rows(v: np.ndarray) -> np.ndarray:
 def population_score_binary(m_over_zeta: float | np.ndarray):
     """Pointwise minimizer of the population binary surrogate: clip to [-1, 1]."""
     return np.clip(m_over_zeta, -1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# shift invariance
-
-
-@dataclass(frozen=True)
-class ShiftInvarianceReport:
-    """Effect of an action-common covariate shift on the full-vector objectives."""
-
-    welfare_shift_error: float  # |welfare(shifted) - welfare - mean(c)|, max over policies
-    max_pairwise_surrogate_change: float
-    ranking_unchanged: bool
-
-
-def shift_invariance_check(
-    data: FullFeedbackDataset, deltas, c: np.ndarray, zeta: float
-) -> ShiftInvarianceReport:
-    """Verify that adding a per-unit constant across actions is inert.
-
-    Under y_{i,a} -> y_{i,a} + c_i the empirical welfare of every policy moves
-    by exactly mean(c), and pairwise differences of the mean full-vector
-    surrogate are unchanged, so rankings over the grid are preserved.
-    """
-    deltas = [np.asarray(p, dtype=np.float64) for p in deltas]
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (data.n,):
-        raise ValueError("shift must have one entry per row")
-    shifted = FullFeedbackDataset(data.x, data.y + c[:, None])
-    mean_c = float(c.mean())
-
-    welfare_err = 0.0
-    base = np.empty(len(deltas))
-    moved = np.empty(len(deltas))
-    for j, delta in enumerate(deltas):
-        _check_simplex(delta)
-        w0 = empirical_welfare(data, delta)
-        w1 = empirical_welfare(shifted, delta)
-        welfare_err = max(welfare_err, abs(w1 - w0 - mean_c))
-        base[j] = float(np.mean(fullvector_loss(zeta, data.y, delta)))
-        moved[j] = float(np.mean(fullvector_loss(zeta, shifted.y, delta)))
-    d0 = base[:, None] - base[None, :]
-    d1 = moved[:, None] - moved[None, :]
-    max_change = float(np.abs(d1 - d0).max()) if deltas else 0.0
-    ranking_unchanged = bool(np.array_equal(np.argsort(base, kind="stable"),
-                                            np.argsort(moved, kind="stable")))
-    return ShiftInvarianceReport(
-        welfare_shift_error=welfare_err,
-        max_pairwise_surrogate_change=max_change,
-        ranking_unchanged=ranking_unchanged,
-    )

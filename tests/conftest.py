@@ -120,6 +120,32 @@ def reference_objective_gradient(arch, params, loss, gibbs, rows, n_scale, weigh
     return grad + (params / gibbs.tau2 + weight_decay * params)
 
 
+def reference_map_objective(arch, params, loss, gibbs, rows, n_scale, weight_decay=0.0):
+    """The MAP objective whose gradient ``reference_objective_gradient`` forms."""
+    x = loss.x[rows]
+    scale = gibbs.eta * (n_scale / x.shape[0])
+    sq = float(params @ params)
+    data = float(loss.values(reference_forward(arch, params, x)[0], rows).sum())
+    return scale * data + sq / (2.0 * gibbs.tau2) + 0.5 * weight_decay * sq
+
+
+def reference_diag_hessian(arch, params, loss, gibbs, h=1e-4):
+    """Diagonal of the full-sample MAP objective's Hessian by central differences
+    of ``reference_objective_gradient``: 2P gradient passes, the oracle for any
+    exact curvature (a diagonal GGN or a Laplace approximation)."""
+    rows = np.arange(loss.n)
+    w = np.array(params, dtype=np.float64)
+    diag = np.empty(w.size)
+    for j in range(w.size):
+        w[j] += h
+        up = reference_objective_gradient(arch, w, loss, gibbs, rows, loss.n)[j]
+        w[j] -= 2.0 * h
+        down = reference_objective_gradient(arch, w, loss, gibbs, rows, loss.n)[j]
+        w[j] += h
+        diag[j] = (up - down) / (2.0 * h)
+    return diag
+
+
 def reference_map_train(arch, loss, gibbs, cfg, train_rows, val_rows):
     """map_train's Adam loop with early stopping, one fresh array per operation."""
     rng = np.random.default_rng(cfg.seed)
@@ -170,3 +196,18 @@ def reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps):
         w = w - 0.5 * sgld.step_size * grad + np.sqrt(sgld.step_size) * rng.standard_normal(w.size)
         iterates.append(w)
     return np.array(iterates)
+
+
+def reference_pseudo_difference_binary(logged, e_hat, gamma_hat=None):
+    """Per-row binary pseudo-outcome difference, written arm by arm: IPW is
+    1[A=1] Y / e1 - 1[A=0] Y / e0; DR (with ``gamma_hat``) adds the regression
+    difference to the residual corrections."""
+    treated = logged.a == 1
+    e1, e0 = e_hat[:, 0], e_hat[:, 1]
+    if gamma_hat is None:
+        return (np.where(treated, logged.y_obs / e1, 0.0)
+                - np.where(~treated, logged.y_obs / e0, 0.0))
+    g1, g0 = gamma_hat[:, 0], gamma_hat[:, 1]
+    corr1 = np.where(treated, (logged.y_obs - g1) / e1, 0.0)
+    corr0 = np.where(~treated, (logged.y_obs - g0) / e0, 0.0)
+    return (g1 - g0) + corr1 - corr0

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import analytic_grad, finite_diff_grad, max_rel_error, total_loss
+from conftest import (
+    analytic_grad,
+    finite_diff_grad,
+    max_rel_error,
+    reference_pseudo_difference_binary,
+    total_loss,
+)
 from gbpl import counterfactual as cf
 from gbpl import nnet
 from gbpl.losses import MaskedRegressionLoss
@@ -138,18 +144,16 @@ class TestPseudoDifference:
         e = np.column_stack([e1, 1.0 - e1])
         gamma = rng.standard_normal((n, 2))
         logged = cf.LoggedDataset(rng.standard_normal((n, 2)), a, y, k=2)
-        for kind, g in (("ipw", None), ("dr", gamma)):
-            diff = cf.pseudo_difference_binary(logged, e, g, kind=kind)
-            if kind == "ipw":
-                mat = cf.ipw_pseudo_outcomes(logged, e)
-            else:
-                mat = cf.dr_pseudo_outcomes(logged, e, gamma)
-            np.testing.assert_allclose(diff, mat[:, 0] - mat[:, 1], rtol=0, atol=1e-12)
+        for g, mat in ((None, cf.ipw_pseudo_outcomes(logged, e)),
+                       (gamma, cf.dr_pseudo_outcomes(logged, e, gamma))):
+            diff = reference_pseudo_difference_binary(logged, e, g)
+            np.testing.assert_allclose(mat[:, 0] - mat[:, 1], diff, rtol=0, atol=1e-12)
 
     def test_hand_ipw_value(self):
         logged = cf.LoggedDataset(np.zeros((1, 1)), np.array([1]), np.array([2.0]), k=2)
         e = np.array([[0.5, 0.5]])
-        assert cf.pseudo_difference_binary(logged, e, kind="ipw")[0] == 4.0
+        mat = cf.ipw_pseudo_outcomes(logged, e)
+        assert mat[0, 0] - mat[0, 1] == 4.0
 
     def test_dr_exact_nuisances_noiseless(self):
         rng = np.random.default_rng(4)
@@ -161,8 +165,8 @@ class TestPseudoDifference:
         e1 = rng.uniform(0.3, 0.7, size=n)
         e = np.column_stack([e1, 1.0 - e1])
         logged = cf.LoggedDataset(np.zeros((n, 1)), a, y, k=2)
-        got = cf.pseudo_difference_binary(logged, e, gamma, kind="dr")
-        np.testing.assert_allclose(got, gamma[:, 0] - gamma[:, 1], atol=1e-12)
+        mat = cf.dr_pseudo_outcomes(logged, e, gamma)
+        np.testing.assert_allclose(mat[:, 0] - mat[:, 1], gamma[:, 0] - gamma[:, 1], atol=1e-12)
 
 
 class TestClipPropensities:
@@ -448,7 +452,7 @@ class TestBinaryObjectiveWithPseudoDifferences:
             report = verify_equivalence_binary(pseudo_data, grid, zeta)
             assert report.equal
             assert report.max_affine_error < 1e-10
-        diff = cf.pseudo_difference_binary(logged, e, kind="ipw")
+        diff = reference_pseudo_difference_binary(logged, e)
         np.testing.assert_allclose(pseudo_data.outcome_diff(), diff, atol=1e-12)
 
 

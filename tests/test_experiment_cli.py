@@ -235,6 +235,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             ex.FeedbackSpec(mode="logged", folds=1)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_rejected(self, jobs):
+        raw = _smoke_config("unused")
+        raw["jobs"] = jobs
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ex.parse_config(raw)
+
     def test_integral_float_for_int_accepted(self):
         raw = _smoke_config("unused")
         raw["trials"] = 3.0
@@ -566,11 +573,40 @@ class TestGeneratedCli:
         assert manifest["seed"] == manifest["train"]["seed"] == manifest["sgld"]["seed"] == 3
         assert manifest["hidden"] == [4]
 
-    def test_flags_decode_like_json(self, tmp_path):
+    def test_flags_decode_like_json(self, tmp_path, capsys):
         out = tmp_path / "viz"
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["posterior-viz", "--out", str(out), "--level", "1.5"])
+        assert exit_info.value.code == 2
+        assert "level" in capsys.readouterr().err
         assert not out.exists()  # rejected before any fitting
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["posterior-viz", "--out", "{out}", "--level", "1.5"], "level"),
+            (["simulate", "--family", "binary1", "--n", "0", "--out", "{out}"], "n must"),
+            # a missing --data file shows that the flags are decoded before it is read
+            (["train", "--data", "{missing}", "--zeta", "-1", "--out", "{out}"], "zeta"),
+            (["train", "--data", "{missing}", "--learning-rate", "0", "--out", "{out}"],
+             "learning_rate"),
+            (["experiment", "--config", "{config}"], "jobs"),
+            (["paccheck", "--risk", "0.5", "--kl", "-1", "--n", "10", "--delta", "0.05",
+              "--v", "1", "--b", "1"], "kl"),
+        ],
+        ids=["posterior-viz", "simulate", "train-zeta", "train-learning-rate", "experiment",
+             "paccheck"],
+    )
+    def test_config_that_fails_to_decode_is_a_usage_error(self, tmp_path, capsys, argv, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**_smoke_config(tmp_path / "run"), "jobs": 0}))
+        paths = {"out": tmp_path / "out", "missing": tmp_path / "missing.csv", "config": config}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([arg.format(**paths) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"gbpl {argv[0]}: error:" in err and field in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("k, head", [(2, nnet.HEAD_TANH), (3, nnet.HEAD_SOFTMAX)])
     def test_fit_gbpl_picks_the_surrogate_by_table_width(self, k, head):

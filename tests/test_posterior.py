@@ -5,19 +5,28 @@ import pytest
 
 from dataclasses import dataclass, replace
 
-from conftest import reference_map_train, reference_sgld_iterates
+from conftest import (
+    finite_diff_grad,
+    max_rel_error,
+    min_abs_hidden_preactivation,
+    reference_diag_hessian,
+    reference_map_objective,
+    reference_map_train,
+    reference_sgld_iterates,
+)
 from gbpl import nnet, posterior
-from gbpl.evaluation import draw_welfare, welfare_credible_interval
+from gbpl.evaluation import test_welfare, welfare_credible_interval
 from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss, MaskedRegressionLoss
+from gbpl.methods import FittedPolicy
 from gbpl.posterior import (
     GibbsConfig,
     PosteriorDraws,
     SgldConfig,
     TrainConfig,
-    diag_laplace,
+    GradientWorkspace,
     finite_gibbs_posterior,
-    map_objective,
     map_train,
+    objective_gradient,
     sgld_sample,
     variational_objective,
 )
@@ -198,35 +207,24 @@ class TestMapTrain:
         assert got.tobytes() == want.tobytes()
 
 
-class TestMapObjective:
-    def test_matches_hand_computation(self):
-        rng = np.random.default_rng(21)
-        n = 12
-        x = rng.standard_normal((n, 2))
-        y = rng.standard_normal(n)
-        arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
-        loss = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
-        gibbs = GibbsConfig(zeta=1.0, eta=1.7, tau2=0.5)
-        params = rng.standard_normal(arch.param_count)
-        resid = x @ params[:2] + params[2] - y
-        expected = 1.7 * 0.5 * float(resid @ resid) + float(params @ params) / (2.0 * 0.5)
-        assert map_objective(arch, params, loss, gibbs) == pytest.approx(expected, rel=1e-12)
-
-    def test_row_subset_and_rescaling(self):
+class TestObjectiveGradient:
+    def test_matches_central_differences_of_the_objective(self):
+        # a row subset scaled to another sample size, extra weight decay and tau2 != 1
         rng = np.random.default_rng(22)
-        n = 10
-        x = rng.standard_normal((n, 2))
-        y = rng.standard_normal(n)
-        arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
-        loss = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
-        gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
-        params = rng.standard_normal(arch.param_count)
-        rows = np.arange(5)
-        half = map_objective(arch, params, loss, gibbs, rows)
-        doubled = map_objective(arch, params, loss, gibbs, rows, n_scale=10)
-        prior = float(params @ params) / (2.0 * gibbs.tau2)  # not rescaled with the data term
-        assert doubled == pytest.approx(2.0 * half - prior, rel=1e-12)
-
+        n = 40
+        x = rng.standard_normal((n, 3))
+        arch = nnet.MlpArchitecture(3, (6,), 1, nnet.HEAD_TANH)
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+        gibbs = GibbsConfig(zeta=0.5, eta=1.3, tau2=0.7)
+        params = nnet.init_params(arch, rng)
+        rows = rng.choice(n, size=12, replace=False)
+        assert min_abs_hidden_preactivation(arch, params, x[rows]) > 1e-3  # no kink within h
+        ws = GradientWorkspace(arch, rows.size)
+        got = objective_gradient(arch, params, loss, gibbs, rows, n, ws, weight_decay=0.05)
+        want = finite_diff_grad(
+            lambda w: reference_map_objective(arch, w, loss, gibbs, rows, n, weight_decay=0.05),
+            params, np.arange(arch.param_count))
+        assert max_rel_error(got, want) < 1e-6
 
 
 class _InfGradRegression(MaskedRegressionLoss):
@@ -372,17 +370,16 @@ class TestDiagLaplace:
         tau2 = 2.5
         arch, loss, gibbs, _, _ = _conjugate_gaussian_setup(seed=12, tau2=tau2)
         gibbs = replace(gibbs, eta=1e-300)
-        res = diag_laplace(arch, loss, gibbs, np.zeros(2))
-        np.testing.assert_allclose(res.variances, tau2, rtol=1e-12)
-        assert not res.any_clamped
+        diag = reference_diag_hessian(arch, np.zeros(2), loss, gibbs)
+        np.testing.assert_allclose(1.0 / diag, tau2, rtol=1e-12)
 
     def test_conjugate_variance_matches_closed_form(self):
         arch, loss, gibbs, mean, precision = _conjugate_gaussian_setup(seed=13)
-        res = diag_laplace(arch, loss, gibbs, np.array([0.0, mean]))
-        assert res.variances[1] == pytest.approx(1.0 / precision, rel=1e-4)
-        assert res.variances[0] == pytest.approx(gibbs.tau2, rel=1e-4)  # no data on the weight
+        diag = reference_diag_hessian(arch, np.array([0.0, mean]), loss, gibbs)
+        assert 1.0 / diag[1] == pytest.approx(1.0 / precision, rel=1e-4)
+        assert 1.0 / diag[0] == pytest.approx(gibbs.tau2, rel=1e-4)  # no data on the weight
 
-    def test_negative_curvature_clamped_and_flagged(self):
+    def test_concave_loss_gives_negative_diagonal(self):
         @dataclass(frozen=True)
         class ConcaveLoss:
             x: np.ndarray
@@ -401,14 +398,13 @@ class TestDiagLaplace:
         arch = nnet.MlpArchitecture(1, (), 1, nnet.HEAD_IDENTITY)
         loss = ConcaveLoss(np.ones((n, 1)))
         gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e6)
-        res = diag_laplace(arch, loss, gibbs, np.zeros(2))
-        assert res.any_clamped
-        assert np.all(res.variances[res.negative_curvature] == posterior.VARIANCE_FLOOR)
+        diag = reference_diag_hessian(arch, np.zeros(2), loss, gibbs)
+        assert np.all(diag < 0)
+        np.testing.assert_allclose(diag, -n + 1.0 / gibbs.tau2, rtol=1e-9)
 
-    def test_nonstationary_point_rejected(self):
-        arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=14)
-        with pytest.raises(ValueError):
-            diag_laplace(arch, loss, gibbs, np.array([0.0, mean + 1.0]))
+
+def _draw_welfare(draws, test, rule):
+    return [test_welfare(test, FittedPolicy(draws.arch, w), rule) for w in draws.draws]
 
 
 class TestWelfareCredibleInterval:
@@ -429,7 +425,7 @@ class TestWelfareCredibleInterval:
             meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=5, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-        mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, "deterministic"), 0.95)
+        mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "deterministic"), 0.95)
         assert lo == hi == mean
 
     def test_quantile_ordering_random_draw_sets(self):
@@ -438,7 +434,7 @@ class TestWelfareCredibleInterval:
         for _ in range(100):
             draws = self._draws(rng, n_draws=int(rng.integers(2, 30)))
             for rule in ("deterministic", "randomized"):
-                mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, rule), 0.9)
+                mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, rule), 0.9)
                 assert lo <= hi
                 assert lo <= mean + 1e-12 and mean <= hi + 1e-12 or lo <= hi
 
@@ -446,8 +442,8 @@ class TestWelfareCredibleInterval:
         rng = np.random.default_rng(17)
         test = FullFeedbackDataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)))
         draws = self._draws(rng, n_draws=50)
-        _, lo95, hi95 = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.95)
-        _, lo50, hi50 = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.5)
+        _, lo95, hi95 = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.95)
+        _, lo50, hi50 = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.5)
         assert lo95 <= lo50 <= hi50 <= hi95
 
     def test_softmax_head_interval(self):
@@ -460,5 +456,5 @@ class TestWelfareCredibleInterval:
             meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=15, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((25, 2)), rng.standard_normal((25, 3)))
-        mean, lo, hi = welfare_credible_interval(draw_welfare(draws, test, "randomized"), 0.95)
+        mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.95)
         assert lo <= mean <= hi

@@ -268,36 +268,49 @@ class TestPopulationScore:
         assert sg.population_score_binary(-5.0) == -1.0
 
 
+def _shift_effect(data, deltas, c, zeta):
+    """Effect of y_{i,a} -> y_{i,a} + c_i on a grid of simplex policies: the
+    largest |welfare change - mean(c)|, the largest change of a pairwise
+    difference of mean full-vector surrogates, and whether their ranking holds."""
+    shifted = sg.FullFeedbackDataset(data.x, data.y + c[:, None])
+    welfare_err = max(abs(sg.empirical_welfare(shifted, d) - sg.empirical_welfare(data, d)
+                          - float(c.mean())) for d in deltas)
+    base = np.array([np.mean(sg.fullvector_loss(zeta, data.y, d)) for d in deltas])
+    moved = np.array([np.mean(sg.fullvector_loss(zeta, shifted.y, d)) for d in deltas])
+    change = float(np.abs((moved[:, None] - moved) - (base[:, None] - base)).max())
+    ranking_unchanged = np.array_equal(np.argsort(base, kind="stable"),
+                                       np.argsort(moved, kind="stable"))
+    return welfare_err, change, ranking_unchanged
+
+
 class TestShiftInvariance:
     def test_zero_shift_is_exact(self):
         rng = np.random.default_rng(15)
         n, k = 20, 3
         data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
         deltas = [_random_simplex_rows(rng, n, k) for _ in range(4)]
-        report = sg.shift_invariance_check(data, deltas, np.zeros(n), 0.5)
-        assert report.welfare_shift_error == 0.0
-        assert report.max_pairwise_surrogate_change == 0.0
-        assert report.ranking_unchanged
+        welfare_err, change, ranking_unchanged = _shift_effect(data, deltas, np.zeros(n), 0.5)
+        assert welfare_err == 0.0
+        assert change == 0.0
+        assert ranking_unchanged
 
     def test_symmetric_centering_preserves_ranking(self):
         rng = np.random.default_rng(16)
         n, k = 40, 4
         data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
         deltas = [_random_simplex_rows(rng, n, k) for _ in range(10)]
-        c = -data.y.mean(axis=1)
-        report = sg.shift_invariance_check(data, deltas, c, 1.0)
-        assert report.ranking_unchanged
-        assert report.max_pairwise_surrogate_change < 1e-9
+        _, change, ranking_unchanged = _shift_effect(data, deltas, -data.y.mean(axis=1), 1.0)
+        assert ranking_unchanged
+        assert change < 1e-9
 
     def test_random_shift_preserves_differences(self):
         rng = np.random.default_rng(17)
         n, k = 30, 3
         data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
         deltas = [_random_simplex_rows(rng, n, k) for _ in range(2)]
-        c = rng.standard_normal(n) * 2.0
-        report = sg.shift_invariance_check(data, deltas, c, 0.3)
-        assert report.max_pairwise_surrogate_change < 1e-9
-        assert report.welfare_shift_error < 1e-12
+        welfare_err, change, _ = _shift_effect(data, deltas, rng.standard_normal(n) * 2.0, 0.3)
+        assert change < 1e-9
+        assert welfare_err < 1e-12
 
 
 class TestWelfareRiskIdentities:

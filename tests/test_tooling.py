@@ -6,8 +6,13 @@ callers use. A refactor that drops or renames one of them fails here, in the
 test suite, rather than in the benchmark run. The tracer module is loaded from
 its file and only read; its wrappers are installed only for the duration of
 one run and removed again.
+
+Every public function and class in ``src/gbpl`` must also be used by the
+library, a demo, the benchmark or the acceptance tests, so that no code lives
+in ``src`` only for the unit tests to call.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,7 +22,10 @@ import pytest
 from gbpl import experiment as ex
 from gbpl.posterior import SgldConfig, TrainConfig
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
+# on-disk formats kept for users' files, though no library path reads or writes them
+_UNUSED_ALLOWED = {"dgp.read_logged_csv", "posterior.save_draws", "posterior.load_draws"}
 
 
 def _tracing():
@@ -45,3 +53,33 @@ def test_posterior_viz_spans(tmp_path):
     assert summary["posterior.sgld_sample"]["calls"] == 1
     assert summary["posterior.sgld_sample"]["steps"] == sgld.burn_in + sgld.n_draws * sgld.thin
     assert summary["evaluation.test_welfare"]["calls"] == sgld.n_draws
+
+
+def _uses(tree):
+    """(name, enclosing top-level definition or None) of every AST name,
+    attribute and import in a module; docstrings and comments do not count."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((alias.name.rpartition(".")[2], owner) for alias in node.names)
+
+
+def test_every_public_src_definition_is_used_outside_the_unit_tests():
+    src = sorted((_ROOT / "src" / "gbpl").glob("*.py"))
+    users = [*src, *(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py"),
+             _ROOT / "tests" / "test_acceptance.py"]
+    uses = {path: set(_uses(ast.parse(path.read_text()))) for path in users}
+    unused = []
+    for path in src:
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            if not any(name == top.name and (user, owner) != (path, top.name)
+                       for user, found in uses.items() for name, owner in found):
+                unused.append(f"{path.stem}.{top.name}")
+    assert sorted(set(unused) - _UNUSED_ALLOWED) == []
