@@ -13,8 +13,8 @@ import numpy as np
 
 from gbpl import nnet
 from gbpl.losses import (
-    MaskedRegressionLoss,
-    MultiRegressionLoss,
+    BinarySurrogateLoss,
+    FullVectorSurrogateLoss,
     NegativeWelfareLoss,
     WeightedLogisticLoss,
 )
@@ -56,10 +56,12 @@ def fit_baseline(
       action, weighted by the absolute outcome gap; gap ties keep weight zero.
     - ``direct_welfare``: softmax policy trained to maximize empirical welfare
       directly (flat prior).
+
+    The regressions are the squared surrogate at zeta = 1 on an identity head.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    n, k = table.shape
+    k = table.shape[1]
     if kind in (KIND_DIFF_REG, KIND_PLUGIN_REG, KIND_WEIGHTED_LOGISTIC) and k != 2:
         raise ValueError(f"{kind} needs a two-column outcome table; "
                          f"use {KIND_PLUGIN_REG_K} or {KIND_DIRECT_WELFARE} for K actions")
@@ -69,12 +71,12 @@ def fit_baseline(
         loss = NegativeWelfareLoss(nnet.Batch(x, table))
     elif kind in (KIND_PLUGIN_REG, KIND_PLUGIN_REG_K):
         arch = nnet.MlpArchitecture(d, hidden, k, nnet.HEAD_IDENTITY)
-        loss = MultiRegressionLoss(nnet.Batch(x, table))
+        loss = FullVectorSurrogateLoss(nnet.Batch(x, table), 1.0)
     else:
         u = table[:, 0] - table[:, 1]
         arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
         if kind == KIND_DIFF_REG:
-            loss = MaskedRegressionLoss(nnet.Batch(x, u), np.zeros(n, dtype=np.intp))
+            loss = BinarySurrogateLoss(nnet.Batch(x, u), 1.0)
         else:
             loss = WeightedLogisticLoss(nnet.Batch(x, (u > 0).astype(np.float64), np.abs(u)))
     return FittedPolicy(arch, map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows))

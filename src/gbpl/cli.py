@@ -8,7 +8,8 @@ a CSV), ``experiment`` (the full benchmark harness from a JSON config),
 ``manifest.json`` echoing the resolved configuration. Config flags are the
 fields of the config dataclasses in kebab-case (``configio.add_flags``). Every
 config is decoded before any data file is read, and one that fails to decode
-is a usage error (exit 2) naming the field.
+is a usage error (exit 2) naming the field; so is a command-line flag that the
+library would reject (``train --hidden``, ``simulate --clip --logging``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from gbpl.dgp import (
     LOGGING_LOGISTIC,
     LOGGING_SOFTMAX,
     DgpSpec,
+    check_logging,
     generate_full_feedback,
     generate_logged,
     read_full_feedback_csv,
@@ -59,8 +61,8 @@ from gbpl.posterior import GibbsConfig, TrainConfig
 
 @contextmanager
 def _usage_errors(args):
-    """Report a ``ValueError`` raised while decoding a config as a usage error
-    of the subcommand; only config decoding belongs inside."""
+    """Report a ``ValueError`` raised while decoding a config or checking a
+    flag as a usage error of the subcommand; only those checks belong inside."""
     try:
         yield
     except ValueError as err:
@@ -70,6 +72,8 @@ def _usage_errors(args):
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         spec = from_args(DgpSpec, args)
+        if args.logged:
+            check_logging(spec, args.logging, args.clip)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.logged:
@@ -93,6 +97,8 @@ def _cmd_train(args) -> int:
     with _usage_errors(args):
         gibbs = from_args(GibbsConfig, args)
         cfg = from_args(TrainConfig, args)
+        if any(h < 1 for h in args.hidden):
+            raise ValueError("--hidden widths must be at least 1")
     data = read_full_feedback_csv(args.data)
     train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
     policy = fit_gbpl(data.x, data.y, train_rows, val_rows, gibbs.zeta, gibbs.eta, gibbs.tau2,
@@ -147,7 +153,8 @@ def _cmd_posterior_viz(args) -> int:
 
 
 def _cmd_paccheck(args) -> int:
-    lam = args.lam if args.lam is not None else 0.5 / args.b
+    # 0.5 / b is undefined at b = 0, which PacBayesInputs then rejects by name
+    lam = args.lam if args.lam is not None else (0.5 / args.b if args.b else float("nan"))
     with _usage_errors(args):
         inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
                                 delta=args.delta, v=args.v, b=args.b, lam=lam)
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a surrogate score/policy on a full-feedback CSV")
     p.add_argument("--data", required=True)
-    add_flags(p, GibbsConfig(zeta=0.1), skip=("kind", "baseline"))
+    add_flags(p, GibbsConfig(zeta=0.1), skip=("kind",))
     add_flags(p, TrainConfig)
     p.add_argument("--hidden", type=int, nargs="*", default=[128, 128])
     p.add_argument("--out", required=True)

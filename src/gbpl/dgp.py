@@ -163,6 +163,17 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth
     return FullFeedbackDataset(x, y), DgpTruth(gamma=gamma, oracle_cols=gamma.argmax(axis=1))
 
 
+def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:
+    """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments."""
+    k = spec.k or 2
+    if not (0.0 < clip <= 1.0 / k):
+        raise ValueError("clip must lie in (0, 1/K]")
+    if logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
+        raise ValueError(f"unknown logging policy {logging!r}")
+    if logging == LOGGING_LOGISTIC and k != 2:
+        raise ValueError("logistic logging is binary only")
+
+
 def generate_logged(
     spec: DgpSpec,
     logging: str = LOGGING_LOGISTIC,
@@ -179,22 +190,17 @@ def generate_logged(
     Logging randomness comes from its own stream keyed by the spec seed, kept
     apart from the data stream.
     """
-    if not (0.0 < clip <= 1.0 / (spec.k or 2)):
-        raise ValueError("clip must lie in (0, 1/K]")
+    check_logging(spec, logging, clip)
     full, _ = generate_full_feedback(spec)
     k = full.k
     rng = np.random.default_rng([spec.seed, 0x106])
     if logging == LOGGING_LOGISTIC:
-        if k != 2:
-            raise ValueError("logistic logging is binary only")
         beta = rng.standard_normal(full.d) / np.sqrt(full.d)
         p1 = sigmoid(full.x @ beta)
         e = np.column_stack([p1, 1.0 - p1])
-    elif logging == LOGGING_SOFTMAX:
+    else:
         betas = rng.standard_normal((full.d, k)) / np.sqrt(full.d)
         e = softmax(full.x @ betas)
-    else:
-        raise ValueError(f"unknown logging policy {logging!r}")
     e = clip_propensities(e, clip)  # floor clip, ceiling 1 - (K-1) clip, rows sum to 1
 
     u = rng.random(full.n)

@@ -9,8 +9,8 @@ exact parameter gradients, given the ``x`` and workspace that made ``out``.
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
 the ``batch`` and exposes its ``x`` and ``n``; subclasses add only their own
 parameters and the two loss methods. ``rows=None`` means all rows in stored
-order. The surrogate adapters take their ``values`` from ``surrogate``'s
-``binary_loss`` and ``fullvector_loss``, where the formulas are written once.
+order. The squared-loss adapters take their ``values`` from ``surrogate``'s
+``binary_loss``, where the scaled squared error is written once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl.nnet import Batch, softmax
-from gbpl.surrogate import binary_loss, fullvector_loss
+from gbpl.surrogate import binary_loss
 
 
 def _rows(a: np.ndarray, rows) -> np.ndarray:
@@ -53,39 +53,29 @@ class BatchLoss:
 
 
 @dataclass(frozen=True)
-class BinarySurrogateLoss(BatchLoss):
-    """Squared surrogate for a bounded scalar score against outcome gaps.
+class FullVectorSurrogateLoss(BatchLoss):
+    """Scaled squared error of every output column against its target column.
 
-    Per row: ``binary_loss(zeta, u, f)``, with f the tanh-head output and u
-    the (pseudo-)difference in outcomes (targets, shape (n,)).
+    Per row: ``binary_loss(zeta, t, out)`` summed over the columns, with
+    gradient zeta * out - t; targets t of shape (n,) meet a one-column output.
+    On a softmax head this is the full-vector surrogate of a simplex policy
+    against all K outcomes; at zeta = 1 on an identity head, least squares.
     """
 
     zeta: float
 
     def values(self, out, rows=None):
-        return binary_loss(self.zeta, _rows(self.batch.targets, rows), out[:, 0])
+        t = _rows(self.batch.targets, rows).reshape(out.shape)
+        return binary_loss(self.zeta, t, out).sum(axis=1)
 
     def output_grad(self, out, rows=None):
-        u = _rows(self.batch.targets, rows)
-        return (self.zeta * out[:, 0] - u)[:, None]
+        return self.zeta * out - _rows(self.batch.targets, rows).reshape(out.shape)
 
 
 @dataclass(frozen=True)
-class FullVectorSurrogateLoss(BatchLoss):
-    """Symmetric squared surrogate for a simplex policy against all outcomes.
-
-    Per row: ``fullvector_loss(zeta, y, delta)``, with delta the softmax-head
-    output and y the (n, K) outcome-vector targets.
-    """
-
-    zeta: float
-
-    def values(self, out, rows=None):
-        return fullvector_loss(self.zeta, _rows(self.batch.targets, rows), out)
-
-    def output_grad(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
-        return self.zeta * out - y
+class BinarySurrogateLoss(FullVectorSurrogateLoss):
+    """The one-column case: a tanh-head score f against the (n,) outcome
+    (pseudo-)differences u, per row ``binary_loss(zeta, u, f)``."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,7 @@ class MaskedRegressionLoss(BatchLoss):
     def values(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
         c = _rows(self.cols, rows)
-        picked = out[np.arange(out.shape[0]), c]
-        return 0.5 * (picked - y) ** 2
+        return binary_loss(1.0, y, out[np.arange(out.shape[0]), c])
 
     def output_grad(self, out, rows=None):
         y = _rows(self.batch.targets, rows)
@@ -113,20 +102,6 @@ class MaskedRegressionLoss(BatchLoss):
         idx = np.arange(out.shape[0])
         g[idx, c] = out[idx, c] - y
         return g
-
-
-@dataclass(frozen=True)
-class MultiRegressionLoss(BatchLoss):
-    """Squared error summed over all output columns against (n, K) targets
-    (full-feedback regression)."""
-
-    def values(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
-        return 0.5 * ((out - y) ** 2).sum(axis=1)
-
-    def output_grad(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
-        return out - y
 
 
 @dataclass(frozen=True)

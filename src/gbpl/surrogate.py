@@ -11,12 +11,8 @@ Conventions, binary problems (K = 2): actions are labeled 1 and 0; column 0 of
 an outcome matrix holds Y(1), column 1 holds Y(0). A bounded score f in [-1, 1]
 encodes the randomized policy delta = (f + 1) / 2 = probability of action 1.
 
-Factor-of-two bookkeeping: the per-sample losses ``binary_loss`` and
-``fullvector_loss`` carry the 1/2 that the generalized posterior uses, while
-``baseline_gap_loss`` is the plain sum of squares without it. The equivalence
-checkers average the 1/2 losses, so their affine slopes are -2 (binary and
-baseline-gap, penalty weight zeta/4) and -1 (full-vector, penalty weight
-zeta/2); each report records the slope in force.
+Every surrogate is ``binary_loss``, which carries the 1/2, summed over the
+score's columns.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ SIMPLEX_TOL = 1e-9
 TIE_TOL = 1e-12
 
 KIND_BINARY = "binary"
-KIND_BASELINE_GAP = "baseline_gap"
 KIND_FULL_VECTOR = "full_vector"
 
 
@@ -79,23 +74,19 @@ class GibbsConfig:
 
     ``zeta`` scales the surrogate, ``eta`` is the temperature multiplying the
     total loss, ``tau2`` the variance of the isotropic Gaussian prior over
-    network weights, and ``kind`` the surrogate family (``baseline`` names the
-    reference action for the baseline-gap kind, 1-based).
+    network weights, and ``kind`` the surrogate family.
     """
 
     zeta: float
     eta: float = 1.0
     tau2: float = 1.0
     kind: str = KIND_BINARY
-    baseline: int | None = None
 
     def __post_init__(self):
         if self.zeta <= 0 or self.eta <= 0 or self.tau2 <= 0:
             raise ValueError("zeta, eta, tau2 must all be positive")
-        if self.kind not in (KIND_BINARY, KIND_BASELINE_GAP, KIND_FULL_VECTOR):
+        if self.kind not in (KIND_BINARY, KIND_FULL_VECTOR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
-        if self.kind == KIND_BASELINE_GAP and self.baseline is None:
-            raise ValueError("baseline-gap surrogate needs a baseline action")
 
 
 def _check_simplex(delta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
@@ -110,12 +101,15 @@ def _check_simplex(delta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
 def binary_loss(zeta: float | np.ndarray, u: float | np.ndarray, f: float | np.ndarray):
     """0.5 * (u / sqrt(zeta) - sqrt(zeta) * f)^2, zero iff u = zeta * f.
 
-    Broadcasts over array arguments, including the scale.
+    The one scaled squared error of the package, elementwise: it broadcasts
+    over array arguments, including the scale. Its gradient in ``f`` is
+    zeta * f - u.
     """
     if (np.asarray(zeta) <= 0).any():
         raise ValueError("zeta must be positive")
     r = np.sqrt(zeta)
-    return 0.5 * (np.asarray(u) / r - r * np.asarray(f)) ** 2
+    t, s = np.asarray(u), np.asarray(f)
+    return 0.5 * (t / r - r * s) ** 2
 
 
 def binary_loss_decomposition(zeta, u, f):
@@ -134,33 +128,9 @@ def binary_loss_decomposition(zeta, u, f):
 
 def fullvector_loss(zeta: float, y: np.ndarray, delta: np.ndarray):
     """0.5 * sum_a (y_a / sqrt(zeta) - sqrt(zeta) * delta_a)^2 on simplex rows."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    y = np.asarray(y, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     _check_simplex(delta)
-    r = np.sqrt(zeta)
-    return 0.5 * ((y / r - r * delta) ** 2).sum(axis=-1)
-
-
-def baseline_gap_loss(zeta: float, y: np.ndarray, f: np.ndarray, baseline: int):
-    """Sum over non-baseline actions of (gap/sqrt(zeta) - sqrt(zeta) f_a)^2.
-
-    ``baseline`` is the 1-based reference action; gaps are y(a) - y(baseline)
-    for the remaining actions in label order, matched to the K-1 entries of
-    ``f``. No 1/2 factor here.
-    """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    y = np.asarray(y, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    k = y.shape[-1]
-    if not (1 <= baseline <= k):
-        raise ValueError(f"baseline action {baseline} out of range 1..{k}")
-    others = [a for a in range(k) if a != baseline - 1]
-    gaps = y[..., others] - y[..., baseline - 1 : baseline]
-    r = np.sqrt(zeta)
-    return ((gaps / r - r * f) ** 2).sum(axis=-1)
+    return binary_loss(zeta, np.asarray(y, dtype=np.float64), delta).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +144,6 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray) -> float:
         raise ValueError("policy rows must match the dataset shape")
     _check_simplex(delta)
     return float((delta * data.y).sum() / data.n)
-
-
-def penalty_value(delta: np.ndarray, kind: str, baseline: int | None = None) -> float:
-    """Mean unit-weight quadratic penalty of a kind; binary is the gap with baseline 2."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if kind == KIND_BINARY:
-        if delta.shape[1] != 2:
-            raise ValueError("the binary penalty needs two-column policy rows")
-        kind, baseline = KIND_BASELINE_GAP, 2
-    if kind == KIND_FULL_VECTOR:
-        return float(np.mean((delta**2).sum(axis=1)))
-    if kind == KIND_BASELINE_GAP:
-        if baseline is None:
-            raise ValueError("baseline-gap penalty needs a baseline action")
-        k = delta.shape[1]
-        others = [a for a in range(k) if a != baseline - 1]
-        return float(np.mean(((2.0 * delta[:, others] - 1.0) ** 2).sum(axis=1)))
-    raise ValueError(f"unknown surrogate kind {kind!r}")
-
-
-def penalized_welfare(
-    data: FullFeedbackDataset,
-    delta: np.ndarray,
-    lam: float,
-    kind: str,
-    baseline: int | None = None,
-) -> float:
-    """Empirical welfare minus ``lam`` times the kind-specific quadratic penalty."""
-    if lam < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    return empirical_welfare(data, delta) - lam * penalty_value(delta, kind, baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +177,10 @@ class EquivalenceReport:
     max_affine_error: float
 
 
-def _grid_report(data, policy_grid, lam, slope, kind, baseline, surrogate_loss):
-    """Mean ``surrogate_loss(delta)`` and welfare penalized at ``lam`` for each
-    (n, K) policy ``delta`` of the grid, compared as an :class:`EquivalenceReport`."""
+def _grid_report(data, policy_grid, lam, slope, surrogate_loss, penalty):
+    """Mean ``surrogate_loss(delta)`` and welfare minus ``lam`` times the mean
+    ``penalty(delta)`` for each (n, K) policy ``delta`` of the grid, compared
+    as an :class:`EquivalenceReport`; both functions return one value per row."""
     grid = [np.asarray(p, dtype=np.float64) for p in policy_grid]
     if not grid:
         raise ValueError("policy grid must be nonempty")
@@ -250,7 +190,7 @@ def _grid_report(data, policy_grid, lam, slope, kind, baseline, surrogate_loss):
         if delta.shape != data.y.shape:
             raise ValueError("each policy must be an (n, K) matrix matching the data")
         surrogate[j] = float(np.mean(surrogate_loss(delta)))
-        penalized[j] = penalized_welfare(data, delta, lam, kind, baseline)
+        penalized[j] = empirical_welfare(data, delta) - lam * float(np.mean(penalty(delta)))
     argmin_s = _argopt_set(surrogate, maximize=False)
     argmax_w = _argopt_set(penalized, maximize=True)
     ds = surrogate[:, None] - surrogate[None, :]
@@ -276,7 +216,7 @@ def verify_equivalence_binary(
     ``policy_grid`` is a sequence of treatment-probability vectors, one value
     in [0, 1] per dataset row. Each becomes the policy rows (p, 1 - p) of the
     baseline-gap check with baseline action 2, whose gap is u = Y(1) - Y(0),
-    whose score is f = 2 p - 1 and whose halved loss is ``binary_loss``.
+    whose score is f = 2 p - 1 and whose loss is ``binary_loss``.
     """
     def policy_rows(p):
         p = np.asarray(p, dtype=np.float64)
@@ -297,26 +237,32 @@ def verify_equivalence_fullvector(
     welfare differences equal pairwise surrogate differences with the sign
     flipped.
     """
-    return _grid_report(data, policy_grid, zeta / 2.0, -1.0, KIND_FULL_VECTOR, None,
-                        lambda delta: fullvector_loss(zeta, data.y, delta))
+    return _grid_report(data, policy_grid, zeta / 2.0, -1.0,
+                        lambda delta: fullvector_loss(zeta, data.y, delta),
+                        lambda delta: (delta**2).sum(axis=1))
 
 
 def verify_equivalence_gap(
     data: FullFeedbackDataset, policy_grid, zeta: float, baseline: int
 ) -> EquivalenceReport:
-    """Baseline-gap check: halved gap loss vs welfare penalized at zeta/4.
+    """Baseline-gap check: mean surrogate loss vs welfare penalized at zeta/4.
 
     ``policy_grid`` is a sequence of (n, K) simplex-row matrices. Scores are
-    f_a = 2 delta_a - 1 for the non-baseline actions; the affine slope is -2,
-    as in the binary case.
+    f_a = 2 delta_a - 1 for the non-baseline actions, matched to the gaps
+    y_a - y_baseline in label order; ``baseline`` is 1-based. The affine slope
+    is -2, as in the binary case.
     """
+    if not (1 <= baseline <= data.k):
+        raise ValueError(f"baseline action {baseline} out of range 1..{data.k}")
     others = [a for a in range(data.k) if a != baseline - 1]
+    gaps = data.y[:, others] - data.y[:, baseline - 1 : baseline]
 
-    def halved_gap_loss(delta):
-        return 0.5 * baseline_gap_loss(zeta, data.y, 2.0 * delta[:, others] - 1.0, baseline)
+    def scores(delta):
+        return 2.0 * delta[:, others] - 1.0
 
-    return _grid_report(data, policy_grid, zeta / 4.0, -2.0, KIND_BASELINE_GAP, baseline,
-                        halved_gap_loss)
+    return _grid_report(data, policy_grid, zeta / 4.0, -2.0,
+                        lambda delta: binary_loss(zeta, gaps, scores(delta)).sum(axis=1),
+                        lambda delta: (scores(delta) ** 2).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 
 from gbpl import nnet
+from gbpl.losses import BatchLoss
 
 
 def total_loss(arch, params, adapter, rows=None):
@@ -211,3 +214,39 @@ def reference_pseudo_difference_binary(logged, e_hat, gamma_hat=None):
     corr1 = np.where(treated, (logged.y_obs - g1) / e1, 0.0)
     corr0 = np.where(~treated, (logged.y_obs - g0) / e0, 0.0)
     return (g1 - g0) + corr1 - corr0
+
+
+# ---------------------------------------------------------------------------
+# the squared losses as they are written by hand, before any of them became a
+# column sum of ``surrogate.binary_loss``: the library must match them bit for
+# bit.
+
+
+@dataclass(frozen=True)
+class ReferenceLeastSquaresLoss(BatchLoss):
+    """Least squares per row, 0.5 * sum_a (o_a - t_a)^2, with gradient o - t;
+    (n,) targets meet a one-column output."""
+
+    def _targets(self, out, rows):
+        t = self.batch.targets if rows is None else self.batch.targets[rows]
+        return t.reshape(out.shape)
+
+    def values(self, out, rows=None):
+        return 0.5 * ((out - self._targets(out, rows)) ** 2).sum(axis=1)
+
+    def output_grad(self, out, rows=None):
+        return out - self._targets(out, rows)
+
+
+def reference_baseline_gap_loss(zeta, y, f, baseline):
+    """Halved sum over the non-baseline actions of (gap/sqrt(zeta) - sqrt(zeta) f_a)^2.
+
+    ``baseline`` is the 1-based reference action; the gaps y_a - y_baseline of
+    the remaining actions, in label order, meet the K-1 entries of ``f``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    others = [a for a in range(y.shape[-1]) if a != baseline - 1]
+    gaps = y[..., others] - y[..., baseline - 1 : baseline]
+    r = np.sqrt(zeta)
+    return 0.5 * ((gaps / r - r * f) ** 2).sum(axis=-1)

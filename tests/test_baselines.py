@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import ReferenceLeastSquaresLoss
 from gbpl import baselines as bl
+from gbpl import nnet
 from gbpl.evaluation import oracle_welfare, test_welfare
-from gbpl.posterior import TrainConfig
+from gbpl.losses import FullVectorSurrogateLoss
+from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import FullFeedbackDataset
 
 
@@ -110,3 +113,37 @@ class TestContracts:
         data_k = FullFeedbackDataset(rng.standard_normal((20, 2)), rng.standard_normal((20, 3)))
         with pytest.raises(ValueError):
             bl.fit_baseline(bl.KIND_DIFF_REG, data_k.x, data_k.y, cfg, rows[:10], rows[10:])
+
+
+class TestRegressionIsUnitScaleSurrogate:
+    """DiffReg and PluginReg train the squared surrogate at zeta = 1 on an
+    identity head, which is least squares to the last bit."""
+
+    @pytest.mark.parametrize("target_shape", [(23,), (23, 1), (23, 5)])
+    def test_adapter_matches_least_squares_bitwise(self, target_shape):
+        rng = np.random.default_rng(21)
+        batch = nnet.Batch(rng.standard_normal((23, 3)), rng.standard_normal(target_shape))
+        out = rng.standard_normal((23, target_shape[1] if len(target_shape) == 2 else 1))
+        rows = rng.permutation(23)[:11]
+        surrogate, reference = FullVectorSurrogateLoss(batch, 1.0), ReferenceLeastSquaresLoss(batch)
+        for r, o in ((None, out), (rows, out[:11])):
+            assert np.array_equal(surrogate.values(o, r), reference.values(o, r))
+            assert np.array_equal(surrogate.output_grad(o, r), reference.output_grad(o, r))
+
+    @pytest.mark.parametrize("kind, k", [(bl.KIND_DIFF_REG, 2), (bl.KIND_PLUGIN_REG_K, 5)])
+    def test_fit_matches_least_squares_training_bitwise(self, kind, k):
+        rng = np.random.default_rng(22)
+        n = 120
+        x = rng.standard_normal((n, 3))
+        table = rng.standard_normal((n, k))
+        train, val = np.arange(90), np.arange(90, n)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=4, patience=2, seed=3)
+        hidden = (6,)
+        policy = bl.fit_baseline(kind, x, table, cfg, train, val, hidden=hidden)
+        targets = table[:, 0] - table[:, 1] if kind == bl.KIND_DIFF_REG else table
+        arch = nnet.MlpArchitecture(3, hidden, 1 if kind == bl.KIND_DIFF_REG else k,
+                                    nnet.HEAD_IDENTITY)
+        reference = map_train(arch, ReferenceLeastSquaresLoss(nnet.Batch(x, targets)),
+                              FLAT_PRIOR, cfg, train, val)
+        assert policy.arch == arch
+        assert np.array_equal(policy.params, reference)

@@ -526,7 +526,7 @@ class TestGeneratedCli:
     # (subcommand, minimal argv, config object, leaves without a flag)
     CONFIGS = (
         ("simulate", ["--family", "binary1", "--n", "7", "--out", "o"], ex.DgpSpec, ()),
-        ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ("kind", "baseline")),
+        ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ("kind",)),
         ("train", ["--data", "d", "--out", "o"], TrainConfig, ()),
         ("posterior-viz", ["--out", "o"], ex.PosteriorVizConfig, ("output_dir",)),
     )
@@ -593,9 +593,12 @@ class TestGeneratedCli:
             (["experiment", "--config", "{config}"], "jobs"),
             (["paccheck", "--risk", "0.5", "--kl", "-1", "--n", "10", "--delta", "0.05",
               "--v", "1", "--b", "1"], "kl"),
+            # without --lam the default lam is 0.5 / b, which b = 0 leaves undefined
+            (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
+              "--v", "1", "--b", "0"], "b must be positive"),
         ],
         ids=["posterior-viz", "simulate", "train-zeta", "train-learning-rate", "experiment",
-             "paccheck"],
+             "paccheck", "paccheck-b-zero"],
     )
     def test_config_that_fails_to_decode_is_a_usage_error(self, tmp_path, capsys, argv, field):
         config = tmp_path / "cfg.json"
@@ -607,6 +610,29 @@ class TestGeneratedCli:
         err = capsys.readouterr().err
         assert f"gbpl {argv[0]}: error:" in err and field in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--data", "{missing}", "--hidden", "8", "0", "--out", "{out}"], "--hidden"),
+            (["simulate", "--family", "binary1", "--n", "7", "--logged", "--clip", "0.7",
+              "--out", "{out}/d.csv"], "clip"),
+            (["simulate", "--family", "multi1", "--n", "7", "--k", "3", "--logged",
+              "--clip", "0.4", "--out", "{out}/d.csv"], "clip"),
+            (["simulate", "--family", "multi1", "--n", "7", "--logged", "--logging", "logistic",
+              "--out", "{out}/d.csv"], "logging"),
+        ],
+        ids=["train-hidden", "simulate-clip-binary", "simulate-clip-k3", "simulate-logging"],
+    )
+    def test_flag_the_library_would_reject_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        # a missing --data file shows that the flag is checked before it is read
+        paths = {"out": tmp_path / "out", "missing": tmp_path / "missing.csv"}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([arg.format(**paths) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"gbpl {argv[0]}: error:" in err and flag in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("k, head", [(2, nnet.HEAD_TANH), (3, nnet.HEAD_SOFTMAX)])
     def test_fit_gbpl_picks_the_surrogate_by_table_width(self, k, head):

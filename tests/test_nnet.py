@@ -17,7 +17,6 @@ from gbpl.losses import (
     BinarySurrogateLoss,
     FullVectorSurrogateLoss,
     MaskedRegressionLoss,
-    MultiRegressionLoss,
 )
 
 
@@ -168,8 +167,10 @@ class TestBackward:
                     adapter = FullVectorSurrogateLoss(
                         nnet.Batch(x, rng.standard_normal((n, k))), 1.3
                     )
-                else:
-                    adapter = MultiRegressionLoss(nnet.Batch(x, rng.standard_normal((n, k))))
+                else:  # least squares: the surrogate at zeta = 1 on an identity head
+                    adapter = FullVectorSurrogateLoss(
+                        nnet.Batch(x, rng.standard_normal((n, k))), 1.0
+                    )
                 check_gradient(arch, adapter, rng, n_coords=50)
 
 

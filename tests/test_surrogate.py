@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import reference_baseline_gap_loss
 from gbpl import surrogate as sg
 from gbpl.evaluation import oracle_welfare
 
@@ -11,6 +12,20 @@ from gbpl.evaluation import oracle_welfare
 def _random_simplex_rows(rng, n, k):
     g = rng.gamma(1.0, 1.0, size=(n, k))
     return g / g.sum(axis=1, keepdims=True)
+
+
+def _binary_penalty(delta):
+    """Per-row binary penalty (2 delta_1 - 1)^2 of (n, 2) policy rows."""
+    return (2.0 * delta[:, 0] - 1.0) ** 2
+
+
+def _fullvector_penalty(delta):
+    return (delta**2).sum(axis=1)
+
+
+def _penalized_welfare(data, delta, lam, penalty):
+    """Empirical welfare minus ``lam`` times the mean per-row penalty."""
+    return sg.empirical_welfare(data, delta) - lam * float(np.mean(penalty(delta)))
 
 
 class TestBinaryLoss:
@@ -62,10 +77,24 @@ class TestFullVectorLoss:
 
 class TestBaselineGapLoss:
     def test_hand_values(self):
-        assert sg.baseline_gap_loss(1.0, np.zeros(3), np.zeros(2), baseline=3) == 0.0
-        assert sg.baseline_gap_loss(1.0, np.array([1.0, 0.0]), np.array([1.0]), baseline=2) == 0.0
-        v = sg.baseline_gap_loss(1.0, np.array([1.0, 0.0, 0.0]), np.zeros(2), baseline=3)
-        assert v == pytest.approx(1.0, abs=1e-15)
+        ref = reference_baseline_gap_loss
+        assert ref(1.0, np.zeros(3), np.zeros(2), baseline=3) == 0.0
+        assert ref(1.0, np.array([1.0, 0.0]), np.array([1.0]), baseline=2) == 0.0
+        v = ref(1.0, np.array([1.0, 0.0, 0.0]), np.zeros(2), baseline=3)
+        assert v == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("k, baseline", [(2, 2), (4, 1), (4, 3), (5, 5)])
+    def test_gap_check_averages_the_reference_bitwise(self, k, baseline):
+        rng = np.random.default_rng(20)
+        n = 17
+        data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
+        grid = [_random_simplex_rows(rng, n, k) for _ in range(5)]
+        others = [a for a in range(k) if a != baseline - 1]
+        zeta = 0.37
+        expected = [float(np.mean(reference_baseline_gap_loss(
+            zeta, data.y, 2.0 * delta[:, others] - 1.0, baseline))) for delta in grid]
+        report = sg.verify_equivalence_gap(data, grid, zeta, baseline)
+        assert np.array_equal(report.surrogate, expected)
 
 
 class TestWelfare:
@@ -86,21 +115,21 @@ class TestWelfare:
         assert sg.empirical_welfare(data, onehot) == pytest.approx(oracle_welfare(data), abs=1e-12)
 
     def test_penalized_welfare_kinds(self):
+        # the checkers' penalized welfare: the binary penalty vanishes at the
+        # coin flip, the full-vector one is 1/K at the uniform policy
         rng = np.random.default_rng(3)
         data = sg.FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-        delta = _random_simplex_rows(rng, 30, 2)
-        assert sg.penalized_welfare(data, delta, 0.0, sg.KIND_BINARY) == sg.empirical_welfare(
-            data, delta
-        )
-        half = np.full((30, 2), 0.5)
-        assert sg.penalized_welfare(data, half, 2.0, sg.KIND_BINARY) == sg.empirical_welfare(
-            data, half
-        )
+        p = rng.uniform(0.0, 1.0, 30)
+        delta = np.column_stack([p, 1.0 - p])
+        report = sg.verify_equivalence_binary(data, [p, np.full(30, 0.5)], 8.0)
+        assert report.penalized[0] == _penalized_welfare(data, delta, 2.0, _binary_penalty)
+        assert report.penalized[1] == sg.empirical_welfare(data, np.full((30, 2), 0.5))
         k = 5
         data_k = sg.FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, k)))
         uniform = np.full((30, k), 1.0 / k)
-        assert sg.penalty_value(uniform, sg.KIND_FULL_VECTOR) == pytest.approx(1.0 / k, abs=1e-15)
-        assert sg.penalized_welfare(data_k, uniform, 1.0, sg.KIND_FULL_VECTOR) == pytest.approx(
+        report = sg.verify_equivalence_fullvector(data_k, [uniform], 2.0)
+        assert report.penalty_weight == 1.0
+        assert report.penalized[0] == pytest.approx(
             sg.empirical_welfare(data_k, uniform) - 1.0 / k, abs=1e-14
         )
 
@@ -221,6 +250,12 @@ class TestBaselineGapEquivalence:
         for baseline in range(1, k + 1):
             assert sg.verify_equivalence_gap(data, grid, 1.5, baseline).max_affine_error < 1e-10
 
+    @pytest.mark.parametrize("baseline", [0, 4])
+    def test_rejects_baseline_out_of_range(self, baseline):
+        data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            sg.verify_equivalence_gap(data, [np.full((2, 3), 1.0 / 3.0)], 1.0, baseline)
+
 
 class TestProjectSimplex:
     def test_fixed_points(self):
@@ -330,8 +365,8 @@ class TestWelfareRiskIdentities:
             p1, p2 = rng.uniform(0, 1, size=(2, n))
             d1 = np.column_stack([p1, 1 - p1])
             d2 = np.column_stack([p2, 1 - p2])
-            w1 = sg.penalized_welfare(data, d1, lam, sg.KIND_BINARY)
-            w2 = sg.penalized_welfare(data, d2, lam, sg.KIND_BINARY)
+            w1 = _penalized_welfare(data, d1, lam, _binary_penalty)
+            w2 = _penalized_welfare(data, d2, lam, _binary_penalty)
             r1 = float(np.mean(sg.binary_loss(zeta, u, 2 * p1 - 1)))
             r2 = float(np.mean(sg.binary_loss(zeta, u, 2 * p2 - 1)))
             assert abs((w1 - w2) - 0.5 * (r2 - r1)) < 1e-10
@@ -351,8 +386,8 @@ class TestWelfareRiskIdentities:
             lam = zeta / 2.0
             d1 = _random_simplex_rows(rng, n, k)
             d2 = _random_simplex_rows(rng, n, k)
-            w1 = sg.penalized_welfare(data, d1, lam, sg.KIND_FULL_VECTOR)
-            w2 = sg.penalized_welfare(data, d2, lam, sg.KIND_FULL_VECTOR)
+            w1 = _penalized_welfare(data, d1, lam, _fullvector_penalty)
+            w2 = _penalized_welfare(data, d2, lam, _fullvector_penalty)
             r1 = float(np.mean(sg.fullvector_loss(zeta, data.y, d1)))
             r2 = float(np.mean(sg.fullvector_loss(zeta, data.y, d2)))
             assert abs((w1 - w2) - (r2 - r1)) < 1e-10
@@ -456,5 +491,6 @@ class TestEquivalenceCheckerProperties:
             assert report.max_affine_error <= _affine_bound(report)
 
     def test_binary_penalty_rejects_k_action_rows(self):
-        with pytest.raises(ValueError, match="two-column"):
-            sg.penalty_value(np.full((4, 3), 1.0 / 3.0), sg.KIND_BINARY)
+        data = sg.FullFeedbackDataset(np.zeros((4, 1)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="binary dataset"):
+            sg.verify_equivalence_binary(data, [np.full(4, 0.5)], 1.0)
