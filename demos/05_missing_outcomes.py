@@ -22,7 +22,7 @@ from gbpl.evaluation import oracle_welfare, test_welfare
 from gbpl.experiment import split_rows
 from gbpl.methods import fit_policy_fullvector
 from gbpl.posterior import GibbsConfig, TrainConfig
-from gbpl.surrogate import FullFeedbackDataset
+from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
 
 spec = DgpSpec(family="multi2", n=3000, k=3, seed=5)
 logged, hidden_full = generate_logged(spec, logging="softmax", clip=0.05)
@@ -32,7 +32,7 @@ test = FullFeedbackDataset(hidden_full.x[test_rows], hidden_full.y[test_rows])
 print(f"logged dataset: n={logged.n}, K={logged.k}, one outcome observed per row")
 print(f"oracle test welfare (hindsight best realized outcome): {oracle_welfare(test):.4f}")
 uniform = np.full((test.n, logged.k), 1.0 / logged.k)
-print(f"uniform-randomization welfare (no learning):          {test_welfare(test, uniform, 'randomized'):.4f}")
+print(f"uniform-randomization welfare (no learning):          {empirical_welfare(test, uniform):.4f}")
 
 # nuisances, fitted on the training rows only: estimated propensities and a
 # masked outcome regression
@@ -47,7 +47,7 @@ tables = {
     "IPW": ipw_pseudo_outcomes(logged, logged.true_propensity),
     "DR": dr_pseudo_outcomes(logged, logged.true_propensity, gamma_hat),
 }
-gibbs = GibbsConfig(zeta=0.1, eta=1.0, tau2=1.0, kind="full_vector")
+gibbs = GibbsConfig(zeta=0.1, eta=1.0, tau2=1.0)
 for name, table in tables.items():
     policy = fit_policy_fullvector(logged.x, table, gibbs, cfg, train_rows, val_rows)
     welfare = test_welfare(test, policy, rule="randomized")

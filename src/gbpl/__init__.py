@@ -20,7 +20,7 @@ The package is organized as a small numpy library:
 """
 
 from gbpl.nnet import MlpArchitecture, Batch, init_params, forward, backward
-from gbpl.surrogate import FullFeedbackDataset, GibbsConfig, project_simplex
+from gbpl.surrogate import FullFeedbackDataset, GibbsConfig
 from gbpl.posterior import TrainConfig, SgldConfig, PosteriorDraws, map_train, sgld_sample
 from gbpl.counterfactual import LoggedDataset
 from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged
@@ -37,7 +37,6 @@ __all__ = [
     "backward",
     "FullFeedbackDataset",
     "GibbsConfig",
-    "project_simplex",
     "TrainConfig",
     "SgldConfig",
     "PosteriorDraws",

@@ -34,6 +34,7 @@ BASELINE_KINDS = (
     KIND_WEIGHTED_LOGISTIC,
     KIND_DIRECT_WELFARE,
 )
+TWO_ACTION_KINDS = (KIND_DIFF_REG, KIND_PLUGIN_REG, KIND_WEIGHTED_LOGISTIC)
 
 
 def fit_baseline(
@@ -62,7 +63,7 @@ def fit_baseline(
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     k = table.shape[1]
-    if kind in (KIND_DIFF_REG, KIND_PLUGIN_REG, KIND_WEIGHTED_LOGISTIC) and k != 2:
+    if kind in TWO_ACTION_KINDS and k != 2:
         raise ValueError(f"{kind} needs a two-column outcome table; "
                          f"use {KIND_PLUGIN_REG_K} or {KIND_DIRECT_WELFARE} for K actions")
     d = x.shape[1]

@@ -101,8 +101,7 @@ def _cmd_train(args) -> int:
             raise ValueError("--hidden widths must be at least 1")
     data = read_full_feedback_csv(args.data)
     train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
-    policy = fit_gbpl(data.x, data.y, train_rows, val_rows, gibbs.zeta, gibbs.eta, gibbs.tau2,
-                      cfg, tuple(args.hidden))
+    policy = fit_gbpl(data.x, data.y, gibbs, cfg, train_rows, val_rows, tuple(args.hidden))
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
     write_json(

@@ -1,8 +1,11 @@
 """Welfare and regret evaluation, tuning-parameter selection, posterior
 welfare credible intervals, PAC-Bayes bound arithmetic, and trial aggregation.
 
-``test_welfare`` is the one place a policy's welfare is computed: the harness,
-scale selection and the per-draw welfare behind credible intervals all call it.
+``test_welfare`` is the one place a fitted rule's welfare is computed: the
+harness, scale selection and the per-draw welfare behind credible intervals
+all call it. A fixed randomization (an (n, K) matrix of simplex rows, such as
+uniform assignment) has no network behind it; its welfare is
+:func:`gbpl.surrogate.empirical_welfare`.
 """
 
 from __future__ import annotations
@@ -24,35 +27,22 @@ def oracle_welfare(test: FullFeedbackDataset) -> float:
     return float(test.y.max(axis=1).mean())
 
 
-def _policy_delta(test: FullFeedbackDataset, policy) -> np.ndarray:
-    if isinstance(policy, FittedPolicy):
-        return policy.delta(test.x)
-    delta = np.asarray(policy, dtype=np.float64)
-    if delta.shape != test.y.shape:
-        raise ValueError("policy matrix must be (n, K) matching the test data")
-    return delta
+def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
+                 rule: str = RULE_DETERMINISTIC) -> float:
+    """Realized test welfare of a fitted rule.
 
-
-def test_welfare(test: FullFeedbackDataset, policy, rule: str = RULE_DETERMINISTIC) -> float:
-    """Realized test welfare of a policy.
-
-    ``policy`` is a :class:`FittedPolicy` or an (n, K) matrix of simplex rows.
-    Deterministic evaluation takes the fitted rule's own decision (binary
-    scores threshold at zero; simplex rows argmax with ties to the lowest
-    column); randomized evaluation averages outcomes under the simplex rows.
-    A fitted policy must act on as many actions as ``test`` has columns.
+    Deterministic evaluation takes the rule's own decision (binary scores
+    threshold at zero; simplex rows argmax with ties to the lowest column);
+    randomized evaluation averages outcomes under the rule's simplex rows.
+    The rule must act on as many actions as ``test`` has columns.
     """
-    if isinstance(policy, FittedPolicy) and policy.n_actions != test.k:
+    if policy.n_actions != test.k:
         raise ValueError(f"policy acts on {policy.n_actions} actions but the data "
                          f"has {test.k}")
     if rule == RULE_DETERMINISTIC:
-        if isinstance(policy, FittedPolicy):
-            cols = policy.decide(test.x)
-        else:
-            cols = _policy_delta(test, policy).argmax(axis=1)
-        return float(test.y[np.arange(test.n), cols].mean())
+        return float(test.y[np.arange(test.n), policy.decide(test.x)].mean())
     if rule == RULE_RANDOMIZED:
-        return empirical_welfare(test, _policy_delta(test, policy))
+        return empirical_welfare(test, policy.delta(test.x))
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -60,21 +50,20 @@ test_welfare.__test__ = False  # keep pytest from collecting the public name
 
 
 def select_zeta_by_validation(
-    candidates: list[tuple[float, object]],
+    fits: dict[float, FittedPolicy],
     val: FullFeedbackDataset,
     rule: str = RULE_DETERMINISTIC,
 ) -> float:
-    """Pick the scale whose fitted policy maximizes validation welfare.
+    """Pick the scale whose fitted rule maximizes validation welfare.
 
     ``val`` may hold realized outcomes or a pseudo-outcome table; the same
     welfare formula applies. Ties (within 1e-12) go to the smallest scale.
     """
-    if not candidates:
+    if not fits:
         raise ValueError("need at least one candidate")
-    welfare = np.array([test_welfare(val, policy, rule) for _, policy in candidates])
-    best = welfare.max()
-    tied = [z for (z, _), w in zip(candidates, welfare) if w >= best - 1e-12]
-    return min(tied)
+    welfare = {z: test_welfare(val, policy, rule) for z, policy in fits.items()}
+    best = max(welfare.values())
+    return min(z for z, w in welfare.items() if w >= best - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +169,23 @@ class AggregateRow:
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateRow:
-    """Unbiased sample variance across trials; se = sqrt(var / trials)."""
-    if len(trials) < 2:
-        raise ValueError("need at least 2 trials for a variance")
+    """Unbiased sample variance across trials; se = sqrt(var / trials).
+    A single trial has no variance: its spreads are None."""
+    if not trials:
+        raise ValueError("need at least one trial")
     method_ids = {t.method_id for t in trials}
     if len(method_ids) != 1:
         raise ValueError("aggregate one method at a time")
     w = np.array([t.welfare for t in trials])
     r = np.array([t.regret for t in trials])
     n = len(trials)
-    w_var = float(w.var(ddof=1))
-    r_var = float(r.var(ddof=1))
+    w_var = float(w.var(ddof=1)) if n > 1 else None
     return AggregateRow(
         method_id=trials[0].method_id,
         welfare_mean=float(w.mean()),
         welfare_var=w_var,
-        welfare_se=math.sqrt(w_var / n),
+        welfare_se=math.sqrt(w_var / n) if n > 1 else None,
         regret_mean=float(r.mean()),
-        regret_se=math.sqrt(r_var / n),
+        regret_se=math.sqrt(float(r.var(ddof=1)) / n) if n > 1 else None,
         trials=n,
     )

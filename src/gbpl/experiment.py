@@ -4,9 +4,12 @@ One experiment = a data generating process, a feedback mode (full outcome
 vectors or logged single-outcome data with a pseudo-outcome construction), a
 list of methods, and a trial count. Per trial the harness generates data with
 seed base_seed + trial, splits it 0.6/0.2/0.2 (train gets the rounding
-remainder), fits every method with early stopping on its validation loss,
-selects the surrogate scale of CV variants by validation welfare, and scores
-test welfare and regret against the realized-outcome oracle.
+remainder), and turns every method into a map from surrogate scale to fitted
+rule, early-stopped on its validation loss; a baseline's one key is ``None``.
+A map of several rules is reduced to one by validation welfare, and the chosen
+rule's test welfare and regret are scored against the realized-outcome
+oracle. IPW is DR with a zero outcome regression, so both pseudo-outcome
+tables come from one ``dr_pseudo_outcomes`` call.
 
 Seed streams are isolated per (trial, method), keyed by a CRC of the method
 name, so adding or removing a method never perturbs the other methods' rows.
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from gbpl import nnet
-from gbpl.baselines import BASELINE_KINDS, fit_baseline
+from gbpl.baselines import BASELINE_KINDS, TWO_ACTION_KINDS, fit_baseline
 from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.counterfactual import (
     DEFAULT_EPSILON_CLIP,
@@ -33,13 +36,11 @@ from gbpl.counterfactual import (
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
-    ipw_pseudo_outcomes,
 )
-from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged, write_table
+from gbpl.dgp import DgpSpec, check_logging, generate_full_feedback, generate_logged, write_table
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
     RULE_RANDOMIZED,
-    AggregateRow,
     TrialResult,
     aggregate,
     oracle_welfare,
@@ -56,12 +57,7 @@ from gbpl.posterior import (
     sgld_sample,
 )
 from gbpl.losses import BinarySurrogateLoss
-from gbpl.surrogate import (
-    KIND_BINARY,
-    KIND_FULL_VECTOR,
-    FullFeedbackDataset,
-    population_score_binary,
-)
+from gbpl.surrogate import FullFeedbackDataset, population_score_binary
 
 KIND_GBPL = "gbpl"
 DEFAULT_ZETA_GRID = (1.0, 0.1, 0.01, 0.001)
@@ -76,7 +72,7 @@ class MethodSpec:
     ``kind`` is ``"gbpl"`` or a baseline kind; surrogate methods carry either
     a fixed ``zeta`` or a ``zeta_grid`` selected by validation welfare.
     A surrogate method with neither gets the default grid; every scale must
-    be positive.
+    be positive. A baseline takes neither.
     """
 
     name: str
@@ -97,6 +93,9 @@ class MethodSpec:
                 raise ValueError(f"method {self.name!r}: zeta values must be positive")
         elif self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
+        elif self.zeta is not None or self.zeta_grid is not None:
+            raise ValueError(f"method {self.name!r}: baseline {self.kind} takes no zeta "
+                             "or zeta_grid")
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,12 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.feedback.mode == "logged":
+            check_logging(self.dgp, self.feedback.logging, self.feedback.clip)
+        for m in self.methods:
+            if m.kind in TWO_ACTION_KINDS and (self.dgp.k or 2) != 2:
+                raise ValueError(f"method {m.name!r}: {m.kind} needs two actions, "
+                                 f"the DGP has {self.dgp.k}")
 
 
 def _check_split(split) -> None:
@@ -198,23 +203,19 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
         nuisance_cfg = replace(cfg.train, seed=method_seed(cfg.base_seed, trial, "__nuisance__"))
         e_hat = (logged.true_propensity if fb.propensity == "true"
                  else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
-        if fb.pseudo == PSEUDO_DR:
-            gamma_hat = fit_outcome_regression(logged, train_rows, nuisance_cfg, cfg.hidden,
-                                               fb.folds)
-            table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
-        else:
-            table = ipw_pseudo_outcomes(logged, e_hat)
+        gamma_hat = (fit_outcome_regression(logged, train_rows, nuisance_cfg, cfg.hidden,
+                                            fb.folds)
+                     if fb.pseudo == PSEUDO_DR else np.zeros((logged.n, logged.k)))
+        table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
     return _TrialData(full.x, table, train_rows, val_rows, _subset_full(full, test_rows))
 
 
-def fit_gbpl(x: np.ndarray, table: np.ndarray, train_rows: np.ndarray, val_rows: np.ndarray,
-             zeta: float, eta: float, tau2: float, cfg: TrainConfig,
+def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
+             train_rows: np.ndarray, val_rows: np.ndarray,
              hidden: tuple[int, ...]) -> FittedPolicy:
     """The surrogate fit for a K-column (pseudo-)outcome table: a tanh score on
     the column difference at K = 2, a softmax policy on the rows otherwise."""
-    binary = table.shape[1] == 2
-    gibbs = GibbsConfig(zeta, eta, tau2, kind=KIND_BINARY if binary else KIND_FULL_VECTOR)
-    if binary:
+    if table.shape[1] == 2:
         u = table[:, 0] - table[:, 1]
         return fit_score_binary(x, u, gibbs, cfg, train_rows, val_rows, hidden)
     return fit_policy_fullvector(x, table, gibbs, cfg, train_rows, val_rows, hidden)
@@ -230,19 +231,16 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
         train_cfg = replace(cfg.train, seed=seed)
-        selected = None
         if m.kind == KIND_GBPL:
-            fits = {z: fit_gbpl(td.x, td.table, td.train_rows, td.val_rows,
-                                z, cfg.eta, cfg.tau2, train_cfg, cfg.hidden)
-                    for z in ((m.zeta,) if m.zeta is not None else m.zeta_grid)}
-            selected = m.zeta
-            if selected is None:
-                selected = select_zeta_by_validation(list(fits.items()), val_table, rule)
-            policy = fits[selected]
+            fits = {z: fit_gbpl(td.x, td.table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
+                                td.train_rows, td.val_rows, cfg.hidden)
+                    for z in m.zeta_grid or (m.zeta,)}
         else:
-            policy = fit_baseline(m.kind, td.x, td.table, train_cfg,
-                                  td.train_rows, td.val_rows, cfg.hidden)
-        welfare = test_welfare(td.test, policy, rule)
+            fits = {None: fit_baseline(m.kind, td.x, td.table, train_cfg,
+                                       td.train_rows, td.val_rows, cfg.hidden)}
+        selected = (select_zeta_by_validation(fits, val_table, rule) if len(fits) > 1
+                    else next(iter(fits)))
+        welfare = test_welfare(td.test, fits[selected], rule)
         results.append(
             TrialResult(
                 method_id=m.name,
@@ -277,9 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     write_table(out / "aggregate.csv",
                 ["method", "welfare_mean", "welfare_var", "welfare_se", "regret_mean",
                  "regret_se", "trials"],
-                (astuple(aggregate(rows) if len(rows) >= 2 else
-                         AggregateRow(name, rows[0].welfare, None, None, rows[0].regret, None, 1))
-                 for name, rows in by_method.items()))
+                (astuple(aggregate(rows)) for rows in by_method.values()))
 
     write_table(out / "welfare_lists.csv", ["method", "trial", "welfare"],
                 ((name, t, r.welfare) for name, rows in by_method.items()
@@ -337,7 +333,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [cfg.seed, _SPLIT_TAG])
     test = _subset_full(full, test_rows)
 
-    gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2, kind=KIND_BINARY)
+    gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)
     arch = nnet.MlpArchitecture(1, cfg.hidden, 1, nnet.HEAD_TANH)
     loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), cfg.zeta)
     train_cfg = replace(cfg.train, seed=cfg.seed)

@@ -269,21 +269,10 @@ def verify_equivalence_gap(
 # simplex geometry and population targets
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold).
-
-    Returns the unique nearest point with nonnegative entries summing to one.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("project_simplex expects a 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input must be finite")
-    return project_simplex_rows(v[None, :])[0]
-
-
 def project_simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection of an (n, K) matrix.
+    """Row-wise Euclidean projection of an (n, K) matrix onto the probability
+    simplex: each row's unique nearest point with nonnegative entries summing
+    to one.
 
     Each row is sorted in descending order; the threshold theta is the
     cumulative-sum correction at the last index rho where the sorted entry

@@ -8,7 +8,15 @@ from dataclasses import replace
 from gbpl import evaluation as ev
 from gbpl import nnet
 from gbpl.methods import FittedPolicy
-from gbpl.surrogate import FullFeedbackDataset
+from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
+
+
+def _linear(w, b=None, head=nnet.HEAD_SOFTMAX):
+    """A one-layer fitted rule f(x) = x W + b with hand-set weights."""
+    w = np.asarray(w, dtype=np.float64)
+    b = np.zeros(w.shape[1]) if b is None else np.asarray(b, dtype=np.float64)
+    return FittedPolicy(nnet.MlpArchitecture(w.shape[0], (), w.shape[1], head),
+                        np.concatenate([w.ravel(), b]))
 
 
 class TestOracleWelfare:
@@ -25,42 +33,45 @@ class TestOracleWelfare:
         data = FullFeedbackDataset(rng.standard_normal((50, 2)), rng.standard_normal((50, 4)))
         oracle = ev.oracle_welfare(data)
         for _ in range(50):
-            g = rng.gamma(1.0, 1.0, size=(50, 4))
-            delta = g / g.sum(axis=1, keepdims=True)
-            assert ev.test_welfare(data, delta, "randomized") <= oracle + 1e-12
-            assert ev.test_welfare(data, delta, "deterministic") <= oracle + 1e-12
+            policy = _linear(3.0 * rng.standard_normal((2, 4)), rng.standard_normal(4))
+            assert ev.test_welfare(data, policy, "randomized") <= oracle + 1e-12
+            assert ev.test_welfare(data, policy, "deterministic") <= oracle + 1e-12
 
 
 class TestTestWelfare:
     def test_always_treat(self):
         rng = np.random.default_rng(1)
         data = FullFeedbackDataset(rng.standard_normal((30, 1)), rng.standard_normal((30, 2)))
-        ones = np.column_stack([np.ones(30), np.zeros(30)])
-        assert ev.test_welfare(data, ones, "deterministic") == pytest.approx(
+        always = _linear([[0.0]], [1.0], nnet.HEAD_TANH)  # a positive score picks column 0
+        assert ev.test_welfare(data, always, "deterministic") == pytest.approx(
             data.y[:, 0].mean(), abs=1e-12
         )
 
     def test_oracle_onehot_recovers_oracle(self):
+        # covariates equal to the outcomes, so the identity net argmaxes the outcomes
         rng = np.random.default_rng(2)
-        data = FullFeedbackDataset(rng.standard_normal((30, 1)), rng.standard_normal((30, 3)))
-        onehot = np.zeros((30, 3))
-        onehot[np.arange(30), data.y.argmax(axis=1)] = 1.0
-        assert ev.test_welfare(data, onehot, "deterministic") == pytest.approx(
+        y = rng.standard_normal((30, 3))
+        data = FullFeedbackDataset(y, y)
+        oracle = _linear(np.eye(3), head=nnet.HEAD_IDENTITY)
+        assert ev.test_welfare(data, oracle, "deterministic") == pytest.approx(
             ev.oracle_welfare(data), abs=1e-12
         )
 
     def test_uniform_randomized(self):
+        # a fixed randomization goes through empirical_welfare; a zero softmax
+        # net randomizes uniformly too and must score the same
         rng = np.random.default_rng(3)
         data = FullFeedbackDataset(rng.standard_normal((40, 1)), rng.standard_normal((40, 3)))
-        uniform = np.full((40, 3), 1.0 / 3.0)
-        assert ev.test_welfare(data, uniform, "randomized") == pytest.approx(
-            data.y.mean(axis=1).mean(), abs=1e-12
+        uniform = empirical_welfare(data, np.full((40, 3), 1.0 / 3.0))
+        assert uniform == pytest.approx(data.y.mean(axis=1).mean(), abs=1e-12)
+        assert ev.test_welfare(data, _linear(np.zeros((1, 3))), "randomized") == pytest.approx(
+            uniform, abs=1e-12
         )
 
     def test_deterministic_ties_to_lowest_column(self):
         data = FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        half = np.full((2, 2), 0.5)
-        assert ev.test_welfare(data, half, "deterministic") == 0.5  # picks column 0 twice
+        tied = _linear(np.zeros((1, 2)))  # every row is (0.5, 0.5)
+        assert ev.test_welfare(data, tied, "deterministic") == 0.5  # picks column 0 twice
 
 
 _X = np.array([[-2.0], [0.0], [1.0]])
@@ -83,9 +94,7 @@ class TestFittedPolicyHeads:
     @pytest.mark.parametrize("case", sorted(_HEAD_CASES))
     def test_decide_and_delta_follow_the_head(self, case):
         head, w, decisions, rows = _HEAD_CASES[case]
-        w = np.array(w)
-        arch = nnet.MlpArchitecture(1, (), w.shape[1], head)
-        policy = FittedPolicy(arch, np.concatenate([w.ravel(), np.zeros(w.shape[1])]))
+        policy = _linear(w, head=head)
         np.testing.assert_array_equal(policy.decide(_X), decisions)
         np.testing.assert_allclose(policy.delta(_X), rows, rtol=0, atol=1e-15)
 
@@ -111,24 +120,25 @@ class TestWelfareCredibleInterval:
 
 
 class TestSelectZeta:
+    _ALWAYS = _linear([[0.0]], [1.0], nnet.HEAD_TANH)  # column 0 on every row
+    _NEVER = _linear([[0.0]], [-1.0], nnet.HEAD_TANH)  # column 1 on every row
+
     def test_single_candidate(self):
         rng = np.random.default_rng(4)
         val = FullFeedbackDataset(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
-        delta = np.column_stack([np.ones(10), np.zeros(10)])
-        assert ev.select_zeta_by_validation([(0.5, delta)], val) == 0.5
+        assert ev.select_zeta_by_validation({0.5: self._ALWAYS}, val) == 0.5
 
     def test_ties_take_smallest(self):
         rng = np.random.default_rng(5)
         val = FullFeedbackDataset(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
-        delta = np.column_stack([np.ones(10), np.zeros(10)])
-        cands = [(1.0, delta), (0.01, delta.copy()), (0.1, delta.copy())]
-        assert ev.select_zeta_by_validation(cands, val) == 0.01
+        fits = {1.0: self._ALWAYS, 0.01: self._ALWAYS, 0.1: self._ALWAYS}
+        assert ev.select_zeta_by_validation(fits, val) == 0.01
 
-    def test_dominating_policy_wins(self):
+    @pytest.mark.parametrize("best", [0.1, 1.0])
+    def test_dominating_policy_wins(self, best):
         data = FullFeedbackDataset(np.zeros((4, 1)), np.array([[1.0, 0.0]] * 4))
-        always = np.column_stack([np.ones(4), np.zeros(4)])
-        never = np.column_stack([np.zeros(4), np.ones(4)])
-        assert ev.select_zeta_by_validation([(1.0, never), (0.1, always)], data) == 0.1
+        fits = {z: self._ALWAYS if z == best else self._NEVER for z in (1.0, 0.1)}
+        assert ev.select_zeta_by_validation(fits, data) == best
 
 
 class TestPacBayes:
@@ -237,9 +247,14 @@ class TestAggregate:
         assert abs(agg.welfare_var - m2 / (count - 1)) < 1e-10
         assert abs(agg.welfare_se - math.sqrt(m2 / (count - 1) / count)) < 1e-10
 
-    def test_requires_two_trials(self):
+    def test_single_trial_has_no_spread(self):
+        agg = ev.aggregate([self._trial("m", 0.5, 0.1)])
+        assert (agg.welfare_mean, agg.regret_mean, agg.trials) == (0.5, 0.1, 1)
+        assert agg.welfare_var is agg.welfare_se is agg.regret_se is None
+
+    def test_requires_a_trial(self):
         with pytest.raises(ValueError):
-            ev.aggregate([self._trial("m", 0.5, 0.1)])
+            ev.aggregate([])
 
     def test_rejects_mixed_methods(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,16 @@ class TestRunExperiment:
             selected = float(line.split(",")[4])
             assert selected in (1.0, 0.1)
 
+    def test_fixed_zeta_equals_one_member_grid(self, tmp_path):
+        # a fixed scale and a grid of that one scale are the same candidate map
+        outs = []
+        for tag, spec in (("fixed", {"zeta": 0.1}), ("grid", {"zeta_grid": [0.1]})):
+            methods = [{"name": "GBPLNet", "kind": "gbpl", **spec}]
+            outs.append(ex.run_experiment(ex.parse_config(
+                _smoke_config(tmp_path / tag, methods))))
+        for name in ("trials.csv", "aggregate.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_logged_ipw_true_propensity(self, tmp_path):
         cfg = ex.parse_config(
             _smoke_config(
@@ -181,6 +191,25 @@ class TestRunExperiment:
             ex.MethodSpec(name="bad", kind="gbpl", zeta=0.1, zeta_grid=(1.0,))
 
 
+def _multi5(out, methods, feedback=None):
+    raw = _smoke_config(out, methods, feedback=feedback)
+    raw["dgp"] = {"family": "multi1", "n": 200, "d": 4, "k": 5}
+    return raw
+
+
+# configs that parse into dataclasses but used to fail inside run_experiment
+_RUN_TIME_FAILURES = {
+    "logistic-logging-k5": (
+        lambda out: _multi5(out, [{"name": "GBPL", "kind": "gbpl", "zeta": 0.1}],
+                            {"mode": "logged", "logging": "logistic"}),
+        "logistic logging is binary only"),
+    "diff-reg-k5": (
+        lambda out: _multi5(out, [{"name": "GBPL", "kind": "gbpl", "zeta": 0.1},
+                                  {"name": "dr", "kind": "diff_reg"}]),
+        "'dr': diff_reg needs two actions"),
+}
+
+
 class TestConfigValidation:
     def _raw(self, method):
         return _smoke_config("unused", methods=[method])
@@ -234,6 +263,25 @@ class TestConfigValidation:
     def test_one_fold_rejected(self):
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             ex.FeedbackSpec(mode="logged", folds=1)
+
+    @pytest.mark.parametrize("kind", ["diff_reg", "plugin_reg_k"])
+    @pytest.mark.parametrize("spec", [{"zeta": 0.1}, {"zeta_grid": [0.1]}])
+    def test_baseline_with_a_scale_rejected(self, kind, spec):
+        with pytest.raises(ValueError, match="'base'.*no zeta"):
+            ex.parse_config(self._raw({"name": "base", "kind": kind, **spec}))
+
+    @pytest.mark.parametrize("raw, message", list(_RUN_TIME_FAILURES.values()),
+                             ids=list(_RUN_TIME_FAILURES))
+    def test_config_that_would_fail_mid_run_rejected(self, tmp_path, capsys, raw, message):
+        with pytest.raises(ValueError, match=message):
+            ex.parse_config(raw(tmp_path / "run"))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw(tmp_path / "run")))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["experiment", "--config", str(config)])
+        assert exit_info.value.code == 2
+        assert "gbpl experiment: error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_fewer_than_one_job_rejected(self, jobs):
@@ -426,9 +474,9 @@ class TestCli:
         seen = {}
         real_fit = cli.fit_gbpl
 
-        def spy(x, table, train_rows, val_rows, *rest):
+        def spy(x, table, gibbs, cfg, train_rows, val_rows, hidden):
             seen["train"], seen["val"] = train_rows, val_rows
-            return real_fit(x, table, train_rows, val_rows, *rest)
+            return real_fit(x, table, gibbs, cfg, train_rows, val_rows, hidden)
 
         monkeypatch.setattr(cli, "fit_gbpl", spy)
         rc = cli.main(["train", "--data", str(data_csv), "--hidden", "4", "--max-epochs", "1",
@@ -466,7 +514,12 @@ class TestCli:
         cfg_path.write_text(json.dumps(_smoke_config(tmp_path / "run", trials=1)))
         rc = cli.main(["experiment", "--config", str(cfg_path)])
         assert rc == 0
-        assert (tmp_path / "run" / "aggregate.csv").exists()
+        with (tmp_path / "run" / "aggregate.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:  # one trial has no spread: its fields are empty
+            assert row["trials"] == "1"
+            assert row["welfare_var"] == row["welfare_se"] == row["regret_se"] == ""
 
     def test_print_schema(self, capsys):
         rc = cli.main(["experiment", "--print-schema"])
@@ -638,8 +691,8 @@ class TestGeneratedCli:
     def test_fit_gbpl_picks_the_surrogate_by_table_width(self, k, head):
         data, _ = generate_full_feedback(DgpSpec(family="multi1", n=40, d=4, k=k, seed=1))
         rows = np.arange(40)
-        policy = ex.fit_gbpl(data.x, data.y, rows[:30], rows[30:], 0.1, 1.0, 1.0,
-                             TrainConfig(max_epochs=1), (4,))
+        policy = ex.fit_gbpl(data.x, data.y, GibbsConfig(0.1), TrainConfig(max_epochs=1),
+                             rows[:30], rows[30:], (4,))
         assert policy.arch.head == head
 
 

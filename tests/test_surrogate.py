@@ -257,23 +257,28 @@ class TestBaselineGapEquivalence:
             sg.verify_equivalence_gap(data, [np.full((2, 3), 1.0 / 3.0)], 1.0, baseline)
 
 
+def _project(v):
+    """One vector through the row-wise projection, as a one-row matrix."""
+    return sg.project_simplex_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
+
+
 class TestProjectSimplex:
     def test_fixed_points(self):
         v = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(sg.project_simplex(v), v, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_project(v), v, rtol=0, atol=1e-15)
 
     def test_axis_point(self):
-        np.testing.assert_allclose(sg.project_simplex(np.array([2.0, 0.0, 0.0])),
+        np.testing.assert_allclose(_project(np.array([2.0, 0.0, 0.0])),
                                    [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
     def test_known_projection(self):
-        got = sg.project_simplex(np.array([0.9, 0.5, 0.1]))
+        got = _project(np.array([0.9, 0.5, 0.1]))
         np.testing.assert_allclose(got, [0.7, 0.3, 0.0], rtol=0, atol=1e-12)
 
     def test_output_on_simplex(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            p = sg.project_simplex(rng.standard_normal(int(rng.integers(2, 9))) * 3.0)
+            p = _project(rng.standard_normal(int(rng.integers(2, 9))) * 3.0)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0.0)
 
@@ -289,7 +294,7 @@ class TestProjectSimplex:
         rng = np.random.default_rng(14)
         for _ in range(100):
             v = rng.standard_normal(3) * 2.0
-            p = sg.project_simplex(v)
+            p = _project(v)
             d_proj = np.sum((p - v) ** 2)
             d_grid = np.min(((grid - v) ** 2).sum(axis=1))
             assert d_proj <= d_grid + 1e-12
@@ -431,7 +436,7 @@ class TestProjectSimplexRowsProperties:
     def test_matches_per_row_reference_bitwise(self, v):
         expected = np.array([_reference_projection(row) for row in v])
         assert sg.project_simplex_rows(v).tobytes() == expected.tobytes()
-        assert sg.project_simplex(v[0]).tobytes() == expected[0].tobytes()
+        assert _project(v[0]).tobytes() == expected[0].tobytes()
 
 
 _outcomes = st.floats(-10.0, 10.0, allow_subnormal=False)

@@ -2,14 +2,16 @@
 attribute a posterior-viz run's work as the benchmark's step counts assume.
 
 ``perfbench/tracing.py`` wraps gbpl functions at the module bindings its
-callers use. A refactor that drops or renames one of them fails here, in the
-test suite, rather than in the benchmark run. The tracer module is loaded from
-its file and only read; its wrappers are installed only for the duration of
-one run and removed again.
+callers use. A refactor that drops or renames one of them, or keeps an import
+that nothing in its module calls any more, fails here, in the test suite,
+rather than in the benchmark run. The tracer module is loaded from its file
+and only read; its wrappers are installed only for the duration of one run
+and removed again.
 
 Every public function and class in ``src/gbpl`` must also be used by the
 library, a demo, the benchmark or the acceptance tests, so that no code lives
-in ``src`` only for the unit tests to call.
+in ``src`` only for the unit tests to call. A re-export from the package's
+``__init__`` is not a use.
 """
 
 import ast
@@ -37,7 +39,15 @@ def _tracing():
 
 @pytest.mark.parametrize("module, attr", [site[:2] for site in _tracing().FUNCTION_SITES])
 def test_traced_binding_is_callable(module, attr):
-    assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    mod = importlib.import_module(module)
+    assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
+    # the binding must be on a call path: defined in its module or called there by name
+    tree = ast.parse(Path(mod.__file__).read_text())
+    defined = any(isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == attr
+                  for top in tree.body)
+    called = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == attr for node in ast.walk(tree))
+    assert defined or called, f"{module}.{attr} is bound but never called there"
 
 
 def test_posterior_viz_spans(tmp_path):
@@ -71,7 +81,8 @@ def _uses(tree):
 
 def test_every_public_src_definition_is_used_outside_the_unit_tests():
     src = sorted((_ROOT / "src" / "gbpl").glob("*.py"))
-    users = [*src, *(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py"),
+    users = [*(path for path in src if path.name != "__init__.py"),
+             *(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py"),
              _ROOT / "tests" / "test_acceptance.py"]
     uses = {path: set(_uses(ast.parse(path.read_text()))) for path in users}
     unused = []
