@@ -94,6 +94,13 @@ class LoggedDataset:
         return self.a - 1
 
 
+def check_clip(clip: float, k: int) -> None:
+    """Raise ``ValueError`` unless every entry of a K-action propensity row can
+    be floored at ``clip``: 0 < clip <= 1/K."""
+    if not (0.0 < clip <= 1.0 / k):
+        raise ValueError("clip must lie in (0, 1/K]")
+
+
 def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     """Nearest propensity rows with every entry at least ``clip``.
 
@@ -104,8 +111,7 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     """
     e = np.asarray(e, dtype=np.float64)
     k = e.shape[1]
-    if not (0.0 < clip <= 1.0 / k):
-        raise ValueError("clip must lie in (0, 1/K]")
+    check_clip(clip, k)
     rem = 1.0 - k * clip
     if rem == 0.0:
         return np.full_like(e, clip)
@@ -163,8 +169,7 @@ def fit_propensity(
     rows with every entry at least ``clip`` (``clip_propensities``). Every
     action must appear at least once among ``train_rows``.
     """
-    if not (0.0 < clip <= 1.0 / logged.k):
-        raise ValueError("clip must lie in (0, 1/K]")
+    check_clip(clip, logged.k)
     cols = logged.action_columns()
     missing = np.flatnonzero(np.bincount(cols[train_rows], minlength=logged.k) == 0)
     if missing.size:

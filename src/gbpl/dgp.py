@@ -18,7 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gbpl.counterfactual import DEFAULT_EPSILON_CLIP, LoggedDataset, clip_propensities
+from gbpl.counterfactual import (
+    DEFAULT_EPSILON_CLIP,
+    LoggedDataset,
+    check_clip,
+    clip_propensities,
+)
 from gbpl.losses import sigmoid
 from gbpl.nnet import softmax
 from gbpl.surrogate import FullFeedbackDataset
@@ -57,8 +62,6 @@ class DgpSpec:
             raise ValueError(f"unknown family {fam!r}; expected one of {known}")
         if self.n < 1:
             raise ValueError("n must be positive")
-        min_d = {"binary1": 4, "multi1": 4, "binary2": 3, "multi2": 3,
-                 "binary3": 3, "multi3": 3}
         if fam in BINARY_FAMILIES:
             if self.k not in (None, 2):
                 raise ValueError("binary families require K = 2")
@@ -69,8 +72,11 @@ class DgpSpec:
             object.__setattr__(self, "d", self.d if self.d is not None else 10)
             if self.k < 2:
                 raise ValueError("multi families need K >= 2")
-        if fam in min_d and self.d < min_d[fam]:
-            raise ValueError(f"family {fam} uses the first {min_d[fam]} covariates; d >= {min_d[fam]} required")
+        if fam in BINARY_FAMILIES + MULTI_FAMILIES:
+            min_d = _BASELINES[fam[-1]][0]
+            if self.d < min_d:
+                raise ValueError(f"family {fam} uses the first {min_d} covariates; "
+                                 f"d >= {min_d} required")
         elif fam == ONEDIM_FAMILY:
             if self.d not in (None, 1) or self.k not in (None, 2):
                 raise ValueError("the 1-D visualization family forces d = 1, K = 2")
@@ -97,29 +103,31 @@ def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# the baseline mean that binary<i> and multi<i> share, keyed by i, with the
+# number of leading covariates it reads: the family's minimum d
+_BASELINES = {
+    "1": (4, lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2 - 0.25 * x[:, 2] * x[:, 3]),
+    "2": (3, lambda x: 0.5 * np.sin(x[:, 0]) + 0.3 * x[:, 1] - 0.2 * x[:, 2] ** 2),
+    "3": (3, lambda x: 0.2 * x[:, 0] - 0.1 * x[:, 1] + 0.1 * np.tanh(x[:, 2])),
+}
+
+
 def _binary_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int):
     """Baseline mean and effect for the binary families; draws any direction
     vector from ``rng`` (binary1 only)."""
+    base = _BASELINES[fam[-1]][1](x)
     if fam == "binary1":
-        base = x[:, 0] + 0.5 * x[:, 1] ** 2 - 0.25 * x[:, 2] * x[:, 3]
         w = _unit_vector(rng, d)
         effect = 2.0 * np.tanh(x @ w / np.sqrt(d))
     elif fam == "binary2":
-        base = 0.5 * np.sin(x[:, 0]) + 0.3 * x[:, 1] - 0.2 * x[:, 2] ** 2
         effect = 1.5 * np.sin(x[:, 0] + x[:, 1])
     else:  # binary3
-        base = 0.2 * x[:, 0] - 0.1 * x[:, 1] + 0.1 * np.tanh(x[:, 2])
         effect = 2.5 * ((x[:, 0] > 0).astype(np.float64) - 0.5 + 0.2 * x[:, 1])
     return base, effect
 
 
 def _multi_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int, k: int):
-    if fam == "multi1":
-        base = x[:, 0] + 0.5 * x[:, 1] ** 2 - 0.25 * x[:, 2] * x[:, 3]
-    elif fam == "multi2":
-        base = 0.5 * np.sin(x[:, 0]) + 0.3 * x[:, 1] - 0.2 * x[:, 2] ** 2
-    else:  # multi3
-        base = 0.2 * x[:, 0] - 0.1 * x[:, 1] + 0.1 * np.tanh(x[:, 2])
+    base = _BASELINES[fam[-1]][1](x)
     gamma = np.empty((x.shape[0], k))
     for a in range(1, k + 1):
         w_a = _unit_vector(rng, d)
@@ -166,8 +174,7 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth
 def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:
     """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments."""
     k = spec.k or 2
-    if not (0.0 < clip <= 1.0 / k):
-        raise ValueError("clip must lie in (0, 1/K]")
+    check_clip(clip, k)
     if logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
         raise ValueError(f"unknown logging policy {logging!r}")
     if logging == LOGGING_LOGISTIC and k != 2:

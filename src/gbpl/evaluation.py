@@ -11,6 +11,7 @@ uniform assignment) has no network behind it; its welfare is
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +51,31 @@ test_welfare.__test__ = False  # keep pytest from collecting the public name
 
 
 def select_zeta_by_validation(
-    fits: dict[float, FittedPolicy],
+    fits: Iterable[tuple[float, FittedPolicy]],
     val: FullFeedbackDataset,
     rule: str = RULE_DETERMINISTIC,
-) -> float:
-    """Pick the scale whose fitted rule maximizes validation welfare.
+) -> tuple[float, FittedPolicy]:
+    """The (scale, rule) pair whose rule maximizes validation welfare.
 
-    ``val`` may hold realized outcomes or a pseudo-outcome table; the same
-    welfare formula applies. Ties (within 1e-12) go to the smallest scale.
+    ``fits`` yields the candidates one at a time, so a generator can fit each
+    one only when it is asked for. ``val`` may hold realized outcomes or a
+    pseudo-outcome table; the same welfare formula applies. Ties (within
+    1e-12) go to the smallest scale. Only candidates within 1e-12 of the
+    running best are kept: the best only grows, so a dropped one could never
+    come within 1e-12 of the final best.
     """
-    if not fits:
+    best, kept = -math.inf, []
+    for z, policy in fits:
+        w = test_welfare(val, policy, rule)
+        best = max(best, w)
+        kept = [c for c in kept if c[2] >= best - 1e-12]
+        if w >= best - 1e-12:
+            kept.append((z, policy, w))
+        del policy  # else it outlives its drop while the next candidate is fitted
+    if not kept:
         raise ValueError("need at least one candidate")
-    welfare = {z: test_welfare(val, policy, rule) for z, policy in fits.items()}
-    best = max(welfare.values())
-    return min(z for z, w in welfare.items() if w >= best - 1e-12)
+    z, policy, _ = min(kept, key=lambda c: c[0])
+    return z, policy
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ One experiment = a data generating process, a feedback mode (full outcome
 vectors or logged single-outcome data with a pseudo-outcome construction), a
 list of methods, and a trial count. Per trial the harness generates data with
 seed base_seed + trial, splits it 0.6/0.2/0.2 (train gets the rounding
-remainder), and turns every method into a map from surrogate scale to fitted
-rule, early-stopped on its validation loss; a baseline's one key is ``None``.
-A map of several rules is reduced to one by validation welfare, and the chosen
-rule's test welfare and regret are scored against the realized-outcome
-oracle. IPW is DR with a zero outcome regression, so both pseudo-outcome
-tables come from one ``dr_pseudo_outcomes`` call.
+remainder), and fits each method's rules, early-stopped on their validation
+loss: one per surrogate scale, or one for a baseline, whose scale is ``None``.
+Several rules are reduced to one by validation welfare, fitted one at a time
+as the selection asks for them, and the chosen rule's test welfare and regret
+are scored against the realized-outcome oracle. IPW is DR with a zero outcome
+regression, so both pseudo-outcome tables come from one ``dr_pseudo_outcomes``
+call.
 
 Seed streams are isolated per (trial, method), keyed by a CRC of the method
 name, so adding or removing a method never perturbs the other methods' rows.
@@ -72,7 +73,7 @@ class MethodSpec:
     ``kind`` is ``"gbpl"`` or a baseline kind; surrogate methods carry either
     a fixed ``zeta`` or a ``zeta_grid`` selected by validation welfare.
     A surrogate method with neither gets the default grid; every scale must
-    be positive. A baseline takes neither.
+    be positive and appear once. A baseline takes neither.
     """
 
     name: str
@@ -91,11 +92,20 @@ class MethodSpec:
                 raise ValueError(f"method {self.name!r}: zeta_grid is empty")
             if any(z <= 0 for z in scales):
                 raise ValueError(f"method {self.name!r}: zeta values must be positive")
+            if len(set(scales)) != len(scales):
+                raise ValueError(f"method {self.name!r}: zeta_grid repeats a value")
         elif self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         elif self.zeta is not None or self.zeta_grid is not None:
             raise ValueError(f"method {self.name!r}: baseline {self.kind} takes no zeta "
                              "or zeta_grid")
+
+    @property
+    def scales(self) -> tuple[float | None, ...]:
+        """The surrogate scales to fit, in order; a baseline's one entry is None."""
+        if self.kind != KIND_GBPL:
+            return (None,)
+        return self.zeta_grid or (self.zeta,)
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,11 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        # a trial draws its data from base_seed + trial and its fits from method_seed
+        for field, seed in (("dgp.seed", self.dgp.seed), ("train.seed", self.train.seed)):
+            if seed != 0:
+                raise ValueError(f"{field} must be 0, got {seed}: a trial overwrites it; "
+                                 "set base_seed instead")
         if self.feedback.mode == "logged":
             check_logging(self.dgp, self.feedback.logging, self.feedback.clip)
         for m in self.methods:
@@ -221,7 +236,20 @@ def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainCon
     return fit_policy_fullvector(x, table, gibbs, cfg, train_rows, val_rows, hidden)
 
 
+def _fit_rule(cfg: ExperimentConfig, td: _TrialData, m: MethodSpec, train_cfg: TrainConfig,
+              zeta: float | None) -> FittedPolicy:
+    """Method ``m``'s rule at surrogate scale ``zeta``, or its baseline rule for None."""
+    if zeta is None:
+        return fit_baseline(m.kind, td.x, td.table, train_cfg, td.train_rows, td.val_rows,
+                            cfg.hidden)
+    return fit_gbpl(td.x, td.table, GibbsConfig(zeta, cfg.eta, cfg.tau2), train_cfg,
+                    td.train_rows, td.val_rows, cfg.hidden)
+
+
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
+    """Score every method on one trial. A method's rules are fitted one at a
+    time, as selection asks for them, and released once scored, so the
+    trial's peak memory is that of one fit plus the best rule so far."""
     td = _prepare_trial(cfg, trial)
     rule = RULE_DETERMINISTIC if td.table.shape[1] == 2 else RULE_RANDOMIZED
     oracle = oracle_welfare(td.test)
@@ -231,16 +259,11 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
         train_cfg = replace(cfg.train, seed=seed)
-        if m.kind == KIND_GBPL:
-            fits = {z: fit_gbpl(td.x, td.table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
-                                td.train_rows, td.val_rows, cfg.hidden)
-                    for z in m.zeta_grid or (m.zeta,)}
-        else:
-            fits = {None: fit_baseline(m.kind, td.x, td.table, train_cfg,
-                                       td.train_rows, td.val_rows, cfg.hidden)}
-        selected = (select_zeta_by_validation(fits, val_table, rule) if len(fits) > 1
-                    else next(iter(fits)))
-        welfare = test_welfare(td.test, fits[selected], rule)
+        fits = ((z, _fit_rule(cfg, td, m, train_cfg, z)) for z in m.scales)
+        selected, policy = (select_zeta_by_validation(fits, val_table, rule)
+                            if len(m.scales) > 1 else next(fits))
+        welfare = test_welfare(td.test, policy, rule)
+        del policy  # before the next method is fitted
         results.append(
             TrialResult(
                 method_id=m.name,

@@ -94,16 +94,18 @@ class TrainConfig:
 
 
 class GradientWorkspace(nnet.Workspace):
-    """An ``nnet.Workspace`` plus two parameter-sized buffers for the prior gradient."""
+    """An ``nnet.Workspace`` plus two parameter-sized buffers for the prior
+    gradient. ``objective_gradient`` is done with them once it returns, so the
+    optimizer steps use them as scratch until the next call."""
 
     def __init__(self, arch: nnet.MlpArchitecture, rows: int):
         super().__init__(arch, rows)
-        self.prior = np.empty((2, arch.param_count))
+        self.prior = np.empty(arch.param_count), np.empty(arch.param_count)
 
 
 def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
                 out: np.ndarray) -> np.ndarray:
-    """params / tau2 + weight_decay * params, formed in the two rows of ``out``."""
+    """params / tau2 + weight_decay * params, formed in the two buffers of ``out``."""
     total, decay = out
     np.divide(params, gibbs.tau2, out=total)
     total += np.multiply(weight_decay, params, out=decay)
@@ -150,6 +152,10 @@ def map_train(
     returned; the initial parameters count as a candidate, so the returned
     validation loss can never exceed the initial one. Deterministic given
     ``cfg.seed``.
+
+    A fit holds seven parameter-sized vectors: the parameters, the best
+    snapshot (copied into, never reallocated), Adam's two moments, and the
+    workspace's gradient and two prior buffers, which double as Adam's scratch.
     """
     train_rows = np.asarray(train_rows, dtype=np.intp)
     val_rows = np.asarray(val_rows, dtype=np.intp)
@@ -165,14 +171,15 @@ def map_train(
         out = nnet.forward(arch, w, loss.x[val_rows], ws)
         return float(loss.values(out, val_rows).mean())
 
-    best_params = params.copy()
+    best_params = params.copy()  # snapshots are copied into it
     best_val = val_objective(params)
     since_best = 0
 
-    # Adam state; a step updates it in place, in textbook operation order, via s1 and s2
+    # Adam state; a step updates it in place, in textbook operation order, via s1
+    # and s2: the buffers of ws.prior, which objective_gradient is done with by then
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    s1, s2 = np.empty_like(params), np.empty_like(params)
+    s1, s2 = ws.prior
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -194,7 +201,7 @@ def map_train(
         cur = val_objective(params)
         if cur < best_val:
             best_val = cur
-            best_params = params.copy()
+            np.copyto(best_params, params)
             since_best = 0
         else:
             since_best += 1
@@ -270,8 +277,8 @@ def sgld_sample(
     n = rows.size
     b = min(sgld.batch_size, n)
     w = np.array(init, dtype=np.float64)
-    noise = np.empty_like(w)
     ws = GradientWorkspace(arch, b)
+    noise = ws.prior[0]  # free between objective_gradient calls
 
     kept = None  # (n_draws, P) or (n_draws, m), sized by the first recorded row
     total = sgld.burn_in + sgld.n_draws * sgld.thin

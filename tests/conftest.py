@@ -1,9 +1,21 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from gbpl import nnet
 from gbpl.losses import BatchLoss
+
+
+def peak_bytes(call) -> int:
+    """Peak memory, in bytes, that tracemalloc traces while ``call()`` runs:
+    Python objects and numpy buffers."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def total_loss(arch, params, adapter, rows=None):

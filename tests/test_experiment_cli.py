@@ -2,11 +2,11 @@ import argparse
 import csv
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from gbpl import cli, nnet
 from gbpl import experiment as ex
 from gbpl.configio import add_flags, from_dict, schema
@@ -210,6 +210,42 @@ _RUN_TIME_FAILURES = {
 }
 
 
+def _with(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+# configs that used to run, but not as written: a repeated scale was fitted twice for one
+# row, and a trial overwrites both seeds, though manifest.json recorded them
+_MISREAD = {
+    "repeated-zeta": (
+        lambda out: _smoke_config(out, [{"name": "cv-twice", "kind": "gbpl",
+                                         "zeta_grid": [0.1, 1.0, 0.1]}]),
+        "'cv-twice'.*repeats"),
+    "dgp-seed": (lambda out: _with(_smoke_config(out), ("dgp", "seed"), 3),
+                 "dgp.seed must be 0.*base_seed"),
+    "train-seed": (lambda out: _with(_smoke_config(out), ("train", "seed"), 1),
+                   "train.seed must be 0.*base_seed"),
+}
+
+
+def _check_usage_error(tmp_path, capsys, raw, message):
+    """``raw`` fails to parse with ``message``, and ``gbpl experiment`` exits 2 on it
+    before creating its output directory."""
+    with pytest.raises(ValueError, match=message):
+        ex.parse_config(raw(tmp_path / "run"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw(tmp_path / "run")))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["experiment", "--config", str(config)])
+    assert exit_info.value.code == 2
+    assert "gbpl experiment: error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestConfigValidation:
     def _raw(self, method):
         return _smoke_config("unused", methods=[method])
@@ -252,11 +288,7 @@ class TestConfigValidation:
         ],
     )
     def test_wrongly_typed_value_rejected(self, path, value, owner):
-        raw = self._raw({"name": "m", "kind": "gbpl", "zeta": 0.1})
-        node = raw
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        raw = _with(self._raw({"name": "m", "kind": "gbpl", "zeta": 0.1}), path, value)
         with pytest.raises(ValueError, match=f"{owner} must be"):
             ex.parse_config(raw)
 
@@ -273,15 +305,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("raw, message", list(_RUN_TIME_FAILURES.values()),
                              ids=list(_RUN_TIME_FAILURES))
     def test_config_that_would_fail_mid_run_rejected(self, tmp_path, capsys, raw, message):
-        with pytest.raises(ValueError, match=message):
-            ex.parse_config(raw(tmp_path / "run"))
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(raw(tmp_path / "run")))
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["experiment", "--config", str(config)])
-        assert exit_info.value.code == 2
-        assert "gbpl experiment: error:" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        _check_usage_error(tmp_path, capsys, raw, message)
+
+    @pytest.mark.parametrize("raw, message", list(_MISREAD.values()), ids=list(_MISREAD))
+    def test_config_that_would_run_other_than_written_rejected(self, tmp_path, capsys, raw,
+                                                                message):
+        _check_usage_error(tmp_path, capsys, raw, message)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_fewer_than_one_job_rejected(self, jobs):
@@ -364,6 +393,25 @@ class TestPosteriorViz:
         assert manifest["sgld"]["n_draws"] == 25
 
 
+class TestTrialMemory:
+    def test_peak_does_not_grow_with_the_zeta_grid(self, tmp_path):
+        # members are fitted as the selection asks for them and dropped once another one
+        # beats them; a trial that held every member added a parameter vector per member.
+        # Randomized (K = 3) welfare leaves no ties to keep several members alive
+        def run(grid, name):
+            raw = _smoke_config(tmp_path / name, [{"name": "cv", "kind": "gbpl",
+                                                   "zeta_grid": grid}], trials=1)
+            raw.update(dgp={"family": "multi1", "n": 300, "d": 4, "k": 3}, hidden=[128, 128])
+            cfg = ex.parse_config(raw)
+            return peak_bytes(lambda: ex.run_experiment(cfg))
+
+        run([1.0, 0.1], "warm-up")  # lazy imports and caches out of the measured runs
+        small = run([1.0, 0.1], "two")
+        large = run([1.0, 0.3, 0.1, 0.03, 0.01, 0.003], "six")
+        vector = nnet.MlpArchitecture(4, (128, 128), 3, nnet.HEAD_SOFTMAX).param_count * 8
+        assert large - small < vector, (large - small) / vector
+
+
 class TestPosteriorVizMemory:
     def test_peak_stays_below_half_the_draw_matrix(self, tmp_path):
         # the default (64, 64) net with 300 draws: an (S, P) draw matrix alone is 300 x 4,353
@@ -375,13 +423,7 @@ class TestPosteriorVizMemory:
         )
         draw_matrix = cfg.sgld.n_draws * nnet.MlpArchitecture(1, cfg.hidden, 1).param_count * 8
         assert draw_matrix == 300 * 4353 * 8
-        tracemalloc.start()
-        try:
-            ex.run_posterior_viz(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < draw_matrix / 2
+        assert peak_bytes(lambda: ex.run_posterior_viz(cfg)) < draw_matrix / 2
 
 
 class TestPosteriorVizReferenceScale:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from conftest import (
     check_gradient,
     finite_diff_grad,
     max_rel_error,
+    peak_bytes,
     reference_backward,
     reference_forward,
 )
@@ -310,13 +309,7 @@ class TestStreaming:
         arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
         policy = FittedPolicy(arch, nnet.init_params(arch, rng))
         x = rng.standard_normal((20000, 10))
-        tracemalloc.start()
-        try:
-            policy.decide(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak_bytes(lambda: policy.decide(x)) < 4 * 2**20
 
 
 class TestSerialization:

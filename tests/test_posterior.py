@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from conftest import (
     finite_diff_grad,
     max_rel_error,
     min_abs_hidden_preactivation,
+    peak_bytes,
     reference_diag_hessian,
     reference_map_objective,
     reference_map_train,
@@ -177,13 +176,25 @@ class TestMapTrain:
         arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(batch_size=128, max_epochs=2, patience=5, seed=0)
         rows = np.arange(n_train + n_val)
-        tracemalloc.start()
-        try:
-            map_train(arch, loss, GibbsConfig(zeta=0.5), cfg, rows[:n_train], rows[n_train:])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: map_train(arch, loss, GibbsConfig(zeta=0.5), cfg,
+                                            rows[:n_train], rows[n_train:]))
         assert peak < 4 * 2**20
+
+    def test_peak_memory_is_seven_parameter_vectors(self):
+        # a wide net on 40 rows: the parameter-sized vectors dominate. A fit holds the
+        # parameters, the best snapshot, Adam's moments, and the workspace's gradient and
+        # prior rows; Adam's scratch and a snapshot's copy used to add three more
+        rng = np.random.default_rng(13)
+        n, batch = 40, 8
+        x = rng.standard_normal((n, 2))
+        loss = BinarySurrogateLoss(nnet.Batch(x, np.sin(x[:, 0])), 0.5)
+        arch = nnet.MlpArchitecture(2, (400, 400), 1, nnet.HEAD_TANH)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=batch, max_epochs=3, patience=3)
+        vector = arch.param_count * 8
+        rows = batch * (2 * sum(arch.hidden_dims) + 1) * 8  # activations and deltas
+        peak = peak_bytes(lambda: map_train(arch, loss, GibbsConfig(zeta=0.5), cfg,
+                                            np.arange(30), np.arange(30, n)))
+        assert peak < 7.5 * vector + rows, peak / vector
 
     @pytest.mark.parametrize("head", [nnet.HEAD_TANH, nnet.HEAD_SOFTMAX])
     def test_matches_allocating_reference_bitwise(self, head):
