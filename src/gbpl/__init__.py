@@ -5,7 +5,7 @@ The package is organized as a small numpy library:
 - ``nnet``: fixed-architecture MLP with manual backpropagation, and the softmax.
 - ``losses``: per-sample loss adapters fed to the trainers.
 - ``surrogate``: welfare, surrogate losses, and their exact equivalences.
-- ``posterior``: Gibbs posteriors, MAP training, SGLD, draw persistence.
+- ``posterior``: Gibbs posteriors, MAP training, SGLD sampling.
 - ``counterfactual``: IPW/DR pseudo-outcomes and nuisance estimation.
 - ``dgp``: seeded synthetic and semi-synthetic data generators, and CSV I/O
   (``write_table`` writes every CSV the package produces).

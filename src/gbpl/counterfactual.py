@@ -202,40 +202,35 @@ def fit_outcome_regression(
     """Outcome regression gamma_hat (n, K) for every row, by masked squared loss.
 
     An MLP with a K-output identity head learns the observed column per row;
-    each fit holds out a fifth of its rows for early stopping. With ``folds``
-    = 0 one model fitted on ``train_rows`` predicts every row. With ``folds``
-    >= 2 the rows of fold j (``make_folds(train_rows.size, folds, cfg.seed)``)
-    are predicted by a model fitted on the other folds, and the rows outside
-    ``train_rows`` by one fitted on all of them. Deterministic given the seed.
+    each fit holds out a fifth of its rows for early stopping. One model
+    fitted on all of ``train_rows`` predicts every row. With ``folds`` >= 2
+    (cross-fitting) the rows of fold j (``make_folds(train_rows.size, folds,
+    cfg.seed)``) are then overwritten out-of-fold, by a model fitted on the
+    other folds, so no training row's prediction comes from a model that saw
+    it. Deterministic given the seed.
     """
     if folds < 0 or folds == 1:
         raise ValueError("folds must be 0 or at least 2")
     cfg = cfg or TrainConfig()
     train_rows = np.asarray(train_rows, dtype=np.intp)
-    arch = nnet.MlpArchitecture(logged.d, hidden, logged.k, nnet.HEAD_IDENTITY)
-    loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), logged.action_columns())
-    gamma = np.empty((logged.n, logged.k))
-
-    def fit_predict(fit_rows: np.ndarray, out_rows: np.ndarray) -> None:
-        # hold out a slice of the fit rows for early stopping
-        rng = np.random.default_rng(cfg.seed)
-        perm = fit_rows[rng.permutation(fit_rows.size)]
-        n_val = max(1, fit_rows.size // 5)
-        val_rows, tr_rows = perm[:n_val], perm[n_val:]
-        params = map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows if tr_rows.size else perm, val_rows)
-        gamma[out_rows] = nnet.forward(arch, params, logged.x[out_rows])
-
     if train_rows.size == 0:
         raise ValueError("train_rows is empty")
-    if folds == 0:
-        fit_predict(train_rows, np.arange(logged.n))
-        return gamma
-    fold = make_folds(train_rows.size, folds, cfg.seed)
+    fold = make_folds(train_rows.size, folds, cfg.seed) if folds else None
+    arch = nnet.MlpArchitecture(logged.d, hidden, logged.k, nnet.HEAD_IDENTITY)
+    loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), logged.action_columns())
+
+    def fit(rows: np.ndarray) -> np.ndarray:
+        # hold out a slice of the fit rows for early stopping
+        rng = np.random.default_rng(cfg.seed)
+        perm = rows[rng.permutation(rows.size)]
+        n_val = max(1, rows.size // 5)
+        val_rows, tr_rows = perm[:n_val], perm[n_val:]
+        return map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows if tr_rows.size else perm, val_rows)
+
+    gamma = nnet.forward(arch, fit(train_rows), logged.x)
     for j in range(folds):
-        fit_predict(train_rows[fold != j], train_rows[fold == j])
-    rest = np.setdiff1d(np.arange(logged.n), train_rows)
-    if rest.size:
-        fit_predict(train_rows, rest)
+        held_out = train_rows[fold == j]
+        gamma[held_out] = nnet.forward(arch, fit(train_rows[fold != j]), logged.x[held_out])
     return gamma
 
 

@@ -90,14 +90,6 @@ class DgpSpec:
             raise ValueError("semisynthetic family needs csv_path")
 
 
-@dataclass(frozen=True)
-class DgpTruth:
-    """Ground truth attached to a generated dataset for oracle evaluation."""
-
-    gamma: np.ndarray  # (n, K) true conditional means, same column order as y
-    oracle_cols: np.ndarray  # (n,) argmax column of gamma
-
-
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
@@ -141,18 +133,19 @@ def _multi_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int, k: i
     return gamma
 
 
-def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth]:
-    """Draw a full-feedback dataset plus its ground truth.
+def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarray]:
+    """Draw a full-feedback dataset plus its (n, K) true conditional means
+    gamma, in the column order of the outcomes.
 
     Stream order: covariates, then mean-function directions, then one noise
-    column per action.
+    column per action. The semisynthetic construction is noiseless given its
+    CSV, so there gamma is the outcome table itself.
     """
     if spec.family == SEMISYNTHETIC_FAMILY:
         data = semisynthetic_from_csv(spec.csv_path, spec.k or 2, spec.seed)
         if data.n != spec.n:
             raise ValueError(f"{spec.csv_path}: n = {spec.n} but the file has {data.n} rows")
-        gamma = data.y  # the construction is noiseless given the csv
-        return data, DgpTruth(gamma=gamma, oracle_cols=gamma.argmax(axis=1))
+        return data, data.y
     rng = np.random.default_rng(spec.seed)
     if spec.family == ONEDIM_FAMILY:
         x = rng.uniform(-2.5, 2.5, size=(spec.n, 1))
@@ -168,7 +161,7 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, DgpTruth
         gamma = _multi_means(spec.family, x, rng, spec.d, spec.k)
     noise = spec.noise_sd * rng.standard_normal((spec.n, spec.k))
     y = gamma + noise
-    return FullFeedbackDataset(x, y), DgpTruth(gamma=gamma, oracle_cols=gamma.argmax(axis=1))
+    return FullFeedbackDataset(x, y), gamma
 
 
 def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:

@@ -148,7 +148,7 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if len({m.name for m in self.methods}) != len(self.methods):
             raise ValueError("method names must be unique")
-        _check_split(self.split)
+        n_train = _check_split(self.split, self.dgp.n, "dgp.n")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.jobs < 1:
@@ -158,27 +158,44 @@ class ExperimentConfig:
             if seed != 0:
                 raise ValueError(f"{field} must be 0, got {seed}: a trial overwrites it; "
                                  "set base_seed instead")
-        if self.feedback.mode == "logged":
-            check_logging(self.dgp, self.feedback.logging, self.feedback.clip)
+        fb = self.feedback
+        if fb.mode == "logged":
+            check_logging(self.dgp, fb.logging, fb.clip)
+            if fb.pseudo == PSEUDO_DR and fb.folds > n_train:
+                raise ValueError(f"feedback.folds = {fb.folds} exceeds the {n_train} "
+                                 "training rows")
         for m in self.methods:
             if m.kind in TWO_ACTION_KINDS and (self.dgp.k or 2) != 2:
                 raise ValueError(f"method {m.name!r}: {m.kind} needs two actions, "
                                  f"the DGP has {self.dgp.k}")
 
 
-def _check_split(split) -> None:
+def _split_sizes(n: int, split) -> tuple[int, int, int]:
+    """(train, val, test) row counts: val and test take the floor of their
+    fraction of n, train the remainder."""
+    n_val = int(np.floor(split[1] * n))
+    n_test = int(np.floor(split[2] * n))
+    return n - n_val - n_test, n_val, n_test
+
+
+def _check_split(split, n: int, n_field: str) -> int:
+    """Raise unless ``split`` is three positive fractions summing to 1 that
+    leave every part of ``n`` rows nonempty; return the training row count."""
     frac = np.asarray(split, dtype=np.float64)
     if frac.shape != (3,) or np.any(frac <= 0) or abs(frac.sum() - 1.0) > 1e-9:
         raise ValueError("split must be three positive fractions summing to 1")
+    sizes = _split_sizes(n, split)
+    for part, size in zip(("training", "validation", "test"), sizes):
+        if size < 1:
+            raise ValueError(f"{n_field} = {n} with split {tuple(split)} leaves no {part} rows")
+    return sizes[0]
 
 
 def split_rows(n: int, split, seed_entropy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint (train, val, test) index arrays; train takes the remainder."""
     rng = np.random.default_rng(seed_entropy)
     perm = rng.permutation(n)
-    n_val = int(np.floor(split[1] * n))
-    n_test = int(np.floor(split[2] * n))
-    n_train = n - n_val - n_test
+    n_train, n_val, _ = _split_sizes(n, split)
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
@@ -207,14 +224,12 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
     data_seed = cfg.base_seed + trial
     spec = replace(cfg.dgp, seed=data_seed)
     fb = cfg.feedback
+    train_rows, val_rows, test_rows = split_rows(spec.n, cfg.split, [data_seed, _SPLIT_TAG])
     if fb.mode == "full":
         full, _ = generate_full_feedback(spec)
-    else:
-        logged, full = generate_logged(spec, fb.logging, fb.clip)
-    train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [data_seed, _SPLIT_TAG])
-    if fb.mode == "full":
         table = full.y
     else:  # the hidden full table serves only the test set
+        logged, full = generate_logged(spec, fb.logging, fb.clip)
         nuisance_cfg = replace(cfg.train, seed=method_seed(cfg.base_seed, trial, "__nuisance__"))
         e_hat = (logged.true_propensity if fb.propensity == "true"
                  else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
@@ -336,7 +351,7 @@ class PosteriorVizConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        _check_split(self.split)
+        _check_split(self.split, self.n, "n")
         if not 0.0 < self.level < 1.0 or self.grid_points < 1:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
         if not np.isfinite(self.eval_points).all():

@@ -2,9 +2,8 @@
 
 Exact posteriors on finite parameter sets, the variational objective they
 uniquely minimize, MAP training of the MLP under a Gaussian prior by Adam,
-constant-step SGLD sampling, and persistence of the draws. Welfare credible
-intervals over per-draw welfare live in ``evaluation``
-(``welfare_credible_interval``).
+and constant-step SGLD sampling. Welfare credible intervals over per-draw
+welfare live in ``evaluation`` (``welfare_credible_interval``).
 
 The MAP objective throughout is
 
@@ -18,14 +17,11 @@ matrix product; runs are deterministic given their seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from gbpl import nnet
-from gbpl.configio import from_dict, to_dict, write_json
 from gbpl.surrogate import GibbsConfig
 
 # maximum likelihood: a prior this wide leaves the data term alone
@@ -237,21 +233,16 @@ class SgldConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Ordered parameter draws sharing one architecture, plus sampler metadata."""
+    """Ordered parameter draws sharing one architecture."""
 
     arch: nnet.MlpArchitecture
     draws: np.ndarray  # (S, param_count)
-    meta: SgldConfig
 
     def __post_init__(self):
         if self.draws.ndim != 2 or self.draws.shape[0] < 1:
             raise ValueError("draw matrix must be (S, P) with S >= 1")
         if self.draws.shape[1] != self.arch.param_count:
             raise ValueError("draw width does not match the architecture")
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
 
 
 def sgld_sample(
@@ -301,26 +292,4 @@ def sgld_sample(
             if kept is None:
                 kept = np.empty((sgld.n_draws, row.size))
             kept[(t - sgld.burn_in) // sgld.thin - 1] = row
-    return PosteriorDraws(arch=arch, draws=kept, meta=sgld) if summary is None else kept
-
-
-def save_draws(directory: str | Path, posterior: PosteriorDraws) -> None:
-    """Persist the (S, P) draw matrix as one little-endian float64 blob,
-    ``draws.bin``, plus a JSON manifest of the architecture and sampler."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "draws.bin").write_bytes(np.ascontiguousarray(posterior.draws, "<f8").tobytes())
-    write_json(directory / "manifest.json", {"arch": to_dict(posterior.arch),
-                                             "n_draws": posterior.n_draws,
-                                             "sampler_meta": to_dict(posterior.meta)})
-
-
-def load_draws(directory: str | Path) -> PosteriorDraws:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    arch = from_dict(nnet.MlpArchitecture, manifest["arch"])
-    draws = np.fromfile(directory / "draws.bin", dtype="<f8")
-    if draws.size != manifest["n_draws"] * arch.param_count:
-        raise ValueError("draw blob length does not match the manifest")
-    return PosteriorDraws(arch=arch, draws=draws.reshape(manifest["n_draws"], -1),
-                          meta=from_dict(SgldConfig, manifest["sampler_meta"]))
+    return PosteriorDraws(arch, kept) if summary is None else kept

@@ -87,6 +87,17 @@ class TestDrPseudoOutcomes:
         gamma = np.array([[1.0, 0.0]])
         np.testing.assert_allclose(cf.dr_pseudo_outcomes(logged, e, gamma), [[5.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "e_shape, gamma_shape, message",
+        [((2, 3), (2, 2), r"propensity matrix must be \(2, 2\)"),
+         ((2, 2), (2, 3), r"gamma_hat must be \(n, K\)"),
+         ((2, 2), (1, 2), r"gamma_hat must be \(n, K\)")],
+    )
+    def test_wrongly_shaped_nuisance_rejected(self, e_shape, gamma_shape, message):
+        logged = cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]), np.zeros(2), k=2)
+        with pytest.raises(ValueError, match=message):
+            cf.dr_pseudo_outcomes(logged, np.full(e_shape, 0.5), np.zeros(gamma_shape))
+
 
 def _conditional_mc(rng, n, e_row, gamma_row, e_hat_row, gamma_hat_row, kind):
     """Simulate logged draws at one fixed covariate point and return the
@@ -216,6 +227,24 @@ class TestLoggedDatasetValidation:
         with pytest.raises(ValueError, match=rf"^{field} "):
             cf.LoggedDataset(x, np.array([1, 0]), np.zeros(2), k=2, true_propensity=e)
 
+    @pytest.mark.parametrize(
+        "a, y_obs, k, e, message",
+        [
+            ([1, 0, 1], [0.0, 0.0], 2, None, "a and y_obs must have one entry per row"),
+            ([1, 0], [0.0, 0.0, 0.0], 2, None, "a and y_obs must have one entry per row"),
+            ([1, 0], [0.0, np.inf], 2, None, "observed outcomes must be finite"),
+            ([1, 1], [0.0, 0.0], 1, None, "need at least two actions"),
+            ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [0.5, 0.6]], "propensity rows must sum to 1"),
+            ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [1.0, 0.0]],
+             "true propensities violate the overlap floor"),
+        ],
+        ids=["a-length", "y-length", "y-non-finite", "one-action", "row-sum", "overlap"],
+    )
+    def test_rejected(self, a, y_obs, k, e, message):
+        with pytest.raises(ValueError, match=message):
+            cf.LoggedDataset(np.zeros((2, 1)), np.array(a), np.array(y_obs), k=k,
+                             true_propensity=e)
+
 
 class TestFitPropensity:
     def _uniform_logged(self, rng, n, k):
@@ -344,9 +373,34 @@ class TestFitOutcomeRegression:
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             cf.fit_outcome_regression(logged, np.arange(10), folds=folds)
 
+    def test_rows_outside_train_rows_match_the_unfolded_fit(self):
+        # cross-fitting overwrites only the training rows: every other row keeps the
+        # all-train model's prediction, bit for bit
+        rng = np.random.default_rng(14)
+        n, k = 700, 3
+        logged = cf.LoggedDataset(rng.standard_normal((n, 4)), rng.integers(1, k + 1, size=n),
+                                  rng.standard_normal(n), k=k)
+        train_rows = rng.permutation(n)[:420]
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=3, patience=3, seed=5)
+        folded = cf.fit_outcome_regression(logged, train_rows, cfg, hidden=(16,), folds=2)
+        unfolded = cf.fit_outcome_regression(logged, train_rows, cfg, hidden=(16,), folds=0)
+        rest = np.ones(n, dtype=bool)
+        rest[train_rows] = False
+        assert folded[rest].tobytes() == unfolded[rest].tobytes()
+        assert not np.array_equal(folded[train_rows], unfolded[train_rows])
+
+    def test_more_folds_than_train_rows_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("map_train called")
+
+        monkeypatch.setattr(cf, "map_train", no_fit)
+        logged = cf.LoggedDataset(np.zeros((10, 2)), np.ones(10, dtype=int), np.zeros(10), k=2)
+        with pytest.raises(ValueError, match="need 1 <= n_folds <= n"):
+            cf.fit_outcome_regression(logged, np.arange(4), folds=5)
+
     def test_cross_fitting_fit_count_and_rows(self, monkeypatch):
-        # folds + 1 fits: one per fold on the other folds' rows, one on every
-        # train row; each trains on all but a fifth of its rows (at least one
+        # folds + 1 fits: one on every train row, one per fold on the other folds'
+        # rows; each trains on all but a fifth of its rows (at least one
         # held out), the counts perfbench's optimiser_steps assumes
         calls = []
 

@@ -38,24 +38,24 @@ class TestFullFeedback:
     def test_reproducible_bitwise(self):
         for family in ("binary1", "binary3", "multi1", "onedimviz"):
             spec = dgp.DgpSpec(family=family, n=50, seed=123)
-            d1, t1 = dgp.generate_full_feedback(spec)
-            d2, t2 = dgp.generate_full_feedback(spec)
+            d1, g1 = dgp.generate_full_feedback(spec)
+            d2, g2 = dgp.generate_full_feedback(spec)
             assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.y, d2.y)
-            assert np.array_equal(t1.gamma, t2.gamma)
+            assert np.array_equal(g1, g2)
 
     def test_noiseless_oracle_matches_argmax(self):
         for family in ("binary2", "multi3"):
             spec = dgp.DgpSpec(family=family, n=200, noise_sd=0.0, seed=7)
-            data, truth = dgp.generate_full_feedback(spec)
-            np.testing.assert_array_equal(data.y.argmax(axis=1), truth.oracle_cols)
-            np.testing.assert_allclose(data.y, truth.gamma, atol=1e-15)
+            data, gamma = dgp.generate_full_feedback(spec)
+            np.testing.assert_array_equal(data.y.argmax(axis=1), gamma.argmax(axis=1))
+            np.testing.assert_allclose(data.y, gamma, atol=1e-15)
 
     def test_binary1_noiseless_effect_bounded(self):
         spec = dgp.DgpSpec(family="binary1", n=500, noise_sd=0.0, seed=3)
-        data, truth = dgp.generate_full_feedback(spec)
+        data, gamma = dgp.generate_full_feedback(spec)
         diff = data.y[:, 0] - data.y[:, 1]
         assert np.all(np.abs(diff) <= 2.0)
-        np.testing.assert_allclose(diff, truth.gamma[:, 0] - truth.gamma[:, 1], atol=1e-15)
+        np.testing.assert_allclose(diff, gamma[:, 0] - gamma[:, 1], atol=1e-15)
 
     def test_binary2_effect_formula(self):
         spec = dgp.DgpSpec(family="binary2", n=300, noise_sd=0.0, seed=11)
@@ -81,10 +81,9 @@ class TestFullFeedback:
 
     def test_multi_gamma_shapes(self):
         spec = dgp.DgpSpec(family="multi1", n=60, seed=9)
-        data, truth = dgp.generate_full_feedback(spec)
+        data, gamma = dgp.generate_full_feedback(spec)
         assert data.y.shape == (60, 5)
-        assert truth.gamma.shape == (60, 5)
-        np.testing.assert_array_equal(truth.oracle_cols, truth.gamma.argmax(axis=1))
+        assert gamma.shape == (60, 5)
 
 
 class TestLogged:

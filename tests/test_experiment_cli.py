@@ -207,6 +207,13 @@ _RUN_TIME_FAILURES = {
         lambda out: _multi5(out, [{"name": "GBPL", "kind": "gbpl", "zeta": 0.1},
                                   {"name": "dr", "kind": "diff_reg"}]),
         "'dr': diff_reg needs two actions"),
+    "n-leaves-no-validation-rows": (
+        lambda out: _with(_smoke_config(out), ("dgp", "n"), 4),
+        r"dgp.n = 4 with split \(0.6, 0.2, 0.2\) leaves no validation rows"),
+    "more-folds-than-training-rows": (
+        lambda out: _with(_smoke_config(out, feedback={"mode": "logged", "folds": 30}),
+                          ("dgp", "n"), 40),
+        "feedback.folds = 30 exceeds the 24 training rows"),
 }
 
 
@@ -312,6 +319,33 @@ class TestConfigValidation:
                                                                 message):
         _check_usage_error(tmp_path, capsys, raw, message)
 
+    def test_as_many_folds_as_training_rows_accepted(self):
+        raw = _with(_smoke_config("unused", feedback={"mode": "logged", "folds": 24}),
+                    ("dgp", "n"), 40)
+        assert ex.parse_config(raw).feedback.folds == 24
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"methods": []}, "need at least one method"),
+         ({"methods": [{"name": "m", "kind": "gbpl", "zeta": 0.1},
+                       {"name": "m", "kind": "diff_reg"}]}, "method names must be unique"),
+         ({"trials": 0}, "trials must be positive")],
+        ids=["no-methods", "duplicate-names", "no-trials"],
+    )
+    def test_experiment_config_checks(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            ex.parse_config({**_smoke_config("unused"), **change})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"mode": "partial"}, "feedback mode must be 'full' or 'logged'"),
+         ({"pseudo": "aipw"}, "pseudo must be 'ipw' or 'dr'"),
+         ({"propensity": "estimated"}, "propensity must be 'true' or 'fitted'")],
+    )
+    def test_feedback_spec_checks(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            ex.FeedbackSpec(**change)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_fewer_than_one_job_rejected(self, jobs):
         raw = _smoke_config("unused")
@@ -332,6 +366,16 @@ class TestConfigValidation:
     def test_viz_config_checked_when_built(self, change):
         with pytest.raises(ValueError, match="split|level|eval_points"):
             ex.PosteriorVizConfig(output_dir="unused", **change)
+
+    @pytest.mark.parametrize(
+        "n, split, part",
+        [(4, (0.6, 0.2, 0.2), "validation"), (9, (0.6, 0.3, 0.1), "test"),
+         (2, (1e-10, 0.5, 0.5 + 5e-10), "training")],
+    )
+    def test_viz_split_that_leaves_a_part_empty_rejected(self, n, split, part):
+        with pytest.raises(ValueError, match=rf"^n = {n} with split .* leaves no {part} rows"):
+            ex.PosteriorVizConfig(output_dir="unused", n=n, split=split)
+        assert ex.PosteriorVizConfig(output_dir="unused", n=10 * n + 1, split=split).split == split
 
 
 class TestManifestRoundTrip:
@@ -680,6 +724,7 @@ class TestGeneratedCli:
         "argv, field",
         [
             (["posterior-viz", "--out", "{out}", "--level", "1.5"], "level"),
+            (["posterior-viz", "--out", "{out}", "--n", "4"], "n = 4"),
             (["simulate", "--family", "binary1", "--n", "0", "--out", "{out}"], "n must"),
             # a missing --data file shows that the flags are decoded before it is read
             (["train", "--data", "{missing}", "--zeta", "-1", "--out", "{out}"], "zeta"),
@@ -692,8 +737,8 @@ class TestGeneratedCli:
             (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
               "--v", "1", "--b", "0"], "b must be positive"),
         ],
-        ids=["posterior-viz", "simulate", "train-zeta", "train-learning-rate", "experiment",
-             "paccheck", "paccheck-b-zero"],
+        ids=["posterior-viz", "posterior-viz-n", "simulate", "train-zeta", "train-learning-rate",
+             "experiment", "paccheck", "paccheck-b-zero"],
     )
     def test_config_that_fails_to_decode_is_a_usage_error(self, tmp_path, capsys, argv, field):
         config = tmp_path / "cfg.json"

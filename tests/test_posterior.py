@@ -13,7 +13,7 @@ from conftest import (
     reference_map_train,
     reference_sgld_iterates,
 )
-from gbpl import nnet, posterior
+from gbpl import nnet
 from gbpl.evaluation import test_welfare, welfare_credible_interval
 from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss, MaskedRegressionLoss
 from gbpl.methods import FittedPolicy
@@ -363,15 +363,6 @@ class TestSgld:
         with pytest.raises(ValueError, match="rows must be nonempty"):
             sgld_sample(arch, loss, gibbs, np.array([0.0, mean]), sgld, rows=[])
 
-    def test_persistence_roundtrip(self, tmp_path):
-        arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=11)
-        sgld = SgldConfig(step_size=0.005, burn_in=5, n_draws=4, thin=1, batch_size=25, seed=3)
-        draws = sgld_sample(arch, loss, gibbs, np.array([0.0, mean]), sgld)
-        posterior.save_draws(tmp_path / "draws", draws)
-        loaded = posterior.load_draws(tmp_path / "draws")
-        assert loaded.arch == arch
-        assert loaded.meta == sgld
-        assert np.array_equal(loaded.draws, draws.draws)
 
 
 class TestDiagLaplace:
@@ -423,8 +414,7 @@ class TestWelfareCredibleInterval:
         arch = nnet.MlpArchitecture(2, (4,), 1, nnet.HEAD_TANH)
         base = nnet.init_params(arch, rng)
         draws = base + 0.1 * rng.standard_normal((n_draws, base.size))
-        meta = SgldConfig(step_size=1e-4, burn_in=0, n_draws=n_draws, thin=1)
-        return PosteriorDraws(arch=arch, draws=draws, meta=meta)
+        return PosteriorDraws(arch=arch, draws=draws)
 
     def test_identical_draws_collapse(self):
         rng = np.random.default_rng(15)
@@ -433,7 +423,6 @@ class TestWelfareCredibleInterval:
         draws = PosteriorDraws(
             arch=arch,
             draws=np.tile(w, (5, 1)),
-            meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=5, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
         mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "deterministic"), 0.95)
@@ -464,7 +453,6 @@ class TestWelfareCredibleInterval:
         draws = PosteriorDraws(
             arch=arch,
             draws=base + 0.1 * rng.standard_normal((15, base.size)),
-            meta=SgldConfig(step_size=1e-4, burn_in=0, n_draws=15, thin=1),
         )
         test = FullFeedbackDataset(rng.standard_normal((25, 2)), rng.standard_normal((25, 3)))
         mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.95)

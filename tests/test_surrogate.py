@@ -28,6 +28,24 @@ def _penalized_welfare(data, delta, lam, penalty):
     return sg.empirical_welfare(data, delta) - lam * float(np.mean(penalty(delta)))
 
 
+class TestFullFeedbackDatasetValidation:
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [(np.zeros(3), np.zeros((3, 2)), "x and y must be 2-D arrays"),
+         (np.zeros((3, 1)), np.zeros(3), "x and y must be 2-D arrays"),
+         (np.zeros((3, 1)), np.zeros((2, 2)), "x and y row counts differ"),
+         (np.zeros((0, 1)), np.zeros((0, 2)), "dataset must have at least one row"),
+         (np.zeros((3, 1)), np.zeros((3, 1)), "need at least two actions"),
+         (np.zeros((3, 1)), np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]),
+          "dataset entries must be finite"),
+         (np.array([[0.0], [np.inf], [0.0]]), np.zeros((3, 2)), "dataset entries must be finite")],
+        ids=["x-1d", "y-1d", "row-counts", "no-rows", "one-action", "y-nan", "x-inf"],
+    )
+    def test_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            sg.FullFeedbackDataset(x, y)
+
+
 class TestBinaryLoss:
     def test_hand_values(self):
         assert sg.binary_loss(1.0, 0.5, 0.5) == 0.0

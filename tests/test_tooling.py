@@ -12,22 +12,29 @@ Every public function and class in ``src/gbpl`` must also be used by the
 library, a demo, the benchmark or the acceptance tests, so that no code lives
 in ``src`` only for the unit tests to call. A re-export from the package's
 ``__init__`` is not a use.
+
+Every ``gbpl`` command that README shows must parse with the command line's
+own parser, so a renamed or removed flag cannot linger in the docs.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from gbpl import cli
 from gbpl import experiment as ex
 from gbpl.posterior import SgldConfig, TrainConfig
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
-# on-disk formats kept for users' files, though no library path reads or writes them
-_UNUSED_ALLOWED = {"dgp.read_logged_csv", "posterior.save_draws", "posterior.load_draws"}
+# the reader of the logged CSVs that `gbpl simulate --logged` writes, kept for
+# users' files though no library path reads them
+_UNUSED_ALLOWED = {"dgp.read_logged_csv"}
 
 
 def _tracing():
@@ -94,3 +101,35 @@ def test_every_public_src_definition_is_used_outside_the_unit_tests():
                        for user, found in uses.items() for name, owner in found):
                 unused.append(f"{path.stem}.{top.name}")
     assert sorted(set(unused) - _UNUSED_ALLOWED) == []
+
+
+def _readme_commands():
+    """The arguments of every ``gbpl`` command in README's bash blocks, with
+    continued lines joined, comments and ``VAR=value`` prefixes dropped."""
+    text = (_ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Za-z_]\w*=.*", words[0]):
+                words.pop(0)
+            if words[:1] == ["gbpl"]:
+                commands.append(words[1:])
+    return commands
+
+
+_README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in _README_COMMANDS} == {
+        "simulate", "train", "evaluate", "experiment", "posterior-viz", "paccheck"}
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv):
+    # parsed only, never run
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"README's `gbpl {shlex.join(argv)}` does not parse (exit {exc.code})")
