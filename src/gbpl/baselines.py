@@ -12,13 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from gbpl import nnet
-from gbpl.losses import (
-    BinarySurrogateLoss,
-    FullVectorSurrogateLoss,
-    NegativeWelfareLoss,
-    WeightedLogisticLoss,
-)
-from gbpl.methods import FittedPolicy
+from gbpl.losses import NegativeWelfareLoss, WeightedLogisticLoss
+from gbpl.methods import FittedPolicy, squared_surrogate
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 
 KIND_DIFF_REG = "diff_reg"
@@ -58,7 +53,8 @@ def fit_baseline(
     - ``direct_welfare``: softmax policy trained to maximize empirical welfare
       directly (flat prior).
 
-    The regressions are the squared surrogate at zeta = 1 on an identity head.
+    The three regressions are ``methods.squared_surrogate`` at zeta = 1 on an
+    identity head.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -66,18 +62,14 @@ def fit_baseline(
     if kind in TWO_ACTION_KINDS and k != 2:
         raise ValueError(f"{kind} needs a two-column outcome table; "
                          f"use {KIND_PLUGIN_REG_K} or {KIND_DIRECT_WELFARE} for K actions")
-    d = x.shape[1]
+    u = table[:, 0] - table[:, 1]
     if kind == KIND_DIRECT_WELFARE:
-        arch = nnet.MlpArchitecture(d, hidden, k, nnet.HEAD_SOFTMAX)
+        arch = nnet.MlpArchitecture(x.shape[1], hidden, k, nnet.HEAD_SOFTMAX)
         loss = NegativeWelfareLoss(nnet.Batch(x, table))
-    elif kind in (KIND_PLUGIN_REG, KIND_PLUGIN_REG_K):
-        arch = nnet.MlpArchitecture(d, hidden, k, nnet.HEAD_IDENTITY)
-        loss = FullVectorSurrogateLoss(nnet.Batch(x, table), 1.0)
+    elif kind == KIND_WEIGHTED_LOGISTIC:
+        arch = nnet.MlpArchitecture(x.shape[1], hidden, 1, nnet.HEAD_IDENTITY)
+        loss = WeightedLogisticLoss(nnet.Batch(x, (u > 0).astype(np.float64), np.abs(u)))
     else:
-        u = table[:, 0] - table[:, 1]
-        arch = nnet.MlpArchitecture(d, hidden, 1, nnet.HEAD_IDENTITY)
-        if kind == KIND_DIFF_REG:
-            loss = BinarySurrogateLoss(nnet.Batch(x, u), 1.0)
-        else:
-            loss = WeightedLogisticLoss(nnet.Batch(x, (u > 0).astype(np.float64), np.abs(u)))
+        targets = u if kind == KIND_DIFF_REG else table
+        arch, loss = squared_surrogate(x, targets, 1.0, hidden, nnet.HEAD_IDENTITY)
     return FittedPolicy(arch, map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows))

@@ -101,13 +101,15 @@ def _cmd_train(args) -> int:
             raise ValueError("--hidden widths must be at least 1")
     data = read_full_feedback_csv(args.data)
     train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
+    if val_rows.size == 0:
+        args.usage_error(f"{args.data}: {data.n} rows leave no validation row; "
+                         "train needs at least 5")
     policy = fit_gbpl(data.x, data.y, gibbs, cfg, train_rows, val_rows, tuple(args.hidden))
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
     write_json(
         out / "manifest.json",
-        {"command": "train", "data": str(args.data),
-         "gibbs": {"zeta": gibbs.zeta, "eta": gibbs.eta, "tau2": gibbs.tau2},
+        {"command": "train", "data": str(args.data), "gibbs": to_dict(gibbs),
          "train": to_dict(cfg), "hidden": args.hidden},
     )
     print(f"saved model to {out}")
@@ -131,7 +133,14 @@ def _cmd_experiment(args) -> int:
     if args.print_schema:
         print(json.dumps(schema(ExperimentConfig), indent=2))
         return 0
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except OSError as err:
+        args.usage_error(f"{args.config}: {err.strerror}")
+    except ValueError as err:
+        args.usage_error(f"{args.config}: malformed JSON: {err}")
+    if not isinstance(raw, dict):
+        args.usage_error(f"{args.config}: expected a JSON object, got {type(raw).__name__}")
     if args.out:
         raw["output_dir"] = args.out
     if args.jobs is not None:

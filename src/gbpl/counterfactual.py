@@ -11,7 +11,8 @@ as every fit in a trial does, and predict every row.
 
 Action coding: K-action problems use labels 1..K mapped to columns 0..K-1.
 Binary problems (K = 2) use labels {1, 0}, with action 1 in column 0 and
-action 0 in column 1 (``LoggedDataset.action_columns``).
+action 0 in column 1. ``LoggedDataset`` holds this coding both ways: ``labels``
+from columns, ``action_columns`` from labels.
 """
 
 from __future__ import annotations
@@ -64,20 +65,12 @@ class LoggedDataset:
             raise ValueError("observed outcomes must be finite")
         if self.k < 2:
             raise ValueError("need at least two actions")
-        valid = (0, 1) if self.k == 2 else tuple(range(1, self.k + 1))
+        valid = self.labels(self.k)
         if not np.all(np.isin(self.a, valid)):
-            raise ValueError(f"action labels must lie in {valid}")
+            raise ValueError(f"action labels must lie in {valid.tolist()}")
         if self.true_propensity is not None:
-            e = np.asarray(self.true_propensity, dtype=np.float64)
-            object.__setattr__(self, "true_propensity", e)
-            if e.shape != (n, self.k):
-                raise ValueError("true_propensity must be (n, K)")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("true_propensity must be finite")
-            if np.any(np.abs(e.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("propensity rows must sum to 1")
-            if np.any(e < PROPENSITY_FLOOR):
-                raise ValueError("true propensities violate the overlap floor")
+            object.__setattr__(self, "true_propensity",
+                               _check_propensities(self.true_propensity, n, self.k, true=True))
 
     @property
     def n(self) -> int:
@@ -87,11 +80,14 @@ class LoggedDataset:
     def d(self) -> int:
         return self.x.shape[1]
 
+    @staticmethod
+    def labels(k: int) -> np.ndarray:
+        """Action label of each outcome column: (1, 0) at K = 2, 1..K otherwise."""
+        return np.array([1, 0]) if k == 2 else np.arange(1, k + 1)
+
     def action_columns(self) -> np.ndarray:
-        """Column index of the logged action per row."""
-        if self.k == 2:
-            return np.where(self.a == 1, 0, 1)
-        return self.a - 1
+        """Column index of the logged action per row, the inverse of ``labels``."""
+        return 1 - self.a if self.k == 2 else self.a - 1
 
 
 def check_clip(clip: float, k: int) -> None:
@@ -119,13 +115,20 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     return clip + rem * q
 
 
-def _check_propensities(e_hat: np.ndarray, n: int, k: int) -> np.ndarray:
-    e_hat = np.asarray(e_hat, dtype=np.float64)
-    if e_hat.shape != (n, k):
-        raise ValueError(f"propensity matrix must be ({n}, {k})")
-    if np.any(e_hat < PROPENSITY_FLOOR):
-        raise ValueError(f"propensity below the floor {PROPENSITY_FLOOR}")
-    return e_hat
+def _check_propensities(e, n: int, k: int, true: bool = False) -> np.ndarray:
+    """``e`` as (n, K) float propensity rows that are finite, sum to 1 and respect the floor."""
+    name = "true_propensity" if true else "propensity matrix"
+    e = np.asarray(e, dtype=np.float64)
+    if e.shape != (n, k):
+        raise ValueError(f"{name} must be ({n}, {k})")
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.abs(e.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("propensity rows must sum to 1")
+    if np.any(e < PROPENSITY_FLOOR):
+        raise ValueError(f"{'true ' if true else ''}propensities violate the overlap floor "
+                         f"{PROPENSITY_FLOOR}")
+    return e
 
 
 def ipw_pseudo_outcomes(logged: LoggedDataset, e_hat: np.ndarray) -> np.ndarray:
@@ -144,6 +147,8 @@ def dr_pseudo_outcomes(
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
     if gamma_hat.shape != (logged.n, logged.k):
         raise ValueError("gamma_hat must be (n, K)")
+    if not np.all(np.isfinite(gamma_hat)):
+        raise ValueError("gamma_hat must be finite")
     cols = logged.action_columns()
     idx = np.arange(logged.n)
     out = gamma_hat.copy()
@@ -173,9 +178,8 @@ def fit_propensity(
     cols = logged.action_columns()
     missing = np.flatnonzero(np.bincount(cols[train_rows], minlength=logged.k) == 0)
     if missing.size:
-        label = (1, 0)[missing[0]] if logged.k == 2 else missing[0] + 1
-        raise ValueError(f"action {label} is never observed in the training rows; "
-                         "cannot fit its propensity")
+        raise ValueError(f"action {logged.labels(logged.k)[missing[0]]} is never observed in "
+                         "the training rows; cannot fit its propensity")
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
     arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
     loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)

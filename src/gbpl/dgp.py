@@ -42,9 +42,9 @@ class DgpSpec:
     """Parameters of one synthetic draw. Omitted fields take family defaults:
     binary families force K = 2; multi families default to K = 5, d = 10;
     the one-dimensional visualization family forces d = 1, K = 2 and uses
-    noise 0.6 by default; all others default to noise 1.0. The
-    ``semisynthetic_csv`` family uses every row of ``csv_path``, and ``n``
-    must equal their number."""
+    noise 0.6 by default; all others default to noise 1.0. K >= 2 always. The
+    ``semisynthetic_csv`` family (K = 2 by default) uses every row of
+    ``csv_path``, and ``n`` must equal their number."""
 
     family: str
     n: int
@@ -62,26 +62,22 @@ class DgpSpec:
             raise ValueError(f"unknown family {fam!r}; expected one of {known}")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if fam in BINARY_FAMILIES:
-            if self.k not in (None, 2):
-                raise ValueError("binary families require K = 2")
-            object.__setattr__(self, "k", 2)
-            object.__setattr__(self, "d", self.d if self.d is not None else 10)
-        elif fam in MULTI_FAMILIES:
-            object.__setattr__(self, "k", self.k if self.k is not None else 5)
-            object.__setattr__(self, "d", self.d if self.d is not None else 10)
-            if self.k < 2:
-                raise ValueError("multi families need K >= 2")
+        if self.k is None:
+            object.__setattr__(self, "k", 5 if fam in MULTI_FAMILIES else 2)
+        if fam in BINARY_FAMILIES and self.k != 2:
+            raise ValueError("binary families require K = 2")
+        if self.k < 2:
+            raise ValueError(f"family {fam} needs K >= 2, got {self.k}")
         if fam in BINARY_FAMILIES + MULTI_FAMILIES:
+            object.__setattr__(self, "d", self.d if self.d is not None else 10)
             min_d = _BASELINES[fam[-1]][0]
             if self.d < min_d:
                 raise ValueError(f"family {fam} uses the first {min_d} covariates; "
                                  f"d >= {min_d} required")
         elif fam == ONEDIM_FAMILY:
-            if self.d not in (None, 1) or self.k not in (None, 2):
+            if self.d not in (None, 1) or self.k != 2:
                 raise ValueError("the 1-D visualization family forces d = 1, K = 2")
             object.__setattr__(self, "d", 1)
-            object.__setattr__(self, "k", 2)
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", 0.6 if fam == ONEDIM_FAMILY else 1.0)
         if self.noise_sd < 0:
@@ -105,8 +101,8 @@ _BASELINES = {
 
 
 def _binary_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int):
-    """Baseline mean and effect for the binary families; draws any direction
-    vector from ``rng`` (binary1 only)."""
+    """Conditional means [Y(1), Y(0)] of the binary families; draws any
+    direction vector from ``rng`` (binary1 only)."""
     base = _BASELINES[fam[-1]][1](x)
     if fam == "binary1":
         w = _unit_vector(rng, d)
@@ -115,7 +111,7 @@ def _binary_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int):
         effect = 1.5 * np.sin(x[:, 0] + x[:, 1])
     else:  # binary3
         effect = 2.5 * ((x[:, 0] > 0).astype(np.float64) - 0.5 + 0.2 * x[:, 1])
-    return base, effect
+    return np.column_stack([base + effect, base])
 
 
 def _multi_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int, k: int):
@@ -133,6 +129,11 @@ def _multi_means(fam: str, x: np.ndarray, rng: np.random.Generator, d: int, k: i
     return gamma
 
 
+def onedim_effect(x: np.ndarray) -> np.ndarray:
+    """The ``onedimviz`` family's treatment effect E[Y(1) - Y(0) | x] = 1.2 sin x."""
+    return 1.2 * np.sin(x)
+
+
 def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarray]:
     """Draw a full-feedback dataset plus its (n, K) true conditional means
     gamma, in the column order of the outcomes.
@@ -142,7 +143,7 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
     CSV, so there gamma is the outcome table itself.
     """
     if spec.family == SEMISYNTHETIC_FAMILY:
-        data = semisynthetic_from_csv(spec.csv_path, spec.k or 2, spec.seed)
+        data = semisynthetic_from_csv(spec.csv_path, spec.k, spec.seed)
         if data.n != spec.n:
             raise ValueError(f"{spec.csv_path}: n = {spec.n} but the file has {data.n} rows")
         return data, data.y
@@ -150,12 +151,10 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
     if spec.family == ONEDIM_FAMILY:
         x = rng.uniform(-2.5, 2.5, size=(spec.n, 1))
         base = 0.2 * x[:, 0] + 0.2 * np.sin(1.5 * x[:, 0])
-        effect = 1.2 * np.sin(x[:, 0])
-        gamma = np.column_stack([base + effect, base])
+        gamma = np.column_stack([base + onedim_effect(x[:, 0]), base])
     elif spec.family in BINARY_FAMILIES:
         x = rng.standard_normal((spec.n, spec.d))
-        base, effect = _binary_means(spec.family, x, rng, spec.d)
-        gamma = np.column_stack([base + effect, base])
+        gamma = _binary_means(spec.family, x, rng, spec.d)
     else:
         x = rng.standard_normal((spec.n, spec.d))
         gamma = _multi_means(spec.family, x, rng, spec.d, spec.k)
@@ -166,11 +165,10 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
 
 def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:
     """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments."""
-    k = spec.k or 2
-    check_clip(clip, k)
+    check_clip(clip, spec.k)
     if logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
         raise ValueError(f"unknown logging policy {logging!r}")
-    if logging == LOGGING_LOGISTIC and k != 2:
+    if logging == LOGGING_LOGISTIC and spec.k != 2:
         raise ValueError("logistic logging is binary only")
 
 
@@ -207,10 +205,7 @@ def generate_logged(
     cum = np.cumsum(e, axis=1)
     cols = (u[:, None] > cum).sum(axis=1)
     y_obs = full.y[np.arange(full.n), cols]
-    if k == 2:
-        a = np.where(cols == 0, 1, 0)
-    else:
-        a = cols + 1
+    a = LoggedDataset.labels(k)[cols]
     logged = LoggedDataset(x=full.x, a=a, y_obs=y_obs, k=k, true_propensity=e)
     return logged, full
 

@@ -38,7 +38,8 @@ from gbpl.counterfactual import (
     fit_outcome_regression,
     fit_propensity,
 )
-from gbpl.dgp import DgpSpec, check_logging, generate_full_feedback, generate_logged, write_table
+from gbpl.dgp import (DgpSpec, check_logging, generate_full_feedback, generate_logged,
+                      onedim_effect, write_table)
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
     RULE_RANDOMIZED,
@@ -49,7 +50,7 @@ from gbpl.evaluation import (
     test_welfare,
     welfare_credible_interval,
 )
-from gbpl.methods import FittedPolicy, fit_policy_fullvector, fit_score_binary
+from gbpl.methods import FittedPolicy, fit_policy_fullvector, fit_score_binary, squared_surrogate
 from gbpl.posterior import (
     GibbsConfig,
     SgldConfig,
@@ -57,7 +58,6 @@ from gbpl.posterior import (
     map_train,
     sgld_sample,
 )
-from gbpl.losses import BinarySurrogateLoss
 from gbpl.surrogate import FullFeedbackDataset, population_score_binary
 
 KIND_GBPL = "gbpl"
@@ -126,6 +126,9 @@ class FeedbackSpec:
             raise ValueError("propensity must be 'true' or 'fitted'")
         if self.folds < 0 or self.folds == 1:
             raise ValueError("folds must be 0 or at least 2")
+        if self.folds and (self.mode == "full" or self.pseudo == PSEUDO_IPW):
+            raise ValueError(f"folds = {self.folds} cross-fits the outcome regression, "
+                             "which only mode 'logged' with pseudo 'dr' fits")
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,11 @@ class ExperimentConfig:
         fb = self.feedback
         if fb.mode == "logged":
             check_logging(self.dgp, fb.logging, fb.clip)
-            if fb.pseudo == PSEUDO_DR and fb.folds > n_train:
+            if fb.folds > n_train:
                 raise ValueError(f"feedback.folds = {fb.folds} exceeds the {n_train} "
                                  "training rows")
         for m in self.methods:
-            if m.kind in TWO_ACTION_KINDS and (self.dgp.k or 2) != 2:
+            if m.kind in TWO_ACTION_KINDS and self.dgp.k != 2:
                 raise ValueError(f"method {m.name!r}: {m.kind} needs two actions, "
                                  f"the DGP has {self.dgp.k}")
 
@@ -372,8 +375,8 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     test = _subset_full(full, test_rows)
 
     gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)
-    arch = nnet.MlpArchitecture(1, cfg.hidden, 1, nnet.HEAD_TANH)
-    loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), cfg.zeta)
+    arch, loss = squared_surrogate(full.x, full.outcome_diff(), cfg.zeta, cfg.hidden,
+                                   nnet.HEAD_TANH)
     train_cfg = replace(cfg.train, seed=cfg.seed)
     map_params = map_train(arch, loss, gibbs, train_cfg, train_rows, val_rows)
 
@@ -391,7 +394,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
 
     alpha = (1.0 - cfg.level) / 2.0
     lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0)
-    target = population_score_binary(1.2 * np.sin(grid) / cfg.zeta)
+    target = population_score_binary(onedim_effect(grid) / cfg.zeta)
     write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
                 ((grid[j], fs[:, j].mean(), lo[j], hi[j], target[j]) for j in range(grid.size)))
 

@@ -1,4 +1,4 @@
-"""Fitted decision rules and the squared-surrogate training entry points.
+"""Fitted decision rules and the squared-surrogate fits.
 
 A :class:`FittedPolicy` is a trained network whose head says how it acts. A
 one-column output is a score that decides action column 0 when nonnegative; a
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss
+from gbpl.losses import FullVectorSurrogateLoss
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
 
 
@@ -55,41 +55,36 @@ class FittedPolicy:
         return out.argmax(axis=1)
 
 
-def fit_score_binary(
-    x: np.ndarray,
-    u: np.ndarray,
-    gibbs: GibbsConfig,
-    cfg: TrainConfig,
-    train_rows: np.ndarray,
-    val_rows: np.ndarray,
-    hidden: tuple[int, ...] = (128, 128),
-) -> FittedPolicy:
-    """Train a tanh-squashed score on outcome (pseudo-)differences.
-
-    The MAP objective uses the binary squared surrogate at ``gibbs.zeta``; the
-    induced randomized policy is (f + 1) / 2.
-    """
-    arch = nnet.MlpArchitecture(x.shape[1], hidden, 1, nnet.HEAD_TANH)
-    loss = BinarySurrogateLoss(nnet.Batch(np.asarray(x, dtype=np.float64),
-                                          np.asarray(u, dtype=np.float64)), gibbs.zeta)
-    params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
-    return FittedPolicy(arch, params)
+def squared_surrogate(x: np.ndarray, targets: np.ndarray, zeta: float,
+                      hidden: tuple[int, ...], head: str):
+    """The (architecture, loss) pair of every scaled squared-error fit: the
+    surrogate fits below, the regression baselines (zeta = 1 on an identity
+    head) and the posterior run's MAP problem. The net has one output per
+    column of ``targets``, or one for an (n,) vector, and the loss is
+    ``FullVectorSurrogateLoss`` at ``zeta``."""
+    batch = nnet.Batch(np.asarray(x, dtype=np.float64), np.asarray(targets, dtype=np.float64))
+    width = 1 if batch.targets.ndim == 1 else batch.targets.shape[1]
+    arch = nnet.MlpArchitecture(batch.x.shape[1], hidden, width, head)
+    return arch, FullVectorSurrogateLoss(batch, zeta)
 
 
-def fit_policy_fullvector(
-    x: np.ndarray,
-    y: np.ndarray,
-    gibbs: GibbsConfig,
-    cfg: TrainConfig,
-    train_rows: np.ndarray,
-    val_rows: np.ndarray,
-    hidden: tuple[int, ...] = (128, 128),
-) -> FittedPolicy:
-    """Train a softmax policy net on outcome (pseudo-)vectors with the
-    symmetric full-vector surrogate at ``gibbs.zeta``."""
-    y = np.asarray(y, dtype=np.float64)
-    arch = nnet.MlpArchitecture(x.shape[1], hidden, y.shape[1], nnet.HEAD_SOFTMAX)
-    loss = FullVectorSurrogateLoss(nnet.Batch(np.asarray(x, dtype=np.float64), y), gibbs.zeta)
-    params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
-    return FittedPolicy(arch, params)
+def _fit_surrogate(head, x, targets, gibbs, cfg, train_rows, val_rows, hidden):
+    arch, loss = squared_surrogate(x, targets, gibbs.zeta, hidden, head)
+    return FittedPolicy(arch, map_train(arch, loss, gibbs, cfg, train_rows, val_rows))
 
+
+def fit_score_binary(x: np.ndarray, u: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
+                     train_rows: np.ndarray, val_rows: np.ndarray,
+                     hidden: tuple[int, ...] = (128, 128)) -> FittedPolicy:
+    """Train a tanh-squashed score on the (n,) outcome (pseudo-)differences
+    ``u`` with the squared surrogate at ``gibbs.zeta``; the induced randomized
+    policy is (f + 1) / 2."""
+    return _fit_surrogate(nnet.HEAD_TANH, x, u, gibbs, cfg, train_rows, val_rows, hidden)
+
+
+def fit_policy_fullvector(x: np.ndarray, y: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
+                          train_rows: np.ndarray, val_rows: np.ndarray,
+                          hidden: tuple[int, ...] = (128, 128)) -> FittedPolicy:
+    """Train a softmax policy net on the (n, K) outcome (pseudo-)vectors ``y``
+    with the full-vector surrogate at ``gibbs.zeta``."""
+    return _fit_surrogate(nnet.HEAD_SOFTMAX, x, y, gibbs, cfg, train_rows, val_rows, hidden)

@@ -90,8 +90,9 @@ class GibbsConfig:
 
 
 def _check_simplex(delta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
-    if np.any(delta < -tol) or np.any(np.abs(delta.sum(axis=-1) - 1.0) > tol):
-        raise ValueError("policy rows are off the probability simplex")
+    # written so that a NaN entry fails both comparisons and is rejected
+    if not (np.all(delta >= -tol) and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= tol)):
+        raise ValueError("policy rows are off the probability simplex or not finite")
 
 
 # ---------------------------------------------------------------------------

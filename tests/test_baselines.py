@@ -6,8 +6,9 @@ from gbpl import baselines as bl
 from gbpl import nnet
 from gbpl.evaluation import oracle_welfare, test_welfare
 from gbpl.losses import FullVectorSurrogateLoss
+from gbpl.methods import squared_surrogate
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
-from gbpl.surrogate import FullFeedbackDataset
+from gbpl.surrogate import FullFeedbackDataset, binary_loss
 
 
 def _separable_binary(rng, n):
@@ -147,3 +148,29 @@ class TestRegressionIsUnitScaleSurrogate:
                               FLAT_PRIOR, cfg, train, val)
         assert policy.arch == arch
         assert np.array_equal(policy.params, reference)
+
+
+class TestSquaredSurrogate:
+    """``methods.squared_surrogate`` gives every scaled-squared fit its net and loss."""
+
+    @pytest.mark.parametrize("target_shape, width", [((17,), 1), ((17, 1), 1), ((17, 4), 4)])
+    def test_one_output_per_target_column(self, target_shape, width):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((17, 3))
+        arch, loss = squared_surrogate(x, rng.standard_normal(target_shape), 0.3, (5,),
+                                       nnet.HEAD_IDENTITY)
+        assert arch == nnet.MlpArchitecture(3, (5,), width, nnet.HEAD_IDENTITY)
+        assert isinstance(loss, FullVectorSurrogateLoss) and loss.zeta == 0.3
+
+    @pytest.mark.parametrize("target_shape, head",
+                             [((17,), nnet.HEAD_TANH), ((17, 4), nnet.HEAD_SOFTMAX)])
+    def test_loss_is_binary_loss_summed_over_columns(self, target_shape, head):
+        rng = np.random.default_rng(32)
+        targets = rng.standard_normal(target_shape)
+        arch, loss = squared_surrogate(rng.standard_normal((17, 2)), targets, 0.7, (), head)
+        out = rng.uniform(-1.0, 1.0, (17, arch.output_dim))
+        expected = binary_loss(0.7, targets.reshape(out.shape), out).sum(axis=1)
+        np.testing.assert_allclose(loss.values(out), expected, rtol=1e-15, atol=0)
+        rows = np.array([4, 0, 9])
+        np.testing.assert_allclose(loss.values(out[rows], rows), expected[rows], rtol=1e-15,
+                                   atol=0)

@@ -36,6 +36,14 @@ class TestActionCoding:
         with pytest.raises(ValueError):
             cf.LoggedDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros(2), k=3)
 
+    @pytest.mark.parametrize("k, labels", [(2, [1, 0]), (4, [1, 2, 3, 4])])
+    def test_labels_invert_action_columns(self, k, labels):
+        assert cf.LoggedDataset.labels(k).tolist() == labels
+        a = np.array(labels * 2)
+        logged = cf.LoggedDataset(np.zeros((a.size, 1)), a, np.zeros(a.size), k=k)
+        np.testing.assert_array_equal(logged.action_columns(), np.tile(np.arange(k), 2))
+        np.testing.assert_array_equal(cf.LoggedDataset.labels(k)[logged.action_columns()], a)
+
 
 class TestIpwPseudoOutcomes:
     def test_treated_row(self):
@@ -97,6 +105,20 @@ class TestDrPseudoOutcomes:
         logged = cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]), np.zeros(2), k=2)
         with pytest.raises(ValueError, match=message):
             cf.dr_pseudo_outcomes(logged, np.full(e_shape, 0.5), np.zeros(gamma_shape))
+
+    @pytest.mark.parametrize(
+        "e, gamma, message",
+        [([[np.nan, 0.5], [0.5, 0.5]], np.zeros((2, 2)), "propensity matrix must be finite"),
+         ([[0.5, 0.5], [0.5, 0.6]], np.zeros((2, 2)), "propensity rows must sum to 1"),
+         ([[0.5, 0.5], [1.0, 0.0]], np.zeros((2, 2)), "propensities violate the overlap floor"),
+         (np.full((2, 2), 0.5), [[0.0, np.inf], [0.0, 0.0]], "gamma_hat must be finite")],
+        ids=["e-nan", "e-row-sum", "e-floor", "gamma-inf"],
+    )
+    def test_invalid_nuisance_values_rejected(self, e, gamma, message):
+        # the propensities get the same check as LoggedDataset's true ones
+        logged = cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]), np.zeros(2), k=2)
+        with pytest.raises(ValueError, match=message):
+            cf.dr_pseudo_outcomes(logged, np.array(e), np.array(gamma))
 
 
 def _conditional_mc(rng, n, e_row, gamma_row, e_hat_row, gamma_hat_row, kind):
@@ -283,6 +305,13 @@ class TestFitPropensity:
         x = rng.standard_normal((50, 2))
         logged = cf.LoggedDataset(x, np.full(50, 1), np.zeros(50), k=3)
         with pytest.raises(ValueError, match="action 2"):
+            cf.fit_propensity(logged, np.arange(50))
+
+    def test_unobserved_binary_action_named_by_its_label(self):
+        # at K = 2 column 1 holds action 0
+        x = np.random.default_rng(8).standard_normal((50, 2))
+        logged = cf.LoggedDataset(x, np.full(50, 1), np.zeros(50), k=2)
+        with pytest.raises(ValueError, match="action 0 is never observed"):
             cf.fit_propensity(logged, np.arange(50))
 
     def test_action_logged_only_outside_train_rows_named(self):

@@ -29,6 +29,16 @@ class TestSpecValidation:
         spec = dgp.DgpSpec(family="multi2", n=10)
         assert spec.k == 5 and spec.d == 10 and spec.noise_sd == 1.0
 
+    def test_semisynthetic_defaults_to_two_actions(self):
+        spec = dgp.DgpSpec(family="semisynthetic_csv", n=10, csv_path="table.csv")
+        assert spec.k == 2
+
+    @pytest.mark.parametrize("family", ["multi1", "semisynthetic_csv"])
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_actions_rejected(self, family, k):
+        with pytest.raises(ValueError, match=f"family {family} needs K >= 2"):
+            dgp.DgpSpec(family=family, n=10, k=k, csv_path="table.csv")
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             dgp.DgpSpec(family="binary9", n=10)
@@ -84,6 +94,12 @@ class TestFullFeedback:
         data, gamma = dgp.generate_full_feedback(spec)
         assert data.y.shape == (60, 5)
         assert gamma.shape == (60, 5)
+
+
+class TestOneDimTruth:
+    def test_outcome_gap_mean_is_the_family_effect(self):
+        data, gamma = dgp.generate_full_feedback(dgp.DgpSpec(family="onedimviz", n=50))
+        np.testing.assert_array_equal(gamma[:, 0], gamma[:, 1] + dgp.onedim_effect(data.x[:, 0]))
 
 
 class TestLogged:

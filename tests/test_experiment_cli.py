@@ -9,7 +9,7 @@ import pytest
 from conftest import peak_bytes
 from gbpl import cli, nnet
 from gbpl import experiment as ex
-from gbpl.configio import add_flags, from_dict, schema
+from gbpl.configio import add_flags, from_dict, schema, to_dict
 from gbpl.dgp import (
     DgpSpec,
     generate_full_feedback,
@@ -236,6 +236,12 @@ _MISREAD = {
                  "dgp.seed must be 0.*base_seed"),
     "train-seed": (lambda out: _with(_smoke_config(out), ("train", "seed"), 1),
                    "train.seed must be 0.*base_seed"),
+    # folds cross-fit the DR outcome regression, which these modes never fit
+    "folds-full-feedback": (lambda out: _smoke_config(out, feedback={"folds": 2}),
+                            "folds = 2 cross-fits the outcome regression"),
+    "folds-ipw": (lambda out: _smoke_config(out, feedback={"mode": "logged", "pseudo": "ipw",
+                                                           "folds": 2}),
+                  "folds = 2 cross-fits the outcome regression"),
 }
 
 
@@ -572,6 +578,45 @@ class TestCli:
         assert np.intersect1d(train, val).size == 0
         np.testing.assert_array_equal(np.sort(np.concatenate([train, val])), np.arange(57))
         assert val.size == 57 // 5
+
+    def test_train_manifest_writes_the_whole_gibbs_config(self, tmp_path):
+        data_csv, model_dir = tmp_path / "train.csv", tmp_path / "model"
+        cli.main(["simulate", "--family", "binary2", "--n", "30", "--d", "3",
+                  "--out", str(data_csv)])
+        assert cli.main(["train", "--data", str(data_csv), "--zeta", "0.3", "--hidden", "4",
+                         "--max-epochs", "1", "--out", str(model_dir)]) == 0
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        assert manifest["gibbs"] == to_dict(GibbsConfig(zeta=0.3))
+
+    def test_train_on_too_few_rows_for_validation_is_a_usage_error(self, tmp_path, capsys):
+        data_csv = tmp_path / "tiny.csv"
+        cli.main(["simulate", "--family", "binary2", "--n", "4", "--d", "3",
+                  "--out", str(data_csv)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", "--data", str(data_csv), "--out", str(tmp_path / "model")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "gbpl train: error:" in err
+        assert f"{data_csv}: 4 rows leave no validation row" in err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [(None, "No such file or directory"),
+         ('{"trials": 2,', "malformed JSON: Expecting"),
+         ("[1, 2]", "expected a JSON object, got list")],
+        ids=["missing", "malformed", "not-an-object"],
+    )
+    def test_unreadable_experiment_config_is_a_usage_error(self, tmp_path, capsys, text,
+                                                            cause):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["experiment", "--config", str(config)])
+        assert exit_info.value.code == 2
+        assert f"gbpl experiment: error: {config}: {cause}" in capsys.readouterr().err
 
     def test_evaluate_softmax_model_without_manifest(self, tmp_path, capsys):
         data, _ = generate_full_feedback(DgpSpec(family="multi1", n=40, d=4, k=3, seed=3))

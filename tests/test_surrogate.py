@@ -120,6 +120,15 @@ class TestWelfare:
         data = sg.FullFeedbackDataset(np.zeros((1, 1)), np.array([[3.0, 1.0]]))
         assert sg.empirical_welfare(data, np.array([[1.0, 0.0]])) == 3.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_policy_row_rejected(self, bad):
+        data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        delta = np.array([[1.0, 0.0], [bad, 0.5]])
+        with pytest.raises(ValueError, match="not finite"):
+            sg.empirical_welfare(data, delta)
+        with pytest.raises(ValueError, match="not finite"):
+            sg.fullvector_loss(1.0, data.y, delta)
+
     def test_uniform_policy_averages(self):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert sg.empirical_welfare(data, np.full((2, 2), 0.5)) == 0.5
