@@ -39,7 +39,7 @@ def fit_baseline(
     cfg: TrainConfig,
     train_rows: np.ndarray,
     val_rows: np.ndarray,
-    hidden: tuple[int, ...] = (128, 128),
+    hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN,
 ) -> FittedPolicy:
     """Fit one comparison method on ``train_rows`` of an (n, K) realized or
     pseudo-outcome table, early-stopping on ``val_rows``.

@@ -6,10 +6,15 @@ a CSV), ``experiment`` (the full benchmark harness from a JSON config),
 ``posterior-viz`` (the one-dimensional uncertainty run), and ``paccheck``
 (the PAC-Bayes bound calculator). Every run that writes files also writes a
 ``manifest.json`` echoing the resolved configuration. Config flags are the
-fields of the config dataclasses in kebab-case (``configio.add_flags``). Every
-config is decoded before any data file is read, and one that fails to decode
-is a usage error (exit 2) naming the field; so is a command-line flag that the
-library would reject (``train --hidden``, ``simulate --clip --logging``).
+fields of the config dataclasses in kebab-case (``configio.add_flags``).
+
+Each subcommand reads all of its input in one ``_usage_errors`` block before it
+writes or runs anything, and bad input there is a usage error (exit 2) that
+names its cause: a config that fails to decode (naming the field), a flag the
+library would reject (``train --hidden``, ``simulate --clip --logging``), and
+a data CSV, model directory or experiment config that is missing or malformed
+(naming the file), or a model whose action count differs from the data's.
+Configs are decoded before any file is read.
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from gbpl import nnet
-from gbpl.configio import add_flags, from_args, schema, to_dict, write_json
+from gbpl.configio import add_flags, from_args, read_json, schema, to_dict, write_json
 from gbpl.counterfactual import DEFAULT_EPSILON_CLIP
 from gbpl.dgp import (
     LOGGING_LOGISTIC,
     LOGGING_SOFTMAX,
     DgpSpec,
-    check_logging,
     generate_full_feedback,
     generate_logged,
     read_full_feedback_csv,
@@ -61,28 +65,30 @@ from gbpl.posterior import GibbsConfig, TrainConfig
 
 @contextmanager
 def _usage_errors(args):
-    """Report a ``ValueError`` raised while decoding a config or checking a
-    flag as a usage error of the subcommand; only those checks belong inside."""
+    """Report bad input as a usage error of the subcommand: a ``ValueError``
+    by its message, an ``OSError`` by its file and cause. Only the reading and
+    checking of input belongs inside; nothing is written there."""
     try:
         yield
-    except ValueError as err:
-        args.usage_error(str(err))
+    except (OSError, ValueError) as err:
+        cause = f"{err.filename}: {err.strerror}" if isinstance(err, OSError) else str(err)
+        args.usage_error(cause)
 
 
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         spec = from_args(DgpSpec, args)
         if args.logged:
-            check_logging(spec, args.logging, args.clip)
+            logged, full = generate_logged(spec, args.logging, args.clip)
+        else:
+            full, _ = generate_full_feedback(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.logged:
-        logged, full = generate_logged(spec, args.logging, args.clip)
         write_logged_csv(out, logged)
         if args.sidecar:
             write_full_feedback_csv(Path(args.sidecar), full)
     else:
-        full, _ = generate_full_feedback(spec)
         write_full_feedback_csv(out, full)
     write_json(
         out.parent / "manifest.json",
@@ -99,11 +105,11 @@ def _cmd_train(args) -> int:
         cfg = from_args(TrainConfig, args)
         if any(h < 1 for h in args.hidden):
             raise ValueError("--hidden widths must be at least 1")
-    data = read_full_feedback_csv(args.data)
-    train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
-    if val_rows.size == 0:
-        args.usage_error(f"{args.data}: {data.n} rows leave no validation row; "
-                         "train needs at least 5")
+        data = read_full_feedback_csv(args.data)
+        train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
+        if val_rows.size == 0:
+            raise ValueError(f"{args.data}: {data.n} rows leave no validation row; "
+                             "train needs at least 5")
     policy = fit_gbpl(data.x, data.y, gibbs, cfg, train_rows, val_rows, tuple(args.hidden))
     out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
@@ -117,9 +123,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    data = read_full_feedback_csv(args.data)
-    policy = FittedPolicy(*nnet.load_params(Path(args.model)))
-    welfare = test_welfare(data, policy, args.rule)
+    with _usage_errors(args):  # a model for another action count fails in test_welfare
+        data = read_full_feedback_csv(args.data)
+        policy = FittedPolicy(*nnet.load_params(args.model))
+        welfare = test_welfare(data, policy, args.rule)
     oracle = oracle_welfare(data)
     metrics = {"welfare": welfare, "oracle_welfare": oracle, "regret": oracle - welfare,
                "rule": args.rule, "n": data.n}
@@ -133,19 +140,12 @@ def _cmd_experiment(args) -> int:
     if args.print_schema:
         print(json.dumps(schema(ExperimentConfig), indent=2))
         return 0
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except OSError as err:
-        args.usage_error(f"{args.config}: {err.strerror}")
-    except ValueError as err:
-        args.usage_error(f"{args.config}: malformed JSON: {err}")
-    if not isinstance(raw, dict):
-        args.usage_error(f"{args.config}: expected a JSON object, got {type(raw).__name__}")
-    if args.out:
-        raw["output_dir"] = args.out
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
     with _usage_errors(args):
+        raw = read_json(args.config)
+        if args.out:
+            raw["output_dir"] = args.out
+        if args.jobs is not None:
+            raw["jobs"] = args.jobs
         cfg = parse_config(raw)
     out = run_experiment(cfg)
     print(f"results in {out}")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     add_flags(p, GibbsConfig(zeta=0.1), skip=("kind",))
     add_flags(p, TrainConfig)
-    p.add_argument("--hidden", type=int, nargs="*", default=[128, 128])
+    p.add_argument("--hidden", type=int, nargs="*", default=list(nnet.DEFAULT_HIDDEN))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train, usage_error=p.error)
 

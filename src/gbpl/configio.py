@@ -75,6 +75,18 @@ def from_args(cls, args: argparse.Namespace, **fixed):
     return from_dict(cls, {**raw, **fixed})
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object in file ``path``; a malformed file or one that holds
+    another JSON value raises ``ValueError`` naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as indented, key-sorted JSON ending in a newline."""
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

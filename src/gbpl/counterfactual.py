@@ -97,6 +97,13 @@ def check_clip(clip: float, k: int) -> None:
         raise ValueError("clip must lie in (0, 1/K]")
 
 
+def check_folds(folds: int) -> None:
+    """Raise ``ValueError`` unless ``folds`` is 0 (no cross-fitting) or at
+    least 2."""
+    if folds < 0 or folds == 1:
+        raise ValueError("folds must be 0 or at least 2")
+
+
 def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     """Nearest propensity rows with every entry at least ``clip``.
 
@@ -200,7 +207,7 @@ def fit_outcome_regression(
     logged: LoggedDataset,
     train_rows: np.ndarray,
     cfg: TrainConfig | None = None,
-    hidden: tuple[int, ...] = (128, 128),
+    hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN,
     folds: int = 0,
 ) -> np.ndarray:
     """Outcome regression gamma_hat (n, K) for every row, by masked squared loss.
@@ -213,8 +220,7 @@ def fit_outcome_regression(
     other folds, so no training row's prediction comes from a model that saw
     it. Deterministic given the seed.
     """
-    if folds < 0 or folds == 1:
-        raise ValueError("folds must be 0 or at least 2")
+    check_folds(folds)
     cfg = cfg or TrainConfig()
     train_rows = np.asarray(train_rows, dtype=np.intp)
     if train_rows.size == 0:

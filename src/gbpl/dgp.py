@@ -304,7 +304,10 @@ def read_full_feedback_csv(path: str | Path) -> FullFeedbackDataset:
     header, table = _read_table(path)
     xs, ys = _names("x_", header), _names("y_", header)
     _check_columns(path, header, xs + ys)
-    return FullFeedbackDataset(table[:, : len(xs)], table[:, len(xs) :])
+    try:
+        return FullFeedbackDataset(table[:, : len(xs)], table[:, len(xs) :])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_logged_csv(path: str | Path, logged: LoggedDataset) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl.methods import FittedPolicy
-from gbpl.surrogate import FullFeedbackDataset, empirical_welfare
+from gbpl.surrogate import TIE_TOL, FullFeedbackDataset, empirical_welfare
 
 RULE_DETERMINISTIC = "deterministic"
 RULE_RANDOMIZED = "randomized"
@@ -60,16 +60,16 @@ def select_zeta_by_validation(
     ``fits`` yields the candidates one at a time, so a generator can fit each
     one only when it is asked for. ``val`` may hold realized outcomes or a
     pseudo-outcome table; the same welfare formula applies. Ties (within
-    1e-12) go to the smallest scale. Only candidates within 1e-12 of the
-    running best are kept: the best only grows, so a dropped one could never
-    come within 1e-12 of the final best.
+    ``TIE_TOL``) go to the smallest scale. Only candidates within ``TIE_TOL``
+    of the running best are kept: the best only grows, so a dropped one could
+    never come within ``TIE_TOL`` of the final best.
     """
     best, kept = -math.inf, []
     for z, policy in fits:
         w = test_welfare(val, policy, rule)
         best = max(best, w)
-        kept = [c for c in kept if c[2] >= best - 1e-12]
-        if w >= best - 1e-12:
+        kept = [c for c in kept if c[2] >= best - TIE_TOL]
+        if w >= best - TIE_TOL:
             kept.append((z, policy, w))
         del policy  # else it outlives its drop while the next candidate is fitted
     if not kept:

@@ -34,6 +34,7 @@ from gbpl.counterfactual import (
     DEFAULT_EPSILON_CLIP,
     PSEUDO_DR,
     PSEUDO_IPW,
+    check_folds,
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
@@ -124,8 +125,7 @@ class FeedbackSpec:
             raise ValueError("pseudo must be 'ipw' or 'dr'")
         if self.propensity not in ("true", "fitted"):
             raise ValueError("propensity must be 'true' or 'fitted'")
-        if self.folds < 0 or self.folds == 1:
-            raise ValueError("folds must be 0 or at least 2")
+        check_folds(self.folds)
         if self.folds and (self.mode == "full" or self.pseudo == PSEUDO_IPW):
             raise ValueError(f"folds = {self.folds} cross-fits the outcome regression, "
                              "which only mode 'logged' with pseudo 'dr' fits")
@@ -143,7 +143,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     eta: float = 1.0
     tau2: float = 1.0
-    hidden: tuple[int, ...] = (128, 128)
+    hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN
     jobs: int = 1
 
     def __post_init__(self):

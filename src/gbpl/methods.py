@@ -75,7 +75,7 @@ def _fit_surrogate(head, x, targets, gibbs, cfg, train_rows, val_rows, hidden):
 
 def fit_score_binary(x: np.ndarray, u: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
                      train_rows: np.ndarray, val_rows: np.ndarray,
-                     hidden: tuple[int, ...] = (128, 128)) -> FittedPolicy:
+                     hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN) -> FittedPolicy:
     """Train a tanh-squashed score on the (n,) outcome (pseudo-)differences
     ``u`` with the squared surrogate at ``gibbs.zeta``; the induced randomized
     policy is (f + 1) / 2."""
@@ -84,7 +84,7 @@ def fit_score_binary(x: np.ndarray, u: np.ndarray, gibbs: GibbsConfig, cfg: Trai
 
 def fit_policy_fullvector(x: np.ndarray, y: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
                           train_rows: np.ndarray, val_rows: np.ndarray,
-                          hidden: tuple[int, ...] = (128, 128)) -> FittedPolicy:
+                          hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN) -> FittedPolicy:
     """Train a softmax policy net on the (n, K) outcome (pseudo-)vectors ``y``
     with the full-vector surrogate at ``gibbs.zeta``."""
     return _fit_surrogate(nnet.HEAD_SOFTMAX, x, y, gibbs, cfg, train_rows, val_rows, hidden)

@@ -18,13 +18,12 @@ for every row; a throwaway workspace has at most ``BLOCK_ROWS`` rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from gbpl.configio import from_dict, to_dict, write_json
+from gbpl.configio import from_dict, read_json, to_dict, write_json
 
 HEAD_TANH = "tanh"
 HEAD_SOFTMAX = "softmax"
@@ -36,6 +35,9 @@ _HEADS = (HEAD_TANH, HEAD_SOFTMAX, HEAD_IDENTITY)
 # 512 KB per hidden layer, and larger blocks are no faster
 BLOCK_ROWS = 512
 
+# hidden widths of every fitted net that is not given its own
+DEFAULT_HIDDEN = (128, 128)
+
 
 @dataclass(frozen=True)
 class MlpArchitecture:
@@ -46,7 +48,7 @@ class MlpArchitecture:
     """
 
     input_dim: int
-    hidden_dims: tuple[int, ...] = (128, 128)
+    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN
     output_dim: int = 1
     head: str = HEAD_TANH
 
@@ -293,10 +295,18 @@ def save_params(directory: str | Path, arch: MlpArchitecture, params: np.ndarray
 
 
 def load_params(directory: str | Path) -> tuple[MlpArchitecture, np.ndarray]:
-    directory = Path(directory)
-    sidecar = json.loads((directory / "arch.json").read_text())
-    arch = from_dict(MlpArchitecture, sidecar["arch"])
-    vec = np.fromfile(directory / "params.bin", dtype="<f8")
-    if vec.size != sidecar["dim"] or vec.size != arch.param_count:
-        raise ValueError("blob length does not match the declared architecture")
+    """Inverse of ``save_params``; a sidecar or blob that does not describe one
+    model raises ``ValueError`` naming the file."""
+    sidecar_path, blob_path = Path(directory) / "arch.json", Path(directory) / "params.bin"
+    sidecar = read_json(sidecar_path)
+    try:
+        arch, dim = from_dict(MlpArchitecture, sidecar["arch"]), sidecar["dim"]
+    except KeyError as err:
+        raise ValueError(f"{sidecar_path}: missing key {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{sidecar_path}: {err}") from None
+    vec = np.fromfile(blob_path, dtype="<f8")
+    if vec.size != dim or vec.size != arch.param_count:
+        raise ValueError(f"{blob_path}: {vec.size} parameters, but the declared "
+                         f"architecture has {arch.param_count}")
     return arch, vec

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,58 @@ from gbpl.dgp import (
 )
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
 from gbpl.surrogate import empirical_welfare
+
+
+def _write_inputs(tmp):
+    """Under ``tmp``: a good binary data CSV and model, and one broken data CSV
+    or model of each kind that ``_BAD_INPUTS`` names."""
+    data, _ = generate_full_feedback(DgpSpec(family="binary2", n=40, d=3, seed=4))
+    write_full_feedback_csv(tmp / "data.csv", data)
+    (tmp / "short.csv").write_text("x_1,y_1,y_2\n0.5,1.0\n")
+    (tmp / "text.csv").write_text("x_1,y_1,y_2\n0.5,one,1.0\n")
+    (tmp / "one_outcome.csv").write_text("x_1,y_1\n0.5,1.0\n")
+    rng = np.random.default_rng(0)
+    arch = nnet.MlpArchitecture(3, (4,))
+    for name in ("model", "short_model", "keyless_model", "unknown_key_model"):
+        nnet.save_params(tmp / name, arch, nnet.init_params(arch, rng))
+    blob = tmp / "short_model" / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    (tmp / "keyless_model" / "arch.json").write_text("{}")
+    (tmp / "unknown_key_model" / "arch.json").write_text(
+        '{"arch": {"input_dim": 3, "hidden_dims": [4], "width": 1}, "dim": 21}')
+
+
+# bad data CSVs: file under the test's tmp directory, cause in the message
+_BAD_CSVS = {
+    "missing-csv": ("missing.csv", "No such file or directory"),
+    "short-row": ("short.csv", "line 2 has 2 fields, the header 3"),
+    "non-numeric": ("text.csv", "non-numeric value"),
+    "one-outcome-column": ("one_outcome.csv", "need at least two actions"),
+}
+# case -> (argv without --out, expected message); "{tmp}" is the test's tmp directory
+_BAD_INPUTS = {
+    **{f"train-{case}": (["train", "--data", f"{{tmp}}/{name}"], f"{{tmp}}/{name}: {cause}")
+       for case, (name, cause) in _BAD_CSVS.items()},
+    **{f"evaluate-{case}": (["evaluate", "--data", f"{{tmp}}/{name}", "--model", "{tmp}/model"],
+                            f"{{tmp}}/{name}: {cause}")
+       for case, (name, cause) in _BAD_CSVS.items()},
+    "evaluate-missing-model": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/missing"],
+        "{tmp}/missing/arch.json: No such file or directory"),
+    "evaluate-short-params": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/short_model"],
+        "{tmp}/short_model/params.bin: 20 parameters, but the declared architecture has 21"),
+    "evaluate-arch-without-keys": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/keyless_model"],
+        "{tmp}/keyless_model/arch.json: missing key 'arch'"),
+    "evaluate-arch-with-unknown-key": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/unknown_key_model"],
+        "{tmp}/unknown_key_model/arch.json: MlpArchitecture: unknown key(s) width"),
+    "simulate-missing-csv-path": (
+        ["simulate", "--family", "semisynthetic_csv", "--csv-path", "{tmp}/missing.csv",
+         "--n", "30"],
+        "{tmp}/missing.csv: No such file or directory"),
+}
 
 
 def _fast_train():
@@ -631,14 +684,29 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["welfare"] == empirical_welfare(data, nnet.forward(arch, params, data.x))
 
-    def test_evaluate_rejects_model_for_other_action_count(self, tmp_path):
+    def test_evaluate_rejects_model_for_other_action_count(self, tmp_path, capsys):
         data, _ = generate_full_feedback(DgpSpec(family="binary2", n=40, d=4, seed=4))
         data_csv, model_dir = tmp_path / "data.csv", tmp_path / "model"
         write_full_feedback_csv(data_csv, data)
         arch = nnet.MlpArchitecture(4, (8,), 3, nnet.HEAD_SOFTMAX)
         nnet.save_params(model_dir, arch, nnet.init_params(arch, np.random.default_rng(0)))
-        with pytest.raises(ValueError, match="3 actions.*has 2"):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["evaluate", "--data", str(data_csv), "--model", str(model_dir)])
+        assert exit_info.value.code == 2
+        assert re.search("gbpl evaluate: error: .*3 actions.*has 2", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, case):
+        _write_inputs(tmp_path)
+        argv, message = _BAD_INPUTS[case]
+        argv = [arg.format(tmp=tmp_path) for arg in [*argv, "--out", "{tmp}/out/x"]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"gbpl {argv[0]}: error: {message.format(tmp=tmp_path)}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

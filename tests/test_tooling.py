@@ -15,6 +15,9 @@ in ``src`` only for the unit tests to call. A re-export from the package's
 
 Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
+
+Bad input reaches the user through one path: ``cli._usage_errors`` is the only
+place in ``cli.py`` that calls ``usage_error``.
 """
 
 import ast
@@ -133,3 +136,11 @@ def test_readme_command_parses(argv):
         cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"README's `gbpl {shlex.join(argv)}` does not parse (exit {exc.code})")
+
+
+def test_usage_error_is_called_only_from_the_usage_errors_guard():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and "usage_error" in
+               (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert callers == ["_usage_errors"]
