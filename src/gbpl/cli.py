@@ -13,7 +13,8 @@ writes or runs anything, and bad input there is a usage error (exit 2) that
 names its cause: a config that fails to decode (naming the field), a flag the
 library would reject (``train --hidden``, ``simulate --clip --logging``), and
 a data CSV, model directory or experiment config that is missing or malformed
-(naming the file), or a model whose action count differs from the data's.
+(naming the file), or a model whose covariate or action count differs from the
+data's (naming both).
 Configs are decoded before any file is read.
 """
 
@@ -123,9 +124,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with _usage_errors(args):  # a model for another action count fails in test_welfare
+    with _usage_errors(args):
         data = read_full_feedback_csv(args.data)
         policy = FittedPolicy(*nnet.load_params(args.model))
+        for what, model_has, data_has in (("covariates", policy.arch.input_dim, data.d),
+                                          ("actions", policy.n_actions, data.k)):
+            if model_has != data_has:
+                raise ValueError(f"model {args.model} takes {model_has} {what}, but data "
+                                 f"{args.data} has {data_has}")
         welfare = test_welfare(data, policy, args.rule)
     oracle = oracle_welfare(data)
     metrics = {"welfare": welfare, "oracle_welfare": oracle, "regret": oracle - welfare,

@@ -23,6 +23,8 @@ def to_dict(cfg) -> dict:
 
 def from_dict(cls, raw: dict):
     """Build dataclass ``cls`` from a dict produced by :func:`to_dict` or JSON."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {raw!r}")
     hints = typing.get_type_hints(cls)
     owner = f"{cls.__name__} {raw['name']!r}" if "name" in raw else cls.__name__
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})

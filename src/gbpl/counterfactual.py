@@ -240,7 +240,7 @@ def fit_outcome_regression(
     gamma = nnet.forward(arch, fit(train_rows), logged.x)
     for j in range(folds):
         held_out = train_rows[fold == j]
-        gamma[held_out] = nnet.forward(arch, fit(train_rows[fold != j]), logged.x[held_out])
+        gamma[held_out] = nnet.forward(arch, fit(train_rows[fold != j]), logged.x, rows=held_out)
     return gamma
 
 

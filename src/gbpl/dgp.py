@@ -263,8 +263,11 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Header and finite numeric body of a CSV with at least one data row; a
     malformed file raises ``ValueError`` naming the file and the cause."""
-    with Path(path).open(newline="") as fh:
-        lines = list(csv.reader(fh))
+    try:
+        with Path(path).open(newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: unreadable as CSV text: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: empty file, expected a header row")
     header, rows = lines[0], lines[1:]

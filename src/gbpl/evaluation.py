@@ -5,7 +5,9 @@ welfare credible intervals, PAC-Bayes bound arithmetic, and trial aggregation.
 harness, scale selection and the per-draw welfare behind credible intervals
 all call it. A fixed randomization (an (n, K) matrix of simplex rows, such as
 uniform assignment) has no network behind it; its welfare is
-:func:`gbpl.surrogate.empirical_welfare`.
+:func:`gbpl.surrogate.empirical_welfare`. ``oracle_welfare``, ``test_welfare``
+and ``select_zeta_by_validation`` take an optional index array ``rows`` and
+then score only those rows of the dataset, without copying its covariates.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ RULE_DETERMINISTIC = "deterministic"
 RULE_RANDOMIZED = "randomized"
 
 
-def oracle_welfare(test: FullFeedbackDataset) -> float:
+def oracle_welfare(test: FullFeedbackDataset, rows: np.ndarray | None = None) -> float:
     """Mean of the row-wise best realized outcome; dominates every policy."""
-    return float(test.y.max(axis=1).mean())
+    best = test.y.max(axis=1)
+    return float((best if rows is None else best[rows]).mean())
 
 
 def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
-                 rule: str = RULE_DETERMINISTIC) -> float:
+                 rule: str = RULE_DETERMINISTIC, rows: np.ndarray | None = None) -> float:
     """Realized test welfare of a fitted rule.
 
     Deterministic evaluation takes the rule's own decision (binary scores
@@ -41,9 +44,10 @@ def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
         raise ValueError(f"policy acts on {policy.n_actions} actions but the data "
                          f"has {test.k}")
     if rule == RULE_DETERMINISTIC:
-        return float(test.y[np.arange(test.n), policy.decide(test.x)].mean())
+        at = np.arange(test.n) if rows is None else rows
+        return float(test.y[at, policy.decide(test.x, rows)].mean())
     if rule == RULE_RANDOMIZED:
-        return empirical_welfare(test, policy.delta(test.x))
+        return empirical_welfare(test, policy.delta(test.x, rows), rows)
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -54,19 +58,21 @@ def select_zeta_by_validation(
     fits: Iterable[tuple[float, FittedPolicy]],
     val: FullFeedbackDataset,
     rule: str = RULE_DETERMINISTIC,
+    rows: np.ndarray | None = None,
 ) -> tuple[float, FittedPolicy]:
     """The (scale, rule) pair whose rule maximizes validation welfare.
 
     ``fits`` yields the candidates one at a time, so a generator can fit each
     one only when it is asked for. ``val`` may hold realized outcomes or a
-    pseudo-outcome table; the same welfare formula applies. Ties (within
+    pseudo-outcome table; the same welfare formula applies. Given ``rows``,
+    only those rows of ``val`` are scored. Ties (within
     ``TIE_TOL``) go to the smallest scale. Only candidates within ``TIE_TOL``
     of the running best are kept: the best only grows, so a dropped one could
     never come within ``TIE_TOL`` of the final best.
     """
     best, kept = -math.inf, []
     for z, policy in fits:
-        w = test_welfare(val, policy, rule)
+        w = test_welfare(val, policy, rule, rows)
         best = max(best, w)
         kept = [c for c in kept if c[2] >= best - TIE_TOL]
         if w >= best - TIE_TOL:

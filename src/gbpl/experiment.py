@@ -207,20 +207,21 @@ def method_seed(base_seed: int, trial: int, method_name: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _subset_full(data: FullFeedbackDataset, rows: np.ndarray) -> FullFeedbackDataset:
-    return FullFeedbackDataset(data.x[rows], data.y[rows])
-
-
 @dataclass
 class _TrialData:
     """Everything one trial's method fits see: a training table (realized or
-    pseudo outcomes) over all rows, plus the realized test set."""
+    pseudo outcomes) and the realized outcomes, both over all rows, and the
+    split. Rows are passed by index, never copied."""
 
-    x: np.ndarray
+    full: FullFeedbackDataset  # realized outcomes, evaluation only
     table: np.ndarray  # (n, K) outcomes the objectives consume
     train_rows: np.ndarray
     val_rows: np.ndarray
-    test: FullFeedbackDataset  # realized outcomes, evaluation only
+    test_rows: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.full.x
 
 
 def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
@@ -240,7 +241,7 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
                                             fb.folds)
                      if fb.pseudo == PSEUDO_DR else np.zeros((logged.n, logged.k)))
         table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
-    return _TrialData(full.x, table, train_rows, val_rows, _subset_full(full, test_rows))
+    return _TrialData(full, table, train_rows, val_rows, test_rows)
 
 
 def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
@@ -270,17 +271,17 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     trial's peak memory is that of one fit plus the best rule so far."""
     td = _prepare_trial(cfg, trial)
     rule = RULE_DETERMINISTIC if td.table.shape[1] == 2 else RULE_RANDOMIZED
-    oracle = oracle_welfare(td.test)
-    val_table = FullFeedbackDataset(td.x[td.val_rows], td.table[td.val_rows])
+    oracle = oracle_welfare(td.full, td.test_rows)
+    val_table = FullFeedbackDataset(td.x, td.table)
 
     results = []
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
         train_cfg = replace(cfg.train, seed=seed)
         fits = ((z, _fit_rule(cfg, td, m, train_cfg, z)) for z in m.scales)
-        selected, policy = (select_zeta_by_validation(fits, val_table, rule)
+        selected, policy = (select_zeta_by_validation(fits, val_table, rule, td.val_rows)
                             if len(m.scales) > 1 else next(fits))
-        welfare = test_welfare(td.test, policy, rule)
+        welfare = test_welfare(td.full, policy, rule, td.test_rows)
         del policy  # before the next method is fitted
         results.append(
             TrialResult(
@@ -372,7 +373,6 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     spec = DgpSpec(family="onedimviz", n=cfg.n, seed=cfg.seed)
     full, _ = generate_full_feedback(spec)
     train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [cfg.seed, _SPLIT_TAG])
-    test = _subset_full(full, test_rows)
 
     gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)
     arch, loss = squared_surrogate(full.x, full.outcome_diff(), cfg.zeta, cfg.hidden,
@@ -385,7 +385,8 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
 
     def summary(w):  # grid scores, test welfare via this module's traced binding, point scores
         return np.concatenate([nnet.forward(arch, w, grid[:, None])[:, 0],
-                               [test_welfare(test, FittedPolicy(arch, w), RULE_DETERMINISTIC)],
+                               [test_welfare(full, FittedPolicy(arch, w), RULE_DETERMINISTIC,
+                                             test_rows)],
                                nnet.forward(arch, w, pts[:, None])[:, 0]])
 
     sgld_cfg = replace(cfg.sgld, seed=cfg.seed)

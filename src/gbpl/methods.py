@@ -30,26 +30,26 @@ class FittedPolicy:
         """Number of actions the rule chooses among: two for a one-column score."""
         return max(2, self.arch.output_dim)
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Raw head output on covariates."""
-        return nnet.forward(self.arch, self.params, x)
+    def score(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Raw head output on covariates, or on the covariate rows ``rows`` of ``x``."""
+        return nnet.forward(self.arch, self.params, x, rows=rows)
 
-    def delta(self, x: np.ndarray) -> np.ndarray:
+    def delta(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Randomized policy as simplex rows (one-hot for an identity head)."""
         if self.arch.head == nnet.HEAD_IDENTITY:
-            cols = self.decide(x)
+            cols = self.decide(x, rows)
             out = np.zeros((cols.size, self.n_actions))
             out[np.arange(cols.size), cols] = 1.0
             return out
-        out = self.score(x)
+        out = self.score(x, rows)
         if self.arch.head == nnet.HEAD_TANH:
             p1 = (out[:, 0] + 1.0) / 2.0
             return np.column_stack([p1, 1.0 - p1])
         return out
 
-    def decide(self, x: np.ndarray) -> np.ndarray:
+    def decide(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Deterministic action choice as column indices."""
-        out = self.score(x)
+        out = self.score(x, rows)
         if out.shape[1] == 1:
             return np.where(out[:, 0] >= 0.0, 0, 1)
         return out.argmax(axis=1)

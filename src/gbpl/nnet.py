@@ -10,10 +10,13 @@ plain vector function.
 
 No function here mutates its inputs. ``forward`` and ``backward`` write into
 a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
-to one caller: each call overwrites what the last one left in it. ``forward``
-streams more rows than its workspace holds through it in blocks of the
-workspace's row count, so an inference pass needs memory for one block, not
-for every row; a throwaway workspace has at most ``BLOCK_ROWS`` rows.
+to one caller: each call overwrites what the last one left in it, and
+``backward`` spends the hidden activations of the ``forward`` before it by
+writing its deltas over them. ``forward`` streams more rows than its workspace
+holds through it in blocks of the workspace's row count, so an inference pass
+needs memory for one block, not for every row; a throwaway workspace has at
+most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those rows of ``x`` one
+block at a time, so scoring a subset copies no more than a block of it.
 """
 
 from __future__ import annotations
@@ -145,17 +148,19 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class Workspace:
     """Buffers for passes of up to ``rows`` rows; fewer rows use the leading ones.
 
-    ``acts[i]`` holds layer i's output, post-head for the last layer. The flat
-    ``grad``, its per-layer views ``grads`` and the hidden-layer ``deltas`` are
-    allocated by the first ``backward``. The per-layer views of the last float64
-    parameter array passed in are kept, keyed on that array object, so the
-    caller may update it in place between calls but must not resize it.
+    ``acts[i]`` holds layer i's output, post-head for the last layer. After a
+    ``backward`` the hidden ones hold its deltas instead: they are spent, and
+    only the output ``acts[-1]`` is still the forward pass's. The flat ``grad``
+    and its per-layer views ``grads`` are allocated by the first ``backward``.
+    The per-layer views of the last float64 parameter array passed in are kept,
+    keyed on that array object, so the caller may update it in place between
+    calls but must not resize it.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
         self.rows = rows
         self.acts = [np.empty((rows, fan_out)) for _, fan_out in arch.layer_dims]
-        self.grad = self.grads = self.deltas = None
+        self.grad = self.grads = None
         self._params = self._layers = None
 
     def layers(self, arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -192,12 +197,14 @@ def _forward_block(arch: MlpArchitecture, layers, x: np.ndarray, ws: Workspace) 
 
 
 def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
-            ws: Workspace | None = None) -> np.ndarray:
+            ws: Workspace | None = None, rows: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the network on a batch, returning the post-head output.
 
-    Without a workspace, one of ``min(n, BLOCK_ROWS)`` rows is made. When ``x``
-    fits in the workspace the output is a view into it, overwritten by the next
-    call; otherwise the rows are streamed through it in blocks into a fresh
+    Given an index array ``rows``, the batch is ``x[rows]``, gathered one block
+    at a time, bit for bit as if ``x[rows]`` were passed. Without a workspace,
+    one of ``min(n, BLOCK_ROWS)`` rows is made. When the batch fits in the
+    workspace the output is a view into it, overwritten by the next call;
+    otherwise the rows are streamed through it in blocks into a fresh
     (n, output_dim) array. A row comes out as one pass over every row gives it,
     up to BLAS choosing its kernel by problem size, which can move a row of a
     narrow output layer by a few ulp.
@@ -205,18 +212,19 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"x has shape {x.shape}, expected (n, {arch.input_dim})")
-    n = x.shape[0]
+    n = x.shape[0] if rows is None else len(rows)
     ws = Workspace(arch, min(n, BLOCK_ROWS)) if ws is None else ws
     layers = ws.layers(arch, params)
     if n <= ws.rows:
-        return _forward_block(arch, layers, x, ws)
+        return _forward_block(arch, layers, x if rows is None else x[rows], ws)
     out = np.empty((n, arch.output_dim))
     for start in range(0, n, ws.rows):
         # numpy sends a single row down BLAS's vector-product path, which rounds
         # differently, so a last lone row is computed along with the one before it
         lo = min(start, n - 2) if ws.rows > 1 else start
         stop = start + ws.rows
-        out[start:stop] = _forward_block(arch, layers, x[lo:stop], ws)[start - lo:]
+        block = x[lo:stop] if rows is None else x[rows[lo:stop]]
+        out[start:stop] = _forward_block(arch, layers, block, ws)[start - lo:]
     return out
 
 
@@ -236,7 +244,10 @@ def backward(
 
     With a workspace, the activations are the ones the preceding
     ``forward(arch, params, x, ws)`` left there, so ``x`` must fit in it, and
-    the result is ``ws.grad``, overwritten by the next call.
+    the result is ``ws.grad``, overwritten by the next call. Each hidden
+    activation is dead once its layer's weight gradient is formed, so the
+    deltas are written over it: the hidden activations are spent, and a second
+    ``backward`` needs a fresh ``forward``. The output ``acts[-1]`` is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -263,22 +274,21 @@ def backward(
     if ws.grad is None:
         ws.grad = np.empty(arch.param_count)
         ws.grads = unflatten(arch, ws.grad)
-        ws.deltas = [np.empty_like(a) for a in ws.acts[:-1]]
     layers = ws.layers(arch, params)
     for li in range(len(layers) - 1, -1, -1):
         h_in = x if li == 0 else ws.acts[li - 1][:n]
         gw, gb = ws.grads[li]
         np.matmul(h_in.T, gz, out=gw)
         gz.sum(axis=0, out=gb)
-        if li > 0:
-            gh = ws.deltas[li - 1][:n]
+        if li > 0:  # the delta goes over h_in, which is dead once its mask is taken
+            active = h_in > 0.0
             w_t = layers[li][0].T
             if gz.shape[1] == 1:  # a rank-one product: the broadcast is faster than matmul
-                np.multiply(gz, w_t, out=gh)
+                np.multiply(gz, w_t, out=h_in)
             else:
-                np.matmul(gz, w_t, out=gh)
-            gh *= h_in > 0.0
-            gz = gh
+                np.matmul(gz, w_t, out=h_in)
+            h_in *= active
+            gz = h_in
     return ws.grad
 
 

@@ -90,21 +90,27 @@ class TrainConfig:
 
 
 class GradientWorkspace(nnet.Workspace):
-    """An ``nnet.Workspace`` plus two parameter-sized buffers for the prior
-    gradient. ``objective_gradient`` is done with them once it returns, so the
-    optimizer steps use them as scratch until the next call."""
+    """An ``nnet.Workspace`` plus a parameter-sized buffer ``prior`` for the
+    prior gradient, and a second, ``decay``, made by the first call with a
+    nonzero weight decay. ``objective_gradient`` is done with ``prior`` once it
+    returns, so the optimizer steps use it as scratch until the next call."""
 
     def __init__(self, arch: nnet.MlpArchitecture, rows: int):
         super().__init__(arch, rows)
-        self.prior = np.empty(arch.param_count), np.empty(arch.param_count)
+        self.prior = np.empty(arch.param_count)
+        self.decay = None
 
 
 def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
-                out: np.ndarray) -> np.ndarray:
-    """params / tau2 + weight_decay * params, formed in the two buffers of ``out``."""
-    total, decay = out
-    np.divide(params, gibbs.tau2, out=total)
-    total += np.multiply(weight_decay, params, out=decay)
+                ws: GradientWorkspace) -> np.ndarray:
+    """params / tau2 + weight_decay * params, formed in ``ws.prior``. A zero
+    weight decay adds nothing: 0 * params is a signed zero for finite
+    parameters, and non-finite ones already make params / tau2 non-finite."""
+    total = np.divide(params, gibbs.tau2, out=ws.prior)
+    if weight_decay:
+        if ws.decay is None:
+            ws.decay = np.empty_like(total)
+        total += np.multiply(weight_decay, params, out=ws.decay)
     return total
 
 
@@ -125,7 +131,7 @@ def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_deca
         raise FloatingPointError("non-finite training loss; reduce the step size")
     grad = nnet.backward(arch, params, x, loss.output_grad(out, rows), ws)
     grad *= gibbs.eta * (n_scale / m)
-    grad += _prior_grad(params, gibbs, weight_decay, ws.prior)
+    grad += _prior_grad(params, gibbs, weight_decay, ws)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite objective gradient; reduce the step size")
     return grad
@@ -149,9 +155,10 @@ def map_train(
     validation loss can never exceed the initial one. Deterministic given
     ``cfg.seed``.
 
-    A fit holds seven parameter-sized vectors: the parameters, the best
+    A fit holds six parameter-sized vectors: the parameters, the best
     snapshot (copied into, never reallocated), Adam's two moments, and the
-    workspace's gradient and two prior buffers, which double as Adam's scratch.
+    workspace's gradient and prior buffer, which double as Adam's scratch. A
+    nonzero ``cfg.weight_decay`` adds a seventh, the workspace's decay buffer.
     """
     train_rows = np.asarray(train_rows, dtype=np.intp)
     val_rows = np.asarray(val_rows, dtype=np.intp)
@@ -164,18 +171,19 @@ def map_train(
 
     def val_objective(w):
         # streamed through the training workspace; the per-row losses are averaged once
-        out = nnet.forward(arch, w, loss.x[val_rows], ws)
+        out = nnet.forward(arch, w, loss.x, ws, val_rows)
         return float(loss.values(out, val_rows).mean())
 
     best_params = params.copy()  # snapshots are copied into it
     best_val = val_objective(params)
     since_best = 0
 
-    # Adam state; a step updates it in place, in textbook operation order, via s1
-    # and s2: the buffers of ws.prior, which objective_gradient is done with by then
+    # Adam state; a step updates it in place, in textbook operation order, via
+    # scratch s1 = ws.prior, which objective_gradient is done with by then, and
+    # the gradient itself once v is updated
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    s1, s2 = ws.prior
+    s1 = ws.prior
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -191,9 +199,9 @@ def map_train(
             v += np.multiply(1.0 - beta2, np.square(grad, out=s1), out=s1)
             np.divide(m, 1.0 - beta1**t, out=s1)  # m_hat
             s1 *= cfg.learning_rate
-            np.sqrt(np.divide(v, 1.0 - beta2**t, out=s2), out=s2)  # sqrt(v_hat)
-            s2 += eps
-            params -= np.divide(s1, s2, out=s1)
+            np.sqrt(np.divide(v, 1.0 - beta2**t, out=grad), out=grad)  # sqrt(v_hat)
+            grad += eps
+            params -= np.divide(s1, grad, out=s1)
         cur = val_objective(params)
         if cur < best_val:
             best_val = cur
@@ -269,7 +277,7 @@ def sgld_sample(
     b = min(sgld.batch_size, n)
     w = np.array(init, dtype=np.float64)
     ws = GradientWorkspace(arch, b)
-    noise = ws.prior[0]  # free between objective_gradient calls
+    noise = ws.prior  # free between objective_gradient calls
 
     kept = None  # (n_draws, P) or (n_draws, m), sized by the first recorded row
     total = sgld.burn_in + sgld.n_draws * sgld.thin

@@ -138,13 +138,16 @@ def fullvector_loss(zeta: float, y: np.ndarray, delta: np.ndarray):
 # welfare functionals
 
 
-def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray) -> float:
-    """(1/n) sum_i sum_a delta_{i,a} y_{i,a} for simplex policy rows."""
+def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray,
+                      rows: np.ndarray | None = None) -> float:
+    """(1/n) sum_i sum_a delta_{i,a} y_{i,a} for simplex policy rows, over
+    the dataset's rows or the n of them indexed by ``rows``."""
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != data.y.shape:
+    y = data.y if rows is None else data.y[rows]
+    if delta.shape != y.shape:
         raise ValueError("policy rows must match the dataset shape")
     _check_simplex(delta)
-    return float((delta * data.y).sum() / data.n)
+    return float((delta * y).sum() / y.shape[0])
 
 
 # ---------------------------------------------------------------------------

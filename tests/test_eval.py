@@ -164,7 +164,7 @@ class TestSelectZeta:
         # welfare levels 0.4e-12 apart chain ties across more than the 1e-12 tolerance, so a
         # candidate tied with the running best can fall out once a later one raises it
         welfare = {z: 0.5 + 0.4e-12 * level for z, level in levels}
-        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule: welfare[policy])
+        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule, rows: welfare[policy])
         best = max(welfare.values())
         want = min(z for z, w in welfare.items() if w >= best - 1e-12)
         assert ev.select_zeta_by_validation(((z, z) for z, _ in levels), None) == (want, want)
@@ -177,7 +177,7 @@ class TestSelectZeta:
             def __init__(self, welfare):
                 self.welfare = welfare
 
-        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule: policy.welfare)
+        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule, rows: policy.welfare)
         alive = []
 
         def fit(i):

@@ -30,15 +30,22 @@ def _write_inputs(tmp):
     (tmp / "short.csv").write_text("x_1,y_1,y_2\n0.5,1.0\n")
     (tmp / "text.csv").write_text("x_1,y_1,y_2\n0.5,one,1.0\n")
     (tmp / "one_outcome.csv").write_text("x_1,y_1\n0.5,1.0\n")
+    (tmp / "binary.csv").write_bytes(b"\xea\xc8\x00\xff" * 16)
+    (tmp / "huge_field.csv").write_text("x_1,y_1,y_2\n" + "1" * 200_000 + ",1,1\n")
+    wide, _ = generate_full_feedback(DgpSpec(family="binary2", n=40, d=5, seed=4))
+    write_full_feedback_csv(tmp / "wide.csv", wide)
     rng = np.random.default_rng(0)
     arch = nnet.MlpArchitecture(3, (4,))
-    for name in ("model", "short_model", "keyless_model", "unknown_key_model"):
+    for name in ("model", "short_model", "keyless_model", "unknown_key_model", "list_arch_model"):
         nnet.save_params(tmp / name, arch, nnet.init_params(arch, rng))
+    arch3 = nnet.MlpArchitecture(3, (4,), 3, nnet.HEAD_SOFTMAX)
+    nnet.save_params(tmp / "three_action_model", arch3, nnet.init_params(arch3, rng))
     blob = tmp / "short_model" / "params.bin"
     blob.write_bytes(blob.read_bytes()[:-8])
     (tmp / "keyless_model" / "arch.json").write_text("{}")
     (tmp / "unknown_key_model" / "arch.json").write_text(
         '{"arch": {"input_dim": 3, "hidden_dims": [4], "width": 1}, "dim": 21}')
+    (tmp / "list_arch_model" / "arch.json").write_text('{"arch": [1, 2], "dim": 3}')
 
 
 # bad data CSVs: file under the test's tmp directory, cause in the message
@@ -47,6 +54,9 @@ _BAD_CSVS = {
     "short-row": ("short.csv", "line 2 has 2 fields, the header 3"),
     "non-numeric": ("text.csv", "non-numeric value"),
     "one-outcome-column": ("one_outcome.csv", "need at least two actions"),
+    "not-utf8": ("binary.csv", "unreadable as CSV text: 'utf-8' codec can't decode"),
+    "field-over-the-csv-limit": ("huge_field.csv",
+                                 "unreadable as CSV text: field larger than field limit"),
 }
 # case -> (argv without --out, expected message); "{tmp}" is the test's tmp directory
 _BAD_INPUTS = {
@@ -67,6 +77,15 @@ _BAD_INPUTS = {
     "evaluate-arch-with-unknown-key": (
         ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/unknown_key_model"],
         "{tmp}/unknown_key_model/arch.json: MlpArchitecture: unknown key(s) width"),
+    "evaluate-arch-not-an-object": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/list_arch_model"],
+        "{tmp}/list_arch_model/arch.json: MlpArchitecture must be a JSON object, got [1, 2]"),
+    "evaluate-other-covariate-count": (
+        ["evaluate", "--data", "{tmp}/wide.csv", "--model", "{tmp}/model"],
+        "model {tmp}/model takes 3 covariates, but data {tmp}/wide.csv has 5"),
+    "evaluate-other-action-count": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/three_action_model"],
+        "model {tmp}/three_action_model takes 3 actions, but data {tmp}/data.csv has 2"),
     "simulate-missing-csv-path": (
         ["simulate", "--family", "semisynthetic_csv", "--csv-path", "{tmp}/missing.csv",
          "--n", "30"],
@@ -513,6 +532,31 @@ class TestTrialMemory:
         large = run([1.0, 0.3, 0.1, 0.03, 0.01, 0.003], "six")
         vector = nnet.MlpArchitecture(4, (128, 128), 3, nnet.HEAD_SOFTMAX).param_count * 8
         assert large - small < vector, (large - small) / vector
+
+    @pytest.mark.parametrize("grown,split", [("test", (0.06, 0.03, 0.91)),
+                                             ("validation", (0.06, 0.83, 0.11))])
+    def test_held_out_rows_are_scored_by_index(self, tmp_path, grown, split):
+        # 4,000 more rows go to one held-out part while the 300 training rows stay: the
+        # peak grows by the data itself, but not by a copy of that part's covariates, as
+        # it did when a trial copied its test and validation rows before scoring them
+        d, base = 40, (0.3, 0.15, 0.55)
+
+        def run(n, split, name):
+            raw = _smoke_config(tmp_path / name, [{"name": "cv", "kind": "gbpl",
+                                                   "zeta_grid": [1.0, 0.1]}], trials=1)
+            raw.update(dgp={"family": "binary2", "n": n, "d": d}, split=list(split))
+            cfg = ex.parse_config(raw)
+            return peak_bytes(lambda: ex.run_experiment(cfg))
+
+        small_sizes, large_sizes = ex._split_sizes(1000, base), ex._split_sizes(5000, split)
+        assert small_sizes[0] == large_sizes[0] == 300
+        assert sum(large_sizes[1:]) - sum(small_sizes[1:]) == 4000
+        run(1000, base, "warm-up")  # lazy imports and caches out of the measured runs
+        small = run(1000, base, "small")
+        large = run(5000, split, "large")
+        data = 4000 * (d + 2) * 8  # x and the two outcome columns of the added rows
+        copy = 4000 * d * 8
+        assert large - small < data + copy / 2, (large - small - data) / copy
 
 
 class TestPosteriorVizMemory:

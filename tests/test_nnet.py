@@ -188,11 +188,13 @@ class TestWorkspace:
         arch, params, x, g = _net_and_batch(np.random.default_rng(40), head, out_dim, 16)
         ws = nnet.Workspace(arch, 16)
         out = nnet.forward(arch, params, x, ws)
-        assert out.tobytes() == nnet.forward(arch, params, x).tobytes()
-        got = nnet.backward(arch, params, x, g, ws)
+        kept = out.tobytes()
+        assert kept == nnet.forward(arch, params, x).tobytes()
+        got = nnet.backward(arch, params, x, g, ws)  # writes its deltas over the hidden layers
         assert got is ws.grad
         assert got.tobytes() == nnet.backward(arch, params, x, g).tobytes()
         assert got.tobytes() == reference_backward(arch, params, x, g).tobytes()
+        assert out.tobytes() == kept  # the output view is left alone
 
     @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
     def test_short_batch_uses_leading_rows(self, head, out_dim):
@@ -222,7 +224,7 @@ class TestWorkspace:
         arch, params, x, _ = _net_and_batch(np.random.default_rng(43), nnet.HEAD_TANH, 1, 6)
         ws = nnet.Workspace(arch, 6)
         nnet.forward(arch, params, x, ws)
-        assert ws.grad is None and ws.deltas is None
+        assert ws.grad is None
 
     @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
     def test_inputs_are_not_mutated(self, head, out_dim):
@@ -248,6 +250,17 @@ class TestStreaming:
         want = reference_forward(arch, params, x)[0].tobytes()
         assert nnet.forward(arch, params, x).tobytes() == want
         assert nnet.forward(arch, params, x, nnet.Workspace(arch, 128)).tobytes() == want
+
+    @pytest.mark.parametrize("n", (1, 2, nnet.BLOCK_ROWS, nnet.BLOCK_ROWS + 1, 1529))
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_rows_match_the_gathered_rows_bitwise(self, head, out_dim, n):
+        rng = np.random.default_rng(57)
+        arch, params, x, _ = _net_and_batch(rng, head, out_dim, n + 300)
+        rows = rng.permutation(n + 300)[:n]
+        want = nnet.forward(arch, params, x[rows]).tobytes()
+        assert nnet.forward(arch, params, x, rows=rows).tobytes() == want
+        want = nnet.forward(arch, params, x[rows], nnet.Workspace(arch, 128)).tobytes()
+        assert nnet.forward(arch, params, x, nnet.Workspace(arch, 128), rows).tobytes() == want
 
     @pytest.mark.parametrize("head,out_dim", ((nnet.HEAD_SOFTMAX, 3), (nnet.HEAD_IDENTITY, 2)))
     def test_default_width_narrow_head_within_roundoff(self, head, out_dim):
