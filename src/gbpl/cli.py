@@ -10,8 +10,10 @@ fields of the config dataclasses in kebab-case (``configio.add_flags``).
 
 Each subcommand reads all of its input in one ``_usage_errors`` block before it
 writes or runs anything, and bad input there is a usage error (exit 2) that
-names its cause: a config that fails to decode (naming the field), a flag the
-library would reject (``train --hidden``, ``simulate --clip --logging``), and
+names its cause: a config that fails to decode (naming the field; a NaN or
+infinite number fails too, as does a non-finite ``paccheck`` flag), a flag the
+library would reject (``train --hidden``, ``simulate --clip --logging``), an
+``experiment`` without ``--config`` or ``--print-schema``, and
 a data CSV, model directory or experiment config that is missing or malformed
 (naming the file), or a model whose covariate or action count differs from the
 data's (naming both).
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -62,6 +65,7 @@ from gbpl.experiment import (
 )
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import GibbsConfig, TrainConfig
+from gbpl.surrogate import KIND_BINARY, KIND_FULL_VECTOR
 
 
 @contextmanager
@@ -107,6 +111,7 @@ def _cmd_train(args) -> int:
         if any(h < 1 for h in args.hidden):
             raise ValueError("--hidden widths must be at least 1")
         data = read_full_feedback_csv(args.data)
+        gibbs = replace(gibbs, kind=KIND_BINARY if data.k == 2 else KIND_FULL_VECTOR)
         train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
         if val_rows.size == 0:
             raise ValueError(f"{args.data}: {data.n} rows leave no validation row; "
@@ -147,6 +152,8 @@ def _cmd_experiment(args) -> int:
         print(json.dumps(schema(ExperimentConfig), indent=2))
         return 0
     with _usage_errors(args):
+        if not args.config:
+            raise ValueError("--config is required (or --print-schema)")
         raw = read_json(args.config)
         if args.out:
             raw["output_dir"] = args.out
@@ -167,9 +174,13 @@ def _cmd_posterior_viz(args) -> int:
 
 
 def _cmd_paccheck(args) -> int:
-    # 0.5 / b is undefined at b = 0, which PacBayesInputs then rejects by name
-    lam = args.lam if args.lam is not None else (0.5 / args.b if args.b else float("nan"))
     with _usage_errors(args):
+        for flag in ("risk", "kl", "delta", "v", "b", "lam"):
+            value = getattr(args, flag)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{flag} must be finite, got {value!r}")
+        # 0.5 / b is undefined at b = 0, which PacBayesInputs then rejects by name
+        lam = args.lam if args.lam is not None else (0.5 / args.b if args.b else float("nan"))
         inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
                                 delta=args.delta, v=args.v, b=args.b, lam=lam)
     lam_star = pac_bayes_lambda_star(inputs)
@@ -243,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "experiment" and not args.print_schema and not args.config:
-        print("experiment requires --config (or --print-schema)", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import types
 import typing
@@ -137,7 +138,8 @@ def _item(tp):
 
 def _decode(tp, v, where: str):
     """``v`` as type ``tp``, else a ``ValueError`` naming ``where``; no number
-    field takes a bool, and an int field takes only integral numbers."""
+    field takes a bool or a non-finite number (NaN, inf), and an int field
+    takes only integral numbers."""
     if v is None and _optional(tp) is not tp:
         return None
     tp = _optional(tp)
@@ -148,6 +150,8 @@ def _decode(tp, v, where: str):
         if isinstance(v, (list, tuple)):
             return tuple(_decode(_item(tp), x, where) for x in v)
     elif not isinstance(v, bool) and isinstance(v, numbers.Real if tp in (int, float) else tp):
+        if tp is float and not math.isfinite(v):
+            raise ValueError(f"{where} must be finite, got {v!r}")
         if tp is not int or float(v).is_integer():
             return tp(v)
     raise ValueError(f"{where} must be {getattr(tp, '__name__', tp)}, got {v!r}")

@@ -80,7 +80,7 @@ class DgpSpec:
             object.__setattr__(self, "d", 1)
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", 0.6 if fam == ONEDIM_FAMILY else 1.0)
-        if self.noise_sd < 0:
+        if not self.noise_sd >= 0:
             raise ValueError("noise_sd must be nonnegative")
         if fam == SEMISYNTHETIC_FAMILY and self.csv_path is None:
             raise ValueError("semisynthetic family needs csv_path")

@@ -126,13 +126,13 @@ class PacBayesInputs:
     lam: float
 
     def __post_init__(self):
-        if self.kl < 0:
+        if not self.kl >= 0:
             raise ValueError("kl must be nonnegative")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        if self.v <= 0 or self.b <= 0:
+        if not (self.v > 0 and self.b > 0):
             raise ValueError("v and b must be positive")
         if not (0.0 < self.lam < 1.0 / self.b):
             raise ValueError("lam must lie in (0, 1/b)")

@@ -91,7 +91,7 @@ class MethodSpec:
             scales = self.zeta_grid if self.zeta is None else (self.zeta,)
             if not scales:
                 raise ValueError(f"method {self.name!r}: zeta_grid is empty")
-            if any(z <= 0 for z in scales):
+            if not all(z > 0 for z in scales):
                 raise ValueError(f"method {self.name!r}: zeta values must be positive")
             if len(set(scales)) != len(scales):
                 raise ValueError(f"method {self.name!r}: zeta_grid repeats a value")
@@ -185,7 +185,7 @@ def _check_split(split, n: int, n_field: str) -> int:
     """Raise unless ``split`` is three positive fractions summing to 1 that
     leave every part of ``n`` rows nonempty; return the training row count."""
     frac = np.asarray(split, dtype=np.float64)
-    if frac.shape != (3,) or np.any(frac <= 0) or abs(frac.sum() - 1.0) > 1e-9:
+    if frac.shape != (3,) or not (np.all(frac > 0) and abs(frac.sum() - 1.0) <= 1e-9):
         raise ValueError("split must be three positive fractions summing to 1")
     sizes = _split_sizes(n, split)
     for part, size in zip(("training", "validation", "test"), sizes):
@@ -337,7 +337,10 @@ class PosteriorVizConfig:
 
     Mirrors the reference visualization setup: uniform covariates on
     [-2.5, 2.5], scale 1.0, hidden widths (64, 64), minibatch 128, learning
-    rate 1e-3, weight decay 1e-4, and the default sampler settings.
+    rate 1e-3, weight decay 1e-4, and the default sampler settings. ``seed``
+    draws the data, the split, the MAP fit and the sampler, so the nested
+    ``train.seed`` and ``sgld.seed`` are set to it; either may be given as 0
+    or as ``seed``, and any other value is rejected.
     """
 
     output_dir: str
@@ -360,6 +363,12 @@ class PosteriorVizConfig:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
         if not np.isfinite(self.eval_points).all():
             raise ValueError(f"eval_points must be finite, got {self.eval_points}")
+        for field in ("train", "sgld"):
+            nested = getattr(self, field)
+            if nested.seed not in (0, self.seed):
+                raise ValueError(f"{field}.seed must be 0 or seed = {self.seed}, got "
+                                 f"{nested.seed}: the run draws every stream from seed")
+            object.__setattr__(self, field, replace(nested, seed=self.seed))
 
 
 def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
@@ -377,8 +386,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)
     arch, loss = squared_surrogate(full.x, full.outcome_diff(), cfg.zeta, cfg.hidden,
                                    nnet.HEAD_TANH)
-    train_cfg = replace(cfg.train, seed=cfg.seed)
-    map_params = map_train(arch, loss, gibbs, train_cfg, train_rows, val_rows)
+    map_params = map_train(arch, loss, gibbs, cfg.train, train_rows, val_rows)
 
     grid = np.linspace(-2.5, 2.5, cfg.grid_points)
     pts = np.asarray(cfg.eval_points, dtype=np.float64)
@@ -389,8 +397,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
                                              test_rows)],
                                nnet.forward(arch, w, pts[:, None])[:, 0]])
 
-    sgld_cfg = replace(cfg.sgld, seed=cfg.seed)
-    stats = sgld_sample(arch, loss, gibbs, map_params, sgld_cfg, rows=train_rows, summary=summary)
+    stats = sgld_sample(arch, loss, gibbs, map_params, cfg.sgld, rows=train_rows, summary=summary)
     fs, per_draw, fpts = stats[:, :grid.size], stats[:, grid.size], stats[:, grid.size + 1:]
 
     alpha = (1.0 - cfg.level) / 2.0

@@ -81,11 +81,11 @@ class TrainConfig:
     weight_decay: float = 0.0  # extra L2 on top of the Gaussian prior, off by default
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
+        if not (self.learning_rate > 0 and self.batch_size >= 1 and self.max_epochs >= 1):
             raise ValueError("learning_rate, batch_size, max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be nonnegative")
 
 
@@ -231,11 +231,11 @@ class SgldConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.burn_in < 0 or self.n_draws < 1 or self.thin < 1 or self.batch_size < 1:
             raise ValueError("burn_in >= 0 and n_draws, thin, batch_size >= 1 required")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
 
 

@@ -3,16 +3,18 @@
 The central fact exploited throughout the package: minimizing a scaled squared
 error in outcome-difference space equals maximizing empirical welfare minus a
 quadratic penalty whose strength is a fixed multiple of the scale ``zeta``.
-This module exposes the per-sample losses, the welfare functionals, and
+This module exposes the per-sample loss, the welfare functional, and
 checkers that verify the equivalences exactly on finite policy grids. The
-surrogate formulas are written only here; the ``losses`` adapters call them.
+surrogate formula is written only here; the ``losses`` adapters and both
+checkers call it.
 
 Conventions, binary problems (K = 2): actions are labeled 1 and 0; column 0 of
 an outcome matrix holds Y(1), column 1 holds Y(0). A bounded score f in [-1, 1]
 encodes the randomized policy delta = (f + 1) / 2 = probability of action 1.
 
-Every surrogate is ``binary_loss``, which carries the 1/2, summed over the
-score's columns.
+Every surrogate is ``binary_loss``, which carries the 1/2: the binary one
+on the outcome difference and the score, the full-vector one summed over the
+action columns of the outcomes and the policy rows.
 """
 
 from __future__ import annotations
@@ -83,15 +85,16 @@ class GibbsConfig:
     kind: str = KIND_BINARY
 
     def __post_init__(self):
-        if self.zeta <= 0 or self.eta <= 0 or self.tau2 <= 0:
+        if not (self.zeta > 0 and self.eta > 0 and self.tau2 > 0):
             raise ValueError("zeta, eta, tau2 must all be positive")
         if self.kind not in (KIND_BINARY, KIND_FULL_VECTOR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
 
 
-def _check_simplex(delta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
+def _check_simplex(delta: np.ndarray) -> None:
     # written so that a NaN entry fails both comparisons and is rejected
-    if not (np.all(delta >= -tol) and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= tol)):
+    if not (np.all(delta >= -SIMPLEX_TOL)
+            and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)):
         raise ValueError("policy rows are off the probability simplex or not finite")
 
 
@@ -125,13 +128,6 @@ def binary_loss_decomposition(zeta, u, f):
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     return u**2 / (2.0 * zeta), -u * f, 0.5 * zeta * f**2
-
-
-def fullvector_loss(zeta: float, y: np.ndarray, delta: np.ndarray):
-    """0.5 * sum_a (y_a / sqrt(zeta) - sqrt(zeta) * delta_a)^2 on simplex rows."""
-    delta = np.asarray(delta, dtype=np.float64)
-    _check_simplex(delta)
-    return binary_loss(zeta, np.asarray(y, dtype=np.float64), delta).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +214,20 @@ def verify_equivalence_binary(
     """Binary check: mean surrogate loss vs welfare penalized at zeta/4.
 
     ``policy_grid`` is a sequence of treatment-probability vectors, one value
-    in [0, 1] per dataset row. Each becomes the policy rows (p, 1 - p) of the
-    baseline-gap check with baseline action 2, whose gap is u = Y(1) - Y(0),
-    whose score is f = 2 p - 1 and whose loss is ``binary_loss``.
+    in [0, 1] per dataset row. Each p is scored as the score f = 2 p - 1 in
+    ``binary_loss`` against u = Y(1) - Y(0), penalized by f^2, and its welfare
+    is that of the policy rows (p, 1 - p). The affine slope is -2.
     """
     def policy_rows(p):
         p = np.asarray(p, dtype=np.float64)
-        if data.k != 2 or p.shape != (data.n,) or np.any(p < 0) or np.any(p > 1):
-            raise ValueError("each policy must map the rows of a binary dataset to [0, 1]")
+        if p.shape != (data.n,) or np.any(p < 0) or np.any(p > 1):
+            raise ValueError("each policy must map the rows of the dataset to [0, 1]")
         return np.column_stack([p, 1.0 - p])
 
-    return verify_equivalence_gap(data, map(policy_rows, policy_grid), zeta, baseline=2)
+    u = data.outcome_diff()
+    return _grid_report(data, map(policy_rows, policy_grid), zeta / 4.0, -2.0,
+                        lambda delta: binary_loss(zeta, u, 2.0 * delta[:, 0] - 1.0),
+                        lambda delta: (2.0 * delta[:, 0] - 1.0) ** 2)
 
 
 def verify_equivalence_fullvector(
@@ -236,37 +235,15 @@ def verify_equivalence_fullvector(
 ) -> EquivalenceReport:
     """Full-vector check: mean surrogate loss vs welfare penalized at zeta/2.
 
-    ``policy_grid`` is a sequence of (n, K) simplex-row matrices. With the
-    1/2 per-sample loss the affine slope is exactly -1, so pairwise penalized
-    welfare differences equal pairwise surrogate differences with the sign
-    flipped.
+    ``policy_grid`` is a sequence of (n, K) simplex-row matrices, each scored
+    by ``binary_loss`` against the outcomes and summed over the actions. With
+    the 1/2 per-sample loss the affine slope is exactly -1, so pairwise
+    penalized welfare differences equal pairwise surrogate differences with
+    the sign flipped. A row off the simplex or not finite is rejected.
     """
     return _grid_report(data, policy_grid, zeta / 2.0, -1.0,
-                        lambda delta: fullvector_loss(zeta, data.y, delta),
+                        lambda delta: binary_loss(zeta, data.y, delta).sum(axis=1),
                         lambda delta: (delta**2).sum(axis=1))
-
-
-def verify_equivalence_gap(
-    data: FullFeedbackDataset, policy_grid, zeta: float, baseline: int
-) -> EquivalenceReport:
-    """Baseline-gap check: mean surrogate loss vs welfare penalized at zeta/4.
-
-    ``policy_grid`` is a sequence of (n, K) simplex-row matrices. Scores are
-    f_a = 2 delta_a - 1 for the non-baseline actions, matched to the gaps
-    y_a - y_baseline in label order; ``baseline`` is 1-based. The affine slope
-    is -2, as in the binary case.
-    """
-    if not (1 <= baseline <= data.k):
-        raise ValueError(f"baseline action {baseline} out of range 1..{data.k}")
-    others = [a for a in range(data.k) if a != baseline - 1]
-    gaps = data.y[:, others] - data.y[:, baseline - 1 : baseline]
-
-    def scores(delta):
-        return 2.0 * delta[:, others] - 1.0
-
-    return _grid_report(data, policy_grid, zeta / 4.0, -2.0,
-                        lambda delta: binary_loss(zeta, gaps, scores(delta)).sum(axis=1),
-                        lambda delta: (scores(delta) ** 2).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -248,17 +248,3 @@ class ReferenceLeastSquaresLoss(BatchLoss):
 
     def output_grad(self, out, rows=None):
         return out - self._targets(out, rows)
-
-
-def reference_baseline_gap_loss(zeta, y, f, baseline):
-    """Halved sum over the non-baseline actions of (gap/sqrt(zeta) - sqrt(zeta) f_a)^2.
-
-    ``baseline`` is the 1-based reference action; the gaps y_a - y_baseline of
-    the remaining actions, in label order, meet the K-1 entries of ``f``.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    others = [a for a in range(y.shape[-1]) if a != baseline - 1]
-    gaps = y[..., others] - y[..., baseline - 1 : baseline]
-    r = np.sqrt(zeta)
-    return 0.5 * ((gaps / r - r * f) ** 2).sum(axis=-1)

@@ -18,8 +18,9 @@ from gbpl.dgp import (
     read_logged_csv,
     write_full_feedback_csv,
 )
+from gbpl.evaluation import PacBayesInputs
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
-from gbpl.surrogate import empirical_welfare
+from gbpl.surrogate import KIND_FULL_VECTOR, empirical_welfare
 
 
 def _write_inputs(tmp):
@@ -377,6 +378,39 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{owner} must be"):
             ex.parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [(("eta",), float("nan"), "ExperimentConfig: eta must be finite, got nan"),
+         (("methods", 0, "zeta"), float("inf"), "MethodSpec 'm': zeta must be finite, got inf"),
+         (("dgp", "noise_sd"), float("nan"), "DgpSpec: noise_sd must be finite, got nan"),
+         (("split",), [0.6, float("nan"), 0.2], "ExperimentConfig: split must be finite")],
+        ids=["eta-nan", "method-zeta-inf", "noise-sd-nan", "split-entry-nan"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, path, value, message):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back as floats
+        raw = lambda out: _with(_smoke_config(out, [{"name": "m", "kind": "gbpl", "zeta": 0.1}]),
+                                path, value)
+        _check_usage_error(tmp_path, capsys, raw, message)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [(lambda v: GibbsConfig(zeta=v), "zeta"),
+         (lambda v: GibbsConfig(zeta=0.1, tau2=v), "tau2"),
+         (lambda v: TrainConfig(learning_rate=v), "learning_rate"),
+         (lambda v: TrainConfig(weight_decay=v), "weight_decay"),
+         (lambda v: SgldConfig(step_size=v), "step_size"),
+         (lambda v: SgldConfig(clip_norm=v), "clip_norm"),
+         (lambda v: DgpSpec(family="binary1", n=10, noise_sd=v), "noise_sd"),
+         (lambda v: PacBayesInputs(0.5, v, 10, 0.05, 1.0, 1.0, 0.5), "kl"),
+         (lambda v: PacBayesInputs(0.5, 1.0, 10, 0.05, v, 1.0, 0.5), "v and b"),
+         (lambda v: ex.MethodSpec("m", "gbpl", zeta=v), "zeta")],
+        ids=["gibbs-zeta", "gibbs-tau2", "learning-rate", "weight-decay", "step-size",
+             "clip-norm", "noise-sd", "kl", "v", "method-zeta"],
+    )
+    def test_nan_fails_the_range_check_when_built(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build(float("nan"))
+
     def test_one_fold_rejected(self):
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             ex.FeedbackSpec(mode="logged", folds=1)
@@ -454,6 +488,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^n = {n} with split .* leaves no {part} rows"):
             ex.PosteriorVizConfig(output_dir="unused", n=n, split=split)
         assert ex.PosteriorVizConfig(output_dir="unused", n=10 * n + 1, split=split).split == split
+
+
+class TestPosteriorVizSeeds:
+    def test_nested_seeds_take_the_run_seed(self):
+        cfg = ex.PosteriorVizConfig(output_dir="unused", seed=3)
+        assert cfg.train.seed == cfg.sgld.seed == 3
+        manifest = to_dict(cfg)
+        assert manifest["train"]["seed"] == manifest["sgld"]["seed"] == 3
+        given = ex.PosteriorVizConfig(output_dir="unused", seed=3, sgld=SgldConfig(seed=3))
+        assert given == cfg
+
+    @pytest.mark.parametrize(
+        "nested, message",
+        [({"train": TrainConfig(seed=7)}, "train.seed must be 0 or seed = 3, got 7"),
+         ({"sgld": SgldConfig(seed=1)}, "sgld.seed must be 0 or seed = 3, got 1")],
+        ids=["train", "sgld"],
+    )
+    def test_other_nested_seed_rejected(self, nested, message):
+        with pytest.raises(ValueError, match=message):
+            ex.PosteriorVizConfig(output_dir="unused", seed=3, **nested)
 
 
 class TestManifestRoundTrip:
@@ -685,6 +739,16 @@ class TestCli:
         manifest = json.loads((model_dir / "manifest.json").read_text())
         assert manifest["gibbs"] == to_dict(GibbsConfig(zeta=0.3))
 
+    def test_train_manifest_records_the_full_vector_surrogate_for_k3(self, tmp_path):
+        data_csv, model_dir = tmp_path / "train.csv", tmp_path / "model"
+        cli.main(["simulate", "--family", "multi1", "--n", "30", "--d", "4", "--k", "3",
+                  "--out", str(data_csv)])
+        assert cli.main(["train", "--data", str(data_csv), "--zeta", "0.3", "--hidden", "4",
+                         "--max-epochs", "1", "--out", str(model_dir)]) == 0
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        assert manifest["gibbs"] == to_dict(GibbsConfig(zeta=0.3, kind=KIND_FULL_VECTOR))
+        assert nnet.load_params(model_dir)[0].head == nnet.HEAD_SOFTMAX
+
     def test_train_on_too_few_rows_for_validation_is_a_usage_error(self, tmp_path, capsys):
         data_csv = tmp_path / "tiny.csv"
         cli.main(["simulate", "--family", "binary2", "--n", "4", "--d", "3",
@@ -786,7 +850,12 @@ class TestCli:
         check(ex.MethodSpec, schema["methods"][0])
 
     def test_experiment_requires_config(self, capsys):
-        assert cli.main(["experiment"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["experiment"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^usage: gbpl experiment .*--config", err, flags=re.M)
+        assert "gbpl experiment: error: --config is required" in err
 
     def test_paccheck(self, capsys):
         rc = cli.main(
@@ -893,9 +962,22 @@ class TestGeneratedCli:
             # without --lam the default lam is 0.5 / b, which b = 0 leaves undefined
             (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
               "--v", "1", "--b", "0"], "b must be positive"),
+            # NaN passes every range comparison, so a non-finite number fails on its own
+            (["train", "--data", "{missing}", "--zeta", "nan", "--out", "{out}"],
+             "GibbsConfig: zeta must be finite, got nan"),
+            (["train", "--data", "{missing}", "--learning-rate", "inf", "--out", "{out}"],
+             "TrainConfig: learning_rate must be finite, got inf"),
+            (["posterior-viz", "--out", "{out}", "--step-size", "nan"],
+             "SgldConfig: step_size must be finite, got nan"),
+            (["paccheck", "--risk", "0.5", "--kl", "nan", "--n", "10", "--delta", "0.05",
+              "--v", "1", "--b", "1"], "--kl must be finite, got nan"),
+            (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
+              "--v", "1", "--b", "1", "--lam", "inf"], "--lam must be finite, got inf"),
         ],
         ids=["posterior-viz", "posterior-viz-n", "simulate", "train-zeta", "train-learning-rate",
-             "experiment", "paccheck", "paccheck-b-zero"],
+             "experiment", "paccheck", "paccheck-b-zero", "train-zeta-nan",
+             "train-learning-rate-inf", "posterior-viz-step-size-nan", "paccheck-kl-nan",
+             "paccheck-lam-inf"],
     )
     def test_config_that_fails_to_decode_is_a_usage_error(self, tmp_path, capsys, argv, field):
         config = tmp_path / "cfg.json"

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import reference_baseline_gap_loss
 from gbpl import surrogate as sg
 from gbpl.evaluation import oracle_welfare
 
@@ -82,37 +81,11 @@ class TestDecomposition:
 
 class TestFullVectorLoss:
     def test_hand_values(self):
-        assert sg.fullvector_loss(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
-        v = sg.fullvector_loss(1.0, np.zeros(3), np.full(3, 1.0 / 3.0))
+        assert sg.binary_loss(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0])).sum(axis=-1) == 0.0
+        v = sg.binary_loss(1.0, np.zeros(3), np.full(3, 1.0 / 3.0)).sum(axis=-1)
         assert v == pytest.approx(1.0 / 6.0, abs=1e-15)
-        v = sg.fullvector_loss(2.0, np.array([2.0, 0.0]), np.array([0.5, 0.5]))
+        v = sg.binary_loss(2.0, np.array([2.0, 0.0]), np.array([0.5, 0.5])).sum(axis=-1)
         assert v == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(ValueError):
-            sg.fullvector_loss(1.0, np.zeros(2), np.array([0.7, 0.7]))
-
-
-class TestBaselineGapLoss:
-    def test_hand_values(self):
-        ref = reference_baseline_gap_loss
-        assert ref(1.0, np.zeros(3), np.zeros(2), baseline=3) == 0.0
-        assert ref(1.0, np.array([1.0, 0.0]), np.array([1.0]), baseline=2) == 0.0
-        v = ref(1.0, np.array([1.0, 0.0, 0.0]), np.zeros(2), baseline=3)
-        assert v == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize("k, baseline", [(2, 2), (4, 1), (4, 3), (5, 5)])
-    def test_gap_check_averages_the_reference_bitwise(self, k, baseline):
-        rng = np.random.default_rng(20)
-        n = 17
-        data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
-        grid = [_random_simplex_rows(rng, n, k) for _ in range(5)]
-        others = [a for a in range(k) if a != baseline - 1]
-        zeta = 0.37
-        expected = [float(np.mean(reference_baseline_gap_loss(
-            zeta, data.y, 2.0 * delta[:, others] - 1.0, baseline))) for delta in grid]
-        report = sg.verify_equivalence_gap(data, grid, zeta, baseline)
-        assert np.array_equal(report.surrogate, expected)
 
 
 class TestWelfare:
@@ -126,8 +99,6 @@ class TestWelfare:
         delta = np.array([[1.0, 0.0], [bad, 0.5]])
         with pytest.raises(ValueError, match="not finite"):
             sg.empirical_welfare(data, delta)
-        with pytest.raises(ValueError, match="not finite"):
-            sg.fullvector_loss(1.0, data.y, delta)
 
     def test_uniform_policy_averages(self):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -254,34 +225,14 @@ class TestFullVectorEquivalence:
         assert report.equal
         assert report.max_affine_error < 1e-10
 
-
-class TestBaselineGapEquivalence:
-    def test_random_grid_identity_slope_minus_two(self):
-        rng = np.random.default_rng(11)
-        k, n = 4, 30
-        data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
-        grid = [_random_simplex_rows(rng, n, k) for _ in range(12)]
-        for baseline in (1, k):
-            report = sg.verify_equivalence_gap(data, grid, 0.8, baseline=baseline)
-            assert report.equal
-            assert report.slope == -2.0
-            assert report.max_affine_error < 1e-10
-
-    def test_baseline_changes_the_penalty(self):
-        # the gap penalty depends on the baseline, so rankings may differ;
-        # the identity itself must hold for each baseline separately
-        rng = np.random.default_rng(12)
-        k, n = 3, 20
-        data = sg.FullFeedbackDataset(rng.standard_normal((n, 2)), rng.standard_normal((n, k)))
-        grid = [_random_simplex_rows(rng, n, k) for _ in range(8)]
-        for baseline in range(1, k + 1):
-            assert sg.verify_equivalence_gap(data, grid, 1.5, baseline).max_affine_error < 1e-10
-
-    @pytest.mark.parametrize("baseline", [0, 4])
-    def test_rejects_baseline_out_of_range(self, baseline):
-        data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="out of range 1..3"):
-            sg.verify_equivalence_gap(data, [np.full((2, 3), 1.0 / 3.0)], 1.0, baseline)
+    @pytest.mark.parametrize("bad_row", [[0.7, 0.7], [-0.5, 1.5], [np.nan, 0.5], [np.inf, 0.0]],
+                             ids=["sum-above-one", "negative", "nan", "inf"])
+    def test_rejects_a_policy_row_off_the_simplex_or_not_finite(self, bad_row):
+        data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        grid = [np.full((2, 2), 0.5), np.array([[1.0, 0.0], bad_row])]
+        with pytest.raises(ValueError, match="policy rows are off the probability simplex "
+                                             "or not finite"):
+            sg.verify_equivalence_fullvector(data, grid, 1.0)
 
 
 def _project(v):
@@ -342,8 +293,9 @@ def _shift_effect(data, deltas, c, zeta):
     shifted = sg.FullFeedbackDataset(data.x, data.y + c[:, None])
     welfare_err = max(abs(sg.empirical_welfare(shifted, d) - sg.empirical_welfare(data, d)
                           - float(c.mean())) for d in deltas)
-    base = np.array([np.mean(sg.fullvector_loss(zeta, data.y, d)) for d in deltas])
-    moved = np.array([np.mean(sg.fullvector_loss(zeta, shifted.y, d)) for d in deltas])
+    base = np.array([np.mean(sg.binary_loss(zeta, data.y, d).sum(axis=-1)) for d in deltas])
+    moved = np.array([np.mean(sg.binary_loss(zeta, shifted.y, d).sum(axis=-1))
+                      for d in deltas])
     change = float(np.abs((moved[:, None] - moved) - (base[:, None] - base)).max())
     ranking_unchanged = np.array_equal(np.argsort(base, kind="stable"),
                                        np.argsort(moved, kind="stable"))
@@ -420,8 +372,8 @@ class TestWelfareRiskIdentities:
             d2 = _random_simplex_rows(rng, n, k)
             w1 = _penalized_welfare(data, d1, lam, _fullvector_penalty)
             w2 = _penalized_welfare(data, d2, lam, _fullvector_penalty)
-            r1 = float(np.mean(sg.fullvector_loss(zeta, data.y, d1)))
-            r2 = float(np.mean(sg.fullvector_loss(zeta, data.y, d2)))
+            r1 = float(np.mean(sg.binary_loss(zeta, data.y, d1).sum(axis=-1)))
+            r2 = float(np.mean(sg.binary_loss(zeta, data.y, d2).sum(axis=-1)))
             assert abs((w1 - w2) - (r2 - r1)) < 1e-10
 
 
@@ -481,13 +433,13 @@ def _binary_cases(draw):
 
 @st.composite
 def _simplex_cases(draw):
-    """K-action data, a grid of simplex-row policies, a scale and a baseline."""
+    """K-action data, a grid of simplex-row policies and a scale."""
     n, k = draw(st.integers(1, 12)), draw(st.integers(2, 5))
     y = draw(hnp.arrays(np.float64, (n, k), elements=_outcomes))
     weights = hnp.arrays(np.float64, (n, k), elements=st.floats(0.01, 1.0))
     weight_grid = draw(st.lists(weights, min_size=1, max_size=6))
     grid = [g / g.sum(axis=1, keepdims=True) for g in weight_grid]
-    return y, grid, draw(_zetas), draw(st.integers(1, k))
+    return y, grid, draw(_zetas)
 
 
 def _data(y):
@@ -515,12 +467,10 @@ class TestEquivalenceCheckerProperties:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_simplex_cases())
-    def test_fullvector_and_gap_affine_identity(self, case):
-        y, grid, zeta, baseline = case
-        data = _data(y)
-        for report in (sg.verify_equivalence_fullvector(data, grid, zeta),
-                       sg.verify_equivalence_gap(data, grid, zeta, baseline)):
-            assert report.max_affine_error <= _affine_bound(report)
+    def test_fullvector_affine_identity(self, case):
+        y, grid, zeta = case
+        report = sg.verify_equivalence_fullvector(_data(y), grid, zeta)
+        assert report.max_affine_error <= _affine_bound(report)
 
     def test_binary_penalty_rejects_k_action_rows(self):
         data = sg.FullFeedbackDataset(np.zeros((4, 1)), np.zeros((4, 3)))
