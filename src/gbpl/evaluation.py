@@ -126,6 +126,9 @@ class PacBayesInputs:
     lam: float
 
     def __post_init__(self):
+        if not math.isfinite(self.empirical_risk_mean):
+            raise ValueError("empirical_risk_mean must be finite, "
+                             f"got {self.empirical_risk_mean!r}")
         if not self.kl >= 0:
             raise ValueError("kl must be nonnegative")
         if self.n < 1:

@@ -401,10 +401,11 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     fs, per_draw, fpts = stats[:, :grid.size], stats[:, grid.size], stats[:, grid.size + 1:]
 
     alpha = (1.0 - cfg.level) / 2.0
-    lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0)
+    f_mean = [fs[:, j].mean() for j in range(grid.size)]  # before the quantile reorders fs
+    lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0, overwrite_input=True)
     target = population_score_binary(onedim_effect(grid) / cfg.zeta)
     write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
-                ((grid[j], fs[:, j].mean(), lo[j], hi[j], target[j]) for j in range(grid.size)))
+                ((grid[j], f_mean[j], lo[j], hi[j], target[j]) for j in range(grid.size)))
 
     mean_w, lo_w, hi_w = welfare_credible_interval(per_draw, cfg.level)
     write_table(out / "welfare_draws.csv", ["draw", "welfare"], enumerate(per_draw))

@@ -12,11 +12,16 @@ No function here mutates its inputs. ``forward`` and ``backward`` write into
 a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
 to one caller: each call overwrites what the last one left in it, and
 ``backward`` spends the hidden activations of the ``forward`` before it by
-writing its deltas over them. ``forward`` streams more rows than its workspace
-holds through it in blocks of the workspace's row count, so an inference pass
-needs memory for one block, not for every row; a throwaway workspace has at
-most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those rows of ``x`` one
-block at a time, so scoring a subset copies no more than a block of it.
+writing its deltas over them. Before a small delta product it copies the
+hidden weight matrix's transpose into the workspace's ``scratch``: OpenBLAS
+sends a transposed right operand to its threaded kernels even on these small
+nets, so with contiguous operands every product of at most ``BLOCK_ROWS`` rows
+of a 64-wide net stays on one BLAS thread. ``forward`` streams more rows than
+its workspace holds through it in blocks of the workspace's row count, so an
+inference pass needs memory for one block, not for every row; a throwaway
+workspace has at most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those
+rows of ``x`` one block at a time, so scoring a subset copies no more than a
+block of it.
 """
 
 from __future__ import annotations
@@ -34,9 +39,15 @@ HEAD_IDENTITY = "identity"
 
 _HEADS = (HEAD_TANH, HEAD_SOFTMAX, HEAD_IDENTITY)
 
-# rows per block of a forward pass without a workspace: 512 x 128 float64 is
-# 512 KB per hidden layer, and larger blocks are no faster
-BLOCK_ROWS = 512
+# rows per block of a forward pass without a workspace, the training minibatch
+# size: OpenBLAS keeps a 128-row product of a 64-wide net on one thread, where
+# a 300-row one wakes a second thread that buys no time
+BLOCK_ROWS = 128
+
+# multiply-adds up to which OpenBLAS runs a product on its single-threaded
+# small-matrix kernels, which take a contiguous right operand only; a larger
+# product is threaded by size either way, so backward copies no Wᵀ for it
+_SMALL_PRODUCT = 100**3
 
 # hidden widths of every fitted net that is not given its own
 DEFAULT_HIDDEN = (128, 128)
@@ -151,7 +162,11 @@ class Workspace:
     ``acts[i]`` holds layer i's output, post-head for the last layer. After a
     ``backward`` the hidden ones hold its deltas instead: they are spent, and
     only the output ``acts[-1]`` is still the forward pass's. The flat ``grad``
-    and its per-layer views ``grads`` are allocated by the first ``backward``.
+    and its per-layer views ``grads`` are allocated by the first ``backward``,
+    and so is the flat ``scratch``, as large as the largest weight matrix past
+    the first layer, unless a subclass has set it. ``backward`` overwrites it
+    with transposed weights, and nothing else here reads it, so a subclass may
+    point it at any buffer that is free while ``backward`` runs.
     The per-layer views of the last float64 parameter array passed in are kept,
     keyed on that array object, so the caller may update it in place between
     calls but must not resize it.
@@ -160,7 +175,7 @@ class Workspace:
     def __init__(self, arch: MlpArchitecture, rows: int):
         self.rows = rows
         self.acts = [np.empty((rows, fan_out)) for _, fan_out in arch.layer_dims]
-        self.grad = self.grads = None
+        self.grad = self.grads = self.scratch = None
         self._params = self._layers = None
 
     def layers(self, arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -248,6 +263,9 @@ def backward(
     activation is dead once its layer's weight gradient is formed, so the
     deltas are written over it: the hidden activations are spent, and a second
     ``backward`` needs a fresh ``forward``. The output ``acts[-1]`` is kept.
+    A hidden layer's delta product of at most 100³ multiply-adds takes a
+    contiguous copy of its Wᵀ made in ``ws.scratch``, whose contents are
+    garbage once this returns.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -274,6 +292,9 @@ def backward(
     if ws.grad is None:
         ws.grad = np.empty(arch.param_count)
         ws.grads = unflatten(arch, ws.grad)
+    if ws.scratch is None:
+        ws.scratch = np.empty(max((fan_in * fan_out for fan_in, fan_out in arch.layer_dims[1:]),
+                                  default=0))
     layers = ws.layers(arch, params)
     for li in range(len(layers) - 1, -1, -1):
         h_in = x if li == 0 else ws.acts[li - 1][:n]
@@ -285,8 +306,12 @@ def backward(
             w_t = layers[li][0].T
             if gz.shape[1] == 1:  # a rank-one product: the broadcast is faster than matmul
                 np.multiply(gz, w_t, out=h_in)
-            else:
+            elif n * w_t.size > _SMALL_PRODUCT:
                 np.matmul(gz, w_t, out=h_in)
+            else:  # a transposed operand would wake OpenBLAS's threads
+                w_c = ws.scratch[:w_t.size].reshape(w_t.shape)
+                np.copyto(w_c, w_t)
+                np.matmul(gz, w_c, out=h_in)
             h_in *= active
             gz = h_in
     return ws.grad

@@ -92,12 +92,15 @@ class TrainConfig:
 class GradientWorkspace(nnet.Workspace):
     """An ``nnet.Workspace`` plus a parameter-sized buffer ``prior`` for the
     prior gradient, and a second, ``decay``, made by the first call with a
-    nonzero weight decay. ``objective_gradient`` is done with ``prior`` once it
-    returns, so the optimizer steps use it as scratch until the next call."""
+    nonzero weight decay. ``prior`` is also the workspace's ``scratch``:
+    ``objective_gradient`` lets ``nnet.backward`` use it for transposed
+    weights, then forms the prior gradient in it. It is done with ``prior``
+    once it returns, so the optimizer steps use it as scratch until the next
+    call."""
 
     def __init__(self, arch: nnet.MlpArchitecture, rows: int):
         super().__init__(arch, rows)
-        self.prior = np.empty(arch.param_count)
+        self.prior = self.scratch = np.empty(arch.param_count)
         self.decay = None
 
 
@@ -121,6 +124,8 @@ def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_deca
     steps pass the training-set size). A non-finite loss on ``rows`` or a
     non-finite gradient raises ``FloatingPointError``. The returned array is
     the ``GradientWorkspace``'s ``ws.grad``, which the next call overwrites.
+    ``ws.prior`` is ``nnet.backward``'s scratch first and holds the prior
+    gradient only after ``backward`` returns, so no buffer is added for it.
     """
     x = loss.x[rows]
     m = x.shape[0]
@@ -157,7 +162,8 @@ def map_train(
 
     A fit holds six parameter-sized vectors: the parameters, the best
     snapshot (copied into, never reallocated), Adam's two moments, and the
-    workspace's gradient and prior buffer, which double as Adam's scratch. A
+    workspace's gradient and prior buffer, which double as Adam's scratch (the
+    prior buffer is also ``nnet.backward``'s scratch for transposed weights). A
     nonzero ``cfg.weight_decay`` adds a seventh, the workspace's decay buffer.
     """
     train_rows = np.asarray(train_rows, dtype=np.intp)

@@ -85,8 +85,10 @@ class GibbsConfig:
     kind: str = KIND_BINARY
 
     def __post_init__(self):
-        if not (self.zeta > 0 and self.eta > 0 and self.tau2 > 0):
-            raise ValueError("zeta, eta, tau2 must all be positive")
+        for name in ("zeta", "eta", "tau2"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.kind not in (KIND_BINARY, KIND_FULL_VECTOR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
 

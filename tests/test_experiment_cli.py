@@ -411,6 +411,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             build(float("nan"))
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [(lambda v: GibbsConfig(zeta=v), "zeta must be positive and finite"),
+         (lambda v: GibbsConfig(zeta=0.1, eta=v), "eta must be positive and finite"),
+         (lambda v: GibbsConfig(zeta=0.1, tau2=v), "tau2 must be positive and finite"),
+         (lambda v: PacBayesInputs(v, 1.0, 10, 0.05, 1.0, 1.0, 0.5),
+          "empirical_risk_mean must be finite")],
+        ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk"],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_library_input_rejected_naming_its_field(self, build, field, value):
+        # a library caller bypasses the config decoder's finiteness check
+        with pytest.raises(ValueError, match=field):
+            build(value)
+
     def test_one_fold_rejected(self):
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             ex.FeedbackSpec(mode="logged", folds=1)

@@ -12,6 +12,7 @@ from conftest import (
 )
 from gbpl import nnet
 from gbpl.methods import FittedPolicy
+from gbpl.posterior import GradientWorkspace
 from gbpl.losses import (
     BinarySurrogateLoss,
     FullVectorSurrogateLoss,
@@ -210,6 +211,31 @@ class TestWorkspace:
         got = nnet.backward(arch, params, xs, gs, ws)
         assert got.tobytes() == nnet.backward(arch, params, xs, gs).tobytes()
         assert got.tobytes() == reference_backward(arch, params, xs, gs).tobytes()
+
+    @pytest.mark.parametrize("arch", [
+        nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH),
+        nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH),
+        nnet.MlpArchitecture(10, (128, 128), 5, nnet.HEAD_SOFTMAX)],
+        ids=["viz-tanh", "default-tanh", "default-softmax"])
+    def test_minibatch_backward_matches_reference_bitwise(self, arch):
+        # 128 rows, the training minibatch: the 64-wide hidden delta multiplies
+        # by a contiguous copy of W^T in the scratch, which must not move a bit;
+        # the 128-wide ones are large enough to take the transposed view
+        rng = np.random.default_rng(45)
+        ws = GradientWorkspace(arch, 128)
+        assert ws.scratch is ws.prior
+        for _ in range(2):  # the second pass finds the first one's transposes in the scratch
+            params = nnet.init_params(arch, rng) + 0.05 * rng.standard_normal(arch.param_count)
+            x = rng.standard_normal((128, arch.input_dim))
+            g = rng.standard_normal((128, arch.output_dim))
+            want = reference_backward(arch, params, x, g).tobytes()
+            assert nnet.backward(arch, params, x, g).tobytes() == want
+            nnet.forward(arch, params, x, ws)
+            ws.scratch.fill(np.nan)
+            assert nnet.backward(arch, params, x, g, ws).tobytes() == want
+            if arch.hidden_dims == (64, 64):
+                w_t = np.ascontiguousarray(nnet.unflatten(arch, params)[1][0].T)
+                assert ws.scratch[:w_t.size].tobytes() == w_t.tobytes()
 
     def test_stateless_forward_returns_independent_arrays(self):
         rng = np.random.default_rng(42)

@@ -11,6 +11,7 @@ from conftest import (
     reference_diag_hessian,
     reference_map_objective,
     reference_map_train,
+    reference_objective_gradient,
     reference_sgld_iterates,
 )
 from gbpl import nnet
@@ -240,6 +241,26 @@ class TestObjectiveGradient:
             lambda w: reference_map_objective(arch, w, loss, gibbs, rows, n, weight_decay=0.05),
             params, np.arange(arch.param_count))
         assert max_rel_error(got, want) < 1e-6
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_prior_buffer_as_backward_scratch_matches_reference_bitwise(self, weight_decay):
+        # nnet.backward copies transposed weights into ws.prior before the prior
+        # gradient is formed there; NaN left in it must not reach the result
+        rng = np.random.default_rng(23)
+        n = 300
+        x = rng.standard_normal((n, 1))
+        arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 1.0)
+        gibbs = GibbsConfig(zeta=1.0, eta=1.3, tau2=0.7)
+        params = nnet.init_params(arch, rng)
+        ws = GradientWorkspace(arch, 128)
+        for _ in range(2):
+            rows = rng.choice(n, size=128, replace=False)
+            ws.prior.fill(np.nan)
+            got = objective_gradient(arch, params, loss, gibbs, rows, n, ws, weight_decay)
+            want = reference_objective_gradient(arch, params, loss, gibbs, rows, n, weight_decay)
+            assert got.tobytes() == want.tobytes()
+            params = params - 1e-3 * want
 
 
 class _InfGradRegression(MaskedRegressionLoss):

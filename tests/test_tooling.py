@@ -18,13 +18,22 @@ own parser, so a renamed or removed flag cannot linger in the docs.
 
 Bad input reaches the user through one path: ``cli._usage_errors`` is the only
 place in ``cli.py`` that calls ``usage_error``.
+
+Results do not depend on how many threads OpenBLAS runs: a short
+``posterior-viz`` run and a one-trial experiment on the default 128-wide net
+write the same CSV bytes with one BLAS thread and with two. Each run is a
+fresh interpreter, because OpenBLAS reads its thread count when numpy loads.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +153,28 @@ def test_usage_error_is_called_only_from_the_usage_errors_guard():
                if isinstance(node, ast.Call) and "usage_error" in
                (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert callers == ["_usage_errors"]
+
+
+def _csv_bytes_with_blas_threads(threads, out, argv):
+    path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(path)}
+    subprocess.run([sys.executable, "-m", "gbpl.cli", *argv, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["posterior-viz", "--max-epochs", "3", "--burn-in", "20", "--n-draws", "10", "--thin", "2"],
+    ["experiment", "--config", "CONFIG"]], ids=["posterior-viz", "experiment"])
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # the experiment fits the default (128, 128) net, whose 128-row products
+    # OpenBLAS threads by size; posterior-viz runs its default (64, 64) net
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dgp": {"family": "binary2", "n": 400}, "trials": 1,
+        "methods": [{"name": "GBPLNet (zeta=0.1)", "kind": "gbpl", "zeta": 0.1}],
+        "train": {"max_epochs": 3, "patience": 3}}))
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    one = _csv_bytes_with_blas_threads(1, tmp_path / "one", argv)
+    two = _csv_bytes_with_blas_threads(2, tmp_path / "two", argv)
+    assert one and one == two
