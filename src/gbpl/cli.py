@@ -65,7 +65,6 @@ from gbpl.experiment import (
 )
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import GibbsConfig, TrainConfig
-from gbpl.surrogate import KIND_BINARY, KIND_FULL_VECTOR
 
 
 @contextmanager
@@ -111,7 +110,6 @@ def _cmd_train(args) -> int:
         if any(h < 1 for h in args.hidden):
             raise ValueError("--hidden widths must be at least 1")
         data = read_full_feedback_csv(args.data)
-        gibbs = replace(gibbs, kind=KIND_BINARY if data.k == 2 else KIND_FULL_VECTOR)
         train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
         if val_rows.size == 0:
             raise ValueError(f"{args.data}: {data.n} rows leave no validation row; "
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a surrogate score/policy on a full-feedback CSV")
     p.add_argument("--data", required=True)
-    add_flags(p, GibbsConfig(zeta=0.1), skip=("kind",))
+    add_flags(p, GibbsConfig(zeta=0.1))
     add_flags(p, TrainConfig)
     p.add_argument("--hidden", type=int, nargs="*", default=list(nnet.DEFAULT_HIDDEN))
     p.add_argument("--out", required=True)

@@ -12,16 +12,21 @@ No function here mutates its inputs. ``forward`` and ``backward`` write into
 a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
 to one caller: each call overwrites what the last one left in it, and
 ``backward`` spends the hidden activations of the ``forward`` before it by
-writing its deltas over them. Before a small delta product it copies the
-hidden weight matrix's transpose into the workspace's ``scratch``: OpenBLAS
-sends a transposed right operand to its threaded kernels even on these small
-nets, so with contiguous operands every product of at most ``BLOCK_ROWS`` rows
-of a 64-wide net stays on one BLAS thread. ``forward`` streams more rows than
-its workspace holds through it in blocks of the workspace's row count, so an
+writing its deltas over them. ``forward`` streams more rows than its
+workspace holds through it in blocks of the workspace's row count, so an
 inference pass needs memory for one block, not for every row; a throwaway
 workspace has at most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those
 rows of ``x`` one block at a time, so scoring a subset copies no more than a
 block of it.
+
+Every matrix product goes through ``_product``, which runs it in row blocks of
+at most ``_SMALL_PRODUCT`` multiply-adds, the size up to which OpenBLAS uses
+its single-threaded small-matrix kernels. Those kernels take a contiguous
+right operand only, so ``backward`` multiplies its deltas by a contiguous
+copy of each hidden weight matrix's transpose, made in the workspace's
+``scratch``. A second BLAS thread buys these nets no wall time and doubles
+their CPU time, and in forked worker processes it oversubscribes the cores;
+with both measures no product of a net up to about 350 wide wakes it.
 """
 
 from __future__ import annotations
@@ -40,13 +45,11 @@ HEAD_IDENTITY = "identity"
 _HEADS = (HEAD_TANH, HEAD_SOFTMAX, HEAD_IDENTITY)
 
 # rows per block of a forward pass without a workspace, the training minibatch
-# size: OpenBLAS keeps a 128-row product of a 64-wide net on one thread, where
-# a 300-row one wakes a second thread that buys no time
+# size
 BLOCK_ROWS = 128
 
-# multiply-adds up to which OpenBLAS runs a product on its single-threaded
-# small-matrix kernels, which take a contiguous right operand only; a larger
-# product is threaded by size either way, so backward copies no Wᵀ for it
+# multiply-adds up to which OpenBLAS (0.3.31, SkylakeX kernels) runs a product
+# on its single-threaded small-matrix kernels; a larger one it threads by size
 _SMALL_PRODUCT = 100**3
 
 # hidden widths of every fitted net that is not given its own
@@ -191,6 +194,27 @@ class Workspace:
         return self._layers
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into ``out``, in row blocks that OpenBLAS keeps on one thread.
+
+    Every block but the last has as many rows as fit in ``_SMALL_PRODUCT``
+    multiply-adds, rounded down to a multiple of 8: such blocks gave the bits
+    of one whole product on every net measured, where 61-row blocks of a
+    one-column product did not. A last lone row is computed along with the
+    row before it, since numpy sends a single row down BLAS's vector-product
+    path, which rounds differently. A product too wide for 8 rows under the
+    limit is left whole, to be threaded by size.
+    """
+    n = a.shape[0]
+    step = _SMALL_PRODUCT // (a.shape[1] * b.shape[1]) // 8 * 8
+    if n <= step or step == 0:
+        return np.matmul(a, b, out=out)
+    for start in range(0, n, step):
+        lo = min(start, n - 2)
+        np.matmul(a[lo:start + step], b, out=out[lo:start + step])
+    return out
+
+
 def _forward_block(arch: MlpArchitecture, layers, x: np.ndarray, ws: Workspace) -> np.ndarray:
     """The post-head output for at most ``ws.rows`` rows, as a view into ``ws``."""
     n = x.shape[0]
@@ -200,7 +224,7 @@ def _forward_block(arch: MlpArchitecture, layers, x: np.ndarray, ws: Workspace) 
         if w.shape[0] == 1:  # a rank-one product: the broadcast is faster than matmul
             h = np.multiply(h, w, out=out)
         else:
-            h = np.matmul(h, w, out=out)
+            h = _product(h, w, out)
         h += b
         if li < len(layers) - 1:
             np.maximum(h, 0.0, out=h)
@@ -263,9 +287,9 @@ def backward(
     activation is dead once its layer's weight gradient is formed, so the
     deltas are written over it: the hidden activations are spent, and a second
     ``backward`` needs a fresh ``forward``. The output ``acts[-1]`` is kept.
-    A hidden layer's delta product of at most 100³ multiply-adds takes a
-    contiguous copy of its Wᵀ made in ``ws.scratch``, whose contents are
-    garbage once this returns.
+    Each hidden layer's delta product takes a contiguous copy of its Wᵀ made
+    in ``ws.scratch``, whose contents are garbage once this returns, and runs
+    in row blocks like every product here.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -299,19 +323,17 @@ def backward(
     for li in range(len(layers) - 1, -1, -1):
         h_in = x if li == 0 else ws.acts[li - 1][:n]
         gw, gb = ws.grads[li]
-        np.matmul(h_in.T, gz, out=gw)
+        _product(h_in.T, gz, gw)
         gz.sum(axis=0, out=gb)
         if li > 0:  # the delta goes over h_in, which is dead once its mask is taken
             active = h_in > 0.0
             w_t = layers[li][0].T
             if gz.shape[1] == 1:  # a rank-one product: the broadcast is faster than matmul
                 np.multiply(gz, w_t, out=h_in)
-            elif n * w_t.size > _SMALL_PRODUCT:
-                np.matmul(gz, w_t, out=h_in)
-            else:  # a transposed operand would wake OpenBLAS's threads
+            else:  # a transposed right operand would wake OpenBLAS's threads
                 w_c = ws.scratch[:w_t.size].reshape(w_t.shape)
                 np.copyto(w_c, w_t)
-                np.matmul(gz, w_c, out=h_in)
+                _product(gz, w_c, h_in)
             h_in *= active
             gz = h_in
     return ws.grad

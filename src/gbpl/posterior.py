@@ -11,8 +11,9 @@ The MAP objective throughout is
 
 with minibatch gradients rescaled by n_train / batch so every step targets the
 full-sample objective; ``objective_gradient`` forms that gradient for Adam and
-SGLD alike. A run uses one Python thread, but numpy's BLAS may use several per
-matrix product; runs are deterministic given their seeds.
+SGLD alike. A run uses one Python thread, and ``nnet`` keeps the matrix
+products of nets up to about 350 wide on one BLAS thread too; runs are
+deterministic given their seeds, whatever the BLAS thread count.
 """
 
 from __future__ import annotations

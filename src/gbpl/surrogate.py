@@ -26,9 +26,6 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 TIE_TOL = 1e-12
 
-KIND_BINARY = "binary"
-KIND_FULL_VECTOR = "full_vector"
-
 
 @dataclass(frozen=True)
 class FullFeedbackDataset:
@@ -75,22 +72,20 @@ class GibbsConfig:
     """Everything that pins down one generalized posterior.
 
     ``zeta`` scales the surrogate, ``eta`` is the temperature multiplying the
-    total loss, ``tau2`` the variance of the isotropic Gaussian prior over
-    network weights, and ``kind`` the surrogate family.
+    total loss, and ``tau2`` the variance of the isotropic Gaussian prior over
+    network weights. The surrogate family follows from the outcome table's
+    width, and the fitted net's head records it.
     """
 
     zeta: float
     eta: float = 1.0
     tau2: float = 1.0
-    kind: str = KIND_BINARY
 
     def __post_init__(self):
         for name in ("zeta", "eta", "tau2"):
             value = getattr(self, name)
             if not 0 < value < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.kind not in (KIND_BINARY, KIND_FULL_VECTOR):
-            raise ValueError(f"unknown surrogate kind {self.kind!r}")
 
 
 def _check_simplex(delta: np.ndarray) -> None:

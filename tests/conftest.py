@@ -123,7 +123,7 @@ def reference_backward(arch, params, x, g):
     for li in range(len(layers) - 1, -1, -1):
         grads[li] = np.concatenate([(acts[li].T @ gz).ravel(), gz.sum(axis=0)])
         if li > 0:
-            gz = (gz @ layers[li][0].T) * (acts[li] > 0.0)
+            gz = (gz @ np.ascontiguousarray(layers[li][0].T)) * (acts[li] > 0.0)
     return np.concatenate(grads)
 
 

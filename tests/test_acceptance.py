@@ -251,7 +251,7 @@ def test_criterion_07_map_fit_tracks_population_score():
     spec = DgpSpec(family="onedimviz", n=1500, seed=0)
     full, _ = generate_full_feedback(spec)
     train_rows, val_rows, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, 0x5917])
-    gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0, kind="binary")
+    gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0)
     arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
     loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), 1.0)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10,

@@ -20,7 +20,7 @@ from gbpl.dgp import (
 )
 from gbpl.evaluation import PacBayesInputs
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
-from gbpl.surrogate import KIND_FULL_VECTOR, empirical_welfare
+from gbpl.surrogate import empirical_welfare
 
 
 def _write_inputs(tmp):
@@ -761,8 +761,9 @@ class TestCli:
         assert cli.main(["train", "--data", str(data_csv), "--zeta", "0.3", "--hidden", "4",
                          "--max-epochs", "1", "--out", str(model_dir)]) == 0
         manifest = json.loads((model_dir / "manifest.json").read_text())
-        assert manifest["gibbs"] == to_dict(GibbsConfig(zeta=0.3, kind=KIND_FULL_VECTOR))
-        assert nnet.load_params(model_dir)[0].head == nnet.HEAD_SOFTMAX
+        assert manifest["gibbs"] == to_dict(GibbsConfig(zeta=0.3))
+        arch = json.loads((model_dir / "arch.json").read_text())["arch"]
+        assert (arch["head"], arch["output_dim"]) == (nnet.HEAD_SOFTMAX, 3)
 
     def test_train_on_too_few_rows_for_validation_is_a_usage_error(self, tmp_path, capsys):
         data_csv = tmp_path / "tiny.csv"
@@ -906,7 +907,7 @@ class TestGeneratedCli:
     # (subcommand, minimal argv, config object, leaves without a flag)
     CONFIGS = (
         ("simulate", ["--family", "binary1", "--n", "7", "--out", "o"], ex.DgpSpec, ()),
-        ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ("kind",)),
+        ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ()),
         ("train", ["--data", "d", "--out", "o"], TrainConfig, ()),
         ("posterior-viz", ["--out", "o"], ex.PosteriorVizConfig, ("output_dir",)),
     )

@@ -176,6 +176,13 @@ class TestBackward:
 
 _HEAD_CASES = ((nnet.HEAD_TANH, 1), (nnet.HEAD_SOFTMAX, 4), (nnet.HEAD_IDENTITY, 3))
 
+# the posterior-viz net and the default net with the binary and the K = 5 head
+_PAPER_NETS = pytest.mark.parametrize("arch", [
+    nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH),
+    nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH),
+    nnet.MlpArchitecture(10, (128, 128), 5, nnet.HEAD_SOFTMAX)],
+    ids=["viz-tanh", "default-tanh", "default-softmax"])
+
 
 def _net_and_batch(rng, head, out_dim, n):
     arch = nnet.MlpArchitecture(5, (9, 7), out_dim, head)
@@ -212,15 +219,11 @@ class TestWorkspace:
         assert got.tobytes() == nnet.backward(arch, params, xs, gs).tobytes()
         assert got.tobytes() == reference_backward(arch, params, xs, gs).tobytes()
 
-    @pytest.mark.parametrize("arch", [
-        nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH),
-        nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH),
-        nnet.MlpArchitecture(10, (128, 128), 5, nnet.HEAD_SOFTMAX)],
-        ids=["viz-tanh", "default-tanh", "default-softmax"])
+    @_PAPER_NETS
     def test_minibatch_backward_matches_reference_bitwise(self, arch):
-        # 128 rows, the training minibatch: the 64-wide hidden delta multiplies
-        # by a contiguous copy of W^T in the scratch, which must not move a bit;
-        # the 128-wide ones are large enough to take the transposed view
+        # 128 rows, the training minibatch: the hidden deltas multiply by a
+        # contiguous copy of W^T in the scratch, whose stale contents must not
+        # move a bit; the 128-wide products run in row blocks
         rng = np.random.default_rng(45)
         ws = GradientWorkspace(arch, 128)
         assert ws.scratch is ws.prior
@@ -233,9 +236,25 @@ class TestWorkspace:
             nnet.forward(arch, params, x, ws)
             ws.scratch.fill(np.nan)
             assert nnet.backward(arch, params, x, g, ws).tobytes() == want
-            if arch.hidden_dims == (64, 64):
-                w_t = np.ascontiguousarray(nnet.unflatten(arch, params)[1][0].T)
-                assert ws.scratch[:w_t.size].tobytes() == w_t.tobytes()
+            w_t = np.ascontiguousarray(nnet.unflatten(arch, params)[1][0].T)
+            assert ws.scratch[:w_t.size].tobytes() == w_t.tobytes()
+
+    @_PAPER_NETS
+    def test_every_row_count_matches_reference_bitwise(self, arch):
+        # the 128-wide products run in row blocks of 56, and a block of one row
+        # would round differently; every short last minibatch has its own size
+        rng = np.random.default_rng(46)
+        params = nnet.init_params(arch, rng) + 0.05 * rng.standard_normal(arch.param_count)
+        ws = nnet.Workspace(arch, 300)
+        for n in range(1, 301):
+            x = rng.standard_normal((n, arch.input_dim))
+            g = rng.standard_normal((n, arch.output_dim))
+            want = reference_forward(arch, params, x)[0].tobytes()
+            assert nnet.forward(arch, params, x).tobytes() == want, n
+            assert nnet.forward(arch, params, x, ws).tobytes() == want, n
+            want = reference_backward(arch, params, x, g).tobytes()
+            assert nnet.backward(arch, params, x, g, ws).tobytes() == want, n
+            assert nnet.backward(arch, params, x, g).tobytes() == want, n
 
     def test_stateless_forward_returns_independent_arrays(self):
         rng = np.random.default_rng(42)

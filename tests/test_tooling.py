@@ -17,12 +17,17 @@ Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
 
 Bad input reaches the user through one path: ``cli._usage_errors`` is the only
-place in ``cli.py`` that calls ``usage_error``.
+place in ``cli.py`` that calls ``usage_error``. Every matrix product of the
+nets goes through one path too: ``nnet._product``, which keeps it in row blocks
+that OpenBLAS runs on one thread, is the only place in ``nnet.py`` that
+multiplies matrices.
 
 Results do not depend on how many threads OpenBLAS runs: a short
-``posterior-viz`` run and a one-trial experiment on the default 128-wide net
-write the same CSV bytes with one BLAS thread and with two. Each run is a
-fresh interpreter, because OpenBLAS reads its thread count when numpy loads.
+``posterior-viz`` run and two one-trial experiments on the default 128-wide
+net, a binary one and a K = 5 logged one with fitted propensities and
+cross-fitted outcome regressions, write the same CSV bytes with one BLAS
+thread and with two. Each run is a fresh interpreter, because OpenBLAS reads
+its thread count when numpy loads.
 """
 
 import ast
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from gbpl import cli
+from gbpl import cli, nnet
 from gbpl import experiment as ex
 from gbpl.posterior import SgldConfig, TrainConfig
 
@@ -155,6 +160,15 @@ def test_usage_error_is_called_only_from_the_usage_errors_guard():
     assert callers == ["_usage_errors"]
 
 
+def test_matrix_products_in_nnet_go_through_the_blocked_product():
+    tree = ast.parse(Path(nnet.__file__).read_text())
+    callers = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+               or isinstance(node, ast.Call) and {"matmul", "dot"}
+               & {getattr(node.func, "attr", None), getattr(node.func, "id", None)}}
+    assert callers == {"_product"}
+
+
 def _csv_bytes_with_blas_threads(threads, out, argv):
     path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(path)}
@@ -163,18 +177,31 @@ def _csv_bytes_with_blas_threads(threads, out, argv):
     return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
 
 
-@pytest.mark.parametrize("argv", [
-    ["posterior-viz", "--max-epochs", "3", "--burn-in", "20", "--n-draws", "10", "--thin", "2"],
-    ["experiment", "--config", "CONFIG"]], ids=["posterior-viz", "experiment"])
-def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
-    # the experiment fits the default (128, 128) net, whose 128-row products
-    # OpenBLAS threads by size; posterior-viz runs its default (64, 64) net
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+_SHORT_TRAIN = {"max_epochs": 3, "patience": 3}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["posterior-viz", "--max-epochs", "3", "--burn-in", "20", "--n-draws", "10", "--thin", "2"],
+     None),
+    (["experiment", "--config"], {
         "dgp": {"family": "binary2", "n": 400}, "trials": 1,
         "methods": [{"name": "GBPLNet (zeta=0.1)", "kind": "gbpl", "zeta": 0.1}],
-        "train": {"max_epochs": 3, "patience": 3}}))
-    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        "train": _SHORT_TRAIN}),
+    (["experiment", "--config"], {
+        "dgp": {"family": "multi1", "n": 400, "k": 5}, "trials": 1,
+        "feedback": {"mode": "logged", "logging": "softmax", "clip": 0.05, "pseudo": "dr",
+                     "propensity": "fitted", "folds": 2},
+        "methods": [{"name": "GBPL-full (zeta=0.01)", "kind": "gbpl", "zeta": 0.01},
+                    {"name": "PluginRegK", "kind": "plugin_reg_k"}],
+        "train": _SHORT_TRAIN})], ids=["posterior-viz", "experiment", "experiment-logged-k5"])
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv, config):
+    # the experiments fit the default (128, 128) net, whose 128-row products
+    # OpenBLAS would thread by size, with a tanh and a softmax head;
+    # posterior-viz runs its default (64, 64) net
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, str(path)]
     one = _csv_bytes_with_blas_threads(1, tmp_path / "one", argv)
     two = _csv_bytes_with_blas_threads(2, tmp_path / "two", argv)
     assert one and one == two
