@@ -74,7 +74,7 @@ class MethodSpec:
     ``kind`` is ``"gbpl"`` or a baseline kind; surrogate methods carry either
     a fixed ``zeta`` or a ``zeta_grid`` selected by validation welfare.
     A surrogate method with neither gets the default grid; every scale must
-    be positive and appear once. A baseline takes neither.
+    be positive, finite and appear once. A baseline takes neither.
     """
 
     name: str
@@ -91,8 +91,8 @@ class MethodSpec:
             scales = self.zeta_grid if self.zeta is None else (self.zeta,)
             if not scales:
                 raise ValueError(f"method {self.name!r}: zeta_grid is empty")
-            if not all(z > 0 for z in scales):
-                raise ValueError(f"method {self.name!r}: zeta values must be positive")
+            if not all(0 < z < np.inf for z in scales):  # NaN fails too
+                raise ValueError(f"method {self.name!r}: zeta must be positive and finite")
             if len(set(scales)) != len(scales):
                 raise ValueError(f"method {self.name!r}: zeta_grid repeats a value")
         elif self.kind not in BASELINE_KINDS:
@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        GibbsConfig(zeta=1.0, eta=self.eta, tau2=self.tau2)  # each method checks its zeta
+        nnet.MlpArchitecture(1, self.hidden)
         # a trial draws its data from base_seed + trial and its fits from method_seed
         for field, seed in (("dgp.seed", self.dgp.seed), ("train.seed", self.train.seed)):
             if seed != 0:
@@ -359,6 +361,8 @@ class PosteriorVizConfig:
 
     def __post_init__(self):
         _check_split(self.split, self.n, "n")
+        GibbsConfig(zeta=self.zeta, eta=self.eta, tau2=self.tau2)
+        nnet.MlpArchitecture(1, self.hidden)
         if not 0.0 < self.level < 1.0 or self.grid_points < 1:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
         if not np.isfinite(self.eval_points).all():

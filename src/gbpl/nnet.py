@@ -12,8 +12,8 @@ No function here mutates its inputs. ``forward`` and ``backward`` write into
 a :class:`Workspace`, a throwaway one when none is passed. A workspace belongs
 to one caller: each call overwrites what the last one left in it, and
 ``backward`` spends the hidden activations of the ``forward`` before it by
-writing its deltas over them. ``forward`` streams more rows than its
-workspace holds through it in blocks of the workspace's row count, so an
+writing its deltas over them. ``forward`` returns a fresh array and streams
+its rows through the workspace in blocks of the workspace's row count, so an
 inference pass needs memory for one block, not for every row; a throwaway
 workspace has at most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those
 rows of ``x`` one block at a time, so scoring a subset copies no more than a
@@ -27,6 +27,7 @@ copy of each hidden weight matrix's transpose, made in the workspace's
 ``scratch``. A second BLAS thread buys these nets no wall time and doubles
 their CPU time, and in forked worker processes it oversubscribes the cores;
 with both measures no product of a net up to about 350 wide wakes it.
+``forward`` and ``_product`` take their row blocks from ``_blocks``.
 """
 
 from __future__ import annotations
@@ -164,12 +165,10 @@ class Workspace:
 
     ``acts[i]`` holds layer i's output, post-head for the last layer. After a
     ``backward`` the hidden ones hold its deltas instead: they are spent, and
-    only the output ``acts[-1]`` is still the forward pass's. The flat ``grad``
-    and its per-layer views ``grads`` are allocated by the first ``backward``,
-    and so is the flat ``scratch``, as large as the largest weight matrix past
-    the first layer, unless a subclass has set it. ``backward`` overwrites it
-    with transposed weights, and nothing else here reads it, so a subclass may
-    point it at any buffer that is free while ``backward`` runs.
+    only the output ``acts[-1]`` is still the forward pass's. The first
+    ``backward`` allocates the flat ``grad``, its per-layer views ``grads``,
+    and a flat ``scratch`` as long as ``grad``, which ``backward`` fills with
+    transposed weights and a caller may use freely between its calls.
     The per-layer views of the last float64 parameter array passed in are kept,
     keyed on that array object, so the caller may update it in place between
     calls but must not resize it.
@@ -194,24 +193,28 @@ class Workspace:
         return self._layers
 
 
+def _blocks(n: int, step: int):
+    """``(lo, start, stop)`` per block of ``step`` of ``n`` rows: rows ``lo:stop``
+    are computed and ``start:stop`` kept. A last lone row is computed along with
+    the row before it, since numpy sends a single row down BLAS's vector-product
+    path, which rounds differently; at ``step`` 1 every block is one row."""
+    for start in range(0, n, step):
+        lo = min(start, max(n - 2, 0)) if step > 1 else start
+        yield lo, start, min(start + step, n)
+
+
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ b`` written into ``out``, in row blocks that OpenBLAS keeps on one thread.
 
     Every block but the last has as many rows as fit in ``_SMALL_PRODUCT``
     multiply-adds, rounded down to a multiple of 8: such blocks gave the bits
     of one whole product on every net measured, where 61-row blocks of a
-    one-column product did not. A last lone row is computed along with the
-    row before it, since numpy sends a single row down BLAS's vector-product
-    path, which rounds differently. A product too wide for 8 rows under the
-    limit is left whole, to be threaded by size.
+    one-column product did not. A product too wide for 8 rows under the limit
+    is left whole, to be threaded by size.
     """
-    n = a.shape[0]
     step = _SMALL_PRODUCT // (a.shape[1] * b.shape[1]) // 8 * 8
-    if n <= step or step == 0:
-        return np.matmul(a, b, out=out)
-    for start in range(0, n, step):
-        lo = min(start, n - 2)
-        np.matmul(a[lo:start + step], b, out=out[lo:start + step])
+    for lo, _, stop in _blocks(a.shape[0], step or a.shape[0]):
+        np.matmul(a[lo:stop], b, out=out[lo:stop])
     return out
 
 
@@ -241,27 +244,21 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
 
     Given an index array ``rows``, the batch is ``x[rows]``, gathered one block
     at a time, bit for bit as if ``x[rows]`` were passed. Without a workspace,
-    one of ``min(n, BLOCK_ROWS)`` rows is made. When the batch fits in the
-    workspace the output is a view into it, overwritten by the next call;
-    otherwise the rows are streamed through it in blocks into a fresh
-    (n, output_dim) array. A row comes out as one pass over every row gives it,
-    up to BLAS choosing its kernel by problem size, which can move a row of a
-    narrow output layer by a few ulp.
+    one of ``min(n, BLOCK_ROWS)`` rows is made. The rows are streamed through
+    the workspace in blocks of its row count into a fresh (n, output_dim)
+    array; the last block's activations stay in the workspace for
+    ``backward``. A row comes out as one pass over every row gives it, up to
+    BLAS choosing its kernel by problem size, which can move a row of a narrow
+    output layer by a few ulp.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"x has shape {x.shape}, expected (n, {arch.input_dim})")
     n = x.shape[0] if rows is None else len(rows)
-    ws = Workspace(arch, min(n, BLOCK_ROWS)) if ws is None else ws
+    ws = Workspace(arch, max(min(n, BLOCK_ROWS), 1)) if ws is None else ws
     layers = ws.layers(arch, params)
-    if n <= ws.rows:
-        return _forward_block(arch, layers, x if rows is None else x[rows], ws)
     out = np.empty((n, arch.output_dim))
-    for start in range(0, n, ws.rows):
-        # numpy sends a single row down BLAS's vector-product path, which rounds
-        # differently, so a last lone row is computed along with the one before it
-        lo = min(start, n - 2) if ws.rows > 1 else start
-        stop = start + ws.rows
+    for lo, start, stop in _blocks(n, ws.rows):
         block = x[lo:stop] if rows is None else x[rows[lo:stop]]
         out[start:stop] = _forward_block(arch, layers, block, ws)[start - lo:]
     return out
@@ -288,8 +285,8 @@ def backward(
     deltas are written over it: the hidden activations are spent, and a second
     ``backward`` needs a fresh ``forward``. The output ``acts[-1]`` is kept.
     Each hidden layer's delta product takes a contiguous copy of its Wᵀ made
-    in ``ws.scratch``, whose contents are garbage once this returns, and runs
-    in row blocks like every product here.
+    in the parameter-sized ``ws.scratch``, whose contents are garbage once this
+    returns, and runs in row blocks like every product here.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -316,9 +313,7 @@ def backward(
     if ws.grad is None:
         ws.grad = np.empty(arch.param_count)
         ws.grads = unflatten(arch, ws.grad)
-    if ws.scratch is None:
-        ws.scratch = np.empty(max((fan_in * fan_out for fan_in, fan_out in arch.layer_dims[1:]),
-                                  default=0))
+        ws.scratch = np.empty(arch.param_count)
     layers = ws.layers(arch, params)
     for li in range(len(layers) - 1, -1, -1):
         h_in = x if li == 0 else ws.acts[li - 1][:n]

@@ -11,9 +11,10 @@ The MAP objective throughout is
 
 with minibatch gradients rescaled by n_train / batch so every step targets the
 full-sample objective; ``objective_gradient`` forms that gradient for Adam and
-SGLD alike. A run uses one Python thread, and ``nnet`` keeps the matrix
-products of nets up to about 350 wide on one BLAS thread too; runs are
-deterministic given their seeds, whatever the BLAS thread count.
+SGLD alike in an ``nnet.Workspace``, whose ``scratch`` each step then reuses.
+A run uses one Python thread, and ``nnet`` keeps the matrix products of nets
+up to about 350 wide on one BLAS thread too; runs are deterministic given
+their seeds, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -90,31 +91,14 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
 
 
-class GradientWorkspace(nnet.Workspace):
-    """An ``nnet.Workspace`` plus a parameter-sized buffer ``prior`` for the
-    prior gradient, and a second, ``decay``, made by the first call with a
-    nonzero weight decay. ``prior`` is also the workspace's ``scratch``:
-    ``objective_gradient`` lets ``nnet.backward`` use it for transposed
-    weights, then forms the prior gradient in it. It is done with ``prior``
-    once it returns, so the optimizer steps use it as scratch until the next
-    call."""
-
-    def __init__(self, arch: nnet.MlpArchitecture, rows: int):
-        super().__init__(arch, rows)
-        self.prior = self.scratch = np.empty(arch.param_count)
-        self.decay = None
-
-
 def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
-                ws: GradientWorkspace) -> np.ndarray:
-    """params / tau2 + weight_decay * params, formed in ``ws.prior``. A zero
-    weight decay adds nothing: 0 * params is a signed zero for finite
-    parameters, and non-finite ones already make params / tau2 non-finite."""
-    total = np.divide(params, gibbs.tau2, out=ws.prior)
+                ws: nnet.Workspace) -> np.ndarray:
+    """params / tau2 + weight_decay * params, in ``ws.scratch``. A zero weight
+    decay adds nothing: 0 * params is a signed zero for finite parameters, and
+    non-finite ones already make params / tau2 non-finite."""
+    total = np.divide(params, gibbs.tau2, out=ws.scratch)
     if weight_decay:
-        if ws.decay is None:
-            ws.decay = np.empty_like(total)
-        total += np.multiply(weight_decay, params, out=ws.decay)
+        total += weight_decay * params
     return total
 
 
@@ -124,9 +108,8 @@ def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_deca
     ``n_scale`` rescales the data term to a target sample size (minibatch
     steps pass the training-set size). A non-finite loss on ``rows`` or a
     non-finite gradient raises ``FloatingPointError``. The returned array is
-    the ``GradientWorkspace``'s ``ws.grad``, which the next call overwrites.
-    ``ws.prior`` is ``nnet.backward``'s scratch first and holds the prior
-    gradient only after ``backward`` returns, so no buffer is added for it.
+    ``ws.grad``, which the next call overwrites. The prior gradient is formed
+    in ``ws.scratch`` after ``nnet.backward``, and the caller may then reuse it.
     """
     x = loss.x[rows]
     m = x.shape[0]
@@ -163,9 +146,8 @@ def map_train(
 
     A fit holds six parameter-sized vectors: the parameters, the best
     snapshot (copied into, never reallocated), Adam's two moments, and the
-    workspace's gradient and prior buffer, which double as Adam's scratch (the
-    prior buffer is also ``nnet.backward``'s scratch for transposed weights). A
-    nonzero ``cfg.weight_decay`` adds a seventh, the workspace's decay buffer.
+    workspace's ``grad`` and ``scratch``, which double as Adam's scratch. A
+    nonzero ``cfg.weight_decay`` adds a seventh while its term is formed.
     """
     train_rows = np.asarray(train_rows, dtype=np.intp)
     val_rows = np.asarray(val_rows, dtype=np.intp)
@@ -174,7 +156,7 @@ def map_train(
     rng = np.random.default_rng(cfg.seed)
     params = nnet.init_params(arch, rng)
     n_train = train_rows.size
-    ws = GradientWorkspace(arch, min(cfg.batch_size, n_train))
+    ws = nnet.Workspace(arch, min(cfg.batch_size, n_train))
 
     def val_objective(w):
         # streamed through the training workspace; the per-row losses are averaged once
@@ -185,12 +167,10 @@ def map_train(
     best_val = val_objective(params)
     since_best = 0
 
-    # Adam state; a step updates it in place, in textbook operation order, via
-    # scratch s1 = ws.prior, which objective_gradient is done with by then, and
-    # the gradient itself once v is updated
+    # Adam state, updated in place in textbook operation order via the scratch
+    # s1 = ws.scratch and, once v is updated, the gradient itself
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    s1 = ws.prior
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -199,6 +179,7 @@ def map_train(
         for start in range(0, n_train, cfg.batch_size):
             rows = train_rows[order[start : start + cfg.batch_size]]
             grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, ws, cfg.weight_decay)
+            s1 = ws.scratch
             t += 1
             m *= beta1
             m += np.multiply(1.0 - beta1, grad, out=s1)
@@ -276,15 +257,15 @@ def sgld_sample(
     N(0, step) noise. The first ``burn_in`` iterates are discarded, then every
     ``thin``-th iterate is recorded until ``n_draws`` draws are collected: as
     ``PosteriorDraws``, or as the (n_draws, m) matrix of ``summary(w)`` rows if a
-    ``summary`` is given (it must not keep or modify w).
+    ``summary`` is given (it must not keep or modify w). The noise is drawn
+    into the workspace's ``scratch`` once each step's gradient is formed.
     """
     rng = np.random.default_rng(sgld.seed)
     rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
     n = rows.size
     b = min(sgld.batch_size, n)
     w = np.array(init, dtype=np.float64)
-    ws = GradientWorkspace(arch, b)
-    noise = ws.prior  # free between objective_gradient calls
+    ws = nnet.Workspace(arch, b)
 
     kept = None  # (n_draws, P) or (n_draws, m), sized by the first recorded row
     total = sgld.burn_in + sgld.n_draws * sgld.thin
@@ -297,7 +278,7 @@ def sgld_sample(
         # in place, in the operation order of w - (0.5 * step) * grad + sqrt(step) * noise
         grad *= 0.5 * sgld.step_size
         w -= grad
-        rng.standard_normal(out=noise)
+        noise = rng.standard_normal(out=ws.scratch)  # free until the next objective_gradient
         noise *= np.sqrt(sgld.step_size)
         w += noise
         if not np.all(np.isfinite(w)):

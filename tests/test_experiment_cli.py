@@ -287,6 +287,12 @@ _RUN_TIME_FAILURES = {
         lambda out: _with(_smoke_config(out, feedback={"mode": "logged", "folds": 30}),
                           ("dgp", "n"), 40),
         "feedback.folds = 30 exceeds the 24 training rows"),
+    "negative-eta": (lambda out: _with(_smoke_config(out), ("eta",), -1.0),
+                     "eta must be positive and finite"),
+    "zero-tau2": (lambda out: _with(_smoke_config(out), ("tau2",), 0),
+                  "tau2 must be positive and finite"),
+    "zero-hidden-width": (lambda out: _with(_smoke_config(out), ("hidden",), [0]),
+                          "hidden widths must be positive"),
 }
 
 
@@ -417,8 +423,11 @@ class TestConfigValidation:
          (lambda v: GibbsConfig(zeta=0.1, eta=v), "eta must be positive and finite"),
          (lambda v: GibbsConfig(zeta=0.1, tau2=v), "tau2 must be positive and finite"),
          (lambda v: PacBayesInputs(v, 1.0, 10, 0.05, 1.0, 1.0, 0.5),
-          "empirical_risk_mean must be finite")],
-        ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk"],
+          "empirical_risk_mean must be finite"),
+         (lambda v: ex.MethodSpec("m", "gbpl", zeta=v), "'m': zeta must be positive and finite"),
+         (lambda v: ex.MethodSpec("m", "gbpl", zeta_grid=(1.0, v)),
+          "'m': zeta must be positive and finite")],
+        ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk", "method-zeta", "method-zeta-grid"],
     )
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_library_input_rejected_naming_its_field(self, build, field, value):
@@ -967,6 +976,12 @@ class TestGeneratedCli:
         [
             (["posterior-viz", "--out", "{out}", "--level", "1.5"], "level"),
             (["posterior-viz", "--out", "{out}", "--n", "4"], "n = 4"),
+            # Gibbs settings and widths that would fail only once the run had begun
+            (["posterior-viz", "--out", "{out}", "--zeta", "-1"], "zeta must be positive"),
+            (["posterior-viz", "--out", "{out}", "--eta", "0"], "eta must be positive"),
+            (["posterior-viz", "--out", "{out}", "--tau2", "0"], "tau2 must be positive"),
+            (["posterior-viz", "--out", "{out}", "--hidden", "0"],
+             "hidden widths must be positive"),
             (["simulate", "--family", "binary1", "--n", "0", "--out", "{out}"], "n must"),
             # a missing --data file shows that the flags are decoded before it is read
             (["train", "--data", "{missing}", "--zeta", "-1", "--out", "{out}"], "zeta"),
@@ -990,7 +1005,8 @@ class TestGeneratedCli:
             (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
               "--v", "1", "--b", "1", "--lam", "inf"], "--lam must be finite, got inf"),
         ],
-        ids=["posterior-viz", "posterior-viz-n", "simulate", "train-zeta", "train-learning-rate",
+        ids=["posterior-viz", "posterior-viz-n", "posterior-viz-zeta", "posterior-viz-eta",
+             "posterior-viz-tau2", "posterior-viz-hidden", "simulate", "train-zeta", "train-learning-rate",
              "experiment", "paccheck", "paccheck-b-zero", "train-zeta-nan",
              "train-learning-rate-inf", "posterior-viz-step-size-nan", "paccheck-kl-nan",
              "paccheck-lam-inf"],

@@ -12,7 +12,6 @@ from conftest import (
 )
 from gbpl import nnet
 from gbpl.methods import FittedPolicy
-from gbpl.posterior import GradientWorkspace
 from gbpl.losses import (
     BinarySurrogateLoss,
     FullVectorSurrogateLoss,
@@ -202,7 +201,7 @@ class TestWorkspace:
         assert got is ws.grad
         assert got.tobytes() == nnet.backward(arch, params, x, g).tobytes()
         assert got.tobytes() == reference_backward(arch, params, x, g).tobytes()
-        assert out.tobytes() == kept  # the output view is left alone
+        assert out.tobytes() == kept  # the returned output is left alone
 
     @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
     def test_short_batch_uses_leading_rows(self, head, out_dim):
@@ -225,17 +224,18 @@ class TestWorkspace:
         # contiguous copy of W^T in the scratch, whose stale contents must not
         # move a bit; the 128-wide products run in row blocks
         rng = np.random.default_rng(45)
-        ws = GradientWorkspace(arch, 128)
-        assert ws.scratch is ws.prior
-        for _ in range(2):  # the second pass finds the first one's transposes in the scratch
+        ws = nnet.Workspace(arch, 128)
+        for i in range(3):  # the first backward makes the scratch, the later ones find NaN
             params = nnet.init_params(arch, rng) + 0.05 * rng.standard_normal(arch.param_count)
             x = rng.standard_normal((128, arch.input_dim))
             g = rng.standard_normal((128, arch.output_dim))
             want = reference_backward(arch, params, x, g).tobytes()
             assert nnet.backward(arch, params, x, g).tobytes() == want
             nnet.forward(arch, params, x, ws)
-            ws.scratch.fill(np.nan)
+            if i:
+                ws.scratch.fill(np.nan)
             assert nnet.backward(arch, params, x, g, ws).tobytes() == want
+            assert ws.scratch.shape == (arch.param_count,)
             w_t = np.ascontiguousarray(nnet.unflatten(arch, params)[1][0].T)
             assert ws.scratch[:w_t.size].tobytes() == w_t.tobytes()
 
@@ -284,6 +284,24 @@ class TestWorkspace:
             assert before.tobytes() == after.tobytes()
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("step", (1, 2, 8, 56, 128))
+    def test_blocks_tile_the_rows_without_a_lone_computed_row(self, step):
+        for n in range(301):
+            written = []
+            for lo, start, stop in nnet._blocks(n, step):
+                assert 0 <= lo <= start < stop <= n, (n, step)
+                assert stop - lo > 1 or n == 1 or step == 1, (n, step)
+                written.extend(range(start, stop))
+            assert written == list(range(n)), (n, step)
+
+    @pytest.mark.parametrize("head,out_dim", _HEAD_CASES)
+    def test_one_row_workspace_matches_per_row_forward_bitwise(self, head, out_dim):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(58), head, out_dim, 9)
+        want = np.concatenate([nnet.forward(arch, params, x[i:i + 1]) for i in range(9)])
+        assert nnet.forward(arch, params, x, nnet.Workspace(arch, 1)).tobytes() == want.tobytes()
+
+
 _STREAM_SIZES = (1, nnet.BLOCK_ROWS, nnet.BLOCK_ROWS + 1, 3 * nnet.BLOCK_ROWS - 7)
 
 
@@ -319,11 +337,12 @@ class TestStreaming:
         want = reference_forward(arch, params, x)[0]
         np.testing.assert_allclose(nnet.forward(arch, params, x), want, rtol=1e-14, atol=1e-15)
 
-    def test_streamed_result_is_a_fresh_array(self):
-        arch, params, x, _ = _net_and_batch(np.random.default_rng(52), nnet.HEAD_IDENTITY, 3, 40)
+    @pytest.mark.parametrize("n", (10, 16, 40))
+    def test_result_is_a_fresh_array(self, n):
+        arch, params, x, _ = _net_and_batch(np.random.default_rng(52), nnet.HEAD_IDENTITY, 3, n)
         ws = nnet.Workspace(arch, 16)
         out = nnet.forward(arch, params, x, ws)
-        assert out.shape == (40, 3)
+        assert out.shape == (n, 3)
         assert not any(np.shares_memory(out, a) for a in ws.acts)
         kept = out.copy()
         nnet.forward(arch, params, 2.0 * x, ws)

@@ -23,7 +23,6 @@ from gbpl.posterior import (
     PosteriorDraws,
     SgldConfig,
     TrainConfig,
-    GradientWorkspace,
     finite_gibbs_posterior,
     map_train,
     objective_gradient,
@@ -168,6 +167,19 @@ class TestMapTrain:
         with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
             map_train(arch, loss, gibbs, cfg, np.arange(24), np.arange(24, 32))
 
+    def test_one_row_batches_are_deterministic(self):
+        # a one-row workspace: every forward block and every minibatch is a single row
+        rng = np.random.default_rng(14)
+        n = 24
+        x = rng.standard_normal((n, 3))
+        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+        arch = nnet.MlpArchitecture(3, (8, 8), 1, nnet.HEAD_TANH)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=1, max_epochs=3, patience=3, seed=2)
+        args = (arch, loss, GibbsConfig(zeta=0.5), cfg, np.arange(16), np.arange(16, n))
+        fits = [map_train(*args) for _ in range(2)]
+        assert fits[0].tobytes() == fits[1].tobytes()
+        assert fits[0].tobytes() == reference_map_train(*args).tobytes()
+
     def test_validation_pass_peak_memory_bounded_by_the_batch(self):
         # the validation pass used to hold two 5,000 x 128 activations (10 MB)
         rng = np.random.default_rng(12)
@@ -185,9 +197,9 @@ class TestMapTrain:
     def test_peak_memory_is_six_parameter_vectors(self, weight_decay, vectors):
         # a wide net on 40 rows: the parameter-sized vectors dominate. A fit holds the
         # parameters, the best snapshot, Adam's moments, and the workspace's gradient and
-        # prior buffer, plus a decay buffer with weight decay; Adam's scratch, a snapshot's
-        # copy and an unused decay buffer used to add four more. Backward writes its deltas
-        # over the activations, so one set of them is held
+        # scratch; weight decay adds a transient term. Adam's scratch, a snapshot's copy and
+        # an unused decay buffer used to add four more. Backward writes its deltas over the
+        # activations, so one set of them is held
         rng = np.random.default_rng(13)
         n, batch = 40, 8
         x = rng.standard_normal((n, 2))
@@ -235,7 +247,7 @@ class TestObjectiveGradient:
         params = nnet.init_params(arch, rng)
         rows = rng.choice(n, size=12, replace=False)
         assert min_abs_hidden_preactivation(arch, params, x[rows]) > 1e-3  # no kink within h
-        ws = GradientWorkspace(arch, rows.size)
+        ws = nnet.Workspace(arch, rows.size)
         got = objective_gradient(arch, params, loss, gibbs, rows, n, ws, weight_decay=0.05)
         want = finite_diff_grad(
             lambda w: reference_map_objective(arch, w, loss, gibbs, rows, n, weight_decay=0.05),
@@ -244,7 +256,7 @@ class TestObjectiveGradient:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     def test_prior_buffer_as_backward_scratch_matches_reference_bitwise(self, weight_decay):
-        # nnet.backward copies transposed weights into ws.prior before the prior
+        # nnet.backward copies transposed weights into ws.scratch before the prior
         # gradient is formed there; NaN left in it must not reach the result
         rng = np.random.default_rng(23)
         n = 300
@@ -253,10 +265,11 @@ class TestObjectiveGradient:
         loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 1.0)
         gibbs = GibbsConfig(zeta=1.0, eta=1.3, tau2=0.7)
         params = nnet.init_params(arch, rng)
-        ws = GradientWorkspace(arch, 128)
-        for _ in range(2):
+        ws = nnet.Workspace(arch, 128)
+        for _ in range(3):  # the first call makes ws.scratch, the later ones find NaN in it
             rows = rng.choice(n, size=128, replace=False)
-            ws.prior.fill(np.nan)
+            if ws.scratch is not None:
+                ws.scratch.fill(np.nan)
             got = objective_gradient(arch, params, loss, gibbs, rows, n, ws, weight_decay)
             want = reference_objective_gradient(arch, params, loss, gibbs, rows, n, weight_decay)
             assert got.tobytes() == want.tobytes()
