@@ -23,7 +23,7 @@ full, _ = generate_full_feedback(DgpSpec(family="onedimviz", n=1500, seed=0))
 train_rows, val_rows, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, 1])
 
 arch = nnet.MlpArchitecture(input_dim=1, hidden_dims=(64, 64), output_dim=1, head=nnet.HEAD_TANH)
-loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), ZETA)
+loss = BinarySurrogateLoss(full.x, full.outcome_diff(), ZETA)
 gibbs = GibbsConfig(zeta=ZETA, eta=1.0, tau2=1.0)
 cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10,
                   seed=0, weight_decay=1e-4)

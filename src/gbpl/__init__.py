@@ -19,9 +19,9 @@ The package is organized as a small numpy library:
 - ``experiment`` / ``cli``: deterministic benchmark harness and its frontend.
 """
 
-from gbpl.nnet import MlpArchitecture, Batch, init_params, forward, backward
+from gbpl.nnet import MlpArchitecture, init_params, forward, backward
 from gbpl.surrogate import FullFeedbackDataset, GibbsConfig
-from gbpl.posterior import TrainConfig, SgldConfig, PosteriorDraws, map_train, sgld_sample
+from gbpl.posterior import TrainConfig, SgldConfig, map_train, sgld_sample
 from gbpl.counterfactual import LoggedDataset
 from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged
 from gbpl.methods import FittedPolicy
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MlpArchitecture",
-    "Batch",
     "init_params",
     "forward",
     "backward",
@@ -39,7 +38,6 @@ __all__ = [
     "GibbsConfig",
     "TrainConfig",
     "SgldConfig",
-    "PosteriorDraws",
     "map_train",
     "sgld_sample",
     "LoggedDataset",

@@ -65,10 +65,10 @@ def fit_baseline(
     u = table[:, 0] - table[:, 1]
     if kind == KIND_DIRECT_WELFARE:
         arch = nnet.MlpArchitecture(x.shape[1], hidden, k, nnet.HEAD_SOFTMAX)
-        loss = NegativeWelfareLoss(nnet.Batch(x, table))
+        loss = NegativeWelfareLoss(x, table)
     elif kind == KIND_WEIGHTED_LOGISTIC:
         arch = nnet.MlpArchitecture(x.shape[1], hidden, 1, nnet.HEAD_IDENTITY)
-        loss = WeightedLogisticLoss(nnet.Batch(x, (u > 0).astype(np.float64), np.abs(u)))
+        loss = WeightedLogisticLoss(x, (u > 0).astype(np.float64), np.abs(u))
     else:
         targets = u if kind == KIND_DIFF_REG else table
         arch, loss = squared_surrogate(x, targets, 1.0, hidden, nnet.HEAD_IDENTITY)

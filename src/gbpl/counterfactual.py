@@ -189,7 +189,7 @@ def fit_propensity(
                          "the training rows; cannot fit its propensity")
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
     arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
-    loss = CrossEntropyLogitsLoss(nnet.Batch(logged.x), cols)
+    loss = CrossEntropyLogitsLoss(logged.x, cols)
     params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, train_rows)
     return clip_propensities(nnet.softmax(nnet.forward(arch, params, logged.x)), clip)
 
@@ -227,7 +227,7 @@ def fit_outcome_regression(
         raise ValueError("train_rows is empty")
     fold = make_folds(train_rows.size, folds, cfg.seed) if folds else None
     arch = nnet.MlpArchitecture(logged.d, hidden, logged.k, nnet.HEAD_IDENTITY)
-    loss = MaskedRegressionLoss(nnet.Batch(logged.x, logged.y_obs), logged.action_columns())
+    loss = MaskedRegressionLoss(logged.x, logged.y_obs, logged.action_columns())
 
     def fit(rows: np.ndarray) -> np.ndarray:
         # hold out a slice of the fit rows for early stopping

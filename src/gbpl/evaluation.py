@@ -129,14 +129,15 @@ class PacBayesInputs:
         if not math.isfinite(self.empirical_risk_mean):
             raise ValueError("empirical_risk_mean must be finite, "
                              f"got {self.empirical_risk_mean!r}")
-        if not self.kl >= 0:
-            raise ValueError("kl must be nonnegative")
+        if not 0.0 <= self.kl < math.inf:
+            raise ValueError(f"kl must be nonnegative and finite, got {self.kl!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        if not (self.v > 0 and self.b > 0):
-            raise ValueError("v and b must be positive")
+        for name, value in (("v", self.v), ("b", self.b)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.lam < 1.0 / self.b):
             raise ValueError("lam must lie in (0, 1/b)")
 

@@ -1,16 +1,16 @@
 """Per-sample loss adapters for training on top of the MLP.
 
-An adapter owns the covariates and targets for a dataset and exposes the loss
-in output space: ``values(out, rows)`` returns the per-row losses for the
+An adapter holds the covariates ``x`` and targets of a dataset and exposes the
+loss in output space: ``values(out, rows)`` returns the per-row losses for the
 network output ``out`` computed on ``x[rows]``, and ``output_grad(out, rows)``
 returns d(sum of those losses)/d(out). ``nnet.backward`` turns the latter into
 exact parameter gradients, given the ``x`` and workspace that made ``out``.
 
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
-the ``batch`` and exposes its ``x`` and ``n``; subclasses add only their own
-parameters and the two loss methods. ``rows=None`` means all rows in stored
-order. The squared-loss adapters take their ``values`` from ``surrogate``'s
-``binary_loss``, where the scaled squared error is written once.
+``x`` and ``targets`` and checks that their row counts agree; subclasses add
+only their own fields and the two loss methods. ``rows=None`` means all rows
+in stored order. The squared-loss adapters take their ``values`` from
+``surrogate``'s ``binary_loss``, where the scaled squared error is written once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbpl.nnet import Batch, softmax
+from gbpl.nnet import softmax
 from gbpl.surrogate import binary_loss
 
 
@@ -39,17 +39,19 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchLoss:
-    """The dataset an adapter trains on; the targets' meaning is the subclass's."""
+    """Covariates ``x`` and per-row ``targets`` with as many rows; the
+    targets' meaning is the subclass's."""
 
-    batch: Batch
+    x: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        if self.targets.shape[0] != self.n:
+            raise ValueError("targets row count differs from x")
 
     @property
-    def x(self):
-        return self.batch.x
-
-    @property
-    def n(self):
-        return self.batch.n
+    def n(self) -> int:
+        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,11 @@ class FullVectorSurrogateLoss(BatchLoss):
     zeta: float
 
     def values(self, out, rows=None):
-        t = _rows(self.batch.targets, rows).reshape(out.shape)
+        t = _rows(self.targets, rows).reshape(out.shape)
         return binary_loss(self.zeta, t, out).sum(axis=1)
 
     def output_grad(self, out, rows=None):
-        return self.zeta * out - _rows(self.batch.targets, rows).reshape(out.shape)
+        return self.zeta * out - _rows(self.targets, rows).reshape(out.shape)
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,12 @@ class MaskedRegressionLoss(BatchLoss):
     cols: np.ndarray  # (n,) int column per row
 
     def values(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
+        y = _rows(self.targets, rows)
         c = _rows(self.cols, rows)
         return binary_loss(1.0, y, out[np.arange(out.shape[0]), c])
 
     def output_grad(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
+        y = _rows(self.targets, rows)
         c = _rows(self.cols, rows)
         g = np.zeros_like(out)
         idx = np.arange(out.shape[0])
@@ -113,15 +115,24 @@ class WeightedLogisticLoss(BatchLoss):
     Targets are the (n,) labels, weights the (n,) nonnegative row weights.
     """
 
+    weights: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.weights.shape[0] != self.n:
+            raise ValueError("weights row count differs from x")
+        if np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative")
+
     def values(self, out, rows=None):
-        t = _rows(self.batch.targets, rows)
-        w = _rows(self.batch.weights, rows)
+        t = _rows(self.targets, rows)
+        w = _rows(self.weights, rows)
         z = out[:, 0]
         return w * (np.logaddexp(0.0, z) - t * z)
 
     def output_grad(self, out, rows=None):
-        t = _rows(self.batch.targets, rows)
-        w = _rows(self.batch.weights, rows)
+        t = _rows(self.targets, rows)
+        w = _rows(self.weights, rows)
         return (w * (sigmoid(out[:, 0]) - t))[:, None]
 
 
@@ -131,11 +142,11 @@ class NegativeWelfareLoss(BatchLoss):
     with y the (n, K) outcome (or pseudo-outcome) targets."""
 
     def values(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
+        y = _rows(self.targets, rows)
         return -(out * y).sum(axis=1)
 
     def output_grad(self, out, rows=None):
-        y = _rows(self.batch.targets, rows)
+        y = _rows(self.targets, rows)
         return -y
 
 
@@ -146,18 +157,17 @@ class CrossEntropyLogitsLoss(BatchLoss):
     Per row: logsumexp(z) - z[col]. Working in logit space keeps the loss and
     its gradient (softmax(z) - onehot) finite even when the fit saturates;
     predictions afterwards come from the matching softmax-head forward pass.
+    Targets are the (n,) int class per row.
     """
 
-    cols: np.ndarray  # (n,) int class per row
-
     def values(self, out, rows=None):
-        c = _rows(self.cols, rows)
+        c = _rows(self.targets, rows)
         m = out.max(axis=1)
         lse = m + np.log(np.exp(out - m[:, None]).sum(axis=1))
         return lse - out[np.arange(out.shape[0]), c]
 
     def output_grad(self, out, rows=None):
-        c = _rows(self.cols, rows)
+        c = _rows(self.targets, rows)
         p = softmax(out)
         idx = np.arange(out.shape[0])
         p[idx, c] -= 1.0

@@ -62,10 +62,10 @@ def squared_surrogate(x: np.ndarray, targets: np.ndarray, zeta: float,
     head) and the posterior run's MAP problem. The net has one output per
     column of ``targets``, or one for an (n,) vector, and the loss is
     ``FullVectorSurrogateLoss`` at ``zeta``."""
-    batch = nnet.Batch(np.asarray(x, dtype=np.float64), np.asarray(targets, dtype=np.float64))
-    width = 1 if batch.targets.ndim == 1 else batch.targets.shape[1]
-    arch = nnet.MlpArchitecture(batch.x.shape[1], hidden, width, head)
-    return arch, FullVectorSurrogateLoss(batch, zeta)
+    loss = FullVectorSurrogateLoss(np.asarray(x, dtype=np.float64),
+                                   np.asarray(targets, dtype=np.float64), zeta)
+    width = 1 if loss.targets.ndim == 1 else loss.targets.shape[1]
+    return nnet.MlpArchitecture(loss.x.shape[1], hidden, width, head), loss
 
 
 def _fit_surrogate(head, x, targets, gibbs, cfg, train_rows, val_rows, hidden):

@@ -94,29 +94,6 @@ class MlpArchitecture:
         return sum(fi * fo + fo for fi, fo in self.layer_dims)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Covariates plus loss-specific targets and optional per-row weights."""
-
-    x: np.ndarray
-    targets: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        if self.targets is not None and self.targets.shape[0] != n:
-            raise ValueError("targets row count differs from x")
-        if self.weights is not None:
-            if self.weights.shape[0] != n:
-                raise ValueError("weights row count differs from x")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
 def init_params(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh flat parameter vector.
 
@@ -290,6 +267,8 @@ def backward(
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("backward needs a batch with rows: x has no rows")
     if ws is None:
         ws = Workspace(arch, n)
         forward(arch, params, x, ws)

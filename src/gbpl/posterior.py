@@ -227,20 +227,6 @@ class SgldConfig:
             raise ValueError("clip_norm must be positive")
 
 
-@dataclass(frozen=True)
-class PosteriorDraws:
-    """Ordered parameter draws sharing one architecture."""
-
-    arch: nnet.MlpArchitecture
-    draws: np.ndarray  # (S, param_count)
-
-    def __post_init__(self):
-        if self.draws.ndim != 2 or self.draws.shape[0] < 1:
-            raise ValueError("draw matrix must be (S, P) with S >= 1")
-        if self.draws.shape[1] != self.arch.param_count:
-            raise ValueError("draw width does not match the architecture")
-
-
 def sgld_sample(
     arch: nnet.MlpArchitecture,
     loss,
@@ -249,16 +235,17 @@ def sgld_sample(
     sgld: SgldConfig,
     rows: np.ndarray | None = None,
     summary=None,
-) -> PosteriorDraws | np.ndarray:
-    """Constant-step SGLD on the MAP objective.
+) -> np.ndarray:
+    """Constant-step SGLD on the MAP objective, as an (n_draws, m) matrix.
 
     Each iteration takes half a gradient step on the full-sample-scaled
     objective (gradient clipped at ``clip_norm`` in global norm) and injects
     N(0, step) noise. The first ``burn_in`` iterates are discarded, then every
-    ``thin``-th iterate is recorded until ``n_draws`` draws are collected: as
-    ``PosteriorDraws``, or as the (n_draws, m) matrix of ``summary(w)`` rows if a
-    ``summary`` is given (it must not keep or modify w). The noise is drawn
-    into the workspace's ``scratch`` once each step's gradient is formed.
+    ``thin``-th iterate w is recorded until ``n_draws`` draws are collected.
+    Row s of the result is ``summary(w)`` of draw s if a ``summary`` is given
+    (it must not keep or modify w), else w itself (m = ``arch.param_count``).
+    The noise is drawn into the workspace's ``scratch`` once each step's
+    gradient is formed.
     """
     rng = np.random.default_rng(sgld.seed)
     rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -267,7 +254,7 @@ def sgld_sample(
     w = np.array(init, dtype=np.float64)
     ws = nnet.Workspace(arch, b)
 
-    kept = None  # (n_draws, P) or (n_draws, m), sized by the first recorded row
+    kept = None  # (n_draws, m), sized by the first recorded row
     total = sgld.burn_in + sgld.n_draws * sgld.thin
     for t in range(1, total + 1):
         batch = rows[rng.choice(n, size=b, replace=False)]
@@ -288,4 +275,4 @@ def sgld_sample(
             if kept is None:
                 kept = np.empty((sgld.n_draws, row.size))
             kept[(t - sgld.burn_in) // sgld.thin - 1] = row
-    return PosteriorDraws(arch, kept) if summary is None else kept
+    return kept

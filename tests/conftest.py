@@ -240,7 +240,7 @@ class ReferenceLeastSquaresLoss(BatchLoss):
     (n,) targets meet a one-column output."""
 
     def _targets(self, out, rows):
-        t = self.batch.targets if rows is None else self.batch.targets[rows]
+        t = self.targets if rows is None else self.targets[rows]
         return t.reshape(out.shape)
 
     def values(self, out, rows=None):

@@ -181,17 +181,16 @@ def test_criterion_05_gradients_match_finite_differences():
     x = rng.standard_normal((n, d))
     cases = [
         ("binary surrogate", nnet.MlpArchitecture(d, (16,), 1, nnet.HEAD_TANH),
-         BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.3)),
+         BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)),
         ("full-vector", nnet.MlpArchitecture(d, (16,), k, nnet.HEAD_SOFTMAX),
-         FullVectorSurrogateLoss(nnet.Batch(x, rng.standard_normal((n, k))), 1.7)),
+         FullVectorSurrogateLoss(x, rng.standard_normal((n, k)), 1.7)),
         ("masked regression", nnet.MlpArchitecture(d, (16,), k, nnet.HEAD_IDENTITY),
-         MaskedRegressionLoss(nnet.Batch(x, rng.standard_normal(n)),
-                              rng.integers(0, k, size=n))),
+         MaskedRegressionLoss(x, rng.standard_normal(n), rng.integers(0, k, size=n))),
         ("weighted logistic", nnet.MlpArchitecture(d, (16,), 1, nnet.HEAD_IDENTITY),
-         WeightedLogisticLoss(nnet.Batch(x, (rng.random(n) > 0.5).astype(float),
-                                         rng.uniform(0, 2, size=n)))),
+         WeightedLogisticLoss(x, (rng.random(n) > 0.5).astype(float),
+                              rng.uniform(0, 2, size=n))),
         ("negative welfare", nnet.MlpArchitecture(d, (16,), k, nnet.HEAD_SOFTMAX),
-         NegativeWelfareLoss(nnet.Batch(x, rng.standard_normal((n, k))))),
+         NegativeWelfareLoss(x, rng.standard_normal((n, k)))),
     ]
     worst = 0.0
     details = []
@@ -253,7 +252,7 @@ def test_criterion_07_map_fit_tracks_population_score():
     train_rows, val_rows, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, 0x5917])
     gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0)
     arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
-    loss = BinarySurrogateLoss(nnet.Batch(full.x, full.outcome_diff()), 1.0)
+    loss = BinarySurrogateLoss(full.x, full.outcome_diff(), 1.0)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10,
                       seed=0, weight_decay=1e-4)
     params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
@@ -270,14 +269,14 @@ def test_criterion_08_sgld_conjugate_gaussian():
     n, tau2, eta = 50, 1.0, 1.0
     y = 1.0 + rng.standard_normal(n)
     arch = nnet.MlpArchitecture(1, (), 1, nnet.HEAD_IDENTITY)
-    loss = MaskedRegressionLoss(nnet.Batch(np.zeros((n, 1)), y), np.zeros(n, dtype=np.intp))
+    loss = MaskedRegressionLoss(np.zeros((n, 1)), y, np.zeros(n, dtype=np.intp))
     gibbs = GibbsConfig(zeta=1.0, eta=eta, tau2=tau2)
     precision = eta * n + 1.0 / tau2
     mean = eta * y.sum() / precision
     sgld = SgldConfig(step_size=0.01, burn_in=300, n_draws=300, thin=10,
                       batch_size=n, seed=9, clip_norm=1e6)
     draws = sgld_sample(arch, loss, gibbs, np.array([0.0, mean]), sgld)
-    b = draws.draws[:, 1]
+    b = draws[:, 1]
     se = (1.0 / np.sqrt(precision)) / np.sqrt(sgld.n_draws)
     dev = abs(float(b.mean()) - mean)
     _report(8, "SGLD sample mean matches the conjugate Gaussian posterior mean",

@@ -123,10 +123,11 @@ class TestRegressionIsUnitScaleSurrogate:
     @pytest.mark.parametrize("target_shape", [(23,), (23, 1), (23, 5)])
     def test_adapter_matches_least_squares_bitwise(self, target_shape):
         rng = np.random.default_rng(21)
-        batch = nnet.Batch(rng.standard_normal((23, 3)), rng.standard_normal(target_shape))
+        x, targets = rng.standard_normal((23, 3)), rng.standard_normal(target_shape)
         out = rng.standard_normal((23, target_shape[1] if len(target_shape) == 2 else 1))
         rows = rng.permutation(23)[:11]
-        surrogate, reference = FullVectorSurrogateLoss(batch, 1.0), ReferenceLeastSquaresLoss(batch)
+        surrogate = FullVectorSurrogateLoss(x, targets, 1.0)
+        reference = ReferenceLeastSquaresLoss(x, targets)
         for r, o in ((None, out), (rows, out[:11])):
             assert np.array_equal(surrogate.values(o, r), reference.values(o, r))
             assert np.array_equal(surrogate.output_grad(o, r), reference.output_grad(o, r))
@@ -144,7 +145,7 @@ class TestRegressionIsUnitScaleSurrogate:
         targets = table[:, 0] - table[:, 1] if kind == bl.KIND_DIFF_REG else table
         arch = nnet.MlpArchitecture(3, hidden, 1 if kind == bl.KIND_DIFF_REG else k,
                                     nnet.HEAD_IDENTITY)
-        reference = map_train(arch, ReferenceLeastSquaresLoss(nnet.Batch(x, targets)),
+        reference = map_train(arch, ReferenceLeastSquaresLoss(x, targets),
                               FLAT_PRIOR, cfg, train, val)
         assert policy.arch == arch
         assert np.array_equal(policy.params, reference)

@@ -459,7 +459,7 @@ class TestFitOutcomeRegression:
         y = rng.standard_normal(n)
         cols = np.zeros(n, dtype=np.intp)
         arch = nnet.MlpArchitecture(d, (), k, nnet.HEAD_IDENTITY)
-        adapter = MaskedRegressionLoss(nnet.Batch(x, y), cols)
+        adapter = MaskedRegressionLoss(x, y, cols)
         params = rng.standard_normal(arch.param_count)
         grad = analytic_grad(arch, params, adapter)
         w_grad = grad[: d * k].reshape(d, k)

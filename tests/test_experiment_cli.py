@@ -408,7 +408,7 @@ class TestConfigValidation:
          (lambda v: SgldConfig(clip_norm=v), "clip_norm"),
          (lambda v: DgpSpec(family="binary1", n=10, noise_sd=v), "noise_sd"),
          (lambda v: PacBayesInputs(0.5, v, 10, 0.05, 1.0, 1.0, 0.5), "kl"),
-         (lambda v: PacBayesInputs(0.5, 1.0, 10, 0.05, v, 1.0, 0.5), "v and b"),
+         (lambda v: PacBayesInputs(0.5, 1.0, 10, 0.05, v, 1.0, 0.5), "v must be positive"),
          (lambda v: ex.MethodSpec("m", "gbpl", zeta=v), "zeta")],
         ids=["gibbs-zeta", "gibbs-tau2", "learning-rate", "weight-decay", "step-size",
              "clip-norm", "noise-sd", "kl", "v", "method-zeta"],
@@ -424,10 +424,17 @@ class TestConfigValidation:
          (lambda v: GibbsConfig(zeta=0.1, tau2=v), "tau2 must be positive and finite"),
          (lambda v: PacBayesInputs(v, 1.0, 10, 0.05, 1.0, 1.0, 0.5),
           "empirical_risk_mean must be finite"),
+         (lambda v: PacBayesInputs(0.5, v, 10, 0.05, 1.0, 1.0, 0.5),
+          "kl must be nonnegative and finite"),
+         (lambda v: PacBayesInputs(0.5, 1.0, 10, 0.05, v, 1.0, 0.5),
+          "v must be positive and finite"),
+         (lambda v: PacBayesInputs(0.5, 1.0, 10, 0.05, 1.0, v, 0.5),
+          "b must be positive and finite"),
          (lambda v: ex.MethodSpec("m", "gbpl", zeta=v), "'m': zeta must be positive and finite"),
          (lambda v: ex.MethodSpec("m", "gbpl", zeta_grid=(1.0, v)),
           "'m': zeta must be positive and finite")],
-        ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk", "method-zeta", "method-zeta-grid"],
+        ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk", "kl", "v", "b", "method-zeta",
+             "method-zeta-grid"],
     )
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_library_input_rejected_naming_its_field(self, build, field, value):

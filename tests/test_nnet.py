@@ -16,6 +16,7 @@ from gbpl.losses import (
     BinarySurrogateLoss,
     FullVectorSurrogateLoss,
     MaskedRegressionLoss,
+    WeightedLogisticLoss,
 )
 
 
@@ -32,12 +33,19 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             nnet.MlpArchitecture(2, (), 1, "sigmoid")
 
-    def test_batch_row_counts(self):
-        x = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            nnet.Batch(x, targets=np.zeros(3))
-        with pytest.raises(ValueError):
-            nnet.Batch(x, weights=np.array([1.0, -1.0, 0.0, 0.0]))
+
+class TestLossAdapters:
+    @pytest.mark.parametrize("build, message", [
+        (lambda x: MaskedRegressionLoss(x, np.zeros(3), np.zeros(4, dtype=np.intp)),
+         "targets row count differs from x"),
+        (lambda x: WeightedLogisticLoss(x, np.zeros(4), np.ones(3)),
+         "weights row count differs from x"),
+        (lambda x: WeightedLogisticLoss(x, np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0])),
+         "weights must be nonnegative"),
+    ], ids=["targets-rows", "weights-rows", "negative-weights"])
+    def test_adapter_rejects_mismatched_or_negative_arrays(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(np.zeros((4, 2)))
 
 
 class TestInit:
@@ -118,6 +126,18 @@ class TestBackward:
         with pytest.raises(ValueError):
             nnet.backward(arch, np.zeros(arch.param_count), np.zeros((4, 3)), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("with_workspace", [False, True], ids=["stateless", "workspace"])
+    def test_empty_batch_rejected_naming_the_cause(self, with_workspace):
+        arch = nnet.MlpArchitecture(3, (4,), 1, nnet.HEAD_TANH)
+        params = np.zeros(arch.param_count)
+        x = np.zeros((0, 3))
+        ws = None
+        if with_workspace:
+            ws = nnet.Workspace(arch, 4)
+            nnet.forward(arch, params, x, ws)
+        with pytest.raises(ValueError, match="x has no rows"):
+            nnet.backward(arch, params, x, np.zeros((0, 1)), ws)
+
     def test_linear_least_squares_closed_form(self):
         # single affine layer, identity head, 0.5 * ||Xw + b - y||^2:
         # grad_w = X'(Xw + b - y), grad_b = sum of residuals
@@ -130,7 +150,7 @@ class TestBackward:
         w, b = params[:d], params[d]
         resid = x @ w + b - y
         expected = np.concatenate([x.T @ resid, [resid.sum()]])
-        adapter = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
+        adapter = MaskedRegressionLoss(x, y, np.zeros(n, dtype=np.intp))
         got = analytic_grad(arch, params, adapter)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -161,15 +181,11 @@ class TestBackward:
                 n = int(rng.integers(4, 16))
                 x = rng.standard_normal((n, d))
                 if head == nnet.HEAD_TANH:
-                    adapter = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.7)
+                    adapter = BinarySurrogateLoss(x, rng.standard_normal(n), 0.7)
                 elif head == nnet.HEAD_SOFTMAX:
-                    adapter = FullVectorSurrogateLoss(
-                        nnet.Batch(x, rng.standard_normal((n, k))), 1.3
-                    )
+                    adapter = FullVectorSurrogateLoss(x, rng.standard_normal((n, k)), 1.3)
                 else:  # least squares: the surrogate at zeta = 1 on an identity head
-                    adapter = FullVectorSurrogateLoss(
-                        nnet.Batch(x, rng.standard_normal((n, k))), 1.0
-                    )
+                    adapter = FullVectorSurrogateLoss(x, rng.standard_normal((n, k)), 1.0)
                 check_gradient(arch, adapter, rng, n_coords=50)
 
 

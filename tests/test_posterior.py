@@ -20,7 +20,6 @@ from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss, MaskedRegr
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import (
     GibbsConfig,
-    PosteriorDraws,
     SgldConfig,
     TrainConfig,
     finite_gibbs_posterior,
@@ -99,7 +98,7 @@ def _least_squares_setup(rng, n=512):
     x = rng.uniform(-1.0, 1.0, size=(n, 1))
     y = 2.0 * x[:, 0]
     arch = nnet.MlpArchitecture(1, (), 1, nnet.HEAD_IDENTITY)
-    loss = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
+    loss = MaskedRegressionLoss(x, y, np.zeros(n, dtype=np.intp))
     return arch, loss, n
 
 
@@ -131,7 +130,7 @@ class TestMapTrain:
         x = rng.standard_normal((n, 4))
         u = rng.standard_normal(n)
         arch = nnet.MlpArchitecture(4, (16, 16), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(nnet.Batch(x, u), 1.0)
+        loss = BinarySurrogateLoss(x, u, 1.0)
         gibbs = GibbsConfig(zeta=1.0, eta=1e-8, tau2=1.0)
         cfg = TrainConfig(learning_rate=1e-4, batch_size=128, max_epochs=5, patience=5, seed=4)
         rows = np.arange(n)
@@ -159,7 +158,7 @@ class TestMapTrain:
         x = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
         arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
-        loss = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
+        loss = MaskedRegressionLoss(x, y, np.zeros(n, dtype=np.intp))
         gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0)
         # Adam moves ~learning_rate per step, so only an absurd step size can
         # push the squared loss past float64 range; the guard must trip
@@ -172,7 +171,7 @@ class TestMapTrain:
         rng = np.random.default_rng(14)
         n = 24
         x = rng.standard_normal((n, 3))
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
         arch = nnet.MlpArchitecture(3, (8, 8), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=1, max_epochs=3, patience=3, seed=2)
         args = (arch, loss, GibbsConfig(zeta=0.5), cfg, np.arange(16), np.arange(16, n))
@@ -185,7 +184,7 @@ class TestMapTrain:
         rng = np.random.default_rng(12)
         n_train, n_val = 256, 5000
         x = rng.standard_normal((n_train + n_val, 10))
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n_train + n_val)), 0.5)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n_train + n_val), 0.5)
         arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(batch_size=128, max_epochs=2, patience=5, seed=0)
         rows = np.arange(n_train + n_val)
@@ -203,7 +202,7 @@ class TestMapTrain:
         rng = np.random.default_rng(13)
         n, batch = 40, 8
         x = rng.standard_normal((n, 2))
-        loss = BinarySurrogateLoss(nnet.Batch(x, np.sin(x[:, 0])), 0.5)
+        loss = BinarySurrogateLoss(x, np.sin(x[:, 0]), 0.5)
         arch = nnet.MlpArchitecture(2, (400, 400), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=batch, max_epochs=3, patience=3,
                           weight_decay=weight_decay)
@@ -221,10 +220,10 @@ class TestMapTrain:
         x = rng.standard_normal((n, 4))
         if head == nnet.HEAD_TANH:
             arch = nnet.MlpArchitecture(4, (12, 8), 1, head)
-            loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+            loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
         else:
             arch = nnet.MlpArchitecture(4, (12, 8), 3, head)
-            loss = FullVectorSurrogateLoss(nnet.Batch(x, rng.standard_normal((n, 3))), 0.5)
+            loss = FullVectorSurrogateLoss(x, rng.standard_normal((n, 3)), 0.5)
         gibbs = GibbsConfig(zeta=0.5, eta=1.3, tau2=2.0)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=12, patience=3, seed=8,
                           weight_decay=0.05)
@@ -242,7 +241,7 @@ class TestObjectiveGradient:
         n = 40
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (6,), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.5)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
         gibbs = GibbsConfig(zeta=0.5, eta=1.3, tau2=0.7)
         params = nnet.init_params(arch, rng)
         rows = rng.choice(n, size=12, replace=False)
@@ -262,7 +261,7 @@ class TestObjectiveGradient:
         n = 300
         x = rng.standard_normal((n, 1))
         arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 1.0)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 1.0)
         gibbs = GibbsConfig(zeta=1.0, eta=1.3, tau2=0.7)
         params = nnet.init_params(arch, rng)
         ws = nnet.Workspace(arch, 128)
@@ -299,7 +298,7 @@ class TestNonFiniteGuards:
         rng = np.random.default_rng(30)
         n = 16
         x = rng.standard_normal((n, 2))
-        loss = _InfGradRegression(nnet.Batch(x, rng.standard_normal(n)), np.zeros(n, dtype=np.intp))
+        loss = _InfGradRegression(x, rng.standard_normal(n), np.zeros(n, dtype=np.intp))
         arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
         cfg = TrainConfig(batch_size=12, max_epochs=1, patience=1, seed=0)
         with pytest.raises(FloatingPointError, match="gradient"), np.errstate(invalid="ignore"):
@@ -307,7 +306,7 @@ class TestNonFiniteGuards:
 
     def test_sgld_raises_on_nonfinite_loss(self):
         arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=31)
-        bad = _InfValueRegression(loss.batch, loss.cols)
+        bad = _InfValueRegression(loss.x, loss.targets, loss.cols)
         sgld = SgldConfig(step_size=0.005, burn_in=2, n_draws=2, thin=1, batch_size=25, seed=3)
         with pytest.raises(FloatingPointError, match="non-finite training loss"):
             sgld_sample(arch, bad, gibbs, np.array([0.0, mean]), sgld)
@@ -321,7 +320,7 @@ def _conjugate_gaussian_setup(seed=0, n=50, tau2=1.0, eta=1.0):
     x = np.zeros((n, 1))
     y = 1.0 + rng.standard_normal(n)
     arch = nnet.MlpArchitecture(1, (), 1, nnet.HEAD_IDENTITY)
-    loss = MaskedRegressionLoss(nnet.Batch(x, y), np.zeros(n, dtype=np.intp))
+    loss = MaskedRegressionLoss(x, y, np.zeros(n, dtype=np.intp))
     gibbs = GibbsConfig(zeta=1.0, eta=eta, tau2=tau2)
     precision = eta * n + 1.0 / tau2
     mean = eta * y.sum() / precision
@@ -348,7 +347,7 @@ class TestSgld:
                           batch_size=50, seed=9, clip_norm=1e6)
         init = np.array([0.0, mean])
         draws = sgld_sample(arch, loss, gibbs, init, sgld)
-        b_draws = draws.draws[:, 1]
+        b_draws = draws[:, 1]
         se = post_sd / np.sqrt(sgld.n_draws)
         assert abs(b_draws.mean() - mean) < 3.0 * se
 
@@ -358,14 +357,16 @@ class TestSgld:
         init = np.array([0.0, mean])
         d1 = sgld_sample(arch, loss, gibbs, init, sgld)
         d2 = sgld_sample(arch, loss, gibbs, init, sgld)
-        assert np.array_equal(d1.draws, d2.draws)
+        assert isinstance(d1, np.ndarray)
+        assert d1.shape == (sgld.n_draws, arch.param_count)
+        assert np.array_equal(d1, d2)
 
     def test_matches_allocating_reference_bitwise(self):
         rng = np.random.default_rng(14)
         n = 60
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.3)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)
         gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
         init = nnet.init_params(arch, rng)
         # a clip norm this small clips every step
@@ -373,14 +374,14 @@ class TestSgld:
                           clip_norm=0.5)
         draws = sgld_sample(arch, loss, gibbs, init, sgld)
         want = reference_sgld_iterates(arch, loss, gibbs, init, sgld, steps=20)
-        assert draws.draws.tobytes() == want.tobytes()
+        assert draws.tobytes() == want.tobytes()
 
     def test_summary_rows_equal_the_summary_of_each_draw(self):
         rng = np.random.default_rng(15)
         n = 60
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(nnet.Batch(x, rng.standard_normal(n)), 0.3)
+        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)
         gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
         init = nnet.init_params(arch, rng)
         sgld = SgldConfig(step_size=1e-3, burn_in=7, n_draws=9, thin=3, batch_size=16, seed=6)
@@ -392,7 +393,7 @@ class TestSgld:
         draws = sgld_sample(arch, loss, gibbs, init, sgld)
         stats = sgld_sample(arch, loss, gibbs, init, sgld, summary=summary)
         assert stats.shape == (sgld.n_draws, pts.shape[0] + 1)
-        want = np.stack([summary(w) for w in draws.draws])
+        want = np.stack([summary(w) for w in draws])
         assert stats.tobytes() == want.tobytes()
 
     def test_empty_rows_rejected(self):
@@ -443,55 +444,52 @@ class TestDiagLaplace:
         np.testing.assert_allclose(diag, -n + 1.0 / gibbs.tau2, rtol=1e-9)
 
 
-def _draw_welfare(draws, test, rule):
-    return [test_welfare(test, FittedPolicy(draws.arch, w), rule) for w in draws.draws]
+def _draw_welfare(arch, draws, test, rule):
+    return [test_welfare(test, FittedPolicy(arch, w), rule) for w in draws]
 
 
 class TestWelfareCredibleInterval:
     def _draws(self, rng, n_draws=20):
         arch = nnet.MlpArchitecture(2, (4,), 1, nnet.HEAD_TANH)
         base = nnet.init_params(arch, rng)
-        draws = base + 0.1 * rng.standard_normal((n_draws, base.size))
-        return PosteriorDraws(arch=arch, draws=draws)
+        return arch, base + 0.1 * rng.standard_normal((n_draws, base.size))
 
     def test_identical_draws_collapse(self):
         rng = np.random.default_rng(15)
         arch = nnet.MlpArchitecture(2, (4,), 1, nnet.HEAD_TANH)
         w = nnet.init_params(arch, rng)
-        draws = PosteriorDraws(
-            arch=arch,
-            draws=np.tile(w, (5, 1)),
-        )
+        draws = np.tile(w, (5, 1))
         test = FullFeedbackDataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-        mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "deterministic"), 0.95)
+        welfare = _draw_welfare(arch, draws, test, "deterministic")
+        mean, lo, hi = welfare_credible_interval(welfare, 0.95)
         assert lo == hi == mean
 
     def test_quantile_ordering_random_draw_sets(self):
         rng = np.random.default_rng(16)
         test = FullFeedbackDataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)))
         for _ in range(100):
-            draws = self._draws(rng, n_draws=int(rng.integers(2, 30)))
+            arch, draws = self._draws(rng, n_draws=int(rng.integers(2, 30)))
             for rule in ("deterministic", "randomized"):
-                mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, rule), 0.9)
+                welfare = _draw_welfare(arch, draws, test, rule)
+                mean, lo, hi = welfare_credible_interval(welfare, 0.9)
                 assert lo <= hi
                 assert lo <= mean + 1e-12 and mean <= hi + 1e-12 or lo <= hi
 
     def test_nested_levels(self):
         rng = np.random.default_rng(17)
         test = FullFeedbackDataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)))
-        draws = self._draws(rng, n_draws=50)
-        _, lo95, hi95 = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.95)
-        _, lo50, hi50 = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.5)
+        arch, draws = self._draws(rng, n_draws=50)
+        welfare = _draw_welfare(arch, draws, test, "randomized")
+        _, lo95, hi95 = welfare_credible_interval(welfare, 0.95)
+        _, lo50, hi50 = welfare_credible_interval(welfare, 0.5)
         assert lo95 <= lo50 <= hi50 <= hi95
 
     def test_softmax_head_interval(self):
         rng = np.random.default_rng(18)
         arch = nnet.MlpArchitecture(2, (4,), 3, nnet.HEAD_SOFTMAX)
         base = nnet.init_params(arch, rng)
-        draws = PosteriorDraws(
-            arch=arch,
-            draws=base + 0.1 * rng.standard_normal((15, base.size)),
-        )
+        draws = base + 0.1 * rng.standard_normal((15, base.size))
         test = FullFeedbackDataset(rng.standard_normal((25, 2)), rng.standard_normal((25, 3)))
-        mean, lo, hi = welfare_credible_interval(_draw_welfare(draws, test, "randomized"), 0.95)
+        welfare = _draw_welfare(arch, draws, test, "randomized")
+        mean, lo, hi = welfare_credible_interval(welfare, 0.95)
         assert lo <= mean <= hi

@@ -11,7 +11,8 @@ and removed again.
 Every public function and class in ``src/gbpl`` must also be used by the
 library, a demo, the benchmark or the acceptance tests, so that no code lives
 in ``src`` only for the unit tests to call. A re-export from the package's
-``__init__`` is not a use.
+``__init__`` is not a use, and every name in the package's ``__all__`` must
+resolve, so ``from gbpl import *`` cannot break on an export left behind.
 
 Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
@@ -118,6 +119,12 @@ def test_every_public_src_definition_is_used_outside_the_unit_tests():
                        for user, found in uses.items() for name, owner in found):
                 unused.append(f"{path.stem}.{top.name}")
     assert sorted(set(unused) - _UNUSED_ALLOWED) == []
+
+
+def test_package_exports_resolve():
+    import gbpl
+
+    assert [name for name in gbpl.__all__ if not hasattr(gbpl, name)] == []
 
 
 def _readme_commands():
