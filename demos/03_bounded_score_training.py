@@ -14,7 +14,7 @@ import numpy as np
 from gbpl import nnet
 from gbpl.dgp import DgpSpec, generate_full_feedback
 from gbpl.experiment import split_rows
-from gbpl.losses import BinarySurrogateLoss
+from gbpl.losses import FullVectorSurrogateLoss
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
 
 ZETA = 1.0
@@ -23,7 +23,7 @@ full, _ = generate_full_feedback(DgpSpec(family="onedimviz", n=1500, seed=0))
 train_rows, val_rows, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, 1])
 
 arch = nnet.MlpArchitecture(input_dim=1, hidden_dims=(64, 64), output_dim=1, head=nnet.HEAD_TANH)
-loss = BinarySurrogateLoss(full.x, full.outcome_diff(), ZETA)
+loss = FullVectorSurrogateLoss(full.x, full.outcome_diff(), ZETA)
 gibbs = GibbsConfig(zeta=ZETA, eta=1.0, tau2=1.0)
 cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10,
                   seed=0, weight_decay=1e-4)

@@ -15,7 +15,7 @@ config = {
         {"name": "GBPLNet (zeta=0.1)", "kind": "gbpl", "zeta": 0.1},
         {"name": "GBPLNet (CV)", "kind": "gbpl", "zeta_grid": [1.0, 0.1, 0.01, 0.001]},
         {"name": "DiffReg", "kind": "diff_reg"},
-        {"name": "PluginReg", "kind": "plugin_reg"},
+        {"name": "PluginReg", "kind": "plugin_reg_k"},
         {"name": "WeightedLogistic", "kind": "weighted_logistic"},
     ],
     "trials": 5,

@@ -17,19 +17,12 @@ from gbpl.methods import FittedPolicy, squared_surrogate
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 
 KIND_DIFF_REG = "diff_reg"
-KIND_PLUGIN_REG = "plugin_reg"
 KIND_PLUGIN_REG_K = "plugin_reg_k"
 KIND_WEIGHTED_LOGISTIC = "weighted_logistic"
 KIND_DIRECT_WELFARE = "direct_welfare"
 
-BASELINE_KINDS = (
-    KIND_DIFF_REG,
-    KIND_PLUGIN_REG,
-    KIND_PLUGIN_REG_K,
-    KIND_WEIGHTED_LOGISTIC,
-    KIND_DIRECT_WELFARE,
-)
-TWO_ACTION_KINDS = (KIND_DIFF_REG, KIND_PLUGIN_REG, KIND_WEIGHTED_LOGISTIC)
+TWO_ACTION_KINDS = (KIND_DIFF_REG, KIND_WEIGHTED_LOGISTIC)
+BASELINE_KINDS = (*TWO_ACTION_KINDS, KIND_PLUGIN_REG_K, KIND_DIRECT_WELFARE)
 
 
 def fit_baseline(
@@ -44,16 +37,14 @@ def fit_baseline(
     """Fit one comparison method on ``train_rows`` of an (n, K) realized or
     pseudo-outcome table, early-stopping on ``val_rows``.
 
-    - ``diff_reg`` (K = 2): regress the outcome difference, decide by its
-      sign.
-    - ``plugin_reg`` (K = 2) / ``plugin_reg_k``: regress every outcome
-      column, decide by argmax.
+    - ``diff_reg`` (K = 2): regress the outcome difference, decide by its sign.
+    - ``plugin_reg_k``: regress every outcome column, decide by argmax.
     - ``weighted_logistic`` (K = 2): logistic classifier for the better
       action, weighted by the absolute outcome gap; gap ties keep weight zero.
     - ``direct_welfare``: softmax policy trained to maximize empirical welfare
       directly (flat prior).
 
-    The three regressions are ``methods.squared_surrogate`` at zeta = 1 on an
+    The two regressions are ``methods.squared_surrogate`` at zeta = 1 on an
     identity head.
     """
     if kind not in BASELINE_KINDS:

@@ -107,8 +107,7 @@ def _cmd_train(args) -> int:
     with _usage_errors(args):
         gibbs = from_args(GibbsConfig, args)
         cfg = from_args(TrainConfig, args)
-        if any(h < 1 for h in args.hidden):
-            raise ValueError("--hidden widths must be at least 1")
+        nnet.MlpArchitecture(1, tuple(args.hidden))
         data = read_full_feedback_csv(args.data)
         train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
         if val_rows.size == 0:

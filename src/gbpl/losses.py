@@ -8,8 +8,8 @@ exact parameter gradients, given the ``x`` and workspace that made ``out``.
 
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
 ``x`` and ``targets`` and checks that their row counts agree; subclasses add
-only their own fields and the two loss methods. ``rows=None`` means all rows
-in stored order. The squared-loss adapters take their ``values`` from
+their own fields, checks on them and loss methods. ``rows=None`` means all
+rows in stored order. The two squared-loss adapters take their ``values`` from
 ``surrogate``'s ``binary_loss``, where the scaled squared error is written once.
 """
 
@@ -25,6 +25,16 @@ from gbpl.surrogate import binary_loss
 
 def _rows(a: np.ndarray, rows) -> np.ndarray:
     return a if rows is None else a[rows]
+
+
+def _check_rows(field: str, a: np.ndarray, n: int, integer: bool = False) -> None:
+    """Raise ``ValueError`` naming ``field`` unless ``a`` holds one entry >= 0 per row of x."""
+    if a.shape != (n,):
+        raise ValueError(f"{field} row count differs from x: shape {a.shape}, not ({n},)")
+    if integer and not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{field} must be integer column indices, got {a.dtype}")
+    if np.any(a < 0):
+        raise ValueError(f"{field} must be nonnegative")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,9 +69,9 @@ class FullVectorSurrogateLoss(BatchLoss):
     """Scaled squared error of every output column against its target column.
 
     Per row: ``binary_loss(zeta, t, out)`` summed over the columns, with
-    gradient zeta * out - t; targets t of shape (n,) meet a one-column output.
-    On a softmax head this is the full-vector surrogate of a simplex policy
-    against all K outcomes; at zeta = 1 on an identity head, least squares.
+    gradient zeta * out - t. It is the binary surrogate of a tanh score on (n,)
+    targets, the full-vector surrogate of a softmax policy on all K outcomes,
+    and least squares at zeta = 1 on an identity head.
     """
 
     zeta: float
@@ -75,12 +85,6 @@ class FullVectorSurrogateLoss(BatchLoss):
 
 
 @dataclass(frozen=True)
-class BinarySurrogateLoss(FullVectorSurrogateLoss):
-    """The one-column case: a tanh-head score f against the (n,) outcome
-    (pseudo-)differences u, per row ``binary_loss(zeta, u, f)``."""
-
-
-@dataclass(frozen=True)
 class MaskedRegressionLoss(BatchLoss):
     """Squared error on one designated output column per row.
 
@@ -91,6 +95,10 @@ class MaskedRegressionLoss(BatchLoss):
     """
 
     cols: np.ndarray  # (n,) int column per row
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rows("cols", self.cols, self.n, integer=True)
 
     def values(self, out, rows=None):
         y = _rows(self.targets, rows)
@@ -119,10 +127,7 @@ class WeightedLogisticLoss(BatchLoss):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.weights.shape[0] != self.n:
-            raise ValueError("weights row count differs from x")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        _check_rows("weights", self.weights, self.n)
 
     def values(self, out, rows=None):
         t = _rows(self.targets, rows)
@@ -159,6 +164,10 @@ class CrossEntropyLogitsLoss(BatchLoss):
     predictions afterwards come from the matching softmax-head forward pass.
     Targets are the (n,) int class per row.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rows("targets", self.targets, self.n, integer=True)
 
     def values(self, out, rows=None):
         c = _rows(self.targets, rows)

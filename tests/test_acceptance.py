@@ -27,7 +27,6 @@ from gbpl.evaluation import (
 )
 from gbpl.experiment import parse_config, run_experiment, split_rows
 from gbpl.losses import (
-    BinarySurrogateLoss,
     FullVectorSurrogateLoss,
     MaskedRegressionLoss,
     NegativeWelfareLoss,
@@ -181,7 +180,7 @@ def test_criterion_05_gradients_match_finite_differences():
     x = rng.standard_normal((n, d))
     cases = [
         ("binary surrogate", nnet.MlpArchitecture(d, (16,), 1, nnet.HEAD_TANH),
-         BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)),
+         FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.3)),
         ("full-vector", nnet.MlpArchitecture(d, (16,), k, nnet.HEAD_SOFTMAX),
          FullVectorSurrogateLoss(x, rng.standard_normal((n, k)), 1.7)),
         ("masked regression", nnet.MlpArchitecture(d, (16,), k, nnet.HEAD_IDENTITY),
@@ -252,7 +251,7 @@ def test_criterion_07_map_fit_tracks_population_score():
     train_rows, val_rows, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, 0x5917])
     gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0)
     arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
-    loss = BinarySurrogateLoss(full.x, full.outcome_diff(), 1.0)
+    loss = FullVectorSurrogateLoss(full.x, full.outcome_diff(), 1.0)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=60, patience=10,
                       seed=0, weight_decay=1e-4)
     params = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)

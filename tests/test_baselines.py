@@ -28,7 +28,7 @@ class TestSeparableRecovery:
         test_data = FullFeedbackDataset(data.x[test], data.y[test])
         oracle = oracle_welfare(test_data)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=40, patience=8, seed=1)
-        for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG, bl.KIND_WEIGHTED_LOGISTIC,
+        for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG_K, bl.KIND_WEIGHTED_LOGISTIC,
                      bl.KIND_DIRECT_WELFARE):
             policy = bl.fit_baseline(kind, data.x, data.y, cfg, train, val, hidden=(64, 64))
             regret = oracle - test_welfare(test_data, policy, "deterministic")
@@ -89,7 +89,7 @@ class TestContracts:
         rows = np.arange(300)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=3, patience=3, seed=9)
         fresh = rng.standard_normal((50, 4)) * 10.0
-        for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG, bl.KIND_WEIGHTED_LOGISTIC,
+        for kind in (bl.KIND_DIFF_REG, bl.KIND_PLUGIN_REG_K, bl.KIND_WEIGHTED_LOGISTIC,
                      bl.KIND_DIRECT_WELFARE):
             policy = bl.fit_baseline(kind, data.x, data.y, cfg, rows[:200], rows[200:], (8,))
             delta = policy.delta(fresh)
@@ -117,7 +117,7 @@ class TestContracts:
 
 
 class TestRegressionIsUnitScaleSurrogate:
-    """DiffReg and PluginReg train the squared surrogate at zeta = 1 on an
+    """DiffReg and PluginRegK train the squared surrogate at zeta = 1 on an
     identity head, which is least squares to the last bit."""
 
     @pytest.mark.parametrize("target_shape", [(23,), (23, 1), (23, 5)])
@@ -132,7 +132,8 @@ class TestRegressionIsUnitScaleSurrogate:
             assert np.array_equal(surrogate.values(o, r), reference.values(o, r))
             assert np.array_equal(surrogate.output_grad(o, r), reference.output_grad(o, r))
 
-    @pytest.mark.parametrize("kind, k", [(bl.KIND_DIFF_REG, 2), (bl.KIND_PLUGIN_REG_K, 5)])
+    @pytest.mark.parametrize("kind, k", [(bl.KIND_DIFF_REG, 2), (bl.KIND_PLUGIN_REG_K, 2),
+                                         (bl.KIND_PLUGIN_REG_K, 5)])
     def test_fit_matches_least_squares_training_bitwise(self, kind, k):
         rng = np.random.default_rng(22)
         n = 120

@@ -241,9 +241,11 @@ class TestRunExperiment:
         out = ex.run_experiment(ex.parse_config(raw))
         assert (out / "trials.csv").read_text().count("\n") == 2  # header + one row
 
-    def test_unknown_method_kind_rejected(self, tmp_path):
-        raw = _smoke_config(tmp_path / "bad", methods=[{"name": "x", "kind": "mystery"}])
-        with pytest.raises(ValueError):
+    # plug-in regression has one kind at every K: plugin_reg_k
+    @pytest.mark.parametrize("kind", ["mystery", "plugin_reg"])
+    def test_unknown_method_kind_rejected(self, tmp_path, kind):
+        raw = _smoke_config(tmp_path / "bad", methods=[{"name": "x", "kind": kind}])
+        with pytest.raises(ValueError, match=f"unknown method kind '{kind}'"):
             ex.parse_config(raw)
 
     def test_method_name_with_comma_reads_back(self, tmp_path):
@@ -994,6 +996,8 @@ class TestGeneratedCli:
             (["train", "--data", "{missing}", "--zeta", "-1", "--out", "{out}"], "zeta"),
             (["train", "--data", "{missing}", "--learning-rate", "0", "--out", "{out}"],
              "learning_rate"),
+            (["train", "--data", "{missing}", "--hidden", "0", "--out", "{out}"],
+             "hidden widths must be positive"),
             (["experiment", "--config", "{config}"], "jobs"),
             (["paccheck", "--risk", "0.5", "--kl", "-1", "--n", "10", "--delta", "0.05",
               "--v", "1", "--b", "1"], "kl"),
@@ -1014,7 +1018,7 @@ class TestGeneratedCli:
         ],
         ids=["posterior-viz", "posterior-viz-n", "posterior-viz-zeta", "posterior-viz-eta",
              "posterior-viz-tau2", "posterior-viz-hidden", "simulate", "train-zeta", "train-learning-rate",
-             "experiment", "paccheck", "paccheck-b-zero", "train-zeta-nan",
+             "train-hidden", "experiment", "paccheck", "paccheck-b-zero", "train-zeta-nan",
              "train-learning-rate-inf", "posterior-viz-step-size-nan", "paccheck-kl-nan",
              "paccheck-lam-inf"],
     )

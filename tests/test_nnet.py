@@ -13,7 +13,7 @@ from conftest import (
 from gbpl import nnet
 from gbpl.methods import FittedPolicy
 from gbpl.losses import (
-    BinarySurrogateLoss,
+    CrossEntropyLogitsLoss,
     FullVectorSurrogateLoss,
     MaskedRegressionLoss,
     WeightedLogisticLoss,
@@ -42,7 +42,16 @@ class TestLossAdapters:
          "weights row count differs from x"),
         (lambda x: WeightedLogisticLoss(x, np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0])),
          "weights must be nonnegative"),
-    ], ids=["targets-rows", "weights-rows", "negative-weights"])
+        (lambda x: MaskedRegressionLoss(x, np.zeros(4), np.zeros(3, dtype=np.intp)),
+         r"cols row count differs from x: shape \(3,\), not \(4,\)"),
+        (lambda x: MaskedRegressionLoss(x, np.zeros(4), np.array([0, 1, -1, 0])),
+         "cols must be nonnegative"),
+        (lambda x: CrossEntropyLogitsLoss(x, np.array([0.0, 1.0, 1.0, 0.0])),
+         "targets must be integer column indices, got float64"),
+        (lambda x: CrossEntropyLogitsLoss(x, np.array([0, -1, 1, 0])),
+         "targets must be nonnegative"),
+    ], ids=["targets-rows", "weights-rows", "negative-weights", "cols-rows", "negative-cols",
+            "non-integer-class", "negative-class"])
     def test_adapter_rejects_mismatched_or_negative_arrays(self, build, message):
         with pytest.raises(ValueError, match=message):
             build(np.zeros((4, 2)))
@@ -181,7 +190,7 @@ class TestBackward:
                 n = int(rng.integers(4, 16))
                 x = rng.standard_normal((n, d))
                 if head == nnet.HEAD_TANH:
-                    adapter = BinarySurrogateLoss(x, rng.standard_normal(n), 0.7)
+                    adapter = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.7)
                 elif head == nnet.HEAD_SOFTMAX:
                     adapter = FullVectorSurrogateLoss(x, rng.standard_normal((n, k)), 1.3)
                 else:  # least squares: the surrogate at zeta = 1 on an identity head

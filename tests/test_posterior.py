@@ -16,7 +16,7 @@ from conftest import (
 )
 from gbpl import nnet
 from gbpl.evaluation import test_welfare, welfare_credible_interval
-from gbpl.losses import BinarySurrogateLoss, FullVectorSurrogateLoss, MaskedRegressionLoss
+from gbpl.losses import FullVectorSurrogateLoss, MaskedRegressionLoss
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import (
     GibbsConfig,
@@ -130,7 +130,7 @@ class TestMapTrain:
         x = rng.standard_normal((n, 4))
         u = rng.standard_normal(n)
         arch = nnet.MlpArchitecture(4, (16, 16), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(x, u, 1.0)
+        loss = FullVectorSurrogateLoss(x, u, 1.0)
         gibbs = GibbsConfig(zeta=1.0, eta=1e-8, tau2=1.0)
         cfg = TrainConfig(learning_rate=1e-4, batch_size=128, max_epochs=5, patience=5, seed=4)
         rows = np.arange(n)
@@ -171,7 +171,7 @@ class TestMapTrain:
         rng = np.random.default_rng(14)
         n = 24
         x = rng.standard_normal((n, 3))
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.5)
         arch = nnet.MlpArchitecture(3, (8, 8), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=1, max_epochs=3, patience=3, seed=2)
         args = (arch, loss, GibbsConfig(zeta=0.5), cfg, np.arange(16), np.arange(16, n))
@@ -184,7 +184,7 @@ class TestMapTrain:
         rng = np.random.default_rng(12)
         n_train, n_val = 256, 5000
         x = rng.standard_normal((n_train + n_val, 10))
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n_train + n_val), 0.5)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n_train + n_val), 0.5)
         arch = nnet.MlpArchitecture(10, (128, 128), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(batch_size=128, max_epochs=2, patience=5, seed=0)
         rows = np.arange(n_train + n_val)
@@ -202,7 +202,7 @@ class TestMapTrain:
         rng = np.random.default_rng(13)
         n, batch = 40, 8
         x = rng.standard_normal((n, 2))
-        loss = BinarySurrogateLoss(x, np.sin(x[:, 0]), 0.5)
+        loss = FullVectorSurrogateLoss(x, np.sin(x[:, 0]), 0.5)
         arch = nnet.MlpArchitecture(2, (400, 400), 1, nnet.HEAD_TANH)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=batch, max_epochs=3, patience=3,
                           weight_decay=weight_decay)
@@ -220,7 +220,7 @@ class TestMapTrain:
         x = rng.standard_normal((n, 4))
         if head == nnet.HEAD_TANH:
             arch = nnet.MlpArchitecture(4, (12, 8), 1, head)
-            loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
+            loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.5)
         else:
             arch = nnet.MlpArchitecture(4, (12, 8), 3, head)
             loss = FullVectorSurrogateLoss(x, rng.standard_normal((n, 3)), 0.5)
@@ -241,7 +241,7 @@ class TestObjectiveGradient:
         n = 40
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (6,), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.5)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.5)
         gibbs = GibbsConfig(zeta=0.5, eta=1.3, tau2=0.7)
         params = nnet.init_params(arch, rng)
         rows = rng.choice(n, size=12, replace=False)
@@ -261,7 +261,7 @@ class TestObjectiveGradient:
         n = 300
         x = rng.standard_normal((n, 1))
         arch = nnet.MlpArchitecture(1, (64, 64), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 1.0)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 1.0)
         gibbs = GibbsConfig(zeta=1.0, eta=1.3, tau2=0.7)
         params = nnet.init_params(arch, rng)
         ws = nnet.Workspace(arch, 128)
@@ -366,7 +366,7 @@ class TestSgld:
         n = 60
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.3)
         gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
         init = nnet.init_params(arch, rng)
         # a clip norm this small clips every step
@@ -381,7 +381,7 @@ class TestSgld:
         n = 60
         x = rng.standard_normal((n, 3))
         arch = nnet.MlpArchitecture(3, (10, 10), 1, nnet.HEAD_TANH)
-        loss = BinarySurrogateLoss(x, rng.standard_normal(n), 0.3)
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.3)
         gibbs = GibbsConfig(zeta=0.3, eta=1.0, tau2=1.0)
         init = nnet.init_params(arch, rng)
         sgld = SgldConfig(step_size=1e-3, burn_in=7, n_draws=9, thin=3, batch_size=16, seed=6)

@@ -12,7 +12,9 @@ Every public function and class in ``src/gbpl`` must also be used by the
 library, a demo, the benchmark or the acceptance tests, so that no code lives
 in ``src`` only for the unit tests to call. A re-export from the package's
 ``__init__`` is not a use, and every name in the package's ``__all__`` must
-resolve, so ``from gbpl import *`` cannot break on an export left behind.
+resolve, so ``from gbpl import *`` cannot break on an export left behind. No
+class in ``src/gbpl`` has a body of only a docstring or ``pass``: such a class
+is a second name for its base.
 
 Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
@@ -119,6 +121,16 @@ def test_every_public_src_definition_is_used_outside_the_unit_tests():
                        for user, found in uses.items() for name, owner in found):
                 unused.append(f"{path.stem}.{top.name}")
     assert sorted(set(unused) - _UNUSED_ALLOWED) == []
+
+
+def test_no_src_class_is_only_a_second_name_for_its_base():
+    empty = [f"{path.stem}.{node.name}"
+             for path in sorted((_ROOT / "src" / "gbpl").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and all(isinstance(stmt, ast.Pass) or isinstance(stmt, ast.Expr)
+                     and isinstance(stmt.value, ast.Constant) for stmt in node.body)]
+    assert empty == []
 
 
 def test_package_exports_resolve():
