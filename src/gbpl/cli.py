@@ -11,12 +11,11 @@ fields of the config dataclasses in kebab-case (``configio.add_flags``).
 Each subcommand reads all of its input in one ``_usage_errors`` block before it
 writes or runs anything, and bad input there is a usage error (exit 2) that
 names its cause: a config that fails to decode (naming the field; a NaN or
-infinite number fails too, as does a non-finite ``paccheck`` flag), a flag the
-library would reject (``train --hidden``, ``simulate --clip --logging``), an
-``experiment`` without ``--config`` or ``--print-schema``, and
-a data CSV, model directory or experiment config that is missing or malformed
-(naming the file), or a model whose covariate or action count differs from the
-data's (naming both).
+infinite number fails too), a flag the library would reject (``train --hidden``,
+``simulate --clip --logging``), an ``experiment`` without ``--config`` or
+``--print-schema``, and a data CSV, model directory or experiment config that
+is missing or malformed (naming the file), or a model whose covariate or action
+count differs from the data's (naming both).
 Configs are decoded before any file is read.
 """
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -172,14 +170,7 @@ def _cmd_posterior_viz(args) -> int:
 
 def _cmd_paccheck(args) -> int:
     with _usage_errors(args):
-        for flag in ("risk", "kl", "delta", "v", "b", "lam"):
-            value = getattr(args, flag)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"--{flag} must be finite, got {value!r}")
-        # 0.5 / b is undefined at b = 0, which PacBayesInputs then rejects by name
-        lam = args.lam if args.lam is not None else (0.5 / args.b if args.b else float("nan"))
-        inputs = PacBayesInputs(empirical_risk_mean=args.risk, kl=args.kl, n=args.n,
-                                delta=args.delta, v=args.v, b=args.b, lam=lam)
+        inputs = from_args(PacBayesInputs, args)
     lam_star = pac_bayes_lambda_star(inputs)
     at_star = replace(inputs, lam=lam_star)
     report = {
@@ -237,13 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_posterior_viz, usage_error=p.error)
 
     p = sub.add_parser("paccheck", help="evaluate the PAC-Bayes risk bound")
-    p.add_argument("--risk", type=float, required=True, help="posterior mean empirical risk")
-    p.add_argument("--kl", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lam", type=float, default=None, help="defaults to 0.5/b")
+    add_flags(p, PacBayesInputs)
     p.set_defaults(func=_cmd_paccheck, usage_error=p.error)
 
     return parser

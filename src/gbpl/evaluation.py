@@ -115,6 +115,7 @@ class PacBayesInputs:
 
     ``v`` and ``b`` are the variance factor and scale of the moment condition
     on the centered loss; they are user-supplied hypotheses, not estimated.
+    ``lam`` = None (the default) resolves to 0.5 / b once ``b`` passes its check.
     """
 
     empirical_risk_mean: float
@@ -123,7 +124,7 @@ class PacBayesInputs:
     delta: float
     v: float
     b: float
-    lam: float
+    lam: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.empirical_risk_mean):
@@ -138,6 +139,8 @@ class PacBayesInputs:
         for name, value in (("v", self.v), ("b", self.b)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.lam is None:
+            object.__setattr__(self, "lam", 0.5 / self.b)
         if not (0.0 < self.lam < 1.0 / self.b):
             raise ValueError("lam must lie in (0, 1/b)")
 

@@ -19,6 +19,7 @@ Reruns of the same config produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
@@ -144,7 +145,7 @@ class ExperimentConfig:
     eta: float = 1.0
     tau2: float = 1.0
     hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN
-    jobs: int = 1
+    jobs: int | None = None
 
     def __post_init__(self):
         if len(self.methods) < 1:
@@ -154,7 +155,7 @@ class ExperimentConfig:
         n_train = _check_split(self.split, self.dgp.n, "dgp.n")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.jobs < 1:
+        if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         GibbsConfig(zeta=1.0, eta=self.eta, tau2=self.tau2)  # each method checks its zeta
         nnet.MlpArchitecture(1, self.hidden)
@@ -299,12 +300,14 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials and write trials.csv, aggregate.csv, welfare_lists.csv,
-    and manifest.json into the output directory. Idempotent per config."""
+    and manifest.json into the output directory. Idempotent per config.
+    Trials run in ``min(trials, jobs)`` processes; ``jobs`` defaults to the usable CPUs."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.jobs > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.trials, cfg.jobs or len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial, repeat(cfg), range(cfg.trials)))
     else:
         per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]

@@ -326,18 +326,23 @@ def save_params(directory: str | Path, arch: MlpArchitecture, params: np.ndarray
 
 
 def load_params(directory: str | Path) -> tuple[MlpArchitecture, np.ndarray]:
-    """Inverse of ``save_params``; a sidecar or blob that does not describe one
-    model raises ``ValueError`` naming the file."""
+    """Inverse of ``save_params``, reading the blob as the float dtype that the
+    sidecar's ``"dtype"`` key names into float64; a sidecar or blob that does
+    not describe one model raises ``ValueError`` naming the file."""
     sidecar_path, blob_path = Path(directory) / "arch.json", Path(directory) / "params.bin"
     sidecar = read_json(sidecar_path)
     try:
         arch, dim = from_dict(MlpArchitecture, sidecar["arch"]), sidecar["dim"]
+        dtype = sidecar["dtype"]
     except KeyError as err:
         raise ValueError(f"{sidecar_path}: missing key {err}") from None
     except ValueError as err:
         raise ValueError(f"{sidecar_path}: {err}") from None
-    vec = np.fromfile(blob_path, dtype="<f8")
+    if dtype not in ("<f8", ">f8", "<f4", ">f4"):
+        raise ValueError(f"{sidecar_path}: key 'dtype' must be float64 or float32 of "
+                         f"either byte order ('<f8', '>f4', ...), got {dtype!r}")
+    vec = np.fromfile(blob_path, dtype=dtype)
     if vec.size != dim or vec.size != arch.param_count:
         raise ValueError(f"{blob_path}: {vec.size} parameters, but the declared "
                          f"architecture has {arch.param_count}")
-    return arch, vec
+    return arch, vec.astype(np.float64, copy=False)

@@ -245,7 +245,8 @@ def sgld_sample(
     Row s of the result is ``summary(w)`` of draw s if a ``summary`` is given
     (it must not keep or modify w), else w itself (m = ``arch.param_count``).
     The noise is drawn into the workspace's ``scratch`` once each step's
-    gradient is formed.
+    gradient is formed. There is no weight decay: from a MAP fitted with one
+    (as in ``run_posterior_viz``), the chain still targets prior precision 1/tau2.
     """
     rng = np.random.default_rng(sgld.seed)
     rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)

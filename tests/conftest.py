@@ -161,6 +161,19 @@ def reference_diag_hessian(arch, params, loss, gibbs, h=1e-4):
     return diag
 
 
+def exact_linear_gibbs(phi, u, gibbs):
+    """Mean and precision (mu, A) of the exact Gibbs posterior of the linear net
+    ``MlpArchitecture(p, (), 1, "identity")`` on features ``phi`` (n, p) under
+    ``FullVectorSurrogateLoss(phi, u, gibbs.zeta)``, with the bias as the last
+    parameter. With X = [phi, 1] the MAP objective
+    eta * sum_i binary_loss(zeta, u_i, X_i w) + |w|^2 / (2 tau2) is quadratic
+    in w: its Hessian is A = eta zeta X'X + I / tau2 and its minimizer
+    mu = A^-1 eta X'u, so the posterior exp(-objective) is N(mu, A^-1)."""
+    x = np.column_stack([phi, np.ones(len(phi))])
+    a = gibbs.eta * gibbs.zeta * (x.T @ x) + np.eye(x.shape[1]) / gibbs.tau2
+    return np.linalg.solve(a, gibbs.eta * (x.T @ u)), a
+
+
 def reference_map_train(arch, loss, gibbs, cfg, train_rows, val_rows):
     """map_train's Adam loop with early stopping, one fresh array per operation."""
     rng = np.random.default_rng(cfg.seed)

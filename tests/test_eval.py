@@ -266,6 +266,12 @@ class TestPacBayes:
                 empirical_risk_mean=0.0, kl=0.0, n=10, delta=0.1, v=1.0, b=2.0, lam=0.6
             )
 
+    def test_lambda_defaults_to_half_of_one_over_b(self):
+        inputs = ev.PacBayesInputs(empirical_risk_mean=0.0, kl=0.0, n=10, delta=0.1, v=1.0, b=4.0)
+        assert inputs.lam == 0.125
+        with pytest.raises(ValueError, match="b must be positive and finite, got 0.0"):
+            ev.PacBayesInputs(empirical_risk_mean=0.0, kl=0.0, n=10, delta=0.1, v=1.0, b=0.0)
+
 
 class TestAggregate:
     def _trial(self, method, w, r, seed=0):

@@ -674,6 +674,7 @@ class TestPosteriorVizReferenceScale:
 class TestParallelJobs:
     def test_parallel_trials_match_serial(self, tmp_path):
         serial = _smoke_config(tmp_path / "serial")
+        serial["jobs"] = 1
         ex.run_experiment(ex.parse_config(serial))
         parallel = _smoke_config(tmp_path / "parallel")
         parallel["jobs"] = 2
@@ -893,13 +894,19 @@ class TestCli:
 
     def test_paccheck(self, capsys):
         rc = cli.main(
-            ["paccheck", "--risk", "0.5", "--kl", "0.6931471805599453", "--n", "1000",
-             "--delta", "0.05", "--v", "2", "--b", "1", "--lam", "0.01"]
+            ["paccheck", "--empirical-risk-mean", "0.5", "--kl", "0.6931471805599453",
+             "--n", "1000", "--delta", "0.05", "--v", "2", "--b", "1", "--lam", "0.01"]
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bound"] == pytest.approx(0.8788879454113936, abs=1e-12)
         assert report["bound_at_lambda_star"] <= report["bound"]
+
+    def test_paccheck_lambda_defaults_to_half_of_one_over_b(self, capsys):
+        rc = cli.main(["paccheck", "--empirical-risk-mean", "0.5", "--kl", "1", "--n", "10",
+                       "--delta", "0.05", "--v", "1", "--b", "4"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == 0.125
 
     def test_posterior_viz_subcommand(self, tmp_path):
         rc = cli.main(
@@ -928,6 +935,8 @@ class TestGeneratedCli:
         ("train", ["--data", "d", "--out", "o"], GibbsConfig(zeta=0.1), ()),
         ("train", ["--data", "d", "--out", "o"], TrainConfig, ()),
         ("posterior-viz", ["--out", "o"], ex.PosteriorVizConfig, ("output_dir",)),
+        ("paccheck", [f"--{k}=1" for k in ("empirical-risk-mean", "kl", "n", "delta", "v", "b")],
+         PacBayesInputs, ()),
     )
 
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
@@ -981,6 +990,21 @@ class TestGeneratedCli:
         assert not out.exists()  # rejected before any fitting
 
     @pytest.mark.parametrize(
+        "field, value",
+        [*((f, v) for f in ("empirical_risk_mean", "kl", "delta", "v", "b", "lam")
+           for v in ("nan", "inf")),
+         ("kl", "-1"), ("n", "0"), ("delta", "0"), ("delta", "2"), ("v", "0"), ("b", "-1"),
+         ("lam", "1")],
+    )
+    def test_paccheck_bad_number_is_a_usage_error_naming_its_field(self, capsys, field, value):
+        inputs = {"empirical_risk_mean": "0.5", "kl": "1", "n": "10", "delta": "0.05", "v": "1",
+                  "b": "1", field: value}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["paccheck", *(f"--{k.replace('_', '-')}={v}" for k, v in inputs.items())])
+        assert exit_info.value.code == 2
+        assert re.search(rf"gbpl paccheck: error: .*\b{field}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
         "argv, field",
         [
             (["posterior-viz", "--out", "{out}", "--level", "1.5"], "level"),
@@ -999,11 +1023,11 @@ class TestGeneratedCli:
             (["train", "--data", "{missing}", "--hidden", "0", "--out", "{out}"],
              "hidden widths must be positive"),
             (["experiment", "--config", "{config}"], "jobs"),
-            (["paccheck", "--risk", "0.5", "--kl", "-1", "--n", "10", "--delta", "0.05",
-              "--v", "1", "--b", "1"], "kl"),
+            (["paccheck", "--empirical-risk-mean", "0.5", "--kl", "-1", "--n", "10",
+              "--delta", "0.05", "--v", "1", "--b", "1"], "kl"),
             # without --lam the default lam is 0.5 / b, which b = 0 leaves undefined
-            (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
-              "--v", "1", "--b", "0"], "b must be positive"),
+            (["paccheck", "--empirical-risk-mean", "0.5", "--kl", "1", "--n", "10",
+              "--delta", "0.05", "--v", "1", "--b", "0"], "b must be positive"),
             # NaN passes every range comparison, so a non-finite number fails on its own
             (["train", "--data", "{missing}", "--zeta", "nan", "--out", "{out}"],
              "GibbsConfig: zeta must be finite, got nan"),
@@ -1011,10 +1035,12 @@ class TestGeneratedCli:
              "TrainConfig: learning_rate must be finite, got inf"),
             (["posterior-viz", "--out", "{out}", "--step-size", "nan"],
              "SgldConfig: step_size must be finite, got nan"),
-            (["paccheck", "--risk", "0.5", "--kl", "nan", "--n", "10", "--delta", "0.05",
-              "--v", "1", "--b", "1"], "--kl must be finite, got nan"),
-            (["paccheck", "--risk", "0.5", "--kl", "1", "--n", "10", "--delta", "0.05",
-              "--v", "1", "--b", "1", "--lam", "inf"], "--lam must be finite, got inf"),
+            (["paccheck", "--empirical-risk-mean", "0.5", "--kl", "nan", "--n", "10",
+              "--delta", "0.05", "--v", "1", "--b", "1"],
+             "PacBayesInputs: kl must be finite, got nan"),
+            (["paccheck", "--empirical-risk-mean", "0.5", "--kl", "1", "--n", "10",
+              "--delta", "0.05", "--v", "1", "--b", "1", "--lam", "inf"],
+             "PacBayesInputs: lam must be finite, got inf"),
         ],
         ids=["posterior-viz", "posterior-viz-n", "posterior-viz-zeta", "posterior-viz-eta",
              "posterior-viz-tau2", "posterior-viz-hidden", "simulate", "train-zeta", "train-learning-rate",

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -430,3 +433,46 @@ class TestSerialization:
         nnet.save_params(tmp_path / "m", arch, params)
         raw = (tmp_path / "m" / "params.bin").read_bytes()
         assert np.array_equal(np.frombuffer(raw, dtype="<f8"), params)
+
+    @staticmethod
+    def _save_as(directory, dtype, params=None):
+        """A 2→3→1 model whose sidecar's ``"dtype"`` key is ``dtype`` (``None``
+        drops the key) and whose blob is written in it if it is ``>f8`` or ``<f4``."""
+        arch = nnet.MlpArchitecture(2, (3,), 1, nnet.HEAD_IDENTITY)
+        params = nnet.init_params(arch, np.random.default_rng(3)) if params is None else params
+        nnet.save_params(directory, arch, params)
+        sidecar = json.loads((directory / "arch.json").read_text())
+        if dtype is None:
+            del sidecar["dtype"]
+        else:
+            sidecar["dtype"] = dtype
+            if dtype in (">f8", "<f4"):
+                (directory / "params.bin").write_bytes(params.astype(dtype).tobytes())
+        (directory / "arch.json").write_text(json.dumps(sidecar))
+        return params
+
+    def test_big_endian_float64_blob_loads_bit_for_bit(self, tmp_path):
+        params = self._save_as(tmp_path, ">f8")
+        _, loaded = nnet.load_params(tmp_path)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == params.tobytes()
+
+    def test_float32_blob_loads_within_float32_rounding(self, tmp_path):
+        params = self._save_as(tmp_path, "<f4")
+        _, loaded = nnet.load_params(tmp_path)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, params.astype(np.float32))
+        np.testing.assert_allclose(loaded, params, rtol=np.finfo(np.float32).eps, atol=0)
+
+    @pytest.mark.parametrize(
+        "dtype, message",
+        [(None, "missing key 'dtype'"),
+         *((bad, f"key 'dtype' must be float64 or float32 .*, got {re.escape(repr(bad))}")
+           for bad in ("<i8", "float-ish", 8))],
+        ids=["missing", "integer", "unreadable", "not-a-string"],
+    )
+    def test_sidecar_without_a_float_dtype_rejected(self, tmp_path, dtype, message):
+        self._save_as(tmp_path, dtype)
+        sidecar = re.escape(str(tmp_path / "arch.json"))
+        with pytest.raises(ValueError, match=f"{sidecar}: {message}"):
+            nnet.load_params(tmp_path)

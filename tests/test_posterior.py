@@ -4,6 +4,7 @@ import pytest
 from dataclasses import dataclass, replace
 
 from conftest import (
+    exact_linear_gibbs,
     finite_diff_grad,
     max_rel_error,
     min_abs_hidden_preactivation,
@@ -15,7 +16,9 @@ from conftest import (
     reference_sgld_iterates,
 )
 from gbpl import nnet
+from gbpl.dgp import DgpSpec, generate_full_feedback
 from gbpl.evaluation import test_welfare, welfare_credible_interval
+from gbpl.experiment import _SPLIT_TAG, split_rows
 from gbpl.losses import FullVectorSurrogateLoss, MaskedRegressionLoss
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import (
@@ -442,6 +445,64 @@ class TestDiagLaplace:
         diag = reference_diag_hessian(arch, np.zeros(2), loss, gibbs)
         assert np.all(diag < 0)
         np.testing.assert_allclose(diag, -n + 1.0 / gibbs.tau2, rtol=1e-9)
+
+
+def _linear_gibbs_setup():
+    """A linear net on features sin kx, cos kx (k = 1..3) of the default
+    ``onedimviz`` training rows at zeta = eta = tau2 = 1, with its exact
+    posterior mean and precision."""
+    full, _ = generate_full_feedback(DgpSpec(family="onedimviz", n=1500, seed=0))
+    train, _, _ = split_rows(full.n, (0.6, 0.2, 0.2), [0, _SPLIT_TAG])
+    x = full.x[train, 0]
+    phi = np.column_stack([f(k * x) for k in (1, 2, 3) for f in (np.sin, np.cos)])
+    u = full.outcome_diff()[train]
+    gibbs = GibbsConfig(zeta=1.0, eta=1.0, tau2=1.0)
+    arch = nnet.MlpArchitecture(phi.shape[1], (), 1, nnet.HEAD_IDENTITY)
+    mu, precision = exact_linear_gibbs(phi, u, gibbs)
+    return arch, FullVectorSurrogateLoss(phi, u, gibbs.zeta), gibbs, mu, precision
+
+
+def _effective_sample_size(chain):
+    """n / (1 + 2 sum of autocorrelations), summed until the first one below 0.05."""
+    c = chain - chain.mean()
+    n, var, total = c.size, c @ c / c.size, 0.0
+    for lag in range(1, n):
+        rho = (c[:-lag] @ c[lag:]) / (n * var)
+        if rho < 0.05:
+            break
+        total += rho
+    return n / (1.0 + 2.0 * total)
+
+
+class TestExactLinearGibbs:
+    """Posterior claims checked against a Gibbs posterior known in closed form:
+    a linear net under the squared surrogate has the Gaussian N(mu, A^-1)."""
+
+    def test_exact_mean_zeroes_the_objective_gradient(self):
+        arch, loss, gibbs, mu, _ = _linear_gibbs_setup()
+        rows = np.arange(loss.n)
+        ws = nnet.Workspace(arch, loss.n)
+        scale = np.linalg.norm(objective_gradient(arch, np.zeros_like(mu), loss, gibbs, rows,
+                                                  loss.n, ws))
+        at_mu = np.linalg.norm(objective_gradient(arch, mu, loss, gibbs, rows, loss.n, ws))
+        assert at_mu < 1e-12 * scale
+
+    def test_reference_diag_hessian_is_the_exact_precision_diagonal(self):
+        arch, loss, gibbs, mu, precision = _linear_gibbs_setup()
+        diag = reference_diag_hessian(arch, mu, loss, gibbs)
+        np.testing.assert_allclose(diag, np.diag(precision), rtol=1e-10)
+
+    def test_unclipped_sgld_marginal_variances_match_the_exact_posterior(self):
+        arch, loss, gibbs, mu, precision = _linear_gibbs_setup()
+        default = SgldConfig()
+        # no clipping, and ten times the default burn-in and thinning
+        sgld = replace(default, burn_in=10 * default.burn_in, thin=10 * default.thin,
+                       clip_norm=1e12)
+        draws = sgld_sample(arch, loss, gibbs, mu, sgld)
+        ratio = draws.var(axis=0) / np.diag(np.linalg.inv(precision))
+        ess = np.array([_effective_sample_size(draws[:, j]) for j in range(draws.shape[1])])
+        # a variance estimated from ESS independent draws has relative sd sqrt(2 / ESS)
+        assert np.all(np.abs(ratio - 1.0) <= 3.0 * np.sqrt(2.0 / ess)), (ratio, ess)
 
 
 def _draw_welfare(arch, draws, test, rule):
