@@ -111,6 +111,13 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     K >= 3, so this projects each row onto {p : p >= clip, sum p = 1}
     (equivalently, a rescaled simplex projection). At clip = 1/K the feasible
     set is the single uniform row.
+
+    Each row is ``clip + rem * project_simplex_rows((e - clip) / rem)`` with
+    rem = 1 - K clip, computed in place in a result allocated once and filled
+    ``nnet.BLOCK_ROWS`` rows at a time. Only ``e``, the result and one block's
+    temporaries are alive, so the peak is one (n, K) table beyond the input.
+    The projection works row by row, so a row comes out the same in a block
+    as in one pass.
     """
     e = np.asarray(e, dtype=np.float64)
     k = e.shape[1]
@@ -118,8 +125,14 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
     rem = 1.0 - k * clip
     if rem == 0.0:
         return np.full_like(e, clip)
-    q = project_simplex_rows((e - clip) / rem)
-    return clip + rem * q
+    out = np.empty_like(e)
+    for start in range(0, e.shape[0], nnet.BLOCK_ROWS):
+        block = out[start:start + nnet.BLOCK_ROWS]
+        np.subtract(e[start:start + nnet.BLOCK_ROWS], clip, out=block)
+        block /= rem
+        np.multiply(project_simplex_rows(block), rem, out=block)
+        block += clip
+    return out
 
 
 def _check_propensities(e, n: int, k: int, true: bool = False) -> np.ndarray:
@@ -149,7 +162,8 @@ def dr_pseudo_outcomes(
     logged: LoggedDataset, e_hat: np.ndarray, gamma_hat: np.ndarray
 ) -> np.ndarray:
     """Outcome-regression predictions plus a propensity-weighted residual
-    correction on the logged column."""
+    correction on the logged column. Beside its inputs and its output it holds
+    only n-length vectors: the logged columns, the row indices, the residual."""
     e_hat = _check_propensities(e_hat, logged.n, logged.k)
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
     if gamma_hat.shape != (logged.n, logged.k):
@@ -159,7 +173,9 @@ def dr_pseudo_outcomes(
     cols = logged.action_columns()
     idx = np.arange(logged.n)
     out = gamma_hat.copy()
-    out[idx, cols] += (logged.y_obs - gamma_hat[idx, cols]) / e_hat[idx, cols]
+    resid = logged.y_obs - gamma_hat[idx, cols]
+    resid /= e_hat[idx, cols]
+    out[idx, cols] += resid
     return out
 
 
@@ -191,7 +207,8 @@ def fit_propensity(
     arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
     loss = CrossEntropyLogitsLoss(logged.x, cols)
     params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, train_rows)
-    return clip_propensities(nnet.softmax(nnet.forward(arch, params, logged.x)), clip)
+    z = nnet.forward(arch, params, logged.x)
+    return clip_propensities(nnet.softmax(z, out=z), clip)
 
 
 def make_folds(n: int, n_folds: int, seed: int = 0) -> np.ndarray:
@@ -216,9 +233,20 @@ def fit_outcome_regression(
     each fit holds out a fifth of its rows for early stopping. One model
     fitted on all of ``train_rows`` predicts every row. With ``folds`` >= 2
     (cross-fitting) the rows of fold j (``make_folds(train_rows.size, folds,
-    cfg.seed)``) are then overwritten out-of-fold, by a model fitted on the
-    other folds, so no training row's prediction comes from a model that saw
-    it. Deterministic given the seed.
+    cfg.seed)``) are overwritten out-of-fold, by a model fitted on the other
+    folds, so no training row's prediction comes from a model that saw it.
+    Deterministic given the seed.
+
+    The fold models are fitted first, and each keeps only its held-out rows'
+    predictions, so while a net trains no (n, K) table is alive beyond the
+    inputs: the fold fits hold the earlier folds' predictions (as many rows as
+    ``train_rows`` at most), the all-rows fit those of every fold. The result
+    is allocated after the last fit, when the all-rows model predicts into it.
+    That model still predicts the training rows the folds then overwrite,
+    because a narrow output layer's rows can move by an ulp with the rows
+    predicted alongside them (``nnet.forward``), so predicting only the other
+    rows would change their bits. Every fit seeds its own generator from
+    ``cfg.seed``, so the order of the fits changes no result.
     """
     check_folds(folds)
     cfg = cfg or TrainConfig()
@@ -237,10 +265,14 @@ def fit_outcome_regression(
         val_rows, tr_rows = perm[:n_val], perm[n_val:]
         return map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows if tr_rows.size else perm, val_rows)
 
-    gamma = nnet.forward(arch, fit(train_rows), logged.x)
+    out_of_fold = []
     for j in range(folds):
         held_out = train_rows[fold == j]
-        gamma[held_out] = nnet.forward(arch, fit(train_rows[fold != j]), logged.x, rows=held_out)
+        pred = nnet.forward(arch, fit(train_rows[fold != j]), logged.x, rows=held_out)
+        out_of_fold.append((held_out, pred))
+    gamma = nnet.forward(arch, fit(train_rows), logged.x)
+    for held_out, pred in out_of_fold:
+        gamma[held_out] = pred
     return gamma
 
 

@@ -189,7 +189,7 @@ def generate_logged(
     apart from the data stream.
     """
     check_logging(spec, logging, clip)
-    full, _ = generate_full_feedback(spec)
+    full = generate_full_feedback(spec)[0]  # its (n, K) conditional means are not needed
     k = full.k
     rng = np.random.default_rng([spec.seed, 0x106])
     if logging == LOGGING_LOGISTIC:
@@ -198,7 +198,8 @@ def generate_logged(
         e = np.column_stack([p1, 1.0 - p1])
     else:
         betas = rng.standard_normal((full.d, k)) / np.sqrt(full.d)
-        e = softmax(full.x @ betas)
+        e = full.x @ betas
+        softmax(e, out=e)
     e = clip_propensities(e, clip)  # floor clip, ceiling 1 - (K-1) clip, rows sum to 1
 
     u = rng.random(full.n)

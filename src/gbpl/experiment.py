@@ -238,11 +238,13 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
     else:  # the hidden full table serves only the test set
         logged, full = generate_logged(spec, fb.logging, fb.clip)
         nuisance_cfg = replace(cfg.train, seed=method_seed(cfg.base_seed, trial, "__nuisance__"))
-        e_hat = (logged.true_propensity if fb.propensity == "true"
-                 else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
+        # the outcome nets train before any nuisance table exists; each fit
+        # seeds its own generator, so the order moves no result
         gamma_hat = (fit_outcome_regression(logged, train_rows, nuisance_cfg, cfg.hidden,
                                             fb.folds)
                      if fb.pseudo == PSEUDO_DR else np.zeros((logged.n, logged.k)))
+        e_hat = (logged.true_propensity if fb.propensity == "true"
+                 else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
         table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
     return _TrialData(full, table, train_rows, val_rows, test_rows)
 

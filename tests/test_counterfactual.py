@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conftest import (
     analytic_grad,
     finite_diff_grad,
     max_rel_error,
+    peak_bytes,
     reference_pseudo_difference_binary,
     total_loss,
 )
@@ -15,7 +18,7 @@ from gbpl import counterfactual as cf
 from gbpl import nnet
 from gbpl.losses import MaskedRegressionLoss
 from gbpl.posterior import TrainConfig
-from gbpl.surrogate import FullFeedbackDataset, verify_equivalence_binary
+from gbpl.surrogate import FullFeedbackDataset, project_simplex_rows, verify_equivalence_binary
 
 
 def _simplex_rows(rng, n, k):
@@ -213,6 +216,23 @@ class TestClipPropensities:
     def test_clip_at_one_over_k_forces_uniform(self):
         e = np.array([[0.9, 0.05, 0.05]])
         np.testing.assert_allclose(cf.clip_propensities(e, 1.0 / 3.0), 1.0 / 3.0)
+
+    def test_peak_is_below_one_and_a_half_output_tables(self):
+        # the result is filled a block of rows at a time; the one-pass projection held
+        # its sorted copy, cumulative sums and differences as (n, K) tables at once
+        e = _simplex_rows(np.random.default_rng(20), 20000, 5)
+        peak = peak_bytes(lambda: cf.clip_propensities(e, 0.1))
+        assert peak < 1.5 * e.nbytes, peak / e.nbytes
+
+    @pytest.mark.parametrize("n", [nnet.BLOCK_ROWS // 2 + 3, 2 * nnet.BLOCK_ROWS + 1])
+    def test_blocks_match_the_one_pass_formula(self, n):
+        # fewer rows than a block, and a last block of one lone row
+        e = _simplex_rows(np.random.default_rng(n), n, 5)
+        clip = 0.1
+        rem = 1.0 - 5 * clip
+        reference = clip + rem * project_simplex_rows((e - clip) / rem)
+        assert np.any(e < clip)  # some rows are moved
+        assert cf.clip_propensities(e, clip).tobytes() == reference.tobytes()
 
 
 class TestClipPropensitiesProperties:
@@ -449,6 +469,34 @@ class TestFitOutcomeRegression:
                                 for j in range(folds)]
         expected = [(r - max(1, r // 5), max(1, r // 5)) for r in fit_rows]
         assert sorted(calls) == sorted(expected)
+
+    def test_no_table_of_every_row_is_alive_while_a_net_trains(self, monkeypatch):
+        # the fold fits run first and keep only their held-out rows' predictions, and
+        # the (n, K) result is made after the last fit; 20,000 rows dwarf the net and
+        # the 400 training rows, so a table alive at a fit's start shows
+        entries = []
+        map_train = cf.map_train
+
+        def recording_map_train(*args, **kwargs):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return map_train(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "map_train", recording_map_train)
+        rng = np.random.default_rng(16)
+        n, k = 20000, 5
+        logged = cf.LoggedDataset(rng.standard_normal((n, 3)), rng.integers(1, k + 1, size=n),
+                                  rng.standard_normal(n), k=k)
+        train_rows = rng.permutation(n)[:400]
+        cfg = TrainConfig(batch_size=64, max_epochs=1, patience=1, seed=4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cf.fit_outcome_regression(logged, train_rows, cfg, hidden=(8,), folds=2)
+        finally:
+            tracemalloc.stop()
+        table = n * k * 8
+        assert len(entries) == 3
+        assert max(entries) - start < table, [(m - start) / table for m in entries]
 
     def test_masked_gradient_zero_on_unobserved_columns(self):
         # column 1 is never observed, so every parameter feeding only that

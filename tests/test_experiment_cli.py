@@ -646,6 +646,41 @@ class TestTrialMemory:
         assert large - small < data + copy / 2, (large - small - data) / copy
 
 
+class TestLoggedTrialMemory:
+    def test_peak_grows_by_the_data_and_the_dr_step(self, tmp_path):
+        # a logged DR trial on K = 5 with a fitted propensity and two folds; 9,000
+        # more test rows while the 300 training rows stay. A nuisance net trains
+        # before any (n, K) nuisance table exists and propensities are clipped a
+        # block at a time, so the most a trial holds beyond its data is the DR
+        # step's two nuisances and its output, with that step's n-length index and
+        # residual vectors. Clipping in one pass beside a nuisance table held over
+        # six tables
+        d, k, base = 10, 5, (0.3, 0.15, 0.55)
+        feedback = {"mode": "logged", "logging": "softmax", "pseudo": "dr",
+                    "propensity": "fitted", "folds": 2}
+
+        def run(n, split, name):
+            raw = _smoke_config(tmp_path / name, [{"name": "full", "kind": "gbpl",
+                                                   "zeta": 0.1}], trials=1, feedback=feedback)
+            raw.update(dgp={"family": "multi1", "n": n, "d": d, "k": k}, split=list(split))
+            cfg = ex.parse_config(raw)
+            return peak_bytes(lambda: ex.run_experiment(cfg))
+
+        grown = (0.03, 0.015, 0.955)
+        small_sizes, large_sizes = ex._split_sizes(1000, base), ex._split_sizes(10000, grown)
+        assert small_sizes[0] == large_sizes[0] == 300
+        added = 10000 - 1000
+        run(1000, base, "warm-up")  # lazy imports and caches out of the measured runs
+        small = run(1000, base, "small")
+        large = run(10000, grown, "large")
+        # per added row: covariates, hidden outcomes, true propensities, the logged
+        # action and outcome, and its index in the split
+        data = added * (d + 2 * k + 3) * 8
+        table = added * k * 8
+        dr_vectors = table  # fewer than K n-length vectors
+        assert large - small < data + 3 * table + dr_vectors, (large - small - data) / table
+
+
 class TestPosteriorVizMemory:
     def test_peak_stays_below_half_the_draw_matrix(self, tmp_path):
         # the default (64, 64) net with 300 draws: an (S, P) draw matrix alone is 300 x 4,353
