@@ -80,8 +80,8 @@ class DgpSpec:
             object.__setattr__(self, "d", 1)
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", 0.6 if fam == ONEDIM_FAMILY else 1.0)
-        if not self.noise_sd >= 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:  # NaN fails too
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd!r}")
         if fam == SEMISYNTHETIC_FAMILY and self.csv_path is None:
             raise ValueError("semisynthetic family needs csv_path")
 

@@ -35,13 +35,14 @@ from gbpl.counterfactual import (
     DEFAULT_EPSILON_CLIP,
     PSEUDO_DR,
     PSEUDO_IPW,
+    check_clip,
     check_folds,
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
 )
-from gbpl.dgp import (DgpSpec, check_logging, generate_full_feedback, generate_logged,
-                      onedim_effect, write_table)
+from gbpl.dgp import (LOGGING_LOGISTIC, LOGGING_SOFTMAX, DgpSpec, check_logging,
+                      generate_full_feedback, generate_logged, onedim_effect, write_table)
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
     RULE_RANDOMIZED,
@@ -113,7 +114,7 @@ class MethodSpec:
 @dataclass(frozen=True)
 class FeedbackSpec:
     mode: str = "full"  # "full" | "logged"
-    logging: str = "logistic"
+    logging: str = LOGGING_LOGISTIC
     clip: float = DEFAULT_EPSILON_CLIP
     pseudo: str = PSEUDO_DR
     propensity: str = "true"  # "true" | "fitted"
@@ -122,6 +123,9 @@ class FeedbackSpec:
     def __post_init__(self):
         if self.mode not in ("full", "logged"):
             raise ValueError("feedback mode must be 'full' or 'logged'")
+        if self.logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
+            raise ValueError(f"unknown logging policy {self.logging!r}")
+        check_clip(self.clip, 2)  # the loosest K; a logged run checks the DGP's own
         if self.pseudo not in (PSEUDO_IPW, PSEUDO_DR):
             raise ValueError("pseudo must be 'ipw' or 'dr'")
         if self.propensity not in ("true", "fitted"):
@@ -210,24 +214,11 @@ def method_seed(base_seed: int, trial: int, method_name: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-@dataclass
-class _TrialData:
-    """Everything one trial's method fits see: a training table (realized or
-    pseudo outcomes) and the realized outcomes, both over all rows, and the
-    split. Rows are passed by index, never copied."""
-
-    full: FullFeedbackDataset  # realized outcomes, evaluation only
-    table: np.ndarray  # (n, K) outcomes the objectives consume
-    train_rows: np.ndarray
-    val_rows: np.ndarray
-    test_rows: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.full.x
-
-
-def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
+def _prepare_trial(cfg: ExperimentConfig, trial: int):
+    """Everything one trial's method fits see: the realized outcomes (for
+    evaluation only), the (n, K) table the objectives consume (realized or
+    pseudo outcomes), both over all rows, and the (train, val, test) split.
+    Rows are passed by index, never copied."""
     data_seed = cfg.base_seed + trial
     spec = replace(cfg.dgp, seed=data_seed)
     fb = cfg.feedback
@@ -246,7 +237,7 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int) -> _TrialData:
         e_hat = (logged.true_propensity if fb.propensity == "true"
                  else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
         table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
-    return _TrialData(full, table, train_rows, val_rows, test_rows)
+    return full, table, (train_rows, val_rows, test_rows)
 
 
 def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
@@ -260,33 +251,27 @@ def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainCon
     return fit_policy_fullvector(x, table, gibbs, cfg, train_rows, val_rows, hidden)
 
 
-def _fit_rule(cfg: ExperimentConfig, td: _TrialData, m: MethodSpec, train_cfg: TrainConfig,
-              zeta: float | None) -> FittedPolicy:
-    """Method ``m``'s rule at surrogate scale ``zeta``, or its baseline rule for None."""
-    if zeta is None:
-        return fit_baseline(m.kind, td.x, td.table, train_cfg, td.train_rows, td.val_rows,
-                            cfg.hidden)
-    return fit_gbpl(td.x, td.table, GibbsConfig(zeta, cfg.eta, cfg.tau2), train_cfg,
-                    td.train_rows, td.val_rows, cfg.hidden)
-
-
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """Score every method on one trial. A method's rules are fitted one at a
     time, as selection asks for them, and released once scored, so the
     trial's peak memory is that of one fit plus the best rule so far."""
-    td = _prepare_trial(cfg, trial)
-    rule = RULE_DETERMINISTIC if td.table.shape[1] == 2 else RULE_RANDOMIZED
-    oracle = oracle_welfare(td.full, td.test_rows)
-    val_table = FullFeedbackDataset(td.x, td.table)
+    full, table, (train_rows, val_rows, test_rows) = _prepare_trial(cfg, trial)
+    rule = RULE_DETERMINISTIC if table.shape[1] == 2 else RULE_RANDOMIZED
+    oracle = oracle_welfare(full, test_rows)
+    val_table = FullFeedbackDataset(full.x, table)
 
     results = []
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
         train_cfg = replace(cfg.train, seed=seed)
-        fits = ((z, _fit_rule(cfg, td, m, train_cfg, z)) for z in m.scales)
-        selected, policy = (select_zeta_by_validation(fits, val_table, rule, td.val_rows)
+        fits = ((z, fit_baseline(m.kind, full.x, table, train_cfg, train_rows, val_rows,
+                                 cfg.hidden) if z is None
+                 else fit_gbpl(full.x, table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
+                               train_rows, val_rows, cfg.hidden))
+                for z in m.scales)
+        selected, policy = (select_zeta_by_validation(fits, val_table, rule, val_rows)
                             if len(m.scales) > 1 else next(fits))
-        welfare = test_welfare(td.full, policy, rule, td.test_rows)
+        welfare = test_welfare(full, policy, rule, test_rows)
         del policy  # before the next method is fitted
         results.append(
             TrialResult(

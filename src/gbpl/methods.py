@@ -68,18 +68,14 @@ def squared_surrogate(x: np.ndarray, targets: np.ndarray, zeta: float,
     return nnet.MlpArchitecture(loss.x.shape[1], hidden, width, head), loss
 
 
-def _fit_surrogate(head, x, targets, gibbs, cfg, train_rows, val_rows, hidden):
-    arch, loss = squared_surrogate(x, targets, gibbs.zeta, hidden, head)
-    return FittedPolicy(arch, map_train(arch, loss, gibbs, cfg, train_rows, val_rows))
-
-
 def fit_score_binary(x: np.ndarray, u: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
                      train_rows: np.ndarray, val_rows: np.ndarray,
                      hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN) -> FittedPolicy:
     """Train a tanh-squashed score on the (n,) outcome (pseudo-)differences
     ``u`` with the squared surrogate at ``gibbs.zeta``; the induced randomized
     policy is (f + 1) / 2."""
-    return _fit_surrogate(nnet.HEAD_TANH, x, u, gibbs, cfg, train_rows, val_rows, hidden)
+    arch, loss = squared_surrogate(x, u, gibbs.zeta, hidden, nnet.HEAD_TANH)
+    return FittedPolicy(arch, map_train(arch, loss, gibbs, cfg, train_rows, val_rows))
 
 
 def fit_policy_fullvector(x: np.ndarray, y: np.ndarray, gibbs: GibbsConfig, cfg: TrainConfig,
@@ -87,4 +83,5 @@ def fit_policy_fullvector(x: np.ndarray, y: np.ndarray, gibbs: GibbsConfig, cfg:
                           hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN) -> FittedPolicy:
     """Train a softmax policy net on the (n, K) outcome (pseudo-)vectors ``y``
     with the full-vector surrogate at ``gibbs.zeta``."""
-    return _fit_surrogate(nnet.HEAD_SOFTMAX, x, y, gibbs, cfg, train_rows, val_rows, hidden)
+    arch, loss = squared_surrogate(x, y, gibbs.zeta, hidden, nnet.HEAD_SOFTMAX)
+    return FittedPolicy(arch, map_train(arch, loss, gibbs, cfg, train_rows, val_rows))

@@ -83,23 +83,16 @@ class TrainConfig:
     weight_decay: float = 0.0  # extra L2 on top of the Gaussian prior, off by default
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and self.batch_size >= 1 and self.max_epochs >= 1):
-            raise ValueError("learning_rate, batch_size, max_epochs must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be positive and finite, got "
+                             f"{self.learning_rate!r}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size, max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be nonnegative")
-
-
-def _prior_grad(params: np.ndarray, gibbs: GibbsConfig, weight_decay: float,
-                ws: nnet.Workspace) -> np.ndarray:
-    """params / tau2 + weight_decay * params, in ``ws.scratch``. A zero weight
-    decay adds nothing: 0 * params is a signed zero for finite parameters, and
-    non-finite ones already make params / tau2 non-finite."""
-    total = np.divide(params, gibbs.tau2, out=ws.scratch)
-    if weight_decay:
-        total += weight_decay * params
-    return total
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, got "
+                             f"{self.weight_decay!r}")
 
 
 def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_decay=0.0):
@@ -120,7 +113,12 @@ def objective_gradient(arch, params, loss, gibbs, rows, n_scale, ws, weight_deca
         raise FloatingPointError("non-finite training loss; reduce the step size")
     grad = nnet.backward(arch, params, x, loss.output_grad(out, rows), ws)
     grad *= gibbs.eta * (n_scale / m)
-    grad += _prior_grad(params, gibbs, weight_decay, ws)
+    prior = np.divide(params, gibbs.tau2, out=ws.scratch)
+    # a zero weight decay adds nothing: 0 * params is a signed zero for finite
+    # parameters, and non-finite ones already make params / tau2 non-finite
+    if weight_decay:
+        prior += weight_decay * params
+    grad += prior
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite objective gradient; reduce the step size")
     return grad
@@ -219,12 +217,12 @@ class SgldConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        for name in ("step_size", "clip_norm"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.burn_in < 0 or self.n_draws < 1 or self.thin < 1 or self.batch_size < 1:
             raise ValueError("burn_in >= 0 and n_draws, thin, batch_size >= 1 required")
-        if not self.clip_norm > 0:
-            raise ValueError("clip_norm must be positive")
 
 
 def sgld_sample(

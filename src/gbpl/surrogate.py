@@ -88,13 +88,6 @@ class GibbsConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _check_simplex(delta: np.ndarray) -> None:
-    # written so that a NaN entry fails both comparisons and is rejected
-    if not (np.all(delta >= -SIMPLEX_TOL)
-            and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)):
-        raise ValueError("policy rows are off the probability simplex or not finite")
-
-
 # ---------------------------------------------------------------------------
 # per-sample losses
 
@@ -139,7 +132,10 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray,
     y = data.y if rows is None else data.y[rows]
     if delta.shape != y.shape:
         raise ValueError("policy rows must match the dataset shape")
-    _check_simplex(delta)
+    # written so that a NaN entry fails both comparisons and is rejected
+    if not (np.all(delta >= -SIMPLEX_TOL)
+            and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)):
+        raise ValueError("policy rows are off the probability simplex or not finite")
     return float((delta * y).sum() / y.shape[0])
 
 

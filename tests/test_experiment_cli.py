@@ -323,6 +323,11 @@ _MISREAD = {
     "folds-ipw": (lambda out: _smoke_config(out, feedback={"mode": "logged", "pseudo": "ipw",
                                                            "folds": 2}),
                   "folds = 2 cross-fits the outcome regression"),
+    # a full-feedback run never reads clip or logging, but manifest.json recorded any value
+    "clip-full-feedback": (lambda out: _smoke_config(out, feedback={"clip": -1.0}),
+                           r"clip must lie in \(0, 1/K\]"),
+    "logging-full-feedback": (lambda out: _smoke_config(out, feedback={"logging": "bogus"}),
+                              "unknown logging policy 'bogus'"),
 }
 
 
@@ -434,9 +439,16 @@ class TestConfigValidation:
           "b must be positive and finite"),
          (lambda v: ex.MethodSpec("m", "gbpl", zeta=v), "'m': zeta must be positive and finite"),
          (lambda v: ex.MethodSpec("m", "gbpl", zeta_grid=(1.0, v)),
-          "'m': zeta must be positive and finite")],
+          "'m': zeta must be positive and finite"),
+         (lambda v: TrainConfig(learning_rate=v), "learning_rate must be positive and finite"),
+         (lambda v: TrainConfig(weight_decay=v), "weight_decay must be nonnegative and finite"),
+         (lambda v: SgldConfig(step_size=v), "step_size must be positive and finite"),
+         (lambda v: SgldConfig(clip_norm=v), "clip_norm must be positive and finite"),
+         (lambda v: DgpSpec(family="binary2", n=10, noise_sd=v),
+          "noise_sd must be nonnegative and finite")],
         ids=["gibbs-zeta", "gibbs-eta", "gibbs-tau2", "risk", "kl", "v", "b", "method-zeta",
-             "method-zeta-grid"],
+             "method-zeta-grid", "learning-rate", "weight-decay", "step-size", "clip-norm",
+             "noise-sd"],
     )
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_library_input_rejected_naming_its_field(self, build, field, value):
@@ -1135,10 +1147,10 @@ class TestMethodSeedIsolation:
 
     def test_dgp_seed_is_base_plus_trial(self):
         cfg = ex.parse_config(_smoke_config("unused"))
-        td5 = ex._prepare_trial(cfg, 5)
+        full5, table5, _ = ex._prepare_trial(cfg, 5)
         spec = DgpSpec(family="binary2", n=200, d=4, seed=cfg.base_seed + 5)
         from gbpl.dgp import generate_full_feedback
 
         full, _ = generate_full_feedback(spec)
-        assert np.array_equal(td5.x, full.x)
-        assert np.array_equal(td5.table, full.y)
+        assert np.array_equal(full5.x, full.x)
+        assert np.array_equal(table5, full.y)

@@ -77,6 +77,21 @@ def test_traced_binding_is_callable(module, attr):
     assert defined or called, f"{module}.{attr} is bound but never called there"
 
 
+def test_traced_methods_are_defined_where_the_tracer_looks():
+    # the tracer wraps only methods a class defines in its own body and skips a
+    # missing one silently, so a rename would drop its spans without an error
+    from gbpl import losses
+    from gbpl.methods import FittedPolicy
+
+    adapters = [obj for obj in vars(losses).values() if isinstance(obj, type)
+                and obj.__module__ == losses.__name__ and obj is not losses.BatchLoss]
+    assert adapters
+    for cls in adapters:
+        for method in _tracing().LOSS_METHODS:
+            assert method in vars(cls), f"losses.{cls.__name__}.{method}"
+    assert "decide" in vars(FittedPolicy)
+
+
 def test_posterior_viz_spans(tmp_path):
     # the sampler's steps are the backward calls directly inside its span, and each
     # recorded draw's welfare goes through the traced test_welfare binding once
