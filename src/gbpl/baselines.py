@@ -45,7 +45,9 @@ def fit_baseline(
       directly (flat prior).
 
     The two regressions are ``methods.squared_surrogate`` at zeta = 1 on an
-    identity head.
+    identity head. Only the two K = 2 kinds form the outcome difference
+    Y(1) - Y(0); the K-action kinds read the table as it is and hold no
+    n-length vector beside it.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -53,14 +55,14 @@ def fit_baseline(
     if kind in TWO_ACTION_KINDS and k != 2:
         raise ValueError(f"{kind} needs a two-column outcome table; "
                          f"use {KIND_PLUGIN_REG_K} or {KIND_DIRECT_WELFARE} for K actions")
-    u = table[:, 0] - table[:, 1]
     if kind == KIND_DIRECT_WELFARE:
         arch = nnet.MlpArchitecture(x.shape[1], hidden, k, nnet.HEAD_SOFTMAX)
         loss = NegativeWelfareLoss(x, table)
     elif kind == KIND_WEIGHTED_LOGISTIC:
+        u = table[:, 0] - table[:, 1]
         arch = nnet.MlpArchitecture(x.shape[1], hidden, 1, nnet.HEAD_IDENTITY)
         loss = WeightedLogisticLoss(x, (u > 0).astype(np.float64), np.abs(u))
     else:
-        targets = u if kind == KIND_DIFF_REG else table
+        targets = table[:, 0] - table[:, 1] if kind == KIND_DIFF_REG else table
         arch, loss = squared_surrogate(x, targets, 1.0, hidden, nnet.HEAD_IDENTITY)
     return FittedPolicy(arch, map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, val_rows))

@@ -218,7 +218,12 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int):
     """Everything one trial's method fits see: the realized outcomes (for
     evaluation only), the (n, K) table the objectives consume (realized or
     pseudo outcomes), both over all rows, and the (train, val, test) split.
-    Rows are passed by index, never copied."""
+    Rows are passed by index, never copied.
+
+    In logged mode the outcome regression, the propensity fit and the DR step
+    get the logged data without its true propensities, whichever propensity
+    mode is set: a "true" trial holds the truth only as its ``e_hat``, and a
+    "fitted" trial keeps no reference to it past ``generate_logged``."""
     data_seed = cfg.base_seed + trial
     spec = replace(cfg.dgp, seed=data_seed)
     fb = cfg.feedback
@@ -228,14 +233,16 @@ def _prepare_trial(cfg: ExperimentConfig, trial: int):
         table = full.y
     else:  # the hidden full table serves only the test set
         logged, full = generate_logged(spec, fb.logging, fb.clip)
+        e_hat = logged.true_propensity if fb.propensity == "true" else None
+        logged = replace(logged, true_propensity=None)
         nuisance_cfg = replace(cfg.train, seed=method_seed(cfg.base_seed, trial, "__nuisance__"))
         # the outcome nets train before any nuisance table exists; each fit
         # seeds its own generator, so the order moves no result
         gamma_hat = (fit_outcome_regression(logged, train_rows, nuisance_cfg, cfg.hidden,
                                             fb.folds)
                      if fb.pseudo == PSEUDO_DR else np.zeros((logged.n, logged.k)))
-        e_hat = (logged.true_propensity if fb.propensity == "true"
-                 else fit_propensity(logged, train_rows, fb.clip, nuisance_cfg))
+        if e_hat is None:
+            e_hat = fit_propensity(logged, train_rows, fb.clip, nuisance_cfg)
         table = dr_pseudo_outcomes(logged, e_hat, gamma_hat)
     return full, table, (train_rows, val_rows, test_rows)
 

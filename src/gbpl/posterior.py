@@ -34,39 +34,62 @@ FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
 # finite parameter sets
 
 
+def _check_finite_set(prior, losses, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``prior`` and ``losses`` as float vectors of one length; raise unless
+    each is 1-D, they match, no loss is NaN or -inf and eta lies in [0, inf).
+    A +inf loss is legal: its point gets zero posterior weight."""
+    prior = np.asarray(prior, dtype=np.float64)
+    losses = np.asarray(losses, dtype=np.float64)
+    if prior.ndim != 1:
+        raise ValueError(f"prior must be a 1-D vector, got shape {prior.shape}")
+    if losses.shape != prior.shape:
+        raise ValueError(f"losses must have the prior's shape {prior.shape}, got {losses.shape}")
+    if not (losses > -np.inf).all():  # NaN fails too
+        raise ValueError("losses must not be NaN or -inf")
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"eta must be nonnegative and finite, got {eta!r}")
+    return prior, losses
+
+
 def finite_gibbs_posterior(prior: np.ndarray, losses: np.ndarray, eta: float) -> np.ndarray:
     """Reweight a strictly positive prior by exp(-eta * loss), normalized.
 
     Computed in log space with max subtraction, so no configuration of finite
-    losses can underflow the whole vector.
+    losses can underflow the whole vector. A point with loss +inf gets weight
+    zero unless eta = 0, which returns the prior; with eta > 0 at least one
+    loss must be finite.
     """
-    prior = np.asarray(prior, dtype=np.float64)
-    losses = np.asarray(losses, dtype=np.float64)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if np.any(prior <= 0) or abs(prior.sum() - 1.0) > 1e-12:
+    prior, losses = _check_finite_set(prior, losses, eta)
+    if not (np.all(prior > 0) and abs(prior.sum() - 1.0) <= 1e-12):  # NaN fails too
         raise ValueError("prior must be strictly positive and sum to 1")
-    logw = np.log(prior) - eta * losses
+    logw = np.log(prior)
+    if eta > 0:
+        if not (losses < np.inf).any():
+            raise ValueError("losses must have a finite entry")
+        logw -= eta * losses
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
 
 
 def variational_objective(q: np.ndarray, prior: np.ndarray, losses: np.ndarray, eta: float) -> float:
-    """eta * E_q[loss] + KL(q || prior), with 0 log 0 taken as 0.
+    """eta * E_q[loss] + KL(q || prior), with 0 log 0 and 0 * inf taken as 0.
 
-    Raises when q places mass where the prior has none (infinite KL).
+    Raises when q places mass where the prior has none (infinite KL). A +inf
+    loss where q has mass makes the objective +inf unless eta = 0.
     """
+    prior, losses = _check_finite_set(prior, losses, eta)
     q = np.asarray(q, dtype=np.float64)
-    prior = np.asarray(prior, dtype=np.float64)
-    losses = np.asarray(losses, dtype=np.float64)
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("q must be a probability vector")
+    if q.shape != prior.shape:
+        raise ValueError(f"q must have the prior's shape {prior.shape}, got {q.shape}")
+    for name, p in (("prior", prior), ("q", q)):
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails too
+            raise ValueError(f"{name} must be a probability vector")
     if np.any((q > 0) & (prior == 0)):
         raise ValueError("q is not absolutely continuous w.r.t. the prior (infinite KL)")
     pos = q > 0
     kl = float(np.sum(q[pos] * np.log(q[pos] / prior[pos])))
-    return float(eta * q @ losses + kl)
+    return float((eta * q[pos] @ losses[pos] if eta > 0 else 0.0) + kl)
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,21 @@ class GibbsConfig:
 # per-sample losses
 
 
+def _check_zeta(zeta) -> None:
+    """Raise unless every entry of ``zeta`` lies in (0, inf); NaN fails too."""
+    z = np.asarray(zeta)
+    if not ((0 < z) & (z < np.inf)).all():
+        raise ValueError("zeta must be positive and finite")
+
+
 def binary_loss(zeta: float | np.ndarray, u: float | np.ndarray, f: float | np.ndarray):
     """0.5 * (u / sqrt(zeta) - sqrt(zeta) * f)^2, zero iff u = zeta * f.
 
     The one scaled squared error of the package, elementwise: it broadcasts
-    over array arguments, including the scale. Its gradient in ``f`` is
-    zeta * f - u.
+    over array arguments, including the scale, whose every entry must be
+    positive and finite. Its gradient in ``f`` is zeta * f - u.
     """
-    if (np.asarray(zeta) <= 0).any():
-        raise ValueError("zeta must be positive")
+    _check_zeta(zeta)
     r = np.sqrt(zeta)
     t, s = np.asarray(u), np.asarray(f)
     return 0.5 * (t / r - r * s) ** 2
@@ -113,8 +119,7 @@ def binary_loss_decomposition(zeta, u, f):
     two depend on the score, which is why validation on the raw loss value is
     biased toward large zeta.
     """
-    if np.any(np.asarray(zeta) <= 0):
-        raise ValueError("zeta must be positive")
+    _check_zeta(zeta)
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     return u**2 / (2.0 * zeta), -u * f, 0.5 * zeta * f**2

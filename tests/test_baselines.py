@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ReferenceLeastSquaresLoss
+from conftest import ReferenceLeastSquaresLoss, peak_bytes
 from gbpl import baselines as bl
 from gbpl import nnet
 from gbpl.evaluation import oracle_welfare, test_welfare
@@ -176,3 +176,22 @@ class TestSquaredSurrogate:
         rows = np.array([4, 0, 9])
         np.testing.assert_allclose(loss.values(out[rows], rows), expected[rows], rtol=1e-15,
                                    atol=0)
+
+
+class TestKActionFitMemory:
+    @pytest.mark.parametrize("kind", [bl.KIND_PLUGIN_REG_K, bl.KIND_DIRECT_WELFARE])
+    def test_holds_no_outcome_difference(self, kind):
+        # a tiny net trained for one epoch on 256 of 100,000 rows: the K-action
+        # fits read the table as it is, so nothing n-long is allocated; an
+        # unread Y(1) - Y(0) alone would be one n-vector
+        n = 100_000
+        rng = np.random.default_rng(3)
+        x, table = rng.standard_normal((n, 2)), rng.standard_normal((n, 3))
+        rows = rng.permutation(n)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=64)
+
+        def fit():
+            bl.fit_baseline(kind, x, table, cfg, rows[:256], rows[256:512], hidden=(2,))
+
+        fit()  # lazy imports and caches out of the measured run
+        assert peak_bytes(fit) < n * 8 / 2

@@ -555,6 +555,12 @@ class TestIpwEquivalence:
         assert report.equal
         assert report.max_affine_error < 1e-10
 
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf])
+    def test_rejects_nonfinite_zeta(self, zeta):
+        logged = self._logged_with_truth(np.random.default_rng(18), 20, 3)
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            cf.ipw_welfare_equivalence_check(logged, [np.full((20, 3), 1 / 3)], zeta)
+
     def test_requires_true_propensity(self):
         rng = np.random.default_rng(17)
         logged = cf.LoggedDataset(

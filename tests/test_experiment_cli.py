@@ -14,6 +14,7 @@ from gbpl.configio import add_flags, from_dict, schema, to_dict
 from gbpl.dgp import (
     DgpSpec,
     generate_full_feedback,
+    generate_logged,
     read_full_feedback_csv,
     read_logged_csv,
     write_full_feedback_csv,
@@ -691,6 +692,80 @@ class TestLoggedTrialMemory:
         table = added * k * 8
         dr_vectors = table  # fewer than K n-length vectors
         assert large - small < data + 3 * table + dr_vectors, (large - small - data) / table
+
+
+    def test_fitted_trial_holds_no_true_propensities(self, tmp_path):
+        # the same trials as above: with the logging truth dropped before the
+        # nuisance fits, an added row holds no true propensities
+        d, k, base = 10, 5, (0.3, 0.15, 0.55)
+        feedback = {"mode": "logged", "logging": "softmax", "pseudo": "dr",
+                    "propensity": "fitted", "folds": 2}
+
+        def run(n, split, name):
+            raw = _smoke_config(tmp_path / name, [{"name": "full", "kind": "gbpl",
+                                                   "zeta": 0.1}], trials=1, feedback=feedback)
+            raw.update(dgp={"family": "multi1", "n": n, "d": d, "k": k}, split=list(split))
+            cfg = ex.parse_config(raw)
+            return peak_bytes(lambda: ex.run_experiment(cfg))
+
+        added = 10000 - 1000
+        run(1000, base, "warm-up")
+        small = run(1000, base, "small")
+        large = run(10000, (0.03, 0.015, 0.955), "large")
+        # per added row: covariates, hidden outcomes, the logged action and
+        # outcome, and its index in the split
+        data = added * (d + k + 3) * 8
+        table = added * k * 8
+        dr_vectors = table
+        assert large - small < data + 3 * table + dr_vectors, (large - small - data) / table
+
+
+def _prepare_trial_with_truth(cfg, trial):
+    """``experiment._prepare_trial`` for a "true" trial whose nuisance fits and
+    DR step get the logged data with its true propensities attached."""
+    spec = dataclasses.replace(cfg.dgp, seed=cfg.base_seed + trial)
+    fb = cfg.feedback
+    splits = ex.split_rows(spec.n, cfg.split, [spec.seed, ex._SPLIT_TAG])
+    logged, full = generate_logged(spec, fb.logging, fb.clip)
+    nuisance_cfg = dataclasses.replace(cfg.train,
+                                       seed=ex.method_seed(cfg.base_seed, trial, "__nuisance__"))
+    gamma_hat = ex.fit_outcome_regression(logged, splits[0], nuisance_cfg, cfg.hidden, fb.folds)
+    return full, ex.dr_pseudo_outcomes(logged, logged.true_propensity, gamma_hat), splits
+
+
+class TestNuisanceFitsNeverSeeTheTruth:
+    FEEDBACK = {"mode": "logged", "logging": "logistic", "pseudo": "dr", "folds": 2}
+
+    @pytest.mark.parametrize("propensity", ["true", "fitted"])
+    def test_no_nuisance_fit_gets_the_true_propensities(self, tmp_path, monkeypatch,
+                                                        propensity):
+        seen = []
+
+        def spy(name):
+            fit = getattr(ex, name)
+
+            def recorded(logged, *args, **kwargs):
+                seen.append((name, logged.true_propensity))
+                return fit(logged, *args, **kwargs)
+            monkeypatch.setattr(ex, name, recorded)
+
+        for name in ("fit_outcome_regression", "fit_propensity", "dr_pseudo_outcomes"):
+            spy(name)
+        raw = _smoke_config(tmp_path / "stripped", trials=1,
+                            feedback={**self.FEEDBACK, "propensity": propensity})
+        cfg = ex.parse_config({**raw, "jobs": 1})
+        ex.run_experiment(cfg)
+        called = ["fit_outcome_regression", "dr_pseudo_outcomes"]
+        if propensity == "fitted":
+            called.insert(1, "fit_propensity")
+        assert [name for name, _ in seen] == called
+        assert all(truth is None for _, truth in seen)
+        if propensity == "true":  # the results of fits that get the truth, to the byte
+            monkeypatch.setattr(ex, "_prepare_trial", _prepare_trial_with_truth)
+            ex.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "truth")))
+            for name in ("trials.csv", "aggregate.csv", "welfare_lists.csv"):
+                assert (tmp_path / "stripped" / name).read_bytes() == (
+                    tmp_path / "truth" / name).read_bytes()
 
 
 class TestPosteriorVizMemory:

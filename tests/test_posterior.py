@@ -62,6 +62,59 @@ class TestFiniteGibbs:
         assert weights[0] < weights[1] < weights[2]
 
 
+class TestFiniteSetInputs:
+    # each once broadcast, or returned NaN, instead of raising
+    PRIOR = np.full(3, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.zeros(1), 1.0), "losses",
+                     id="gibbs-one-loss"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.zeros((3, 1)), 1.0), "losses",
+                     id="gibbs-loss-column"),
+        pytest.param(lambda p: finite_gibbs_posterior(p[:, None], np.zeros((3, 1)), 1.0),
+                     "prior", id="gibbs-prior-column"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.array([0.0, np.nan, 1.0]), 1.0),
+                     "losses", id="gibbs-nan-loss"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.array([0.0, -np.inf, 1.0]), 1.0),
+                     "losses", id="gibbs-minus-inf-loss"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.full(3, np.inf), 1.0), "losses",
+                     id="gibbs-no-finite-loss"),
+        pytest.param(lambda p: finite_gibbs_posterior(np.array([np.nan, 0.5, 0.5]), np.zeros(3),
+                                                      1.0), "prior", id="gibbs-nan-prior"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.zeros(3), np.nan), "eta",
+                     id="gibbs-nan-eta"),
+        pytest.param(lambda p: finite_gibbs_posterior(p, np.zeros(3), np.inf), "eta",
+                     id="gibbs-inf-eta"),
+        pytest.param(lambda p: variational_objective(p, p, np.zeros(3), np.nan), "eta",
+                     id="vi-nan-eta"),
+        pytest.param(lambda p: variational_objective(p, p, np.zeros(2), 1.0), "losses",
+                     id="vi-short-losses"),
+        pytest.param(lambda p: variational_objective(p, p, np.array([np.nan, 0.0, 0.0]), 1.0),
+                     "losses", id="vi-nan-loss"),
+        pytest.param(lambda p: variational_objective(np.array([0.5, 0.5]), p, np.zeros(3), 1.0),
+                     "q", id="vi-short-q"),
+        pytest.param(lambda p: variational_objective(p, np.array([0.5, -0.5, 1.0]), np.zeros(3),
+                                                     1.0), "prior", id="vi-negative-prior"),
+        pytest.param(lambda p: variational_objective(p, 2 * p, np.zeros(3), 1.0), "prior",
+                     id="vi-prior-sum"),
+        pytest.param(lambda p: variational_objective(np.array([np.nan, 0.5, 0.5]), p,
+                                                     np.zeros(3), 1.0), "q", id="vi-nan-q"),
+        pytest.param(lambda p: variational_objective(p[:, None], p[:, None], np.zeros((3, 1)),
+                                                     1.0), "prior", id="vi-prior-column"),
+    ])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(self.PRIOR)
+
+    def test_infinite_loss_gets_zero_weight(self):
+        losses = np.array([0.0, np.inf, np.log(2.0)])
+        w = finite_gibbs_posterior(self.PRIOR, losses, 1.0)
+        np.testing.assert_allclose(w, [2.0 / 3.0, 0.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(finite_gibbs_posterior(self.PRIOR, losses, 0.0), self.PRIOR)
+        assert np.isfinite(variational_objective(w, self.PRIOR, losses, 1.0))
+        assert variational_objective(self.PRIOR, self.PRIOR, losses, 1.0) == np.inf
+
+
 class TestVariationalObjective:
     def test_prior_zero_losses(self):
         prior = np.array([0.3, 0.7])

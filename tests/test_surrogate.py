@@ -63,6 +63,28 @@ class TestBinaryLoss:
             sg.binary_loss(0.0, 1.0, 0.0)
 
 
+class TestNonFiniteZeta:
+    # NaN fails a ``zeta <= 0`` test, so both checkers once certified NaN and
+    # inf as equal=True with empty arg-optimum sets and a NaN affine error
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, np.array([1.0, np.nan]),
+                                      np.array([np.inf, 1.0])])
+    def test_losses_reject(self, zeta):
+        for loss in (sg.binary_loss, sg.binary_loss_decomposition):
+            with pytest.raises(ValueError, match="zeta must be positive and finite"):
+                loss(zeta, np.ones(2), np.zeros(2))
+
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf])
+    def test_checkers_reject(self, zeta):
+        rng = np.random.default_rng(3)
+        data = sg.FullFeedbackDataset(rng.standard_normal((20, 2)), rng.standard_normal((20, 2)))
+        probs = [np.full(20, c) for c in (0.0, 0.5, 1.0)]
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            sg.verify_equivalence_binary(data, probs, zeta)
+        rows = [np.column_stack([p, 1.0 - p]) for p in probs]
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            sg.verify_equivalence_fullvector(data, rows, zeta)
+
+
 class TestDecomposition:
     def test_hand_values(self):
         assert sg.binary_loss_decomposition(1.0, 1.0, 0.0) == (0.5, 0.0, 0.0)
