@@ -47,7 +47,10 @@ def fit_baseline(
     The two regressions are ``methods.squared_surrogate`` at zeta = 1 on an
     identity head. Only the two K = 2 kinds form the outcome difference
     Y(1) - Y(0); the K-action kinds read the table as it is and hold no
-    n-length vector beside it.
+    n-length vector beside it. ``weighted_logistic`` holds one: its weights
+    |Y(1) - Y(0)|, taken in place of the difference, beside boolean labels,
+    which enter the loss only as ``t * z`` and ``sigmoid(z) - t`` and so give
+    the bits of 0/1 float labels.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -60,8 +63,9 @@ def fit_baseline(
         loss = NegativeWelfareLoss(x, table)
     elif kind == KIND_WEIGHTED_LOGISTIC:
         u = table[:, 0] - table[:, 1]
+        labels = u > 0
         arch = nnet.MlpArchitecture(x.shape[1], hidden, 1, nnet.HEAD_IDENTITY)
-        loss = WeightedLogisticLoss(x, (u > 0).astype(np.float64), np.abs(u))
+        loss = WeightedLogisticLoss(x, labels, np.abs(u, out=u))  # the weights take u's memory
     else:
         targets = table[:, 0] - table[:, 1] if kind == KIND_DIFF_REG else table
         arch, loss = squared_surrogate(x, targets, 1.0, hidden, nnet.HEAD_IDENTITY)

@@ -2,12 +2,13 @@
 welfare credible intervals, PAC-Bayes bound arithmetic, and trial aggregation.
 
 ``test_welfare`` is the one place a fitted rule's welfare is computed: the
-harness, scale selection and the per-draw welfare behind credible intervals
-all call it. A fixed randomization (an (n, K) matrix of simplex rows, such as
-uniform assignment) has no network behind it; its welfare is
-:func:`gbpl.surrogate.empirical_welfare`. ``oracle_welfare``, ``test_welfare``
-and ``select_zeta_by_validation`` take an optional index array ``rows`` and
-then score only those rows of the dataset, without copying its covariates.
+harness, on both held-out parts, and the per-draw welfare behind credible
+intervals call it, and ``select_zeta_by_validation`` picks a scale from the
+validation welfare it gives. A fixed randomization (an (n, K) matrix of
+simplex rows, such as uniform assignment) has no network behind it; its
+welfare is :func:`gbpl.surrogate.empirical_welfare`. ``oracle_welfare`` and
+``test_welfare`` take an optional index array ``rows`` and then score only
+those rows of the dataset, without copying its covariates.
 """
 
 from __future__ import annotations
@@ -54,34 +55,20 @@ def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
 test_welfare.__test__ = False  # keep pytest from collecting the public name
 
 
-def select_zeta_by_validation(
-    fits: Iterable[tuple[float, FittedPolicy]],
-    val: FullFeedbackDataset,
-    rule: str = RULE_DETERMINISTIC,
-    rows: np.ndarray | None = None,
-) -> tuple[float, FittedPolicy]:
-    """The (scale, rule) pair whose rule maximizes validation welfare.
+def select_zeta_by_validation(scored: Iterable[tuple[float, float]]) -> float:
+    """The scale whose rule has the best validation welfare, from ``(scale,
+    welfare)`` pairs; ties within ``TIE_TOL`` of the best go to the smallest
+    scale.
 
-    ``fits`` yields the candidates one at a time, so a generator can fit each
-    one only when it is asked for. ``val`` may hold realized outcomes or a
-    pseudo-outcome table; the same welfare formula applies. Given ``rows``,
-    only those rows of ``val`` are scored. Ties (within
-    ``TIE_TOL``) go to the smallest scale. Only candidates within ``TIE_TOL``
-    of the running best are kept: the best only grows, so a dropped one could
-    never come within ``TIE_TOL`` of the final best.
+    The welfare is each rule's ``test_welfare`` on the validation rows, which
+    may hold realized outcomes or a pseudo-outcome table; the caller scores a
+    rule as soon as it is fitted, so no rule outlives its own scoring.
     """
-    best, kept = -math.inf, []
-    for z, policy in fits:
-        w = test_welfare(val, policy, rule, rows)
-        best = max(best, w)
-        kept = [c for c in kept if c[2] >= best - TIE_TOL]
-        if w >= best - TIE_TOL:
-            kept.append((z, policy, w))
-        del policy  # else it outlives its drop while the next candidate is fitted
-    if not kept:
+    scored = list(scored)
+    if not scored:
         raise ValueError("need at least one candidate")
-    z, policy, _ = min(kept, key=lambda c: c[0])
-    return z, policy
+    best = max(w for _, w in scored)
+    return min(z for z, w in scored if w >= best - TIE_TOL)
 
 
 # ---------------------------------------------------------------------------

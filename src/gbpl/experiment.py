@@ -6,11 +6,11 @@ list of methods, and a trial count. Per trial the harness generates data with
 seed base_seed + trial, splits it 0.6/0.2/0.2 (train gets the rounding
 remainder), and fits each method's rules, early-stopped on their validation
 loss: one per surrogate scale, or one for a baseline, whose scale is ``None``.
-Several rules are reduced to one by validation welfare, fitted one at a time
-as the selection asks for them, and the chosen rule's test welfare and regret
-are scored against the realized-outcome oracle. IPW is DR with a zero outcome
-regression, so both pseudo-outcome tables come from one ``dr_pseudo_outcomes``
-call.
+Several rules are fitted one at a time and reduced to one by validation
+welfare; each is scored as soon as it is fitted, and the chosen rule's test
+welfare and regret are reported against the realized-outcome oracle. IPW is
+DR with a zero outcome regression, so both pseudo-outcome tables come from one
+``dr_pseudo_outcomes`` call.
 
 Seed streams are isolated per (trial, method), keyed by a CRC of the method
 name, so adding or removing a method never perturbs the other methods' rows.
@@ -260,8 +260,10 @@ def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainCon
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """Score every method on one trial. A method's rules are fitted one at a
-    time, as selection asks for them, and released once scored, so the
-    trial's peak memory is that of one fit plus the best rule so far."""
+    time; each is scored on the test rows, and on the validation rows when
+    its method selects among several scales, as soon as it is fitted, and
+    released before the next fit. A trial keeps numbers, not rules, so its
+    peak memory is that of one fit."""
     full, table, (train_rows, val_rows, test_rows) = _prepare_trial(cfg, trial)
     rule = RULE_DETERMINISTIC if table.shape[1] == 2 else RULE_RANDOMIZED
     oracle = oracle_welfare(full, test_rows)
@@ -271,20 +273,23 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     for m in cfg.methods:
         seed = method_seed(cfg.base_seed, trial, m.name)
         train_cfg = replace(cfg.train, seed=seed)
-        fits = ((z, fit_baseline(m.kind, full.x, table, train_cfg, train_rows, val_rows,
-                                 cfg.hidden) if z is None
-                 else fit_gbpl(full.x, table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
-                               train_rows, val_rows, cfg.hidden))
-                for z in m.scales)
-        selected, policy = (select_zeta_by_validation(fits, val_table, rule, val_rows)
-                            if len(m.scales) > 1 else next(fits))
-        welfare = test_welfare(full, policy, rule, test_rows)
-        del policy  # before the next method is fitted
+        val_welfare, welfare = {}, {}  # per scale
+        for z in m.scales:
+            policy = (fit_baseline(m.kind, full.x, table, train_cfg, train_rows, val_rows,
+                                   cfg.hidden) if z is None
+                      else fit_gbpl(full.x, table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
+                                    train_rows, val_rows, cfg.hidden))
+            if len(m.scales) > 1:
+                val_welfare[z] = test_welfare(val_table, policy, rule, val_rows)
+            welfare[z] = test_welfare(full, policy, rule, test_rows)
+            del policy  # before the next rule is fitted
+        selected = (select_zeta_by_validation(val_welfare.items()) if val_welfare
+                    else m.scales[0])
         results.append(
             TrialResult(
                 method_id=m.name,
-                welfare=welfare,
-                regret=oracle - welfare,
+                welfare=welfare[selected],
+                regret=oracle - welfare[selected],
                 seed=seed,
                 selected_zeta=selected,
             )
@@ -381,7 +386,7 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     spec = DgpSpec(family="onedimviz", n=cfg.n, seed=cfg.seed)
-    full, _ = generate_full_feedback(spec)
+    full = generate_full_feedback(spec)[0]  # the conditional means would outlive the run
     train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [cfg.seed, _SPLIT_TAG])
 
     gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)

@@ -120,7 +120,8 @@ class WeightedLogisticLoss(BatchLoss):
 
     Per row: w * (log(1 + exp(z)) - t * z) for label t in {0, 1}. Rows with
     weight zero contribute nothing, so ties in the labeling rule are harmless.
-    Targets are the (n,) labels, weights the (n,) nonnegative row weights.
+    Targets are the (n,) labels, boolean or 0/1 floats to the same bits,
+    weights the (n,) nonnegative row weights.
     """
 
     weights: np.ndarray

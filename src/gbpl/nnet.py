@@ -27,7 +27,8 @@ copy of each hidden weight matrix's transpose, made in the workspace's
 ``scratch``. A second BLAS thread buys these nets no wall time and doubles
 their CPU time, and in forked worker processes it oversubscribes the cores;
 with both measures no product of a net up to about 350 wide wakes it.
-``forward`` and ``_product`` take their row blocks from ``_blocks``.
+``forward``, ``_product`` and ``posterior.map_train``'s validation loss take
+their row blocks from ``_blocks``.
 """
 
 from __future__ import annotations

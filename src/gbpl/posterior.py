@@ -29,6 +29,10 @@ from gbpl.surrogate import GibbsConfig
 # maximum likelihood: a prior this wide leaves the data term alone
 FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
 
+# numpy's ufunc buffer, in elements, while ``map_train`` runs (numpy's default
+# is 8,192)
+_UFUNC_BUFFER = 1024
+
 
 # ---------------------------------------------------------------------------
 # finite parameter sets
@@ -169,6 +173,12 @@ def map_train(
     snapshot (copied into, never reallocated), Adam's two moments, and the
     workspace's ``grad`` and ``scratch``, which double as Adam's scratch. A
     nonzero ``cfg.weight_decay`` adds a seventh while its term is formed.
+    Beside them it holds the workspace's activations and one block of
+    per-step arrays: the validation loss is computed a workspace block at a
+    time into one (n_val,) vector. The loop runs under a numpy ufunc buffer
+    of ``_UFUNC_BUFFER`` elements, restored on return or raise, so the bias
+    broadcasts, the ReLU masks' casts and the rank-one products that numpy
+    buffers copy through 8 KiB rather than 64 KiB; the bits are the same.
     """
     train_rows = np.asarray(train_rows, dtype=np.intp)
     val_rows = np.asarray(val_rows, dtype=np.intp)
@@ -179,14 +189,16 @@ def map_train(
     n_train = train_rows.size
     ws = nnet.Workspace(arch, min(cfg.batch_size, n_train))
 
-    def val_objective(w):
-        # streamed through the training workspace; the per-row losses are averaged once
-        out = nnet.forward(arch, w, loss.x, ws, val_rows)
-        return float(loss.values(out, val_rows).mean())
+    val_losses = np.empty(val_rows.size)
 
-    best_params = params.copy()  # snapshots are copied into it
-    best_val = val_objective(params)
-    since_best = 0
+    def val_objective(w):
+        # one workspace block at a time, the blocks ``nnet.forward`` would make;
+        # the per-row losses are averaged once
+        for lo, start, stop in nnet._blocks(val_rows.size, ws.rows):
+            block = val_rows[lo:stop]
+            out = nnet.forward(arch, w, loss.x, ws, block)
+            val_losses[start:stop] = loss.values(out, block)[start - lo:]
+        return float(val_losses.mean())
 
     # Adam state, updated in place in textbook operation order via the scratch
     # s1 = ws.scratch and, once v is updated, the gradient itself
@@ -195,31 +207,39 @@ def map_train(
     t = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            rows = train_rows[order[start : start + cfg.batch_size]]
-            grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, ws, cfg.weight_decay)
-            s1 = ws.scratch
-            t += 1
-            m *= beta1
-            m += np.multiply(1.0 - beta1, grad, out=s1)
-            v *= beta2
-            v += np.multiply(1.0 - beta2, np.square(grad, out=s1), out=s1)
-            np.divide(m, 1.0 - beta1**t, out=s1)  # m_hat
-            s1 *= cfg.learning_rate
-            np.sqrt(np.divide(v, 1.0 - beta2**t, out=grad), out=grad)  # sqrt(v_hat)
-            grad += eps
-            params -= np.divide(s1, grad, out=s1)
-        cur = val_objective(params)
-        if cur < best_val:
-            best_val = cur
-            np.copyto(best_params, params)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    old_bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        best_params = params.copy()  # snapshots are copied into it
+        best_val = val_objective(params)
+        since_best = 0
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(n_train)
+            for start in range(0, n_train, cfg.batch_size):
+                rows = train_rows[order[start : start + cfg.batch_size]]
+                grad = objective_gradient(arch, params, loss, gibbs, rows, n_train, ws,
+                                          cfg.weight_decay)
+                s1 = ws.scratch
+                t += 1
+                m *= beta1
+                m += np.multiply(1.0 - beta1, grad, out=s1)
+                v *= beta2
+                v += np.multiply(1.0 - beta2, np.square(grad, out=s1), out=s1)
+                np.divide(m, 1.0 - beta1**t, out=s1)  # m_hat
+                s1 *= cfg.learning_rate
+                np.sqrt(np.divide(v, 1.0 - beta2**t, out=grad), out=grad)  # sqrt(v_hat)
+                grad += eps
+                params -= np.divide(s1, grad, out=s1)
+            cur = val_objective(params)
+            if cur < best_val:
+                best_val = cur
+                np.copyto(best_params, params)
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+    finally:  # numpy < 2 has no context that would scope the buffer size
+        np.setbufsize(old_bufsize)
     return best_params
 
 

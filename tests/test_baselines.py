@@ -5,7 +5,7 @@ from conftest import ReferenceLeastSquaresLoss, peak_bytes
 from gbpl import baselines as bl
 from gbpl import nnet
 from gbpl.evaluation import oracle_welfare, test_welfare
-from gbpl.losses import FullVectorSurrogateLoss
+from gbpl.losses import FullVectorSurrogateLoss, WeightedLogisticLoss
 from gbpl.methods import squared_surrogate
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import FullFeedbackDataset, binary_loss
@@ -195,3 +195,41 @@ class TestKActionFitMemory:
 
         fit()  # lazy imports and caches out of the measured run
         assert peak_bytes(fit) < n * 8 / 2
+
+
+class TestWeightedLogisticFitMemory:
+    def test_holds_its_weights_and_boolean_labels(self):
+        # the same tiny fit as above on a two-column table: the weights |Y(1) - Y(0)|
+        # take the difference's memory and the labels are one byte a row, so the fit
+        # holds one n-vector and n bytes; the difference and 0/1 float labels held
+        # beside the weights made three n-vectors
+        n = 100_000
+        rng = np.random.default_rng(3)
+        x, table = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        rows = rng.permutation(n)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=64)
+
+        def fit():
+            bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, x, table, cfg, rows[:256], rows[256:512],
+                            hidden=(2,))
+
+        fit()  # lazy imports and caches out of the measured run
+        vector = n * 8
+        assert peak_bytes(fit) < vector + n + vector / 2
+
+    def test_boolean_labels_train_to_the_float_labels_bits(self):
+        rng = np.random.default_rng(23)
+        n = 400
+        x, table = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+        table[::7, 1] = table[::7, 0]  # gap ties: label 0 at weight 0
+        train, val = np.arange(300), np.arange(300, n)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=6, patience=3, seed=4)
+        policy = bl.fit_baseline(bl.KIND_WEIGHTED_LOGISTIC, x, table, cfg, train, val,
+                                 hidden=(8,))
+        u = table[:, 0] - table[:, 1]
+        arch = nnet.MlpArchitecture(3, (8,), 1, nnet.HEAD_IDENTITY)
+        reference = map_train(arch, WeightedLogisticLoss(x, (u > 0).astype(np.float64),
+                                                         np.abs(u)),
+                              FLAT_PRIOR, cfg, train, val)
+        assert policy.arch == arch
+        assert policy.params.tobytes() == reference.tobytes()

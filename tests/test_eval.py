@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -131,67 +130,45 @@ class TestSelectZeta:
     _ALWAYS = _linear([[0.0]], [1.0], nnet.HEAD_TANH)  # column 0 on every row
     _NEVER = _linear([[0.0]], [-1.0], nnet.HEAD_TANH)  # column 1 on every row
 
+    @staticmethod
+    def _scored(fits, val):
+        """(scale, validation welfare) per rule, as a trial scores its rules."""
+        return [(z, ev.test_welfare(val, rule)) for z, rule in fits.items()]
+
     def test_single_candidate(self):
         rng = np.random.default_rng(4)
         val = FullFeedbackDataset(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
-        assert ev.select_zeta_by_validation({0.5: self._ALWAYS}.items(), val) == \
-            (0.5, self._ALWAYS)
+        assert ev.select_zeta_by_validation(self._scored({0.5: self._ALWAYS}, val)) == 0.5
 
     def test_no_candidate_rejected(self):
-        val = FullFeedbackDataset(np.zeros((2, 1)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="at least one candidate"):
-            ev.select_zeta_by_validation(iter(()), val)
+            ev.select_zeta_by_validation(iter(()))
 
     def test_ties_take_smallest(self):
         rng = np.random.default_rng(5)
         val = FullFeedbackDataset(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
         fits = {1.0: self._ALWAYS, 0.01: self._ALWAYS, 0.1: self._ALWAYS}
-        assert ev.select_zeta_by_validation(fits.items(), val)[0] == 0.01
+        assert ev.select_zeta_by_validation(self._scored(fits, val)) == 0.01
 
     @pytest.mark.parametrize("best", [0.1, 1.0])
     def test_dominating_policy_wins(self, best):
         data = FullFeedbackDataset(np.zeros((4, 1)), np.array([[1.0, 0.0]] * 4))
         fits = {z: self._ALWAYS if z == best else self._NEVER for z in (1.0, 0.1)}
-        assert ev.select_zeta_by_validation(fits.items(), data) == (best, fits[best])
+        assert ev.select_zeta_by_validation(self._scored(fits, data)) == best
 
     @pytest.mark.parametrize("levels", [
-        [(0.001, 0), (0.01, 2), (1.0, 3)],  # the tied smaller scale falls out, 0.01 stays
+        [(0.001, 0), (0.01, 2), (1.0, 3)],  # 0.001 ties 0.01 but not the best: 0.01 wins
         [(1.0, 3), (0.001, 0), (0.01, 2)],
         [(0.1, 0), (0.01, 1), (1.0, 2), (0.001, 5), (0.3, 3)],
         *(_shuffled_levels(seed) for seed in range(20)),
     ])
-    def test_streamed_selection_matches_the_rule_over_all_candidates(self, levels, monkeypatch):
-        # welfare levels 0.4e-12 apart chain ties across more than the 1e-12 tolerance, so a
-        # candidate tied with the running best can fall out once a later one raises it
+    def test_selection_matches_the_rule_over_all_candidates(self, levels):
+        # welfare levels 0.4e-12 apart chain ties across more than the 1e-12 tolerance:
+        # a scale tied with one that is tied with the best is not itself tied with it
         welfare = {z: 0.5 + 0.4e-12 * level for z, level in levels}
-        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule, rows: welfare[policy])
         best = max(welfare.values())
         want = min(z for z, w in welfare.items() if w >= best - 1e-12)
-        assert ev.select_zeta_by_validation(((z, z) for z, _ in levels), None) == (want, want)
-
-    @pytest.mark.parametrize("step", [1.0, -1.0])
-    def test_candidates_below_the_running_best_are_released(self, step, monkeypatch):
-        # rising welfare drops each candidate when the next one is scored, falling welfare
-        # drops each new one at once: either way one candidate is alive at each fit
-        class Rule:
-            def __init__(self, welfare):
-                self.welfare = welfare
-
-        monkeypatch.setattr(ev, "test_welfare", lambda val, policy, rule, rows: policy.welfare)
-        alive = []
-
-        def fit(i):
-            rule = Rule(step * i)
-            alive.append(weakref.ref(rule))
-            return rule
-
-        def fits():
-            for i, z in enumerate((1.0, 0.1, 0.01, 0.001)):
-                assert sum(r() is not None for r in alive) <= 1, f"before fitting {z}"
-                yield z, fit(i)
-
-        z, rule = ev.select_zeta_by_validation(fits(), None)
-        assert (z, rule.welfare) == ((0.001, 3.0) if step > 0 else (1.0, 0.0))
+        assert ev.select_zeta_by_validation((z, welfare[z]) for z, _ in levels) == want
 
 
 class TestPacBayes:

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -632,6 +633,28 @@ class TestTrialMemory:
         large = run([1.0, 0.3, 0.1, 0.03, 0.01, 0.003], "six")
         vector = nnet.MlpArchitecture(4, (128, 128), 3, nnet.HEAD_SOFTMAX).param_count * 8
         assert large - small < vector, (large - small) / vector
+
+    @pytest.mark.parametrize("dgp", [{"family": "binary2", "n": 200, "d": 4},
+                                     {"family": "multi1", "n": 200, "d": 4, "k": 3}])
+    def test_no_rule_outlives_its_scoring(self, tmp_path, monkeypatch, dgp):
+        # a member is scored on the validation and the test rows as soon as it is
+        # fitted and released before the next fit: a trial keeps numbers, not rules.
+        # Kept for selection, the best rule so far was alive at every later fit
+        fit, alive = ex.fit_gbpl, []
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in alive), f"before fitting member {len(alive)}"
+            rule = fit(*args, **kwargs)
+            alive.append(weakref.ref(rule))
+            return rule
+
+        monkeypatch.setattr(ex, "fit_gbpl", spy)
+        grid = [1.0, 0.1, 0.01, 0.001]
+        raw = _smoke_config(tmp_path, [{"name": "cv", "kind": "gbpl", "zeta_grid": grid}],
+                            trials=1)
+        [result] = ex._run_trial(ex.parse_config({**raw, "dgp": dgp}), 0)
+        assert len(alive) == len(grid) and all(ref() is None for ref in alive)
+        assert result.selected_zeta in grid
 
     @pytest.mark.parametrize("grown,split", [("test", (0.06, 0.03, 0.91)),
                                              ("validation", (0.06, 0.83, 0.11))])

@@ -15,11 +15,11 @@ from conftest import (
     reference_objective_gradient,
     reference_sgld_iterates,
 )
-from gbpl import nnet
+from gbpl import nnet, posterior
 from gbpl.dgp import DgpSpec, generate_full_feedback
 from gbpl.evaluation import test_welfare, welfare_credible_interval
 from gbpl.experiment import _SPLIT_TAG, split_rows
-from gbpl.losses import FullVectorSurrogateLoss, MaskedRegressionLoss
+from gbpl.losses import FullVectorSurrogateLoss, MaskedRegressionLoss, WeightedLogisticLoss
 from gbpl.methods import FittedPolicy
 from gbpl.posterior import (
     GibbsConfig,
@@ -288,6 +288,78 @@ class TestMapTrain:
         got = map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
         want = reference_map_train(arch, loss, gibbs, cfg, train_rows, val_rows)
         assert got.tobytes() == want.tobytes()
+
+
+class TestUfuncBuffer:
+    """``map_train`` runs its loop under a small numpy ufunc buffer and gives it back."""
+
+    def test_buffer_size_restored_on_return_and_on_raise(self):
+        rng = np.random.default_rng(40)
+        arch, loss, n = _least_squares_setup(rng, n=64)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=2)
+        # the nonfinite-loss fit of TestMapTrain
+        x = rng.standard_normal((32, 2))
+        bad_loss = MaskedRegressionLoss(x, rng.standard_normal(32), np.zeros(32, dtype=np.intp))
+        bad_arch = nnet.MlpArchitecture(2, (), 1, nnet.HEAD_IDENTITY)
+        bad_cfg = TrainConfig(learning_rate=1e160, batch_size=8, max_epochs=3, patience=50)
+        caller = 4096  # neither numpy's default nor the fit's own size
+        old = np.setbufsize(caller)
+        try:
+            map_train(arch, loss, GibbsConfig(zeta=1.0), cfg, np.arange(48), np.arange(48, n))
+            assert np.getbufsize() == caller
+            with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+                map_train(bad_arch, bad_loss, GibbsConfig(zeta=1.0), bad_cfg, np.arange(24),
+                          np.arange(24, 32))
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("head", [nnet.HEAD_TANH, nnet.HEAD_SOFTMAX, nnet.HEAD_IDENTITY])
+    def test_params_equal_those_under_numpys_default_buffer(self, head, monkeypatch):
+        # 64-wide layers on 128-row batches: a bias broadcast or a mask cast covers
+        # 8,192 elements, one default buffer and eight of the fit's own
+        rng = np.random.default_rng(41)
+        n = 400
+        x = rng.standard_normal((n, 5))
+        if head == nnet.HEAD_TANH:
+            loss = FullVectorSurrogateLoss(x, rng.standard_normal(n), 0.5)
+        elif head == nnet.HEAD_SOFTMAX:
+            loss = FullVectorSurrogateLoss(x, rng.standard_normal((n, 3)), 0.5)
+        else:  # boolean labels, cast through the buffer
+            u = rng.standard_normal(n)
+            loss = WeightedLogisticLoss(x, u > 0, np.abs(u))
+        arch = nnet.MlpArchitecture(5, (64, 64), 3 if head == nnet.HEAD_SOFTMAX else 1, head)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=128, max_epochs=4, patience=4, seed=5)
+        args = (arch, loss, GibbsConfig(zeta=0.5), cfg, np.arange(300), np.arange(300, n))
+        small = map_train(*args)
+        monkeypatch.setattr(posterior, "_UFUNC_BUFFER", 8192)
+        assert small.tobytes() == map_train(*args).tobytes()
+
+    def test_peak_is_one_fits_buffers(self):
+        # the binary benchmark's fit: 1,200 training and 600 validation rows on the
+        # 10-128-128-1 net. Above its entry a fit holds six parameter vectors and one
+        # set of activations, plus per-step arrays of one 128-row block: its covariates
+        # and at most one hidden layer's width of temporaries, such as a ReLU mask, and
+        # the epoch's order and validation losses. numpy's default 64 KiB iterator
+        # buffers for the bias broadcasts, mask casts and rank-one products, and a
+        # validation loss formed over every validation row at once, went past it
+        rng = np.random.default_rng(42)
+        n_train, n_val, d, batch = 1200, 600, 10, 128
+        x = rng.standard_normal((n_train + n_val, d))
+        loss = FullVectorSurrogateLoss(x, rng.standard_normal(n_train + n_val), 0.5)
+        arch = nnet.MlpArchitecture(d, (128, 128), 1, nnet.HEAD_TANH)
+        cfg = TrainConfig(batch_size=batch, max_epochs=2, patience=2)
+        rows = np.arange(n_train + n_val)
+
+        def fit():
+            map_train(arch, loss, GibbsConfig(zeta=0.5), cfg, rows[:n_train], rows[n_train:])
+
+        fit()  # lazy imports and caches out of the measured run
+        buffers = 6 * arch.param_count * 8 + batch * (sum(arch.hidden_dims) + 1) * 8
+        block = batch * (d + max(arch.hidden_dims)) * 8
+        indices = (n_train + n_val) * 8
+        peak = peak_bytes(fit)
+        assert peak < buffers + block + indices, (peak - buffers) / block
 
 
 class TestObjectiveGradient:
