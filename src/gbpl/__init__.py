@@ -25,7 +25,7 @@ from gbpl.posterior import TrainConfig, SgldConfig, map_train, sgld_sample
 from gbpl.counterfactual import LoggedDataset
 from gbpl.dgp import DgpSpec, generate_full_feedback, generate_logged
 from gbpl.methods import FittedPolicy
-from gbpl.evaluation import PacBayesInputs, TrialResult, AggregateRow
+from gbpl.evaluation import PacBayesInputs
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,5 @@ __all__ = [
     "generate_logged",
     "FittedPolicy",
     "PacBayesInputs",
-    "TrialResult",
-    "AggregateRow",
     "__version__",
 ]

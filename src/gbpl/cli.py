@@ -12,7 +12,8 @@ Each subcommand reads all of its input in one ``_usage_errors`` block before it
 writes or runs anything, and bad input there is a usage error (exit 2) that
 names its cause: a config that fails to decode (naming the field; a NaN or
 infinite number fails too), a flag the library would reject (``train --hidden``,
-``simulate --clip --logging``), an ``experiment`` without ``--config`` or
+``simulate --clip --logging``), ``simulate --sidecar`` without ``--logged``,
+an ``experiment`` without ``--config`` or
 ``--print-schema``, and a data CSV, model directory or experiment config that
 is missing or malformed (naming the file), or a model whose covariate or action
 count differs from the data's (naming both).
@@ -80,6 +81,9 @@ def _usage_errors(args):
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         spec = from_args(DgpSpec, args)
+        if args.sidecar and not args.logged:
+            raise ValueError("--sidecar stores the hidden full table of --logged data; "
+                             "full-feedback output is that table")
         if args.logged:
             logged, full = generate_logged(spec, args.logging, args.clip)
         else:

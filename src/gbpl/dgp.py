@@ -44,7 +44,8 @@ class DgpSpec:
     the one-dimensional visualization family forces d = 1, K = 2 and uses
     noise 0.6 by default; all others default to noise 1.0. K >= 2 always. The
     ``semisynthetic_csv`` family (K = 2 by default) uses every row of
-    ``csv_path``, and ``n`` must equal their number."""
+    ``csv_path``, and ``n`` must equal their number; its covariate count is
+    the file's, so it takes no ``d``, and no other family takes a ``csv_path``."""
 
     family: str
     n: int
@@ -82,8 +83,14 @@ class DgpSpec:
             object.__setattr__(self, "noise_sd", 0.6 if fam == ONEDIM_FAMILY else 1.0)
         if not 0 <= self.noise_sd < np.inf:  # NaN fails too
             raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd!r}")
-        if fam == SEMISYNTHETIC_FAMILY and self.csv_path is None:
-            raise ValueError("semisynthetic family needs csv_path")
+        if fam == SEMISYNTHETIC_FAMILY:
+            if self.csv_path is None:
+                raise ValueError("semisynthetic family needs csv_path")
+            if self.d is not None:
+                raise ValueError(f"family {fam} takes d from csv_path's columns; "
+                                 f"d = {self.d} would go unused")
+        elif self.csv_path is not None:
+            raise ValueError(f"family {fam} reads no csv_path; got {self.csv_path!r}")
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -157,47 +157,16 @@ def pac_bayes_two_sided(inputs: PacBayesInputs) -> float:
 # trial aggregation
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    method_id: str
-    welfare: float
-    regret: float
-    seed: int
-    selected_zeta: float | None = None
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """One method's summary; the variances and standard errors of a
-    single-trial run are None."""
-
-    method_id: str
-    welfare_mean: float
-    welfare_var: float | None
-    welfare_se: float | None
-    regret_mean: float
-    regret_se: float | None
-    trials: int
-
-
-def aggregate(trials: list[TrialResult]) -> AggregateRow:
-    """Unbiased sample variance across trials; se = sqrt(var / trials).
-    A single trial has no variance: its spreads are None."""
-    if not trials:
+def aggregate(welfare, regret) -> tuple:
+    """One method's summary from its per-trial welfare and regret values:
+    ``(welfare_mean, welfare_var, welfare_se, regret_mean, regret_se, trials)``.
+    The variances are unbiased sample variances across trials and se =
+    sqrt(var / trials); a single trial has no variance, so its spreads are None."""
+    w = np.asarray(welfare, dtype=np.float64)
+    r = np.asarray(regret, dtype=np.float64)
+    n = w.size
+    if n == 0:
         raise ValueError("need at least one trial")
-    method_ids = {t.method_id for t in trials}
-    if len(method_ids) != 1:
-        raise ValueError("aggregate one method at a time")
-    w = np.array([t.welfare for t in trials])
-    r = np.array([t.regret for t in trials])
-    n = len(trials)
     w_var = float(w.var(ddof=1)) if n > 1 else None
-    return AggregateRow(
-        method_id=trials[0].method_id,
-        welfare_mean=float(w.mean()),
-        welfare_var=w_var,
-        welfare_se=math.sqrt(w_var / n) if n > 1 else None,
-        regret_mean=float(r.mean()),
-        regret_se=math.sqrt(float(r.var(ddof=1)) / n) if n > 1 else None,
-        trials=n,
-    )
+    return (float(w.mean()), w_var, math.sqrt(w_var / n) if n > 1 else None,
+            float(r.mean()), math.sqrt(float(r.var(ddof=1)) / n) if n > 1 else None, n)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -46,7 +46,6 @@ from gbpl.dgp import (LOGGING_LOGISTIC, LOGGING_SOFTMAX, DgpSpec, check_logging,
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
     RULE_RANDOMIZED,
-    TrialResult,
     aggregate,
     oracle_welfare,
     select_zeta_by_validation,
@@ -258,12 +257,14 @@ def fit_gbpl(x: np.ndarray, table: np.ndarray, gibbs: GibbsConfig, cfg: TrainCon
     return fit_policy_fullvector(x, table, gibbs, cfg, train_rows, val_rows, hidden)
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """Score every method on one trial. A method's rules are fitted one at a
-    time; each is scored on the test rows, and on the validation rows when
-    its method selects among several scales, as soon as it is fitted, and
-    released before the next fit. A trial keeps numbers, not rules, so its
-    peak memory is that of one fit."""
+def _run_trial(cfg: ExperimentConfig,
+               trial: int) -> list[tuple[float, float, float | None, int]]:
+    """Score every method on one trial: a ``(welfare, regret, selected scale,
+    seed)`` tuple per method, in ``cfg.methods`` order; a baseline's scale is
+    None. A method's rules are fitted one at a time; each is scored on the
+    test rows, and on the validation rows when its method selects among
+    several scales, as soon as it is fitted, and released before the next fit.
+    A trial keeps numbers, not rules, so its peak memory is that of one fit."""
     full, table, (train_rows, val_rows, test_rows) = _prepare_trial(cfg, trial)
     rule = RULE_DETERMINISTIC if table.shape[1] == 2 else RULE_RANDOMIZED
     oracle = oracle_welfare(full, test_rows)
@@ -285,22 +286,18 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
             del policy  # before the next rule is fitted
         selected = (select_zeta_by_validation(val_welfare.items()) if val_welfare
                     else m.scales[0])
-        results.append(
-            TrialResult(
-                method_id=m.name,
-                welfare=welfare[selected],
-                regret=oracle - welfare[selected],
-                seed=seed,
-                selected_zeta=selected,
-            )
-        )
+        results.append((welfare[selected], oracle - welfare[selected], selected, seed))
     return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials and write trials.csv, aggregate.csv, welfare_lists.csv,
     and manifest.json into the output directory. Idempotent per config.
-    Trials run in ``min(trials, jobs)`` processes; ``jobs`` defaults to the usable CPUs."""
+    Trials run in ``min(trials, jobs)`` processes; ``jobs`` defaults to the usable CPUs.
+
+    The trials' welfare and regret values form two (trials, methods) tables,
+    columns in ``cfg.methods`` order: a column is one method's ``aggregate``
+    input and, read down, its ``welfare_lists.csv`` rows."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -311,21 +308,21 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     else:
         per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
 
+    names = [m.name for m in cfg.methods]
     write_table(out / "trials.csv",
                 ["trial", "method", "welfare", "regret", "selected_zeta", "seed"],
-                ((t, r.method_id, r.welfare, r.regret, r.selected_zeta, r.seed)
-                 for t, rows in enumerate(per_trial) for r in rows))
+                ((t, name, *row) for t, rows in enumerate(per_trial)
+                 for name, row in zip(names, rows)))
 
-    by_method = {m.name: [r for rows in per_trial for r in rows if r.method_id == m.name]
-                 for m in cfg.methods}
+    welfare, regret = (np.array([[row[i] for row in rows] for rows in per_trial])
+                       for i in (0, 1))
     write_table(out / "aggregate.csv",
                 ["method", "welfare_mean", "welfare_var", "welfare_se", "regret_mean",
                  "regret_se", "trials"],
-                (astuple(aggregate(rows)) for rows in by_method.values()))
+                ((name, *aggregate(welfare[:, j], regret[:, j])) for j, name in enumerate(names)))
 
     write_table(out / "welfare_lists.csv", ["method", "trial", "welfare"],
-                ((name, t, r.welfare) for name, rows in by_method.items()
-                 for t, r in enumerate(rows)))
+                ((name, t, w) for j, name in enumerate(names) for t, w in enumerate(welfare[:, j])))
 
     write_json(out / "manifest.json", to_dict(cfg))
     return out
@@ -341,7 +338,10 @@ class PosteriorVizConfig:
 
     Mirrors the reference visualization setup: uniform covariates on
     [-2.5, 2.5], scale 1.0, hidden widths (64, 64), minibatch 128, learning
-    rate 1e-3, weight decay 1e-4, and the default sampler settings. ``seed``
+    rate 1e-3, weight decay 1e-4, and the default sampler settings. ``gibbs``
+    is the posterior that the MAP fit and the sampler share (scale ``zeta``,
+    temperature ``eta``, prior variance ``tau2``; flags ``--zeta``, ``--eta``
+    and ``--tau2``), and the score grid's target uses its scale. ``seed``
     draws the data, the split, the MAP fit and the sampler, so the nested
     ``train.seed`` and ``sgld.seed`` are set to it; either may be given as 0
     or as ``seed``, and any other value is rejected.
@@ -349,9 +349,7 @@ class PosteriorVizConfig:
 
     output_dir: str
     n: int = 1500
-    zeta: float = 1.0
-    eta: float = 1.0
-    tau2: float = 1.0
+    gibbs: GibbsConfig = GibbsConfig(zeta=1.0)
     hidden: tuple[int, ...] = (64, 64)
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
@@ -363,7 +361,6 @@ class PosteriorVizConfig:
 
     def __post_init__(self):
         _check_split(self.split, self.n, "n")
-        GibbsConfig(zeta=self.zeta, eta=self.eta, tau2=self.tau2)
         nnet.MlpArchitecture(1, self.hidden)
         if not 0.0 < self.level < 1.0 or self.grid_points < 1:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
@@ -389,10 +386,9 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     full = generate_full_feedback(spec)[0]  # the conditional means would outlive the run
     train_rows, val_rows, test_rows = split_rows(full.n, cfg.split, [cfg.seed, _SPLIT_TAG])
 
-    gibbs = GibbsConfig(zeta=cfg.zeta, eta=cfg.eta, tau2=cfg.tau2)
-    arch, loss = squared_surrogate(full.x, full.outcome_diff(), cfg.zeta, cfg.hidden,
+    arch, loss = squared_surrogate(full.x, full.outcome_diff(), cfg.gibbs.zeta, cfg.hidden,
                                    nnet.HEAD_TANH)
-    map_params = map_train(arch, loss, gibbs, cfg.train, train_rows, val_rows)
+    map_params = map_train(arch, loss, cfg.gibbs, cfg.train, train_rows, val_rows)
 
     grid = np.linspace(-2.5, 2.5, cfg.grid_points)
     pts = np.asarray(cfg.eval_points, dtype=np.float64)
@@ -403,13 +399,14 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
                                              test_rows)],
                                nnet.forward(arch, w, pts[:, None])[:, 0]])
 
-    stats = sgld_sample(arch, loss, gibbs, map_params, cfg.sgld, rows=train_rows, summary=summary)
+    stats = sgld_sample(arch, loss, cfg.gibbs, map_params, cfg.sgld, rows=train_rows,
+                        summary=summary)
     fs, per_draw, fpts = stats[:, :grid.size], stats[:, grid.size], stats[:, grid.size + 1:]
 
     alpha = (1.0 - cfg.level) / 2.0
     f_mean = [fs[:, j].mean() for j in range(grid.size)]  # before the quantile reorders fs
     lo, hi = np.quantile(fs, [alpha, 1.0 - alpha], axis=0, overwrite_input=True)
-    target = population_score_binary(onedim_effect(grid) / cfg.zeta)
+    target = population_score_binary(onedim_effect(grid) / cfg.gibbs.zeta)
     write_table(out / "score_grid.csv", ["x", "f_mean", "f_lo", "f_hi", "target"],
                 ((grid[j], f_mean[j], lo[j], hi[j], target[j]) for j in range(grid.size)))
 

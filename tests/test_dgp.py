@@ -43,6 +43,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             dgp.DgpSpec(family="binary9", n=10)
 
+    @pytest.mark.parametrize("family", ["binary2", "multi1", "onedimviz"])
+    def test_csv_path_rejected_where_no_file_is_read(self, family):
+        with pytest.raises(ValueError, match=f"family {family} reads no csv_path; got 'nope.csv'"):
+            dgp.DgpSpec(family=family, n=10, csv_path="nope.csv")
+
+    def test_semisynthetic_rejects_a_given_d(self):
+        # the file's columns are the covariates, so a manifest would record a d no run used
+        with pytest.raises(ValueError, match="takes d from csv_path's columns; d = 9"):
+            dgp.DgpSpec(family="semisynthetic_csv", n=10, d=9, csv_path="table.csv")
+
 
 class TestFullFeedback:
     def test_reproducible_bitwise(self):

@@ -20,7 +20,7 @@ from gbpl.dgp import (
     read_logged_csv,
     write_full_feedback_csv,
 )
-from gbpl.evaluation import PacBayesInputs
+from gbpl.evaluation import PacBayesInputs, aggregate
 from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
 from gbpl.surrogate import empirical_welfare
 
@@ -93,6 +93,9 @@ _BAD_INPUTS = {
         ["simulate", "--family", "semisynthetic_csv", "--csv-path", "{tmp}/missing.csv",
          "--n", "30"],
         "{tmp}/missing.csv: No such file or directory"),
+    "simulate-sidecar-without-logged": (
+        ["simulate", "--family", "binary1", "--n", "30", "--sidecar", "{tmp}/out/side.csv"],
+        "--sidecar stores the hidden full table of --logged data"),
 }
 
 
@@ -180,6 +183,33 @@ class TestRunExperiment:
             if "DiffReg" in line or "GBPLNet" in line
         ]
         assert rows_before == rows_after
+
+    def test_the_three_tables_agree(self, tmp_path):
+        # welfare_lists.csv regroups trials.csv's welfare text method-major, and
+        # aggregate.csv is aggregate() of trials.csv's parsed columns, bit for bit
+        methods = [{"name": "GBPLNet (CV)", "kind": "gbpl", "zeta_grid": [1.0, 0.1]},
+                   {"name": "GBPL, zeta 0.1", "kind": "gbpl", "zeta": 0.1},
+                   {"name": "DiffReg", "kind": "diff_reg"}]
+        out = ex.run_experiment(ex.parse_config(_smoke_config(tmp_path, methods, trials=9)))
+
+        def rows(name):
+            with (out / name).open(newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        names = [m["name"] for m in methods]
+        trials = rows("trials.csv")
+        assert [(r["trial"], r["method"]) for r in trials] == [
+            (str(t), name) for t in range(9) for name in names]
+        by_method = {name: [r for r in trials if r["method"] == name] for name in names}
+        assert rows("welfare_lists.csv") == [
+            {"method": name, "trial": r["trial"], "welfare": r["welfare"]}
+            for name in names for r in by_method[name]]
+        summary = rows("aggregate.csv")
+        assert [row.pop("method") for row in summary] == names
+        for name, row in zip(names, summary):
+            column = {k: [float(r[k]) for r in by_method[name]] for k in ("welfare", "regret")}
+            assert [float(v) for v in row.values()] == list(
+                aggregate(column["welfare"], column["regret"]))
 
     def test_cv_variant_records_selected_zeta(self, tmp_path):
         cfg = ex.parse_config(
@@ -652,9 +682,9 @@ class TestTrialMemory:
         grid = [1.0, 0.1, 0.01, 0.001]
         raw = _smoke_config(tmp_path, [{"name": "cv", "kind": "gbpl", "zeta_grid": grid}],
                             trials=1)
-        [result] = ex._run_trial(ex.parse_config({**raw, "dgp": dgp}), 0)
+        [(_, _, selected, _)] = ex._run_trial(ex.parse_config({**raw, "dgp": dgp}), 0)
         assert len(alive) == len(grid) and all(ref() is None for ref in alive)
-        assert result.selected_zeta in grid
+        assert selected in grid
 
     @pytest.mark.parametrize("grown,split", [("test", (0.06, 0.03, 0.91)),
                                              ("validation", (0.06, 0.83, 0.11))])
@@ -1125,6 +1155,19 @@ class TestGeneratedCli:
         assert manifest["train"]["batch_size"] == manifest["sgld"]["batch_size"] == 64
         assert manifest["seed"] == manifest["train"]["seed"] == manifest["sgld"]["seed"] == 3
         assert manifest["hidden"] == [4]
+
+    def test_gibbs_flags_round_trip_through_the_manifest(self, tmp_path):
+        out = tmp_path / "viz"
+        rc = cli.main(
+            ["posterior-viz", "--out", str(out), "--n", "120", "--hidden", "4",
+             "--max-epochs", "2", "--burn-in", "2", "--n-draws", "2", "--thin", "1",
+             "--grid-points", "3", "--zeta", "0.7", "--eta", "2.5", "--tau2", "0.5"]
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["gibbs"] == {"zeta": 0.7, "eta": 2.5, "tau2": 0.5}
+        assert not {"zeta", "eta", "tau2"} & set(manifest)
+        assert from_dict(ex.PosteriorVizConfig, manifest).gibbs == GibbsConfig(0.7, 2.5, 0.5)
 
     def test_flags_decode_like_json(self, tmp_path, capsys):
         out = tmp_path / "viz"
