@@ -1,8 +1,9 @@
 """Command-line frontend.
 
-Subcommands: ``simulate`` (write a synthetic dataset to CSV), ``train`` (fit
-one method on a CSV and save the model), ``evaluate`` (score a saved model on
-a CSV), ``experiment`` (the full benchmark harness from a JSON config),
+Subcommands: ``simulate`` (write a synthetic dataset to CSV: full feedback, or
+data logged under the ``--logging`` policy), ``train`` (fit one method on a CSV
+and save the model), ``evaluate`` (score a saved model on a CSV),
+``experiment`` (the full benchmark harness from a JSON config),
 ``posterior-viz`` (the one-dimensional uncertainty run), and ``paccheck``
 (the PAC-Bayes bound calculator). Every run that writes files also writes a
 ``manifest.json`` echoing the resolved configuration. Config flags are the
@@ -12,11 +13,11 @@ Each subcommand reads all of its input in one ``_usage_errors`` block before it
 writes or runs anything, and bad input there is a usage error (exit 2) that
 names its cause: a config that fails to decode (naming the field; a NaN or
 infinite number fails too), a flag the library would reject (``train --hidden``,
-``simulate --clip --logging``), ``simulate --sidecar`` without ``--logged``,
-an ``experiment`` without ``--config`` or
-``--print-schema``, and a data CSV, model directory or experiment config that
-is missing or malformed (naming the file), or a model whose covariate or action
-count differs from the data's (naming both).
+``simulate --clip --logging``), ``simulate --clip`` or ``--sidecar`` without
+``--logging``, an ``experiment`` without ``--config`` or ``--print-schema``,
+and a data CSV, model directory or experiment config that is missing or
+malformed (naming the file), or a model whose covariate or action count
+differs from the data's (naming both).
 Configs are decoded before any file is read.
 """
 
@@ -81,26 +82,25 @@ def _usage_errors(args):
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         spec = from_args(DgpSpec, args)
-        if args.sidecar and not args.logged:
-            raise ValueError("--sidecar stores the hidden full table of --logged data; "
-                             "full-feedback output is that table")
-        if args.logged:
-            logged, full = generate_logged(spec, args.logging, args.clip)
-        else:
+        if args.logging is None:
+            for flag, value in (("--clip", args.clip), ("--sidecar", args.sidecar)):
+                if value is not None:
+                    raise ValueError(f"{flag} applies only to logged output; pass --logging")
             full, _ = generate_full_feedback(spec)
+        else:
+            clip = DEFAULT_EPSILON_CLIP if args.clip is None else args.clip
+            logged, full = generate_logged(spec, args.logging, clip)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.logged:
+    manifest = {"command": "simulate", "dgp": to_dict(spec), "out": str(out)}
+    if args.logging is None:
+        write_full_feedback_csv(out, full)
+    else:
         write_logged_csv(out, logged)
         if args.sidecar:
             write_full_feedback_csv(Path(args.sidecar), full)
-    else:
-        write_full_feedback_csv(out, full)
-    write_json(
-        out.parent / "manifest.json",
-        {"command": "simulate", "dgp": to_dict(spec), "logged": bool(args.logged),
-         "logging": args.logging, "clip": args.clip, "out": str(out)},
-    )
+        manifest.update(logging=args.logging, clip=clip)
+    write_json(out.parent / "manifest.json", manifest)
     print(f"wrote {out}")
     return 0
 
@@ -194,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     add_flags(p, DgpSpec)
-    p.add_argument("--logged", action="store_true", help="emit logged data instead of full feedback")
-    p.add_argument("--logging", choices=[LOGGING_LOGISTIC, LOGGING_SOFTMAX], default=LOGGING_LOGISTIC)
-    p.add_argument("--clip", type=float, default=DEFAULT_EPSILON_CLIP)
-    p.add_argument("--sidecar", default=None,
-                   help="where to store the hidden full table (logged mode, evaluation only)")
+    p.add_argument("--logging", choices=[LOGGING_LOGISTIC, LOGGING_SOFTMAX],
+                   help="emit data logged under this policy instead of full feedback")
+    p.add_argument("--clip", type=float,
+                   help=f"propensity floor of logged data (default {DEFAULT_EPSILON_CLIP})")
+    p.add_argument("--sidecar", help="where to store the hidden full table of logged data")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 

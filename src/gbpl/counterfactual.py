@@ -41,7 +41,8 @@ PSEUDO_DR = "dr"
 class LoggedDataset:
     """Covariates, logged action, realized outcome, optional true propensities.
 
-    ``a`` uses the binary coding {1, 0} when k = 2 and labels 1..K otherwise.
+    ``a`` uses the binary coding {1, 0} when k = 2 and labels 1..K otherwise;
+    float labels must be whole numbers.
     """
 
     x: np.ndarray
@@ -52,7 +53,10 @@ class LoggedDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.intp))
+        a = np.asarray(self.a)
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+            raise ValueError("non-integer action label")
+        object.__setattr__(self, "a", a.astype(np.intp, copy=False))
         object.__setattr__(self, "y_obs", np.asarray(self.y_obs, dtype=np.float64))
         if self.x.ndim != 2:
             raise ValueError(f"x must be a 2-D (n, d) array, got shape {self.x.shape}")

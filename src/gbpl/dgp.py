@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gbpl.counterfactual import (
-    DEFAULT_EPSILON_CLIP,
-    LoggedDataset,
-    check_clip,
-    clip_propensities,
-)
+from gbpl.counterfactual import LoggedDataset, check_clip, clip_propensities
 from gbpl.losses import sigmoid
 from gbpl.nnet import softmax
 from gbpl.surrogate import FullFeedbackDataset
@@ -179,13 +174,11 @@ def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:
         raise ValueError("logistic logging is binary only")
 
 
-def generate_logged(
-    spec: DgpSpec,
-    logging: str = LOGGING_LOGISTIC,
-    clip: float = DEFAULT_EPSILON_CLIP,
-) -> tuple[LoggedDataset, FullFeedbackDataset]:
+def generate_logged(spec: DgpSpec, logging: str,
+                    clip: float) -> tuple[LoggedDataset, FullFeedbackDataset]:
     """Convert a full-feedback draw into logged data under a stochastic
-    logging policy with a random linear index.
+    logging policy with a random linear index: ``logistic`` (K = 2 only) or
+    ``softmax``.
 
     Propensities are projected onto the clip-floored simplex, so every entry
     lies in [clip, 1 - (K-1) clip] and rows sum to one. Returns the logged dataset (with
@@ -339,14 +332,11 @@ def read_logged_csv(path: str | Path, k: int | None = None) -> LoggedDataset:
     xs, es = _names("x_", header), _names("e_", header)
     _check_columns(path, header, xs + ["action", "y_obs"] + es)
     d = len(xs)
-    a = table[:, d]
-    if np.any(a != np.round(a)):
-        raise ValueError(f"{path}: non-integer action label")
     if k is None and not es:
         raise ValueError(f"{path}: no e_ columns to take K from; pass k")
     e = table[:, d + 2 :] if es else None
     try:
-        return LoggedDataset(table[:, :d], a.astype(np.intp), table[:, d + 1],
+        return LoggedDataset(table[:, :d], table[:, d], table[:, d + 1],
                              len(es) if k is None else k, e)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

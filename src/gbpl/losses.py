@@ -7,10 +7,11 @@ returns d(sum of those losses)/d(out). ``nnet.backward`` turns the latter into
 exact parameter gradients, given the ``x`` and workspace that made ``out``.
 
 Every adapter is a frozen dataclass on top of :class:`BatchLoss`, which holds
-``x`` and ``targets`` and checks that their row counts agree; subclasses add
-their own fields, checks on them and loss methods. ``rows=None`` means all
-rows in stored order. The two squared-loss adapters take their ``values`` from
-``surrogate``'s ``binary_loss``, where the scaled squared error is written once.
+``x`` and ``targets`` and checks that their row counts agree and that their
+entries are finite; subclasses add their own fields, checks on them and loss
+methods. ``rows=None`` means all rows in stored order. The two squared-loss
+adapters take their ``values`` from ``surrogate``'s ``binary_loss``, where the
+scaled squared error is written once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def _check_rows(field: str, a: np.ndarray, n: int, integer: bool = False) -> Non
         raise ValueError(f"{field} must be nonnegative")
 
 
+def check_finite(field: str, a: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``field`` unless every entry of ``a`` is
+    finite. Two reductions decide it, with no temporary the size of ``a``."""
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError(f"{field} must be finite")
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function."""
     out = np.empty_like(z, dtype=np.float64)
@@ -58,6 +66,8 @@ class BatchLoss:
     def __post_init__(self):
         if self.targets.shape[0] != self.n:
             raise ValueError("targets row count differs from x")
+        check_finite("x", self.x)
+        check_finite("targets", self.targets)
 
     @property
     def n(self) -> int:

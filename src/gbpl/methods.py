@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.losses import FullVectorSurrogateLoss
+from gbpl.losses import FullVectorSurrogateLoss, check_finite
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
 
 
@@ -31,7 +31,10 @@ class FittedPolicy:
         return max(2, self.arch.output_dim)
 
     def score(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Raw head output on covariates, or on the covariate rows ``rows`` of ``x``."""
+        """Raw head output on covariates, or on the covariate rows ``rows`` of ``x``,
+        which must be finite."""
+        x = np.asarray(x, dtype=np.float64)
+        check_finite("x", x)
         return nnet.forward(self.arch, self.params, x, rows=rows)
 
     def delta(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:

@@ -293,7 +293,8 @@ def sgld_sample(
     rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
     n = rows.size
     b = min(sgld.batch_size, n)
-    w = np.array(init, dtype=np.float64)
+    w = nnet.aligned_empty(np.shape(init))
+    w[...] = init
     ws = nnet.Workspace(arch, b)
 
     kept = None  # (n_draws, m), sized by the first recorded row

@@ -38,6 +38,11 @@ class TestActionCoding:
             cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 2]), np.zeros(2), k=2)
         with pytest.raises(ValueError):
             cf.LoggedDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros(2), k=3)
+        with pytest.raises(ValueError, match="non-integer action label"):
+            cf.LoggedDataset(np.zeros((3, 1)), [1.7, 2.2, 3.9], np.zeros(3), k=3)
+        for whole in ([1.0, 0.0, 1.0], [True, False, True]):
+            logged = cf.LoggedDataset(np.zeros((3, 1)), whole, np.zeros(3), k=2)
+            assert logged.a.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("k, labels", [(2, [1, 0]), (4, [1, 2, 3, 4])])
     def test_labels_invert_action_columns(self, k, labels):

@@ -98,6 +98,16 @@ class TestFittedPolicyHeads:
         np.testing.assert_array_equal(policy.decide(_X), decisions)
         np.testing.assert_allclose(policy.delta(_X), rows, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("case", sorted(_HEAD_CASES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariates_rejected(self, case, bad):
+        policy = _linear(_HEAD_CASES[case][1], head=_HEAD_CASES[case][0])
+        x = _X.copy()
+        x[1, 0] = bad
+        for act in (policy.score, policy.decide, policy.delta):
+            with pytest.raises(ValueError, match="x must be finite"):
+                act(x)
+
 
 class TestActionCountMismatch:
     # (head, output columns, data columns): a tanh score acts on two actions

@@ -95,7 +95,10 @@ _BAD_INPUTS = {
         "{tmp}/missing.csv: No such file or directory"),
     "simulate-sidecar-without-logged": (
         ["simulate", "--family", "binary1", "--n", "30", "--sidecar", "{tmp}/out/side.csv"],
-        "--sidecar stores the hidden full table of --logged data"),
+        "--sidecar applies only to logged output; pass --logging"),
+    "simulate-clip-without-logging": (
+        ["simulate", "--family", "binary1", "--n", "30", "--clip", "0.3"],
+        "--clip applies only to logged output; pass --logging"),
 }
 
 
@@ -870,6 +873,8 @@ class TestCli:
         assert rc == 0
         data = read_full_feedback_csv(out)
         assert data.n == 50 and data.k == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not {"logged", "logging", "clip"} & manifest.keys()
 
     def test_simulate_semisynthetic(self, tmp_path):
         src = tmp_path / "source.csv"
@@ -887,11 +892,25 @@ class TestCli:
         data = read_full_feedback_csv(out)
         assert data.n == 30 and data.k == 3
 
+    @pytest.mark.parametrize("clip_flag, clip", [([], 0.05), (["--clip", "0.2"], 0.2)],
+                             ids=["default-clip", "given-clip"])
+    def test_simulate_logging_alone_selects_logged_output(self, tmp_path, clip_flag, clip):
+        out = tmp_path / "logged.csv"
+        rc = cli.main(["simulate", "--family", "multi1", "--n", "40", "--k", "3",
+                       "--logging", "softmax", *clip_flag, "--out", str(out)])
+        assert rc == 0
+        logged = read_logged_csv(out)
+        assert (logged.n, logged.k) == (40, 3)
+        assert logged.true_propensity.min() >= clip - 1e-12
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["logging"], manifest["clip"]) == ("softmax", clip)
+        assert "logged" not in manifest
+
     def test_simulate_logged_with_sidecar(self, tmp_path):
         out = tmp_path / "logged.csv"
         side = tmp_path / "full.csv"
         rc = cli.main(
-            ["simulate", "--family", "multi1", "--n", "40", "--k", "3", "--logged",
+            ["simulate", "--family", "multi1", "--n", "40", "--k", "3",
              "--logging", "softmax", "--out", str(out), "--sidecar", str(side)]
         )
         assert rc == 0
@@ -1251,11 +1270,11 @@ class TestGeneratedCli:
         "argv, flag",
         [
             (["train", "--data", "{missing}", "--hidden", "8", "0", "--out", "{out}"], "--hidden"),
-            (["simulate", "--family", "binary1", "--n", "7", "--logged", "--clip", "0.7",
-              "--out", "{out}/d.csv"], "clip"),
-            (["simulate", "--family", "multi1", "--n", "7", "--k", "3", "--logged",
+            (["simulate", "--family", "binary1", "--n", "7", "--logging", "logistic",
+              "--clip", "0.7", "--out", "{out}/d.csv"], "clip"),
+            (["simulate", "--family", "multi1", "--n", "7", "--k", "3", "--logging", "softmax",
               "--clip", "0.4", "--out", "{out}/d.csv"], "clip"),
-            (["simulate", "--family", "multi1", "--n", "7", "--logged", "--logging", "logistic",
+            (["simulate", "--family", "multi1", "--n", "7", "--logging", "logistic",
               "--out", "{out}/d.csv"], "logging"),
         ],
         ids=["train-hidden", "simulate-clip-binary", "simulate-clip-k3", "simulate-logging"],

@@ -14,7 +14,7 @@ from conftest import (
     reference_forward,
 )
 from gbpl import nnet
-from gbpl.methods import FittedPolicy
+from gbpl.methods import FittedPolicy, squared_surrogate
 from gbpl.losses import (
     CrossEntropyLogitsLoss,
     FullVectorSurrogateLoss,
@@ -37,6 +37,13 @@ class TestArchitecture:
             nnet.MlpArchitecture(2, (), 1, "sigmoid")
 
 
+def _with_entry(a, value):
+    """A copy of ``a`` whose second entry is ``value``."""
+    a = a.copy()
+    a.flat[1] = value
+    return a
+
+
 class TestLossAdapters:
     @pytest.mark.parametrize("build, message", [
         (lambda x: MaskedRegressionLoss(x, np.zeros(3), np.zeros(4, dtype=np.intp)),
@@ -53,8 +60,14 @@ class TestLossAdapters:
          "targets must be integer column indices, got float64"),
         (lambda x: CrossEntropyLogitsLoss(x, np.array([0, -1, 1, 0])),
          "targets must be nonnegative"),
+        (lambda x: squared_surrogate(x, _with_entry(np.zeros(4), np.nan), 0.1, (),
+                                     nnet.HEAD_TANH),
+         "targets must be finite"),
+        (lambda x: squared_surrogate(_with_entry(x, np.inf), np.zeros(4), 0.1, (),
+                                     nnet.HEAD_TANH),
+         "x must be finite"),
     ], ids=["targets-rows", "weights-rows", "negative-weights", "cols-rows", "negative-cols",
-            "non-integer-class", "negative-class"])
+            "non-integer-class", "negative-class", "nan-target", "inf-covariate"])
     def test_adapter_rejects_mismatched_or_negative_arrays(self, build, message):
         with pytest.raises(ValueError, match=message):
             build(np.zeros((4, 2)))
@@ -310,6 +323,25 @@ class TestWorkspace:
         nnet.backward(arch, params, x, g, ws)
         for before, after in zip(copies, (params, x, g)):
             assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("shape", [1, 7, 18049, (128, 128), (56, 10)])
+    def test_aligned_empty(self, shape):
+        kept = [nnet.aligned_empty(shape) for _ in range(20)]  # different heap states
+        for a in kept:
+            assert a.ctypes.data % nnet._ALIGN == 0
+            assert a.shape == np.empty(shape).shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    @_PAPER_NETS
+    def test_fit_buffers_start_on_the_alignment_boundary(self, arch):
+        rng = np.random.default_rng(45)
+        params = nnet.init_params(arch, rng)
+        x = rng.normal(size=(128, arch.input_dim))
+        ws = nnet.Workspace(arch, 128)
+        out = nnet.forward(arch, params, x, ws)
+        nnet.backward(arch, params, x, np.ones_like(out), ws)
+        for a in (params, *ws.acts, ws.grad, ws.scratch):
+            assert a.ctypes.data % nnet._ALIGN == 0
 
 
 class TestBlocks:

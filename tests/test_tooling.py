@@ -52,7 +52,7 @@ from gbpl.posterior import SgldConfig, TrainConfig
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
-# the reader of the logged CSVs that `gbpl simulate --logged` writes, kept for
+# the reader of the logged CSVs that `gbpl simulate --logging` writes, kept for
 # users' files though no library path reads them
 _UNUSED_ALLOWED = {"dgp.read_logged_csv"}
 
