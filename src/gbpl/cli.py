@@ -91,7 +91,6 @@ def _cmd_simulate(args) -> int:
             clip = DEFAULT_EPSILON_CLIP if args.clip is None else args.clip
             logged, full = generate_logged(spec, args.logging, clip)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"command": "simulate", "dgp": to_dict(spec), "out": str(out)}
     if args.logging is None:
         write_full_feedback_csv(out, full)

@@ -91,7 +91,8 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as indented, key-sorted JSON ending in a newline."""
+    """Write ``payload`` as indented, key-sorted JSON, creating missing directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -58,8 +58,8 @@ class LoggedDataset:
             raise ValueError("non-integer action label")
         object.__setattr__(self, "a", a.astype(np.intp, copy=False))
         object.__setattr__(self, "y_obs", np.asarray(self.y_obs, dtype=np.float64))
-        if self.x.ndim != 2:
-            raise ValueError(f"x must be a 2-D (n, d) array, got shape {self.x.shape}")
+        if self.x.ndim != 2 or self.x.shape[1] < 1:
+            raise ValueError(f"x must be a 2-D (n, d) array with d >= 1, got shape {self.x.shape}")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("x must be finite")
         n = self.x.shape[0]

@@ -165,12 +165,12 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
     return FullFeedbackDataset(x, y), gamma
 
 
-def check_logging(spec: DgpSpec, logging: str, clip: float) -> None:
-    """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments."""
-    check_clip(clip, spec.k)
+def check_logging(k: int, logging: str, clip: float) -> None:
+    """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments at K = k."""
+    check_clip(clip, k)
     if logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
         raise ValueError(f"unknown logging policy {logging!r}")
-    if logging == LOGGING_LOGISTIC and spec.k != 2:
+    if logging == LOGGING_LOGISTIC and k != 2:
         raise ValueError("logistic logging is binary only")
 
 
@@ -188,7 +188,7 @@ def generate_logged(spec: DgpSpec, logging: str,
     Logging randomness comes from its own stream keyed by the spec seed, kept
     apart from the data stream.
     """
-    check_logging(spec, logging, clip)
+    check_logging(spec.k, logging, clip)
     full = generate_full_feedback(spec)[0]  # its (n, K) conditional means are not needed
     k = full.k
     rng = np.random.default_rng([spec.seed, 0x106])
@@ -247,7 +247,7 @@ def semisynthetic_from_csv(path: str | Path, k: int, effect_seed: int) -> FullFe
 
 def write_table(path: str | Path, header: list[str], rows) -> None:
     """Write a header and rows as CSV with "\\n" line ends, quoting only fields
-    that hold a comma, a quote or a line end.
+    that hold a comma, a quote or a line end, creating missing directories.
 
     Floats, numpy floats included, are written as ``repr(float(v))``, which
     reads back bit for bit; ints as ``str``; ``None`` as an empty field.
@@ -255,6 +255,7 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
     def field(v):
         return repr(float(v)) if isinstance(v, (float, np.floating)) else v
 
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -35,13 +35,12 @@ from gbpl.counterfactual import (
     DEFAULT_EPSILON_CLIP,
     PSEUDO_DR,
     PSEUDO_IPW,
-    check_clip,
     check_folds,
     dr_pseudo_outcomes,
     fit_outcome_regression,
     fit_propensity,
 )
-from gbpl.dgp import (LOGGING_LOGISTIC, LOGGING_SOFTMAX, DgpSpec, check_logging,
+from gbpl.dgp import (LOGGING_LOGISTIC, DgpSpec, check_logging,
                       generate_full_feedback, generate_logged, onedim_effect, write_table)
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
@@ -122,9 +121,7 @@ class FeedbackSpec:
     def __post_init__(self):
         if self.mode not in ("full", "logged"):
             raise ValueError("feedback mode must be 'full' or 'logged'")
-        if self.logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
-            raise ValueError(f"unknown logging policy {self.logging!r}")
-        check_clip(self.clip, 2)  # the loosest K; a logged run checks the DGP's own
+        check_logging(2, self.logging, self.clip)  # the loosest K; a logged run checks its own
         if self.pseudo not in (PSEUDO_IPW, PSEUDO_DR):
             raise ValueError("pseudo must be 'ipw' or 'dr'")
         if self.propensity not in ("true", "fitted"):
@@ -137,6 +134,10 @@ class FeedbackSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One benchmark run. Each surrogate scale z is fitted under ``GibbsConfig(z)``,
+    baselines and nuisance fits under ``posterior.FLAT_PRIOR``. A trial reseeds
+    ``dgp.seed`` and ``train.seed``, so both must be left at 0."""
+
     dgp: DgpSpec
     methods: tuple[MethodSpec, ...]
     output_dir: str
@@ -145,8 +146,6 @@ class ExperimentConfig:
     trials: int = 10
     base_seed: int = 0
     train: TrainConfig = TrainConfig()
-    eta: float = 1.0
-    tau2: float = 1.0
     hidden: tuple[int, ...] = nnet.DEFAULT_HIDDEN
     jobs: int | None = None
 
@@ -160,16 +159,14 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        GibbsConfig(zeta=1.0, eta=self.eta, tau2=self.tau2)  # each method checks its zeta
         nnet.MlpArchitecture(1, self.hidden)
-        # a trial draws its data from base_seed + trial and its fits from method_seed
         for field, seed in (("dgp.seed", self.dgp.seed), ("train.seed", self.train.seed)):
             if seed != 0:
                 raise ValueError(f"{field} must be 0, got {seed}: a trial overwrites it; "
                                  "set base_seed instead")
         fb = self.feedback
         if fb.mode == "logged":
-            check_logging(self.dgp, fb.logging, fb.clip)
+            check_logging(self.dgp.k, fb.logging, fb.clip)
             if fb.folds > n_train:
                 raise ValueError(f"feedback.folds = {fb.folds} exceeds the {n_train} "
                                  "training rows")
@@ -278,7 +275,7 @@ def _run_trial(cfg: ExperimentConfig,
         for z in m.scales:
             policy = (fit_baseline(m.kind, full.x, table, train_cfg, train_rows, val_rows,
                                    cfg.hidden) if z is None
-                      else fit_gbpl(full.x, table, GibbsConfig(z, cfg.eta, cfg.tau2), train_cfg,
+                      else fit_gbpl(full.x, table, GibbsConfig(z), train_cfg,
                                     train_rows, val_rows, cfg.hidden))
             if len(m.scales) > 1:
                 val_welfare[z] = test_welfare(val_table, policy, rule, val_rows)
@@ -299,7 +296,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     columns in ``cfg.methods`` order: a column is one method's ``aggregate``
     input and, read down, its ``welfare_lists.csv`` rows."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     workers = min(cfg.trials, cfg.jobs or len(os.sched_getaffinity(0)))
     if workers > 1:
@@ -380,7 +376,6 @@ def run_posterior_viz(cfg: PosteriorVizConfig) -> Path:
     draws with their credible interval, and raw score draws at fixed points.
     """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     spec = DgpSpec(family="onedimviz", n=cfg.n, seed=cfg.seed)
     full = generate_full_feedback(spec)[0]  # the conditional means would outlive the run

@@ -131,7 +131,7 @@ class WeightedLogisticLoss(BatchLoss):
     Per row: w * (log(1 + exp(z)) - t * z) for label t in {0, 1}. Rows with
     weight zero contribute nothing, so ties in the labeling rule are harmless.
     Targets are the (n,) labels, boolean or 0/1 floats to the same bits,
-    weights the (n,) nonnegative row weights.
+    weights the (n,) finite nonnegative row weights.
     """
 
     weights: np.ndarray
@@ -139,6 +139,7 @@ class WeightedLogisticLoss(BatchLoss):
     def __post_init__(self):
         super().__post_init__()
         _check_rows("weights", self.weights, self.n)
+        check_finite("weights", self.weights)
 
     def values(self, out, rows=None):
         t = _rows(self.targets, rows)

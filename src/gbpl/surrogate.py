@@ -39,6 +39,8 @@ class FullFeedbackDataset:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
         if self.x.ndim != 2 or self.y.ndim != 2:
             raise ValueError("x and y must be 2-D arrays")
+        if self.x.shape[1] < 1:
+            raise ValueError(f"x must have at least one covariate column, got shape {self.x.shape}")
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x and y row counts differ")
         if self.x.shape[0] < 1:

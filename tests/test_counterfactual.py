@@ -262,6 +262,7 @@ class TestClipPropensitiesProperties:
 _BAD_LOGGED = {
     "x_one_dimensional": (np.zeros(2), None, "x"),
     "x_non_finite": (np.array([[np.nan], [1.0]]), None, "x"),
+    "x_no_columns": (np.zeros((2, 0)), None, "x"),
     "propensity_non_finite": (np.zeros((2, 1)), np.array([[np.nan, 0.5], [0.5, 0.5]]),
                               "true_propensity"),
 }

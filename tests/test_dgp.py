@@ -302,6 +302,8 @@ _MALFORMED_CSV = {
     "logged_non_integer_action": (dgp.read_logged_csv,
                                   "x_1,action,y_obs,e_1,e_2\n0.1,1.7,0.5,0.5,0.5\n", {},
                                   "non-integer action"),
+    "logged_no_covariates": (dgp.read_logged_csv, "action,y_obs,e_1,e_2\n1,0.5,0.5,0.5\n", {},
+                             "x must be a 2-D"),
     "logged_k_disagrees_with_e": (dgp.read_logged_csv,
                                   "x_1,action,y_obs,e_1,e_2\n0.1,1,0.5,0.5,0.5\n", {"k": 3},
                                   "true_propensity must be"),

@@ -33,6 +33,7 @@ def _write_inputs(tmp):
     (tmp / "short.csv").write_text("x_1,y_1,y_2\n0.5,1.0\n")
     (tmp / "text.csv").write_text("x_1,y_1,y_2\n0.5,one,1.0\n")
     (tmp / "one_outcome.csv").write_text("x_1,y_1\n0.5,1.0\n")
+    (tmp / "no_covariates.csv").write_text("y_1,y_2\n0.5,1.0\n")
     (tmp / "binary.csv").write_bytes(b"\xea\xc8\x00\xff" * 16)
     (tmp / "huge_field.csv").write_text("x_1,y_1,y_2\n" + "1" * 200_000 + ",1,1\n")
     wide, _ = generate_full_feedback(DgpSpec(family="binary2", n=40, d=5, seed=4))
@@ -57,6 +58,8 @@ _BAD_CSVS = {
     "short-row": ("short.csv", "line 2 has 2 fields, the header 3"),
     "non-numeric": ("text.csv", "non-numeric value"),
     "one-outcome-column": ("one_outcome.csv", "need at least two actions"),
+    "no-covariate-column": ("no_covariates.csv",
+                            "x must have at least one covariate column, got shape (1, 0)"),
     "not-utf8": ("binary.csv", "unreadable as CSV text: 'utf-8' codec can't decode"),
     "field-over-the-csv-limit": ("huge_field.csv",
                                  "unreadable as CSV text: field larger than field limit"),
@@ -324,10 +327,6 @@ _RUN_TIME_FAILURES = {
         lambda out: _with(_smoke_config(out, feedback={"mode": "logged", "folds": 30}),
                           ("dgp", "n"), 40),
         "feedback.folds = 30 exceeds the 24 training rows"),
-    "negative-eta": (lambda out: _with(_smoke_config(out), ("eta",), -1.0),
-                     "eta must be positive and finite"),
-    "zero-tau2": (lambda out: _with(_smoke_config(out), ("tau2",), 0),
-                  "tau2 must be positive and finite"),
     "zero-hidden-width": (lambda out: _with(_smoke_config(out), ("hidden",), [0]),
                           "hidden widths must be positive"),
 }
@@ -404,6 +403,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ExperimentConfig.*trails"):
             ex.parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["eta", "tau2"])
+    def test_gibbs_temperature_and_prior_are_no_config_keys(self, tmp_path, capsys, key):
+        # each surrogate scale z is fitted under GibbsConfig(z), with its default eta and tau2
+        raw = lambda out: _with(_smoke_config(out), (key,), 1.0)
+        _check_usage_error(tmp_path, capsys, raw, rf"^ExperimentConfig: unknown key\(s\) {key}$")
+
     def test_unknown_method_key_names_the_method(self):
         method = {"name": "typo", "kind": "gbpl", "zeta": 0.1, "zetta": 0.2}
         with pytest.raises(ValueError, match="'typo'.*zetta"):
@@ -428,11 +433,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "path, value, message",
-        [(("eta",), float("nan"), "ExperimentConfig: eta must be finite, got nan"),
-         (("methods", 0, "zeta"), float("inf"), "MethodSpec 'm': zeta must be finite, got inf"),
+        [(("methods", 0, "zeta"), float("inf"), "MethodSpec 'm': zeta must be finite, got inf"),
          (("dgp", "noise_sd"), float("nan"), "DgpSpec: noise_sd must be finite, got nan"),
          (("split",), [0.6, float("nan"), 0.2], "ExperimentConfig: split must be finite")],
-        ids=["eta-nan", "method-zeta-inf", "noise-sd-nan", "split-entry-nan"],
+        ids=["method-zeta-inf", "noise-sd-nan", "split-entry-nan"],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, path, value, message):
         # json.dumps writes NaN and Infinity, and json.loads reads them back as floats
@@ -1044,6 +1048,31 @@ class TestCli:
         assert f"gbpl {argv[0]}: error: {message.format(tmp=tmp_path)}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [(["simulate", "--family", "binary2", "--n", "50", "--out", "{new}/d.csv"], "d.csv"),
+         (["simulate", "--family", "binary2", "--n", "50", "--logging", "logistic",
+           "--out", "{tmp}/logged.csv", "--sidecar", "{new}/hidden.csv"], "hidden.csv"),
+         (["train", "--data", "{tmp}/data.csv", "--hidden", "4", "--max-epochs", "1",
+           "--out", "{new}/model"], "model/arch.json"),
+         (["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/model",
+           "--out", "{new}/metrics.json"], "metrics.json"),
+         (["experiment", "--config", "{tmp}/cfg.json", "--out", "{new}/run"],
+          "run/aggregate.csv"),
+         (["posterior-viz", "--n", "200", "--max-epochs", "3", "--burn-in", "10", "--n-draws",
+           "5", "--thin", "1", "--grid-points", "20", "--out", "{new}/viz"],
+          "viz/score_grid.csv")],
+        ids=["simulate-out", "simulate-sidecar", "train-out", "evaluate-out", "experiment-out",
+             "posterior-viz-out"],
+    )
+    def test_output_flag_creates_missing_parent_directories(self, tmp_path, capsys, argv,
+                                                            written):
+        _write_inputs(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(_smoke_config(tmp_path / "run", trials=1)))
+        new = tmp_path / "a" / "b"
+        assert cli.main([arg.format(tmp=tmp_path, new=new) for arg in argv]) == 0
+        assert (new / written).is_file()
 
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

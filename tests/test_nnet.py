@@ -52,6 +52,10 @@ class TestLossAdapters:
          "weights row count differs from x"),
         (lambda x: WeightedLogisticLoss(x, np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0])),
          "weights must be nonnegative"),
+        (lambda x: WeightedLogisticLoss(x, np.zeros(4), _with_entry(np.ones(4), np.nan)),
+         "weights must be finite"),
+        (lambda x: WeightedLogisticLoss(x, np.zeros(4), _with_entry(np.ones(4), np.inf)),
+         "weights must be finite"),
         (lambda x: MaskedRegressionLoss(x, np.zeros(4), np.zeros(3, dtype=np.intp)),
          r"cols row count differs from x: shape \(3,\), not \(4,\)"),
         (lambda x: MaskedRegressionLoss(x, np.zeros(4), np.array([0, 1, -1, 0])),
@@ -66,8 +70,9 @@ class TestLossAdapters:
         (lambda x: squared_surrogate(_with_entry(x, np.inf), np.zeros(4), 0.1, (),
                                      nnet.HEAD_TANH),
          "x must be finite"),
-    ], ids=["targets-rows", "weights-rows", "negative-weights", "cols-rows", "negative-cols",
-            "non-integer-class", "negative-class", "nan-target", "inf-covariate"])
+    ], ids=["targets-rows", "weights-rows", "negative-weights", "nan-weight", "inf-weight",
+            "cols-rows", "negative-cols", "non-integer-class", "negative-class", "nan-target",
+            "inf-covariate"])
     def test_adapter_rejects_mismatched_or_negative_arrays(self, build, message):
         with pytest.raises(ValueError, match=message):
             build(np.zeros((4, 2)))

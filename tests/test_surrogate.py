@@ -34,11 +34,13 @@ class TestFullFeedbackDatasetValidation:
          (np.zeros((3, 1)), np.zeros(3), "x and y must be 2-D arrays"),
          (np.zeros((3, 1)), np.zeros((2, 2)), "x and y row counts differ"),
          (np.zeros((0, 1)), np.zeros((0, 2)), "dataset must have at least one row"),
+         (np.zeros((3, 0)), np.zeros((3, 2)), r"^x must have at least one covariate column"),
          (np.zeros((3, 1)), np.zeros((3, 1)), "need at least two actions"),
          (np.zeros((3, 1)), np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]),
           "dataset entries must be finite"),
          (np.array([[0.0], [np.inf], [0.0]]), np.zeros((3, 2)), "dataset entries must be finite")],
-        ids=["x-1d", "y-1d", "row-counts", "no-rows", "one-action", "y-nan", "x-inf"],
+        ids=["x-1d", "y-1d", "row-counts", "no-rows", "no-covariates", "one-action", "y-nan",
+             "x-inf"],
     )
     def test_rejected(self, x, y, message):
         with pytest.raises(ValueError, match=message):
