@@ -7,8 +7,8 @@ The package is organized as a small numpy library:
 - ``surrogate``: welfare, surrogate losses, and their exact equivalences.
 - ``posterior``: Gibbs posteriors, MAP training, SGLD sampling.
 - ``counterfactual``: IPW/DR pseudo-outcomes and nuisance estimation.
-- ``dgp``: seeded synthetic and semi-synthetic data generators, and CSV I/O
-  (``write_table`` writes every CSV the package produces).
+- ``dgp``: seeded synthetic data generators, logged-data simulation, and CSV
+  I/O (``write_table`` writes every CSV the package produces).
 - ``methods`` / ``baselines``: fitted decision rules; ``FittedPolicy`` takes
   its rule from the network's head and is the one place a score becomes a
   decision.

@@ -15,9 +15,11 @@ names its cause: a config that fails to decode (naming the field; a NaN or
 infinite number fails too), a flag the library would reject (``train --hidden``,
 ``simulate --clip --logging``), ``simulate --clip`` or ``--sidecar`` without
 ``--logging``, an ``experiment`` without ``--config`` or ``--print-schema``,
-and a data CSV, model directory or experiment config that is missing or
-malformed (naming the file), or a model whose covariate or action count
-differs from the data's (naming both).
+a data CSV, model directory or experiment config that is missing or
+malformed (naming the file), a model whose covariate or action count differs
+from the data's (naming both), and an output path that cannot be written: a
+file path that names a directory or a directory path that names a file, one
+below a file, or two ``simulate`` outputs that name one file (naming the paths).
 Configs are decoded before any file is read.
 """
 
@@ -34,8 +36,7 @@ from gbpl import nnet
 from gbpl.configio import add_flags, from_args, read_json, schema, to_dict, write_json
 from gbpl.counterfactual import DEFAULT_EPSILON_CLIP
 from gbpl.dgp import (
-    LOGGING_LOGISTIC,
-    LOGGING_SOFTMAX,
+    LOGGING_POLICIES,
     DgpSpec,
     generate_full_feedback,
     generate_logged,
@@ -79,9 +80,29 @@ def _usage_errors(args):
         args.usage_error(cause)
 
 
+def _output(path, directory: bool = False) -> Path:
+    """``path`` as a ``Path`` once it can be written as a file, or made as a
+    directory if ``directory``: it is absent or already of that kind, and its
+    nearest existing ancestor is a directory. Otherwise ``ValueError`` names it."""
+    path = Path(path)
+    if path.exists() and path.is_dir() != directory:
+        found, wanted = ("file", "directory") if directory else ("directory", "file")
+        raise ValueError(f"{path}: is an existing {found}, not an output {wanted}")
+    ancestor = next((p for p in path.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise ValueError(f"{path}: {ancestor} is a file, not a directory")
+    return path
+
+
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         spec = from_args(DgpSpec, args)
+        out = _output(args.out)
+        manifest_path = _output(out.parent / "manifest.json")
+        sidecar = _output(args.sidecar) if args.sidecar else None
+        files = [f for f in (out, manifest_path, sidecar) if f]
+        if len({f.resolve() for f in files}) < len(files):
+            raise ValueError(f"output files {', '.join(map(str, files))} name one file twice")
         if args.logging is None:
             for flag, value in (("--clip", args.clip), ("--sidecar", args.sidecar)):
                 if value is not None:
@@ -90,16 +111,15 @@ def _cmd_simulate(args) -> int:
         else:
             clip = DEFAULT_EPSILON_CLIP if args.clip is None else args.clip
             logged, full = generate_logged(spec, args.logging, clip)
-    out = Path(args.out)
     manifest = {"command": "simulate", "dgp": to_dict(spec), "out": str(out)}
     if args.logging is None:
         write_full_feedback_csv(out, full)
     else:
         write_logged_csv(out, logged)
-        if args.sidecar:
-            write_full_feedback_csv(Path(args.sidecar), full)
+        if sidecar:
+            write_full_feedback_csv(sidecar, full)
         manifest.update(logging=args.logging, clip=clip)
-    write_json(out.parent / "manifest.json", manifest)
+    write_json(manifest_path, manifest)
     print(f"wrote {out}")
     return 0
 
@@ -109,13 +129,15 @@ def _cmd_train(args) -> int:
         gibbs = from_args(GibbsConfig, args)
         cfg = from_args(TrainConfig, args)
         nnet.MlpArchitecture(1, tuple(args.hidden))
+        out = _output(args.out, directory=True)
+        for name in ("params.bin", "arch.json", "manifest.json"):
+            _output(out / name)
         data = read_full_feedback_csv(args.data)
         train_rows, val_rows, _ = split_rows(data.n, (0.8, 0.2, 0.0), [cfg.seed, _SPLIT_TAG])
         if val_rows.size == 0:
             raise ValueError(f"{args.data}: {data.n} rows leave no validation row; "
                              "train needs at least 5")
     policy = fit_gbpl(data.x, data.y, gibbs, cfg, train_rows, val_rows, tuple(args.hidden))
-    out = Path(args.out)
     nnet.save_params(out, policy.arch, policy.params)
     write_json(
         out / "manifest.json",
@@ -128,6 +150,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     with _usage_errors(args):
+        out = _output(args.out) if args.out else None
         data = read_full_feedback_csv(args.data)
         policy = FittedPolicy(*nnet.load_params(args.model))
         for what, model_has, data_has in (("covariates", policy.arch.input_dim, data.d),
@@ -140,8 +163,8 @@ def _cmd_evaluate(args) -> int:
     metrics = {"welfare": welfare, "oracle_welfare": oracle, "regret": oracle - welfare,
                "rule": args.rule, "n": data.n}
     print(json.dumps(metrics, indent=2, sort_keys=True))
-    if args.out:
-        write_json(Path(args.out), metrics)
+    if out:
+        write_json(out, metrics)
     return 0
 
 
@@ -158,6 +181,7 @@ def _cmd_experiment(args) -> int:
         if args.jobs is not None:
             raw["jobs"] = args.jobs
         cfg = parse_config(raw)
+        _output(cfg.output_dir, directory=True)
     out = run_experiment(cfg)
     print(f"results in {out}")
     return 0
@@ -166,6 +190,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_posterior_viz(args) -> int:
     with _usage_errors(args):
         cfg = from_args(PosteriorVizConfig, args, output_dir=args.out)
+        _output(cfg.output_dir, directory=True)
     out = run_posterior_viz(cfg)
     print(f"results in {out}")
     return 0
@@ -193,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     add_flags(p, DgpSpec)
-    p.add_argument("--logging", choices=[LOGGING_LOGISTIC, LOGGING_SOFTMAX],
+    p.add_argument("--logging", choices=LOGGING_POLICIES,
                    help="emit data logged under this policy instead of full feedback")
     p.add_argument("--clip", type=float,
                    help=f"propensity floor of logged data (default {DEFAULT_EPSILON_CLIP})")

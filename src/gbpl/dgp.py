@@ -1,4 +1,4 @@
-"""Seeded synthetic data generators and semi-synthetic CSV construction.
+"""Seeded synthetic data generators, logged-data simulation and CSV interchange.
 
 Each family draws from one ``numpy`` generator in a fixed, documented order:
 first the covariates, then any direction vectors and intercepts of the mean
@@ -26,10 +26,11 @@ from gbpl.surrogate import FullFeedbackDataset
 BINARY_FAMILIES = ("binary1", "binary2", "binary3")
 MULTI_FAMILIES = ("multi1", "multi2", "multi3")
 ONEDIM_FAMILY = "onedimviz"
-SEMISYNTHETIC_FAMILY = "semisynthetic_csv"
+FAMILIES = (*BINARY_FAMILIES, *MULTI_FAMILIES, ONEDIM_FAMILY)
 
 LOGGING_LOGISTIC = "logistic"
 LOGGING_SOFTMAX = "softmax"
+LOGGING_POLICIES = (LOGGING_LOGISTIC, LOGGING_SOFTMAX)
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,7 @@ class DgpSpec:
     """Parameters of one synthetic draw. Omitted fields take family defaults:
     binary families force K = 2; multi families default to K = 5, d = 10;
     the one-dimensional visualization family forces d = 1, K = 2 and uses
-    noise 0.6 by default; all others default to noise 1.0. K >= 2 always. The
-    ``semisynthetic_csv`` family (K = 2 by default) uses every row of
-    ``csv_path``, and ``n`` must equal their number; its covariate count is
-    the file's, so it takes no ``d``, and no other family takes a ``csv_path``."""
+    noise 0.6 by default; all others default to noise 1.0. K >= 2 always."""
 
     family: str
     n: int
@@ -48,14 +46,12 @@ class DgpSpec:
     k: int | None = None
     noise_sd: float | None = None
     seed: int = 0
-    csv_path: str | None = None
 
     def __post_init__(self):
         fam = self.family.lower()
         object.__setattr__(self, "family", fam)
-        known = BINARY_FAMILIES + MULTI_FAMILIES + (ONEDIM_FAMILY, SEMISYNTHETIC_FAMILY)
-        if fam not in known:
-            raise ValueError(f"unknown family {fam!r}; expected one of {known}")
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}; expected one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.k is None:
@@ -78,14 +74,6 @@ class DgpSpec:
             object.__setattr__(self, "noise_sd", 0.6 if fam == ONEDIM_FAMILY else 1.0)
         if not 0 <= self.noise_sd < np.inf:  # NaN fails too
             raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd!r}")
-        if fam == SEMISYNTHETIC_FAMILY:
-            if self.csv_path is None:
-                raise ValueError("semisynthetic family needs csv_path")
-            if self.d is not None:
-                raise ValueError(f"family {fam} takes d from csv_path's columns; "
-                                 f"d = {self.d} would go unused")
-        elif self.csv_path is not None:
-            raise ValueError(f"family {fam} reads no csv_path; got {self.csv_path!r}")
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -141,14 +129,8 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
     gamma, in the column order of the outcomes.
 
     Stream order: covariates, then mean-function directions, then one noise
-    column per action. The semisynthetic construction is noiseless given its
-    CSV, so there gamma is the outcome table itself.
+    column per action.
     """
-    if spec.family == SEMISYNTHETIC_FAMILY:
-        data = semisynthetic_from_csv(spec.csv_path, spec.k, spec.seed)
-        if data.n != spec.n:
-            raise ValueError(f"{spec.csv_path}: n = {spec.n} but the file has {data.n} rows")
-        return data, data.y
     rng = np.random.default_rng(spec.seed)
     if spec.family == ONEDIM_FAMILY:
         x = rng.uniform(-2.5, 2.5, size=(spec.n, 1))
@@ -168,7 +150,7 @@ def generate_full_feedback(spec: DgpSpec) -> tuple[FullFeedbackDataset, np.ndarr
 def check_logging(k: int, logging: str, clip: float) -> None:
     """Raise ``ValueError`` unless ``generate_logged`` accepts these arguments at K = k."""
     check_clip(clip, k)
-    if logging not in (LOGGING_LOGISTIC, LOGGING_SOFTMAX):
+    if logging not in LOGGING_POLICIES:
         raise ValueError(f"unknown logging policy {logging!r}")
     if logging == LOGGING_LOGISTIC and k != 2:
         raise ValueError("logistic logging is binary only")
@@ -209,36 +191,6 @@ def generate_logged(spec: DgpSpec, logging: str,
     a = LoggedDataset.labels(k)[cols]
     logged = LoggedDataset(x=full.x, a=a, y_obs=y_obs, k=k, true_propensity=e)
     return logged, full
-
-
-def semisynthetic_from_csv(path: str | Path, k: int, effect_seed: int) -> FullFeedbackDataset:
-    """Build K potential outcomes from a real regression table.
-
-    The last column of the CSV is taken as the response; it is standardized to
-    zero mean and unit variance, and each action a = 1..K gets the outcome
-    standardized response + tanh(x'w_a / sqrt(d) + c_a) with unit-norm
-    directions w_a and intercepts c_a drawn from ``effect_seed``.
-    """
-    header, table = _read_table(path)
-    if table.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
-    if table.shape[1] < 2:
-        raise ValueError(f"{path}: need at least one feature column plus the response")
-    x = table[:, :-1]
-    resp = table[:, -1]
-    sd = resp.std()
-    if sd == 0.0:
-        raise ValueError(f"{path}: response column {header[-1]!r} has zero variance")
-    z = (resp - resp.mean()) / sd
-
-    d = x.shape[1]
-    rng = np.random.default_rng(effect_seed)
-    y = np.empty((x.shape[0], k))
-    for a in range(1, k + 1):
-        w_a = _unit_vector(rng, d)
-        c_a = rng.standard_normal()
-        y[:, a - 1] = z + np.tanh(x @ w_a / np.sqrt(d) + c_a)
-    return FullFeedbackDataset(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,10 @@ from gbpl.posterior import (
 from gbpl.surrogate import FullFeedbackDataset, population_score_binary
 
 KIND_GBPL = "gbpl"
+# the values of FeedbackSpec's mode, pseudo and propensity
+FEEDBACK_MODES = ("full", "logged")
+PSEUDO_KINDS = (PSEUDO_IPW, PSEUDO_DR)
+PROPENSITY_SOURCES = ("true", "fitted")
 DEFAULT_ZETA_GRID = (1.0, 0.1, 0.01, 0.001)
 
 _SPLIT_TAG = 0x5917
@@ -111,20 +115,20 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class FeedbackSpec:
-    mode: str = "full"  # "full" | "logged"
+    mode: str = "full"
     logging: str = LOGGING_LOGISTIC
     clip: float = DEFAULT_EPSILON_CLIP
     pseudo: str = PSEUDO_DR
-    propensity: str = "true"  # "true" | "fitted"
+    propensity: str = "true"
     folds: int = 0  # cross-fitting folds for the outcome regression: 0, or at least 2
 
     def __post_init__(self):
-        if self.mode not in ("full", "logged"):
+        if self.mode not in FEEDBACK_MODES:
             raise ValueError("feedback mode must be 'full' or 'logged'")
         check_logging(2, self.logging, self.clip)  # the loosest K; a logged run checks its own
-        if self.pseudo not in (PSEUDO_IPW, PSEUDO_DR):
+        if self.pseudo not in PSEUDO_KINDS:
             raise ValueError("pseudo must be 'ipw' or 'dr'")
-        if self.propensity not in ("true", "fitted"):
+        if self.propensity not in PROPENSITY_SOURCES:
             raise ValueError("propensity must be 'true' or 'fitted'")
         check_folds(self.folds)
         if self.folds and (self.mode == "full" or self.pseudo == PSEUDO_IPW):

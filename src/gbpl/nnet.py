@@ -331,11 +331,11 @@ def backward(
 
 def save_params(directory: str | Path, arch: MlpArchitecture, params: np.ndarray) -> None:
     """Persist a parameter vector as a little-endian float64 blob + JSON sidecar."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     vec = np.ascontiguousarray(np.asarray(params, dtype="<f8"))
     if vec.shape != (arch.param_count,):
         raise ValueError("parameter vector does not match the architecture")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / "params.bin").write_bytes(vec.tobytes())
     write_json(directory / "arch.json",
                {"arch": to_dict(arch), "dim": int(vec.size), "dtype": "<f8"})

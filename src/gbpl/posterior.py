@@ -303,7 +303,10 @@ def sgld_sample(
         batch = rows[rng.choice(n, size=b, replace=False)]
         grad = objective_gradient(arch, w, loss, gibbs, batch, n, ws)
         norm = float(np.sqrt(grad @ grad))
-        if norm > sgld.clip_norm:
+        if norm == np.inf:  # grad @ grad overflowed; grad / max|grad| has a finite norm
+            grad /= np.abs(grad).max()
+            grad *= sgld.clip_norm / float(np.sqrt(grad @ grad))
+        elif norm > sgld.clip_norm:
             grad *= sgld.clip_norm / norm
         # in place, in the operation order of w - (0.5 * step) * grad + sqrt(step) * noise
         grad *= 0.5 * sgld.step_size

@@ -1,5 +1,3 @@
-import csv
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -29,29 +27,15 @@ class TestSpecValidation:
         spec = dgp.DgpSpec(family="multi2", n=10)
         assert spec.k == 5 and spec.d == 10 and spec.noise_sd == 1.0
 
-    def test_semisynthetic_defaults_to_two_actions(self):
-        spec = dgp.DgpSpec(family="semisynthetic_csv", n=10, csv_path="table.csv")
-        assert spec.k == 2
-
-    @pytest.mark.parametrize("family", ["multi1", "semisynthetic_csv"])
+    @pytest.mark.parametrize("family", ["multi1", "onedimviz"])
     @pytest.mark.parametrize("k", [1, 0])
     def test_fewer_than_two_actions_rejected(self, family, k):
         with pytest.raises(ValueError, match=f"family {family} needs K >= 2"):
-            dgp.DgpSpec(family=family, n=10, k=k, csv_path="table.csv")
+            dgp.DgpSpec(family=family, n=10, k=k)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             dgp.DgpSpec(family="binary9", n=10)
-
-    @pytest.mark.parametrize("family", ["binary2", "multi1", "onedimviz"])
-    def test_csv_path_rejected_where_no_file_is_read(self, family):
-        with pytest.raises(ValueError, match=f"family {family} reads no csv_path; got 'nope.csv'"):
-            dgp.DgpSpec(family=family, n=10, csv_path="nope.csv")
-
-    def test_semisynthetic_rejects_a_given_d(self):
-        # the file's columns are the covariates, so a manifest would record a d no run used
-        with pytest.raises(ValueError, match="takes d from csv_path's columns; d = 9"):
-            dgp.DgpSpec(family="semisynthetic_csv", n=10, d=9, csv_path="table.csv")
 
 
 class TestFullFeedback:
@@ -150,68 +134,6 @@ class TestLogged:
         spec = dgp.DgpSpec(family="binary2", n=10, seed=0)
         with pytest.raises(ValueError):
             dgp.generate_logged(spec, "logistic", clip=0.9)
-
-
-def _write_csv(path, x, resp):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(x.shape[1])] + ["response"])
-        for row, r in zip(x, resp):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(r))])
-
-
-class TestSemisynthetic:
-    def test_constant_response_rejected(self, tmp_path):
-        p = tmp_path / "const.csv"
-        _write_csv(p, np.random.default_rng(0).standard_normal((10, 2)), np.ones(10))
-        with pytest.raises(ValueError, match="zero variance"):
-            dgp.semisynthetic_from_csv(p, 2, 0)
-
-    def test_too_few_rows(self, tmp_path):
-        p = tmp_path / "one.csv"
-        _write_csv(p, np.zeros((1, 2)), np.zeros(1))
-        with pytest.raises(ValueError):
-            dgp.semisynthetic_from_csv(p, 2, 0)
-
-    def test_non_numeric_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("f0,response\nabc,1.0\n2.0,2.0\n")
-        with pytest.raises(ValueError, match="non-numeric"):
-            dgp.semisynthetic_from_csv(p, 2, 0)
-
-    def test_standardization_idempotent(self, tmp_path):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((50, 3))
-        resp = rng.standard_normal(50) * 4.0 + 2.0
-        z = (resp - resp.mean()) / resp.std()
-        p1, p2 = tmp_path / "raw.csv", tmp_path / "std.csv"
-        _write_csv(p1, x, resp)
-        _write_csv(p2, x, z)
-        d1 = dgp.semisynthetic_from_csv(p1, 3, effect_seed=5)
-        d2 = dgp.semisynthetic_from_csv(p2, 3, effect_seed=5)
-        np.testing.assert_allclose(d1.y, d2.y, atol=1e-12)
-
-    def test_effect_bounded_by_tanh_range(self, tmp_path):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((80, 4))
-        resp = rng.standard_normal(80)
-        p = tmp_path / "data.csv"
-        _write_csv(p, x, resp)
-        data = dgp.semisynthetic_from_csv(p, 3, effect_seed=9)
-        z = (resp - resp.mean()) / resp.std()
-        for a in range(3):
-            effects = data.y[:, a] - z
-            assert np.all(np.abs(effects) < 1.0)
-
-    def test_n_must_match_the_file(self, tmp_path):
-        rng = np.random.default_rng(3)
-        p = tmp_path / "thirty.csv"
-        _write_csv(p, rng.standard_normal((30, 2)), rng.standard_normal(30))
-        spec = dgp.DgpSpec(family="semisynthetic_csv", n=5, k=3, csv_path=str(p))
-        with pytest.raises(ValueError, match=r"thirty\.csv: n = 5 but the file has 30 rows"):
-            dgp.generate_full_feedback(spec)
-        data, _ = dgp.generate_full_feedback(dataclasses.replace(spec, n=30))
-        assert data.n == 30
 
 
 class TestCsvRoundtrip:

@@ -92,10 +92,6 @@ _BAD_INPUTS = {
     "evaluate-other-action-count": (
         ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/three_action_model"],
         "model {tmp}/three_action_model takes 3 actions, but data {tmp}/data.csv has 2"),
-    "simulate-missing-csv-path": (
-        ["simulate", "--family", "semisynthetic_csv", "--csv-path", "{tmp}/missing.csv",
-         "--n", "30"],
-        "{tmp}/missing.csv: No such file or directory"),
     "simulate-sidecar-without-logged": (
         ["simulate", "--family", "binary1", "--n", "30", "--sidecar", "{tmp}/out/side.csv"],
         "--sidecar applies only to logged output; pass --logging"),
@@ -880,22 +876,6 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert not {"logged", "logging", "clip"} & manifest.keys()
 
-    def test_simulate_semisynthetic(self, tmp_path):
-        src = tmp_path / "source.csv"
-        rng = np.random.default_rng(0)
-        lines = ["f1,f2,resp"]
-        for row in rng.standard_normal((30, 3)):
-            lines.append(",".join(repr(float(v)) for v in row))
-        src.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "semi.csv"
-        rc = cli.main(
-            ["simulate", "--family", "semisynthetic_csv", "--csv-path", str(src),
-             "--n", "30", "--k", "3", "--seed", "2", "--out", str(out)]
-        )
-        assert rc == 0
-        data = read_full_feedback_csv(out)
-        assert data.n == 30 and data.k == 3
-
     @pytest.mark.parametrize("clip_flag, clip", [([], 0.05), (["--clip", "0.2"], 0.2)],
                              ids=["default-clip", "given-clip"])
     def test_simulate_logging_alone_selects_logged_output(self, tmp_path, clip_flag, clip):
@@ -1073,6 +1053,44 @@ class TestCli:
         new = tmp_path / "a" / "b"
         assert cli.main([arg.format(tmp=tmp_path, new=new) for arg in argv]) == 0
         assert (new / written).is_file()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["simulate", "--family", "binary2", "--n", "30", "--logging", "logistic",
+           "--out", "{tmp}/z/logged.csv", "--sidecar", "{tmp}/dir"],
+          "{tmp}/dir: is an existing directory, not an output file"),
+         (["simulate", "--family", "binary2", "--n", "30", "--logging", "logistic",
+           "--out", "{tmp}/z/logged.csv", "--sidecar", "{tmp}/z/../z/logged.csv"],
+          "output files {tmp}/z/logged.csv, {tmp}/z/manifest.json, {tmp}/z/../z/logged.csv "
+          "name one file twice"),
+         (["simulate", "--family", "binary2", "--n", "30", "--out", "{tmp}/z/manifest.json"],
+          "output files {tmp}/z/manifest.json, {tmp}/z/manifest.json name one file twice"),
+         (["train", "--data", "{tmp}/data.csv", "--hidden", "4", "--max-epochs", "1",
+           "--out", "{tmp}/file"], "{tmp}/file: is an existing file, not an output directory"),
+         (["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/model", "--out", "{tmp}/dir"],
+          "{tmp}/dir: is an existing directory, not an output file"),
+         (["experiment", "--config", "{tmp}/cfg.json", "--out", "{tmp}/file/run"],
+          "{tmp}/file/run: {tmp}/file is a file, not a directory"),
+         (["posterior-viz", "--max-epochs", "1", "--out", "{tmp}/file"],
+          "{tmp}/file: is an existing file, not an output directory")],
+        ids=["simulate-sidecar", "simulate-sidecar-is-out", "simulate-out-is-its-manifest",
+             "train-out", "evaluate-out", "experiment-out",
+             "posterior-viz-out"],
+    )
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        # rejected before any fit runs or any file is written
+        _write_inputs(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(_smoke_config(tmp_path / "run", trials=1)))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"gbpl {argv[0]}: error: {message.format(tmp=tmp_path)}" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

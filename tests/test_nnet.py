@@ -471,6 +471,12 @@ class TestSerialization:
         raw = (tmp_path / "m" / "params.bin").read_bytes()
         assert np.array_equal(np.frombuffer(raw, dtype="<f8"), params)
 
+    def test_wrong_length_vector_leaves_no_directory(self, tmp_path):
+        arch = nnet.MlpArchitecture(3, (4,))
+        with pytest.raises(ValueError, match="does not match the architecture"):
+            nnet.save_params(tmp_path / "m", arch, np.zeros(3))
+        assert not (tmp_path / "m").exists()
+
     @staticmethod
     def _save_as(directory, dtype, params=None):
         """A 2→3→1 model whose sidecar's ``"dtype"`` key is ``dtype`` (``None``

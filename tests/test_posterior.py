@@ -524,6 +524,28 @@ class TestSgld:
         want = np.stack([summary(w) for w in draws])
         assert stats.tobytes() == want.tobytes()
 
+    def test_gradient_whose_squared_norm_overflows_is_clipped_not_zeroed(self):
+        # grad @ grad is inf here, and clip_norm / inf would zero the drift
+        n = 4
+        loss = MaskedRegressionLoss(np.full((n, 1), 1e152), np.full(n, 1e3),
+                                    np.zeros(n, dtype=np.intp))
+        arch = nnet.MlpArchitecture(1, (), 1, nnet.HEAD_IDENTITY)
+        gibbs = GibbsConfig(zeta=1.0)
+        sgld = SgldConfig(step_size=1e-4, burn_in=0, n_draws=1, thin=1, batch_size=n, seed=0)
+        init = np.zeros(arch.param_count)
+        grad = objective_gradient(arch, init, loss, gibbs, np.arange(n), n, nnet.Workspace(arch, n))
+        assert np.all(np.isfinite(grad))
+        with np.errstate(over="ignore"):
+            assert grad @ grad == np.inf
+            draw = sgld_sample(arch, loss, gibbs, init, sgld)[0]
+        rng = np.random.default_rng(sgld.seed)
+        rng.choice(n, size=n, replace=False)
+        noise = np.sqrt(sgld.step_size) * rng.standard_normal(arch.param_count)
+        unit = grad / np.abs(grad).max()
+        unit /= np.sqrt(unit @ unit)
+        drift = -0.5 * sgld.step_size * sgld.clip_norm * unit
+        np.testing.assert_allclose(draw - init - noise, drift, rtol=1e-9, atol=1e-15)
+
     def test_empty_rows_rejected(self):
         arch, loss, gibbs, mean, _ = _conjugate_gaussian_setup(seed=12)
         sgld = SgldConfig(step_size=0.005, burn_in=2, n_draws=2, thin=1, batch_size=25, seed=3)

@@ -16,6 +16,29 @@ resolve, so ``from gbpl import *`` cannot break on an export left behind. No
 class in ``src/gbpl`` has a body of only a docstring or ``pass``: such a class
 is a second name for its base.
 
+Options chosen by a string escape that guard, so every value of a string
+registry that a config or a flag selects must be run too: ``DgpSpec.family``
+(``dgp.FAMILIES``), a method's ``kind`` (``"gbpl"`` and
+``baselines.BASELINE_KINDS``), ``FeedbackSpec``'s ``mode``, ``logging``,
+``pseudo`` and ``propensity``, and ``MlpArchitecture.head``. A value is run
+when a demo, a Python block of README, ``perfbench/workloads.py`` or the
+acceptance tests name it, as a string literal or by the ``src`` module
+constant that holds it. A default that no driver names does not count.
+
+Both guards keep an allowlist, and each entry names the ROADMAP direction
+that will give it a driver:
+
+- ``dgp.read_logged_csv``, the reader of the logged CSVs that ``gbpl
+  simulate --logging`` writes: direction 4, which trains from such a file;
+- the baseline kind ``direct_welfare`` and the families ``binary1`` and
+  ``binary3``: direction 20, whose zeta-path demo runs them;
+- ``logging: "logistic"``, ``pseudo: "ipw"`` and ``propensity: "true"``:
+  direction 4, which gives ``gbpl train`` those ``FeedbackSpec`` flags and
+  the binary logged round trip.
+
+An allowlist entry must name something that exists and is still undriven, so
+an entry that gains a driver, or whose name or value is gone, fails too.
+
 Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
 
@@ -46,15 +69,33 @@ from pathlib import Path
 
 import pytest
 
-from gbpl import cli, nnet
+from gbpl import baselines, cli, dgp, nnet
 from gbpl import experiment as ex
 from gbpl.posterior import SgldConfig, TrainConfig
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
 # the reader of the logged CSVs that `gbpl simulate --logging` writes, kept for
-# users' files though no library path reads them
+# users' files though no library path reads them (direction 4)
 _UNUSED_ALLOWED = {"dgp.read_logged_csv"}
+_REGISTRIES = {
+    "DgpSpec.family": dgp.FAMILIES,
+    "MethodSpec.kind": (ex.KIND_GBPL, *baselines.BASELINE_KINDS),
+    "FeedbackSpec.mode": ex.FEEDBACK_MODES,
+    "FeedbackSpec.logging": dgp.LOGGING_POLICIES,
+    "FeedbackSpec.pseudo": ex.PSEUDO_KINDS,
+    "FeedbackSpec.propensity": ex.PROPENSITY_SOURCES,
+    "MlpArchitecture.head": nnet._HEADS,
+}
+# registry values that nothing runs yet -> the ROADMAP direction that will run them
+_UNDRIVEN_ALLOWED = {
+    ("MethodSpec.kind", "direct_welfare"): "direction 20",
+    ("DgpSpec.family", "binary1"): "direction 20",
+    ("DgpSpec.family", "binary3"): "direction 20",
+    ("FeedbackSpec.logging", "logistic"): "direction 4",
+    ("FeedbackSpec.pseudo", "ipw"): "direction 4",
+    ("FeedbackSpec.propensity", "true"): "direction 4",
+}
 
 
 def _tracing():
@@ -136,6 +177,41 @@ def test_every_public_src_definition_is_used_outside_the_unit_tests():
                        for user, found in uses.items() for name, owner in found):
                 unused.append(f"{path.stem}.{top.name}")
     assert sorted(set(unused) - _UNUSED_ALLOWED) == []
+    assert sorted(_UNUSED_ALLOWED - set(unused)) == [], "stale allowlist entries"
+
+
+def _driver_trees():
+    """The parsed demos, README's Python blocks, the perfbench workloads and
+    the acceptance tests: what runs a registry value."""
+    readme = (_ROOT / "README.md").read_text()
+    paths = [*sorted((_ROOT / "demos").glob("*.py")), _ROOT / "perfbench" / "workloads.py",
+             _ROOT / "tests" / "test_acceptance.py"]
+    return [*(ast.parse(path.read_text()) for path in paths),
+            *(ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme,
+                                                       flags=re.S | re.M))]
+
+
+def test_every_registry_value_is_run_by_a_driver():
+    constants = {}  # each top-level `NAME = "value"` in src, by value
+    for path in (_ROOT / "src" / "gbpl").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if (isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant)
+                    and isinstance(top.value.value, str)):
+                constants.setdefault(top.value.value, set()).update(
+                    target.id for target in top.targets)
+    named = set()  # every string literal and identifier in a driver
+    for tree in _driver_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    undriven = {(registry, value) for registry, values in _REGISTRIES.items()
+                for value in values if not ({value} | constants.get(value, set())) & named}
+    assert sorted(undriven - _UNDRIVEN_ALLOWED.keys()) == []
+    assert sorted(_UNDRIVEN_ALLOWED.keys() - undriven) == [], "stale allowlist entries"
 
 
 def test_no_src_class_is_only_a_second_name_for_its_base():
