@@ -1065,23 +1065,34 @@ class TestCli:
           "name one file twice"),
          (["simulate", "--family", "binary2", "--n", "30", "--out", "{tmp}/z/manifest.json"],
           "output files {tmp}/z/manifest.json, {tmp}/z/manifest.json name one file twice"),
+         (["simulate", "--family", "binary2", "--n", "30", "--out", "{tmp}/dir/full.csv"],
+          "{tmp}/dir/manifest.json: is an existing directory, not an output file"),
+         (["simulate", "--family", "binary2", "--n", "30", "--out", "{tmp}/file/full.csv"],
+          "{tmp}/file/full.csv: {tmp}/file is a file, not a directory"),
          (["train", "--data", "{tmp}/data.csv", "--hidden", "4", "--max-epochs", "1",
            "--out", "{tmp}/file"], "{tmp}/file: is an existing file, not an output directory"),
+         (["train", "--data", "{tmp}/data.csv", "--hidden", "4", "--max-epochs", "1",
+           "--out", "{tmp}/dir"],
+          "{tmp}/dir/manifest.json: is an existing directory, not an output file"),
          (["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/model", "--out", "{tmp}/dir"],
           "{tmp}/dir: is an existing directory, not an output file"),
+         (["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/model",
+           "--out", "{tmp}/file/metrics.json"],
+          "{tmp}/file/metrics.json: {tmp}/file is a file, not a directory"),
          (["experiment", "--config", "{tmp}/cfg.json", "--out", "{tmp}/file/run"],
           "{tmp}/file/run: {tmp}/file is a file, not a directory"),
          (["posterior-viz", "--max-epochs", "1", "--out", "{tmp}/file"],
           "{tmp}/file: is an existing file, not an output directory")],
         ids=["simulate-sidecar", "simulate-sidecar-is-out", "simulate-out-is-its-manifest",
-             "train-out", "evaluate-out", "experiment-out",
-             "posterior-viz-out"],
+             "simulate-manifest-is-a-directory", "simulate-out-below-a-file",
+             "train-out", "train-manifest-is-a-directory", "evaluate-out",
+             "evaluate-out-below-a-file", "experiment-out", "posterior-viz-out"],
     )
     def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # rejected before any fit runs or any file is written
         _write_inputs(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(_smoke_config(tmp_path / "run", trials=1)))
-        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "manifest.json").mkdir(parents=True)
         (tmp_path / "file").write_text("")
         before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exit_info:
