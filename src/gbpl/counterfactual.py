@@ -26,6 +26,7 @@ from gbpl.losses import CrossEntropyLogitsLoss, MaskedRegressionLoss
 from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import (
     FullFeedbackDataset,
+    check_finite,
     project_simplex_rows,
     verify_equivalence_fullvector,
 )
@@ -60,13 +61,11 @@ class LoggedDataset:
         object.__setattr__(self, "y_obs", np.asarray(self.y_obs, dtype=np.float64))
         if self.x.ndim != 2 or self.x.shape[1] < 1:
             raise ValueError(f"x must be a 2-D (n, d) array with d >= 1, got shape {self.x.shape}")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("x must be finite")
+        check_finite("x", self.x)
         n = self.x.shape[0]
         if self.a.shape != (n,) or self.y_obs.shape != (n,):
             raise ValueError("a and y_obs must have one entry per row of x")
-        if not np.all(np.isfinite(self.y_obs)):
-            raise ValueError("observed outcomes must be finite")
+        check_finite("y_obs", self.y_obs)
         if self.k < 2:
             raise ValueError("need at least two actions")
         valid = self.labels(self.k)
@@ -145,8 +144,7 @@ def _check_propensities(e, n: int, k: int, true: bool = False) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if e.shape != (n, k):
         raise ValueError(f"{name} must be ({n}, {k})")
-    if not np.all(np.isfinite(e)):
-        raise ValueError(f"{name} must be finite")
+    check_finite(name, e)
     if np.any(np.abs(e.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("propensity rows must sum to 1")
     if np.any(e < PROPENSITY_FLOOR):
@@ -172,8 +170,7 @@ def dr_pseudo_outcomes(
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
     if gamma_hat.shape != (logged.n, logged.k):
         raise ValueError("gamma_hat must be (n, K)")
-    if not np.all(np.isfinite(gamma_hat)):
-        raise ValueError("gamma_hat must be finite")
+    check_finite("gamma_hat", gamma_hat)
     cols = logged.action_columns()
     idx = np.arange(logged.n)
     out = gamma_hat.copy()
@@ -185,6 +182,14 @@ def dr_pseudo_outcomes(
 
 # ---------------------------------------------------------------------------
 # nuisance estimation
+
+
+def _check_observed(logged: LoggedDataset, rows: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first action that no row of ``rows`` logs."""
+    missing = np.flatnonzero(np.bincount(logged.action_columns()[rows], minlength=logged.k) == 0)
+    if missing.size:
+        raise ValueError(f"action {logged.labels(logged.k)[missing[0]]} is never observed in "
+                         f"the training rows; cannot fit its {what}")
 
 
 def fit_propensity(
@@ -202,14 +207,10 @@ def fit_propensity(
     action must appear at least once among ``train_rows``.
     """
     check_clip(clip, logged.k)
-    cols = logged.action_columns()
-    missing = np.flatnonzero(np.bincount(cols[train_rows], minlength=logged.k) == 0)
-    if missing.size:
-        raise ValueError(f"action {logged.labels(logged.k)[missing[0]]} is never observed in "
-                         "the training rows; cannot fit its propensity")
+    _check_observed(logged, train_rows, "propensity")
     cfg = cfg or TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=200, patience=20, seed=0)
     arch = nnet.MlpArchitecture(logged.d, (), logged.k, nnet.HEAD_IDENTITY)
-    loss = CrossEntropyLogitsLoss(logged.x, cols)
+    loss = CrossEntropyLogitsLoss(logged.x, logged.action_columns())
     params = map_train(arch, loss, FLAT_PRIOR, cfg, train_rows, train_rows)
     z = nnet.forward(arch, params, logged.x)
     return clip_propensities(nnet.softmax(z, out=z), clip)
@@ -239,7 +240,7 @@ def fit_outcome_regression(
     (cross-fitting) the rows of fold j (``make_folds(train_rows.size, folds,
     cfg.seed)``) are overwritten out-of-fold, by a model fitted on the other
     folds, so no training row's prediction comes from a model that saw it.
-    Deterministic given the seed.
+    Deterministic given the seed. Each model's training rows must log every action.
 
     The fold models are fitted first, and each keeps only its held-out rows'
     predictions, so while a net trains no (n, K) table is alive beyond the
@@ -262,12 +263,13 @@ def fit_outcome_regression(
     loss = MaskedRegressionLoss(logged.x, logged.y_obs, logged.action_columns())
 
     def fit(rows: np.ndarray) -> np.ndarray:
-        # hold out a slice of the fit rows for early stopping
+        # hold out a slice of the fit rows for early stopping; a single row does both
         rng = np.random.default_rng(cfg.seed)
         perm = rows[rng.permutation(rows.size)]
         n_val = max(1, rows.size // 5)
-        val_rows, tr_rows = perm[:n_val], perm[n_val:]
-        return map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows if tr_rows.size else perm, val_rows)
+        val_rows, tr_rows = perm[:n_val], (perm[n_val:] if rows.size > 1 else perm)
+        _check_observed(logged, tr_rows, "outcome regression")
+        return map_train(arch, loss, FLAT_PRIOR, cfg, tr_rows, val_rows)
 
     out_of_fold = []
     for j in range(folds):

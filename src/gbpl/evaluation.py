@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl.methods import FittedPolicy
-from gbpl.surrogate import TIE_TOL, FullFeedbackDataset, empirical_welfare
+from gbpl.surrogate import (TIE_TOL, FullFeedbackDataset, check_finite, check_positive,
+                            empirical_welfare)
 
 RULE_DETERMINISTIC = "deterministic"
 RULE_RANDOMIZED = "randomized"
@@ -85,8 +86,9 @@ def welfare_credible_interval(values, level: float = 0.95) -> tuple[float, float
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0 or not np.all(np.isfinite(vals)):
-        raise ValueError("welfare values must be nonempty and finite")
+    if vals.size == 0:
+        raise ValueError("welfare values must be nonempty")
+    check_finite("welfare values", vals)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
     return float(vals.mean()), float(lo), float(hi)
@@ -123,9 +125,8 @@ class PacBayesInputs:
             raise ValueError("n must be positive")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        for name, value in (("v", self.v), ("b", self.b)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_positive("v", self.v)
+        check_positive("b", self.b)
         if self.lam is None:
             object.__setattr__(self, "lam", 0.5 / self.b)
         if not (0.0 < self.lam < 1.0 / self.b):

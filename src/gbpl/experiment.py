@@ -59,7 +59,7 @@ from gbpl.posterior import (
     map_train,
     sgld_sample,
 )
-from gbpl.surrogate import FullFeedbackDataset, population_score_binary
+from gbpl.surrogate import FullFeedbackDataset, check_finite, population_score_binary
 
 KIND_GBPL = "gbpl"
 # the values of FeedbackSpec's mode, pseudo and propensity
@@ -301,7 +301,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     input and, read down, its ``welfare_lists.csv`` rows."""
     out = Path(cfg.output_dir)
 
-    workers = min(cfg.trials, cfg.jobs or len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.trials, cfg.jobs or cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial, repeat(cfg), range(cfg.trials)))
@@ -364,8 +365,7 @@ class PosteriorVizConfig:
         nnet.MlpArchitecture(1, self.hidden)
         if not 0.0 < self.level < 1.0 or self.grid_points < 1:
             raise ValueError("level must lie in (0, 1) and grid_points be positive")
-        if not np.isfinite(self.eval_points).all():
-            raise ValueError(f"eval_points must be finite, got {self.eval_points}")
+        check_finite("eval_points", np.asarray(self.eval_points, dtype=np.float64))
         for field in ("train", "sgld"):
             nested = getattr(self, field)
             if nested.seed not in (0, self.seed):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl.nnet import softmax
-from gbpl.surrogate import binary_loss
+from gbpl.surrogate import binary_loss, check_finite
 
 
 def _rows(a: np.ndarray, rows) -> np.ndarray:
@@ -36,13 +36,6 @@ def _check_rows(field: str, a: np.ndarray, n: int, integer: bool = False) -> Non
         raise ValueError(f"{field} must be integer column indices, got {a.dtype}")
     if np.any(a < 0):
         raise ValueError(f"{field} must be nonnegative")
-
-
-def check_finite(field: str, a: np.ndarray) -> None:
-    """Raise ``ValueError`` naming ``field`` unless every entry of ``a`` is
-    finite. Two reductions decide it, with no temporary the size of ``a``."""
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError(f"{field} must be finite")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.losses import FullVectorSurrogateLoss, check_finite
+from gbpl.losses import FullVectorSurrogateLoss
 from gbpl.posterior import GibbsConfig, TrainConfig, map_train
+from gbpl.surrogate import check_finite
 
 
 @dataclass(frozen=True)

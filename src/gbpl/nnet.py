@@ -19,14 +19,15 @@ workspace has at most ``BLOCK_ROWS`` rows. Given ``rows``, it gathers those
 rows of ``x`` one block at a time, so scoring a subset copies no more than a
 block of it.
 
-Every matrix product goes through ``_product``, which runs it in row blocks of
-at most ``_SMALL_PRODUCT`` multiply-adds, the size up to which OpenBLAS uses
-its single-threaded small-matrix kernels. Those kernels take a contiguous
-right operand only, so ``backward`` multiplies its deltas by a contiguous
-copy of each hidden weight matrix's transpose, made in the workspace's
-``scratch``. A second BLAS thread buys these nets no wall time and doubles
-their CPU time, and in forked worker processes it oversubscribes the cores;
-with both measures no product of a net up to about 350 wide wakes it.
+Every matrix product but a rank-one one (a faster broadcast) goes through
+``_product``, which runs it in row blocks of at most ``_SMALL_PRODUCT``
+multiply-adds, the size up to which OpenBLAS uses its single-threaded
+small-matrix kernels. Those kernels take a contiguous right operand only, so
+``backward`` multiplies its deltas by a contiguous copy of each hidden weight
+matrix's transpose, made in the workspace's ``scratch``. A second BLAS thread
+buys these nets no wall time and doubles their CPU time, and in forked worker
+processes it oversubscribes the cores; with both measures no product of a net
+up to about 350 wide wakes it.
 ``forward``, ``_product`` and ``posterior.map_train``'s validation loss take
 their row blocks from ``_blocks``.
 """

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.surrogate import GibbsConfig
+from gbpl.surrogate import GibbsConfig, check_positive
 
 # maximum likelihood: a prior this wide leaves the data term alone
 FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
@@ -110,9 +110,7 @@ class TrainConfig:
     weight_decay: float = 0.0  # extra L2 on top of the Gaussian prior, off by default
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:  # NaN fails too
-            raise ValueError(f"learning_rate must be positive and finite, got "
-                             f"{self.learning_rate!r}")
+        check_positive("learning_rate", self.learning_rate)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, max_epochs must be positive")
         if self.patience < 1:
@@ -260,10 +258,8 @@ class SgldConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        for name in ("step_size", "clip_norm"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_positive("step_size", self.step_size)
+        check_positive("clip_norm", self.clip_norm)
         if self.burn_in < 0 or self.n_draws < 1 or self.thin < 1 or self.batch_size < 1:
             raise ValueError("burn_in >= 0 and n_draws, thin, batch_size >= 1 required")
 

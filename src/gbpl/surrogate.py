@@ -27,6 +27,19 @@ SIMPLEX_TOL = 1e-9
 TIE_TOL = 1e-12
 
 
+def check_finite(field: str, a: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``field`` unless every entry of ``a`` is
+    finite. Two reductions decide it, with no temporary the size of ``a``."""
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError(f"{field} must be finite")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless all of ``value`` lies in (0, inf)."""
+    if not (np.less(0, value) & np.less(value, np.inf)).all():  # NaN fails both
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FullFeedbackDataset:
     """Covariates plus the complete outcome vector for every unit."""
@@ -47,8 +60,8 @@ class FullFeedbackDataset:
             raise ValueError("dataset must have at least one row")
         if self.y.shape[1] < 2:
             raise ValueError("need at least two actions")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("dataset entries must be finite")
+        check_finite("x", self.x)
+        check_finite("y", self.y)
 
     @property
     def n(self) -> int:
@@ -85,20 +98,11 @@ class GibbsConfig:
 
     def __post_init__(self):
         for name in ("zeta", "eta", "tau2"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            check_positive(name, getattr(self, name))
 
 
 # ---------------------------------------------------------------------------
 # per-sample losses
-
-
-def _check_zeta(zeta) -> None:
-    """Raise unless every entry of ``zeta`` lies in (0, inf); NaN fails too."""
-    z = np.asarray(zeta)
-    if not ((0 < z) & (z < np.inf)).all():
-        raise ValueError("zeta must be positive and finite")
 
 
 def binary_loss(zeta: float | np.ndarray, u: float | np.ndarray, f: float | np.ndarray):
@@ -108,7 +112,7 @@ def binary_loss(zeta: float | np.ndarray, u: float | np.ndarray, f: float | np.n
     over array arguments, including the scale, whose every entry must be
     positive and finite. Its gradient in ``f`` is zeta * f - u.
     """
-    _check_zeta(zeta)
+    check_positive("zeta", zeta)
     r = np.sqrt(zeta)
     t, s = np.asarray(u), np.asarray(f)
     return 0.5 * (t / r - r * s) ** 2
@@ -121,7 +125,7 @@ def binary_loss_decomposition(zeta, u, f):
     two depend on the score, which is why validation on the raw loss value is
     biased toward large zeta.
     """
-    _check_zeta(zeta)
+    check_positive("zeta", zeta)
     u = np.asarray(u, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     return u**2 / (2.0 * zeta), -u * f, 0.5 * zeta * f**2
@@ -143,7 +147,8 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray,
     if not (np.all(delta >= -SIMPLEX_TOL)
             and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)):
         raise ValueError("policy rows are off the probability simplex or not finite")
-    return float((delta * y).sum() / y.shape[0])
+    # gathered rows are this call's own copy, so the products can go over them
+    return float(np.multiply(delta, y, out=None if rows is None else y).sum() / y.shape[0])
 
 
 # ---------------------------------------------------------------------------

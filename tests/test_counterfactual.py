@@ -280,7 +280,7 @@ class TestLoggedDatasetValidation:
         [
             ([1, 0, 1], [0.0, 0.0], 2, None, "a and y_obs must have one entry per row"),
             ([1, 0], [0.0, 0.0, 0.0], 2, None, "a and y_obs must have one entry per row"),
-            ([1, 0], [0.0, np.inf], 2, None, "observed outcomes must be finite"),
+            ([1, 0], [0.0, np.inf], 2, None, "y_obs must be finite"),
             ([1, 1], [0.0, 0.0], 1, None, "need at least two actions"),
             ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [0.5, 0.6]], "propensity rows must sum to 1"),
             ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [1.0, 0.0]],
@@ -392,21 +392,21 @@ class TestFitOutcomeRegression:
         train_rows = rng.permutation(n)[:400]
         fold = cf.make_folds(train_rows.size, 2, seed)
         y_obs = np.full(n, 10.0)
-        y_obs[train_rows] = fold  # fold 0 -> 0, fold 1 -> 1
-        logged = cf.LoggedDataset(x, np.ones(n, dtype=int), y_obs, k=2)
+        y_obs[train_rows] = fold  # fold 0 -> 0, fold 1 -> 1, whichever action is logged
+        logged = cf.LoggedDataset(x, np.arange(n) % 2, y_obs, k=2)
         cfg = TrainConfig(learning_rate=5e-2, batch_size=128, max_epochs=100, patience=100,
                           seed=seed)
         gamma_hat = cf.fit_outcome_regression(logged, train_rows, cfg, hidden=(), folds=2)
-        assert np.all(np.abs(gamma_hat[train_rows[fold == 0], 0] - 1.0) < 0.1)
-        assert np.all(np.abs(gamma_hat[train_rows[fold == 1], 0] - 0.0) < 0.1)
+        assert np.all(np.abs(gamma_hat[train_rows[fold == 0]] - 1.0) < 0.1)
+        assert np.all(np.abs(gamma_hat[train_rows[fold == 1]] - 0.0) < 0.1)
         rest = np.setdiff1d(np.arange(n), train_rows)
-        assert np.all(np.abs(gamma_hat[rest, 0] - 0.5) < 0.25)
+        assert np.all(np.abs(gamma_hat[rest] - 0.5) < 0.25)
 
     def test_single_fold_is_in_sample(self):
         rng = np.random.default_rng(11)
         n = 100
         x = rng.standard_normal((n, 2))
-        logged = cf.LoggedDataset(x, np.ones(n, dtype=int), rng.standard_normal(n), k=2)
+        logged = cf.LoggedDataset(x, np.arange(n) % 2, rng.standard_normal(n), k=2)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=5, patience=5, seed=2)
         out = cf.fit_outcome_regression(logged, np.arange(n), cfg, hidden=())
         assert out.shape == (n, 2)
@@ -466,7 +466,7 @@ class TestFitOutcomeRegression:
         monkeypatch.setattr(cf, "map_train", fake_map_train)
         rng = np.random.default_rng(13)
         n, n_train, folds = 50, 37, 2
-        logged = cf.LoggedDataset(rng.standard_normal((n, 2)), np.ones(n, dtype=int),
+        logged = cf.LoggedDataset(rng.standard_normal((n, 2)), np.arange(n) % 2,
                                   np.zeros(n), k=2)
         train_rows = rng.permutation(n)[:n_train]
         cf.fit_outcome_regression(logged, train_rows, TrainConfig(seed=3), hidden=(4,),
@@ -475,6 +475,26 @@ class TestFitOutcomeRegression:
                                 for j in range(folds)]
         expected = [(r - max(1, r // 5), max(1, r // 5)) for r in fit_rows]
         assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("folds", [0, 2])
+    def test_unobserved_action_named_before_its_fit(self, folds, monkeypatch):
+        # action 3 is logged only in fold 0 of the train rows: the all-rows fit
+        # sees it, the model fitted on fold 1 for fold 0 does not; unfolded,
+        # no training row logs it at all
+        def no_fit(*args):
+            raise AssertionError("map_train called")
+
+        monkeypatch.setattr(cf, "map_train", no_fit)
+        n = 60
+        train_rows = np.arange(n)
+        a = np.arange(n) % 2 + 1
+        if folds:
+            a[train_rows[cf.make_folds(n, folds, 0) == 0]] = 3
+        logged = cf.LoggedDataset(np.zeros((n, 2)), a, np.zeros(n), k=3)
+        with pytest.raises(ValueError, match="action 3 is never observed in the training rows; "
+                                             "cannot fit its outcome regression"):
+            cf.fit_outcome_regression(logged, train_rows, TrainConfig(seed=0), hidden=(),
+                                      folds=folds)
 
     def test_no_table_of_every_row_is_alive_while_a_net_trains(self, monkeypatch):
         # the fold fits run first and keep only their held-out rows' predictions, and

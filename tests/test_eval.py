@@ -123,9 +123,10 @@ class TestActionCountMismatch:
 
 
 class TestWelfareCredibleInterval:
-    @pytest.mark.parametrize("values", [[], [1.0, np.nan], [np.inf, 0.5]])
-    def test_empty_or_non_finite_rejected(self, values):
-        with pytest.raises(ValueError, match="nonempty and finite"):
+    @pytest.mark.parametrize("values, message", [([], "nonempty"), ([1.0, np.nan], "finite"),
+                                                 ([np.inf, 0.5], "finite")])
+    def test_empty_or_non_finite_rejected(self, values, message):
+        with pytest.raises(ValueError, match=f"^welfare values must be {message}$"):
             ev.welfare_credible_interval(values)
 
 

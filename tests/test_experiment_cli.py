@@ -862,6 +862,12 @@ class TestParallelJobs:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
+    def test_default_jobs_without_cpu_affinity(self, tmp_path, monkeypatch):
+        # os has no sched_getaffinity on macOS or Windows: jobs then defaults to the CPU count
+        monkeypatch.delattr(ex.os, "sched_getaffinity")
+        out = ex.run_experiment(ex.parse_config(_smoke_config(tmp_path / "run", trials=1)))
+        assert len((out / "trials.csv").read_text().splitlines()) == 3
+
 
 class TestCli:
     def test_simulate_and_roundtrip(self, tmp_path):

@@ -1,11 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import peak_bytes
+from gbpl import counterfactual as cf
+from gbpl import evaluation as ev
+from gbpl import experiment as ex
 from gbpl import surrogate as sg
 from gbpl.evaluation import oracle_welfare
+from gbpl.posterior import SgldConfig, TrainConfig
 
 
 def _random_simplex_rows(rng, n, k):
@@ -37,14 +44,83 @@ class TestFullFeedbackDatasetValidation:
          (np.zeros((3, 0)), np.zeros((3, 2)), r"^x must have at least one covariate column"),
          (np.zeros((3, 1)), np.zeros((3, 1)), "need at least two actions"),
          (np.zeros((3, 1)), np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]),
-          "dataset entries must be finite"),
-         (np.array([[0.0], [np.inf], [0.0]]), np.zeros((3, 2)), "dataset entries must be finite")],
+          "^y must be finite"),
+         (np.array([[0.0], [np.inf], [0.0]]), np.zeros((3, 2)), "^x must be finite")],
         ids=["x-1d", "y-1d", "row-counts", "no-rows", "no-covariates", "one-action", "y-nan",
              "x-inf"],
     )
     def test_rejected(self, x, y, message):
         with pytest.raises(ValueError, match=message):
             sg.FullFeedbackDataset(x, y)
+
+
+def _with_entry(shape, fill, bad):
+    """An array of ``fill`` whose first entry is ``bad``."""
+    a = np.full(shape, fill)
+    a.flat[0] = bad
+    return a
+
+
+_LOGGED = cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]), np.zeros(2), k=2)
+
+# (build from a bad array entry, the field the message names)
+_ARRAY_ROUTES = {
+    "dataset-x": (lambda v: sg.FullFeedbackDataset(_with_entry((3, 1), 0.0, v),
+                                                   np.zeros((3, 2))), "x"),
+    "dataset-y": (lambda v: sg.FullFeedbackDataset(np.zeros((3, 1)),
+                                                   _with_entry((3, 2), 0.0, v)), "y"),
+    "logged-x": (lambda v: cf.LoggedDataset(_with_entry((2, 1), 0.0, v), np.array([1, 0]),
+                                            np.zeros(2), k=2), "x"),
+    "logged-y_obs": (lambda v: cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]),
+                                                _with_entry(2, 0.0, v), k=2), "y_obs"),
+    "true_propensity": (lambda v: cf.LoggedDataset(np.zeros((2, 1)), np.array([1, 0]),
+                                                   np.zeros(2), k=2,
+                                                   true_propensity=_with_entry((2, 2), 0.5, v)),
+                        "true_propensity"),
+    "e_hat": (lambda v: cf.dr_pseudo_outcomes(_LOGGED, _with_entry((2, 2), 0.5, v),
+                                              np.zeros((2, 2))), "propensity matrix"),
+    "gamma_hat": (lambda v: cf.dr_pseudo_outcomes(_LOGGED, np.full((2, 2), 0.5),
+                                                  _with_entry((2, 2), 0.0, v)), "gamma_hat"),
+    "welfare-values": (lambda v: ev.welfare_credible_interval(_with_entry(3, 0.0, v)),
+                       "welfare values"),
+    "eval_points": (lambda v: ex.PosteriorVizConfig("unused", eval_points=(1.0, v)),
+                    "eval_points"),
+}
+
+# build from a bad scalar, by the name the message gives it
+_SCALAR_ROUTES = {
+    "zeta": lambda v: sg.GibbsConfig(zeta=v),
+    "eta": lambda v: sg.GibbsConfig(zeta=0.1, eta=v),
+    "tau2": lambda v: sg.GibbsConfig(zeta=0.1, tau2=v),
+    "learning_rate": lambda v: TrainConfig(learning_rate=v),
+    "step_size": lambda v: SgldConfig(step_size=v),
+    "clip_norm": lambda v: SgldConfig(clip_norm=v),
+    "v": lambda v: ev.PacBayesInputs(0.5, 1.0, 10, 0.05, v, 1.0, 0.5),
+    "b": lambda v: ev.PacBayesInputs(0.5, 1.0, 10, 0.05, 1.0, v, 0.5),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("route", sorted(_ARRAY_ROUTES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_array_rejected_naming_its_field(self, route, bad):
+        build, field = _ARRAY_ROUTES[route]
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            build(bad)
+
+    @pytest.mark.parametrize("name", sorted(_SCALAR_ROUTES))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan",
+                                                                    "inf"])
+    def test_out_of_range_scalar_rejected_naming_its_field(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, "
+                                             f"got {re.escape(repr(bad))}$"):
+            _SCALAR_ROUTES[name](bad)
+
+    def test_dataset_check_allocates_no_temporary_the_size_of_x(self):
+        # a boolean mask of the 200,000 x 10 covariates would be 2 MB
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((200_000, 10)), rng.standard_normal((200_000, 2))
+        assert peak_bytes(lambda: sg.FullFeedbackDataset(x, y)) < 0.5e6
 
 
 class TestBinaryLoss:
@@ -123,6 +199,18 @@ class TestWelfare:
         delta = np.array([[1.0, 0.0], [bad, 0.5]])
         with pytest.raises(ValueError, match="not finite"):
             sg.empirical_welfare(data, delta)
+
+    def test_indexed_rows_score_in_place_of_a_copy(self):
+        # the products go over the gathered copy of y: the bits of the
+        # allocating form, and neither input is written
+        rng = np.random.default_rng(4)
+        data = sg.FullFeedbackDataset(rng.standard_normal((50, 2)), rng.standard_normal((50, 3)))
+        rows = rng.permutation(50)[:20]
+        delta = _random_simplex_rows(rng, 20, 3)
+        y, d = data.y.copy(), delta.copy()
+        expected = float((delta * data.y[rows]).sum() / 20)
+        assert sg.empirical_welfare(data, delta, rows) == expected
+        assert data.y.tobytes() == y.tobytes() and delta.tobytes() == d.tobytes()
 
     def test_uniform_policy_averages(self):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))

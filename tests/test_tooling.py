@@ -46,7 +46,12 @@ Bad input reaches the user through one path: ``cli._usage_errors`` is the only
 place in ``cli.py`` that calls ``usage_error``. Every matrix product of the
 nets goes through one path too: ``nnet._product``, which keeps it in row blocks
 that OpenBLAS runs on one thread, is the only place in ``nnet.py`` that
-multiplies matrices.
+multiplies matrices. A non-finite array is rejected through one helper,
+``surrogate.check_finite``, and every other ``np.isfinite`` call in ``src``
+is on an allowlist of checks that need more than a yes or no: the line and
+column of ``dgp._read_table``'s bad cell, ``LoggedDataset``'s whole-number
+label test, and the ``FloatingPointError`` checks of a diverging step in
+``posterior``. A stale entry fails too.
 
 Results do not depend on how many threads OpenBLAS runs: a short
 ``posterior-viz`` run and two one-trial experiments on the default 128-wide
@@ -65,6 +70,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -277,6 +283,36 @@ def test_matrix_products_in_nnet_go_through_the_blocked_product():
                or isinstance(node, ast.Call) and {"matmul", "dot"}
                & {getattr(node.func, "attr", None), getattr(node.func, "id", None)}}
     assert callers == {"_product"}
+
+
+# np.isfinite calls outside check_finite, by enclosing definition -> how many
+_ISFINITE_ALLOWED = {
+    "surrogate.check_finite": 2,
+    "dgp._read_table": 2,  # the line and column of the first bad cell
+    "counterfactual.LoggedDataset.__post_init__": 1,  # float labels must be whole
+    "posterior.objective_gradient": 2,  # FloatingPointError: a diverging step
+    "posterior.sgld_sample": 1,  # FloatingPointError: a diverging chain
+}
+
+
+def test_array_finiteness_is_checked_through_check_finite():
+    calls = Counter()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "isfinite"
+                    and getattr(child.func.value, "id", None) == "np"):
+                calls[owner] += 1
+            visit(child, owner)
+
+    for path in sorted((_ROOT / "src" / "gbpl").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert {name: n for name, n in calls.items() if _ISFINITE_ALLOWED.get(name) != n} == {}
+    assert sorted(_ISFINITE_ALLOWED.keys() - calls.keys()) == [], "stale allowlist entries"
 
 
 def _csv_bytes_with_blas_threads(threads, out, argv):
