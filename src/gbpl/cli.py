@@ -46,7 +46,7 @@ from gbpl.dgp import (
 )
 from gbpl.evaluation import (
     RULE_DETERMINISTIC,
-    RULE_RANDOMIZED,
+    RULES,
     PacBayesInputs,
     oracle_welfare,
     pac_bayes_bound,
@@ -237,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a saved model on a full-feedback CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="directory holding arch.json and params.bin")
-    p.add_argument("--rule", choices=[RULE_DETERMINISTIC, RULE_RANDOMIZED],
-                   default=RULE_DETERMINISTIC)
+    p.add_argument("--rule", choices=RULES, default=RULE_DETERMINISTIC)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evaluate, usage_error=p.error)
 

@@ -2,7 +2,8 @@
 
 Everything is driven by ``dataclasses.fields`` and the resolved type hints:
 nested dataclasses recurse, tuples travel as lists, omitted keys take the
-field defaults, and unknown keys and wrongly typed values are rejected by name.
+field defaults, and unknown keys, missing required keys and wrongly typed
+values are rejected by name.
 """
 
 from __future__ import annotations
@@ -28,9 +29,13 @@ def from_dict(cls, raw: dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {raw!r}")
     hints = typing.get_type_hints(cls)
     owner = f"{cls.__name__} {raw['name']!r}" if "name" in raw else cls.__name__
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"{owner}: unknown key(s) {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in raw and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{owner}: missing key(s) {', '.join(missing)}")
     return cls(**{k: _decode(hints[k], v, f"{owner}: {k}") for k, v in raw.items()})
 
 

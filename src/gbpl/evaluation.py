@@ -25,6 +25,7 @@ from gbpl.surrogate import (TIE_TOL, FullFeedbackDataset, check_finite, check_po
 
 RULE_DETERMINISTIC = "deterministic"
 RULE_RANDOMIZED = "randomized"
+RULES = (RULE_DETERMINISTIC, RULE_RANDOMIZED)
 
 
 def oracle_welfare(test: FullFeedbackDataset, rows: np.ndarray | None = None) -> float:
@@ -42,15 +43,15 @@ def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
     randomized evaluation averages outcomes under the rule's simplex rows.
     The rule must act on as many actions as ``test`` has columns.
     """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     if policy.n_actions != test.k:
         raise ValueError(f"policy acts on {policy.n_actions} actions but the data "
                          f"has {test.k}")
     if rule == RULE_DETERMINISTIC:
         at = np.arange(test.n) if rows is None else rows
         return float(test.y[at, policy.decide(test.x, rows)].mean())
-    if rule == RULE_RANDOMIZED:
-        return empirical_welfare(test, policy.delta(test.x, rows), rows)
-    raise ValueError(f"unknown rule {rule!r}")
+    return empirical_welfare(test, policy.delta(test.x, rows), rows)
 
 
 test_welfare.__test__ = False  # keep pytest from collecting the public name

@@ -59,7 +59,7 @@ from gbpl.posterior import (
     map_train,
     sgld_sample,
 )
-from gbpl.surrogate import FullFeedbackDataset, check_finite, population_score_binary
+from gbpl.surrogate import FullFeedbackDataset, check_finite, check_positive, population_score_binary
 
 KIND_GBPL = "gbpl"
 # the values of FeedbackSpec's mode, pseudo and propensity
@@ -95,8 +95,8 @@ class MethodSpec:
             scales = self.zeta_grid if self.zeta is None else (self.zeta,)
             if not scales:
                 raise ValueError(f"method {self.name!r}: zeta_grid is empty")
-            if not all(0 < z < np.inf for z in scales):  # NaN fails too
-                raise ValueError(f"method {self.name!r}: zeta must be positive and finite")
+            for z in scales:
+                check_positive(f"method {self.name!r}: zeta", z)
             if len(set(scales)) != len(scales):
                 raise ValueError(f"method {self.name!r}: zeta_grid repeats a value")
         elif self.kind not in BASELINE_KINDS:
@@ -363,8 +363,10 @@ class PosteriorVizConfig:
     def __post_init__(self):
         _check_split(self.split, self.n, "n")
         nnet.MlpArchitecture(1, self.hidden)
-        if not 0.0 < self.level < 1.0 or self.grid_points < 1:
-            raise ValueError("level must lie in (0, 1) and grid_points be positive")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be at least 1, got {self.grid_points!r}")
         check_finite("eval_points", np.asarray(self.eval_points, dtype=np.float64))
         for field in ("train", "sgld"):
             nested = getattr(self, field)

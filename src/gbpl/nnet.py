@@ -80,8 +80,9 @@ class MlpArchitecture:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be positive")
+        for name in ("input_dim", "output_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden widths must be positive")
         if self.head not in _HEADS:

@@ -1,9 +1,10 @@
 """Generalized (Gibbs) posterior machinery.
 
-Exact posteriors on finite parameter sets, the variational objective they
-uniquely minimize, MAP training of the MLP under a Gaussian prior by Adam,
-and constant-step SGLD sampling. Welfare credible intervals over per-draw
-welfare live in ``evaluation`` (``welfare_credible_interval``).
+``GibbsConfig`` fixes one posterior by its surrogate scale, temperature and
+prior variance. Exact posteriors on finite parameter sets, the variational
+objective they uniquely minimize, MAP training of the MLP under a Gaussian
+prior by Adam, and constant-step SGLD sampling. Welfare credible intervals
+over per-draw welfare live in ``evaluation`` (``welfare_credible_interval``).
 
 The MAP objective throughout is
 
@@ -24,7 +25,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.surrogate import GibbsConfig, check_positive
+from gbpl.surrogate import check_positive
+
+
+@dataclass(frozen=True)
+class GibbsConfig:
+    """Everything that pins down one generalized posterior.
+
+    ``zeta`` scales the surrogate, ``eta`` is the temperature multiplying the
+    total loss, and ``tau2`` the variance of the isotropic Gaussian prior over
+    network weights. The surrogate family follows from the outcome table's
+    width, and the fitted net's head records it.
+    """
+
+    zeta: float
+    eta: float = 1.0
+    tau2: float = 1.0
+
+    def __post_init__(self):
+        for name in ("zeta", "eta", "tau2"):
+            check_positive(name, getattr(self, name))
+
 
 # maximum likelihood: a prior this wide leaves the data term alone
 FLAT_PRIOR = GibbsConfig(zeta=1.0, eta=1.0, tau2=1e8)
@@ -111,10 +132,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_positive("learning_rate", self.learning_rate)
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size, max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be nonnegative and finite, got "
                              f"{self.weight_decay!r}")
@@ -260,8 +280,11 @@ class SgldConfig:
     def __post_init__(self):
         check_positive("step_size", self.step_size)
         check_positive("clip_norm", self.clip_norm)
-        if self.burn_in < 0 or self.n_draws < 1 or self.thin < 1 or self.batch_size < 1:
-            raise ValueError("burn_in >= 0 and n_draws, thin, batch_size >= 1 required")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be at least 0, got {self.burn_in!r}")
+        for name in ("n_draws", "thin", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 def sgld_sample(

@@ -3,10 +3,11 @@
 The central fact exploited throughout the package: minimizing a scaled squared
 error in outcome-difference space equals maximizing empirical welfare minus a
 quadratic penalty whose strength is a fixed multiple of the scale ``zeta``.
-This module exposes the per-sample loss, the welfare functional, and
-checkers that verify the equivalences exactly on finite policy grids. The
-surrogate formula is written only here; the ``losses`` adapters and both
-checkers call it.
+This module exposes the per-sample loss, the welfare functional, checkers
+that verify the equivalences exactly on finite policy grids, and the input
+checks ``check_finite`` and ``check_positive`` that every module rejects bad
+input through. The surrogate formula is written only here; the ``losses``
+adapters and both checkers call it.
 
 Conventions, binary problems (K = 2): actions are labeled 1 and 0; column 0 of
 an outcome matrix holds Y(1), column 1 holds Y(0). A bounded score f in [-1, 1]
@@ -82,25 +83,6 @@ class FullFeedbackDataset:
         return self.y[:, 0] - self.y[:, 1]
 
 
-@dataclass(frozen=True)
-class GibbsConfig:
-    """Everything that pins down one generalized posterior.
-
-    ``zeta`` scales the surrogate, ``eta`` is the temperature multiplying the
-    total loss, and ``tau2`` the variance of the isotropic Gaussian prior over
-    network weights. The surrogate family follows from the outcome table's
-    width, and the fitted net's head records it.
-    """
-
-    zeta: float
-    eta: float = 1.0
-    tau2: float = 1.0
-
-    def __post_init__(self):
-        for name in ("zeta", "eta", "tau2"):
-            check_positive(name, getattr(self, name))
-
-
 # ---------------------------------------------------------------------------
 # per-sample losses
 
@@ -143,10 +125,14 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray,
     y = data.y if rows is None else data.y[rows]
     if delta.shape != y.shape:
         raise ValueError("policy rows must match the dataset shape")
-    # written so that a NaN entry fails both comparisons and is rejected
-    if not (np.all(delta >= -SIMPLEX_TOL)
-            and np.all(np.abs(delta.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)):
+    # a NaN entry makes both reductions NaN, which fails both comparisons; the
+    # row sums' distance from 1 is formed in place, with no (n, K) temporary,
+    # and freed before the products
+    off = delta.sum(axis=-1)
+    np.abs(np.subtract(off, 1.0, out=off), out=off)
+    if not (delta.min(initial=np.inf) >= -SIMPLEX_TOL and off.max(initial=0.0) <= SIMPLEX_TOL):
         raise ValueError("policy rows are off the probability simplex or not finite")
+    del off
     # gathered rows are this call's own copy, so the products can go over them
     return float(np.multiply(delta, y, out=None if rows is None else y).sum() / y.shape[0])
 

@@ -40,7 +40,8 @@ def _write_inputs(tmp):
     write_full_feedback_csv(tmp / "wide.csv", wide)
     rng = np.random.default_rng(0)
     arch = nnet.MlpArchitecture(3, (4,))
-    for name in ("model", "short_model", "keyless_model", "unknown_key_model", "list_arch_model"):
+    for name in ("model", "short_model", "keyless_model", "unknown_key_model", "list_arch_model",
+                 "no_input_dim_model"):
         nnet.save_params(tmp / name, arch, nnet.init_params(arch, rng))
     arch3 = nnet.MlpArchitecture(3, (4,), 3, nnet.HEAD_SOFTMAX)
     nnet.save_params(tmp / "three_action_model", arch3, nnet.init_params(arch3, rng))
@@ -50,6 +51,14 @@ def _write_inputs(tmp):
     (tmp / "unknown_key_model" / "arch.json").write_text(
         '{"arch": {"input_dim": 3, "hidden_dims": [4], "width": 1}, "dim": 21}')
     (tmp / "list_arch_model" / "arch.json").write_text('{"arch": [1, 2], "dim": 3}')
+    (tmp / "no_input_dim_model" / "arch.json").write_text(
+        '{"arch": {"hidden_dims": [4]}, "dim": 21, "dtype": "<f8"}')
+    config = _smoke_config(tmp / "run")
+    del config["output_dir"]
+    (tmp / "no_output_dir.json").write_text(json.dumps(config))
+    (tmp / "dgp_without_n.json").write_text(json.dumps({**config, "dgp": {"family": "binary2"}}))
+    (tmp / "method_without_name.json").write_text(json.dumps({**config, "methods": [
+        {"kind": "diff_reg"}]}))
 
 
 # bad data CSVs: file under the test's tmp directory, cause in the message
@@ -86,6 +95,9 @@ _BAD_INPUTS = {
     "evaluate-arch-not-an-object": (
         ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/list_arch_model"],
         "{tmp}/list_arch_model/arch.json: MlpArchitecture must be a JSON object, got [1, 2]"),
+    "evaluate-arch-without-input-dim": (
+        ["evaluate", "--data", "{tmp}/data.csv", "--model", "{tmp}/no_input_dim_model"],
+        "{tmp}/no_input_dim_model/arch.json: MlpArchitecture: missing key(s) input_dim"),
     "evaluate-other-covariate-count": (
         ["evaluate", "--data", "{tmp}/wide.csv", "--model", "{tmp}/model"],
         "model {tmp}/model takes 3 covariates, but data {tmp}/wide.csv has 5"),
@@ -98,7 +110,16 @@ _BAD_INPUTS = {
     "simulate-clip-without-logging": (
         ["simulate", "--family", "binary1", "--n", "30", "--clip", "0.3"],
         "--clip applies only to logged output; pass --logging"),
+    "experiment-without-output-dir": (["experiment", "--config", "{tmp}/no_output_dir.json"],
+                                      "ExperimentConfig: missing key(s) output_dir"),
+    "experiment-dgp-without-n": (["experiment", "--config", "{tmp}/dgp_without_n.json"],
+                                 "DgpSpec: missing key(s) n"),
+    "experiment-method-without-name": (
+        ["experiment", "--config", "{tmp}/method_without_name.json"],
+        "MethodSpec: missing key(s) name"),
 }
+# cases run without the "--out {tmp}/out/x" that every other case gets
+_WITHOUT_OUT = {"experiment-without-output-dir"}
 
 
 def _fast_train():
@@ -491,6 +512,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             build(value)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: SgldConfig(burn_in=-1), "burn_in must be at least 0, got -1"),
+         (lambda: SgldConfig(n_draws=0), "n_draws must be at least 1, got 0"),
+         (lambda: SgldConfig(thin=0), "thin must be at least 1, got 0"),
+         (lambda: SgldConfig(batch_size=0), "batch_size must be at least 1, got 0"),
+         (lambda: TrainConfig(batch_size=0), "batch_size must be at least 1, got 0"),
+         (lambda: TrainConfig(max_epochs=-2), "max_epochs must be at least 1, got -2"),
+         (lambda: TrainConfig(patience=0), "patience must be at least 1, got 0"),
+         (lambda: ex.PosteriorVizConfig("unused", level=1.0), "level must lie in (0, 1), got 1.0"),
+         (lambda: ex.PosteriorVizConfig("unused", grid_points=0),
+          "grid_points must be at least 1, got 0"),
+         (lambda: nnet.MlpArchitecture(0), "input_dim must be at least 1, got 0"),
+         (lambda: nnet.MlpArchitecture(1, output_dim=0), "output_dim must be at least 1, got 0"),
+         (lambda: ex.MethodSpec("m", "gbpl", zeta_grid=(0.1, -1.0)),
+          "method 'm': zeta must be positive and finite, got -1.0")],
+        ids=["sgld-burn-in", "sgld-n-draws", "sgld-thin", "sgld-batch-size", "train-batch-size",
+             "train-max-epochs", "train-patience", "viz-level", "viz-grid-points",
+             "arch-input-dim", "arch-output-dim", "method-zeta-grid-entry"],
+    )
+    def test_out_of_range_setting_rejected_naming_its_one_field_and_value(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_one_fold_rejected(self):
         with pytest.raises(ValueError, match="folds must be 0 or at least 2"):
             ex.FeedbackSpec(mode="logged", folds=1)
@@ -556,7 +601,7 @@ class TestConfigValidation:
          {"grid_points": 0}, {"eval_points": (float("nan"), 1.0)}],
     )
     def test_viz_config_checked_when_built(self, change):
-        with pytest.raises(ValueError, match="split|level|eval_points"):
+        with pytest.raises(ValueError, match="split|level|grid_points|eval_points"):
             ex.PosteriorVizConfig(output_dir="unused", **change)
 
     @pytest.mark.parametrize(
@@ -1026,7 +1071,8 @@ class TestCli:
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, case):
         _write_inputs(tmp_path)
         argv, message = _BAD_INPUTS[case]
-        argv = [arg.format(tmp=tmp_path) for arg in [*argv, "--out", "{tmp}/out/x"]]
+        out = [] if case in _WITHOUT_OUT else ["--out", "{tmp}/out/x"]
+        argv = [arg.format(tmp=tmp_path) for arg in [*argv, *out]]
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
@@ -1286,6 +1332,7 @@ class TestGeneratedCli:
             (["posterior-viz", "--out", "{out}", "--tau2", "0"], "tau2 must be positive"),
             (["posterior-viz", "--out", "{out}", "--hidden", "0"],
              "hidden widths must be positive"),
+            (["posterior-viz", "--out", "{out}", "--thin", "0"], "thin must be at least 1, got 0"),
             (["simulate", "--family", "binary1", "--n", "0", "--out", "{out}"], "n must"),
             # a missing --data file shows that the flags are decoded before it is read
             (["train", "--data", "{missing}", "--zeta", "-1", "--out", "{out}"], "zeta"),
@@ -1314,7 +1361,7 @@ class TestGeneratedCli:
              "PacBayesInputs: lam must be finite, got inf"),
         ],
         ids=["posterior-viz", "posterior-viz-n", "posterior-viz-zeta", "posterior-viz-eta",
-             "posterior-viz-tau2", "posterior-viz-hidden", "simulate", "train-zeta", "train-learning-rate",
+             "posterior-viz-tau2", "posterior-viz-hidden", "posterior-viz-thin", "simulate", "train-zeta", "train-learning-rate",
              "train-hidden", "experiment", "paccheck", "paccheck-b-zero", "train-zeta-nan",
              "train-learning-rate-inf", "posterior-viz-step-size-nan", "paccheck-kl-nan",
              "paccheck-lam-inf"],

@@ -12,7 +12,7 @@ from gbpl import evaluation as ev
 from gbpl import experiment as ex
 from gbpl import surrogate as sg
 from gbpl.evaluation import oracle_welfare
-from gbpl.posterior import SgldConfig, TrainConfig
+from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
 
 
 def _random_simplex_rows(rng, n, k):
@@ -89,9 +89,9 @@ _ARRAY_ROUTES = {
 
 # build from a bad scalar, by the name the message gives it
 _SCALAR_ROUTES = {
-    "zeta": lambda v: sg.GibbsConfig(zeta=v),
-    "eta": lambda v: sg.GibbsConfig(zeta=0.1, eta=v),
-    "tau2": lambda v: sg.GibbsConfig(zeta=0.1, tau2=v),
+    "zeta": lambda v: GibbsConfig(zeta=v),
+    "eta": lambda v: GibbsConfig(zeta=0.1, eta=v),
+    "tau2": lambda v: GibbsConfig(zeta=0.1, tau2=v),
     "learning_rate": lambda v: TrainConfig(learning_rate=v),
     "step_size": lambda v: SgldConfig(step_size=v),
     "clip_norm": lambda v: SgldConfig(clip_norm=v),
@@ -211,6 +211,16 @@ class TestWelfare:
         expected = float((delta * data.y[rows]).sum() / 20)
         assert sg.empirical_welfare(data, delta, rows) == expected
         assert data.y.tobytes() == y.tobytes() and delta.tobytes() == d.tobytes()
+
+    def test_simplex_check_makes_no_table_the_size_of_the_policy(self):
+        # over the gathered copy of y, the check holds only the row sums: no
+        # (n, K) boolean table and no second n-vector
+        n, k = 42_000, 5
+        rng = np.random.default_rng(5)
+        data = sg.FullFeedbackDataset(np.zeros((n, 1)), rng.standard_normal((n, k)))
+        delta, rows = _random_simplex_rows(rng, n, k), np.arange(n)
+        peak = peak_bytes(lambda: sg.empirical_welfare(data, delta, rows))
+        assert peak < data.y.nbytes + 1.5 * n * 8
 
     def test_uniform_policy_averages(self):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -10,17 +10,16 @@ and removed again.
 
 Every public function and class in ``src/gbpl`` must also be used by the
 library, a demo, the benchmark or the acceptance tests, so that no code lives
-in ``src`` only for the unit tests to call. A re-export from the package's
-``__init__`` is not a use, and every name in the package's ``__all__`` must
-resolve, so ``from gbpl import *`` cannot break on an export left behind. No
-class in ``src/gbpl`` has a body of only a docstring or ``pass``: such a class
-is a second name for its base.
+in ``src`` only for the unit tests to call. No class in ``src/gbpl`` has a
+body of only a docstring or ``pass``: such a class is a second name for its
+base.
 
 Options chosen by a string escape that guard, so every value of a string
 registry that a config or a flag selects must be run too: ``DgpSpec.family``
 (``dgp.FAMILIES``), a method's ``kind`` (``"gbpl"`` and
 ``baselines.BASELINE_KINDS``), ``FeedbackSpec``'s ``mode``, ``logging``,
-``pseudo`` and ``propensity``, and ``MlpArchitecture.head``. A value is run
+``pseudo`` and ``propensity``, ``MlpArchitecture.head`` and the rule of
+``gbpl evaluate --rule`` (``evaluation.RULES``). A value is run
 when a demo, a Python block of README, ``perfbench/workloads.py`` or the
 acceptance tests name it, as a string literal or by the ``src`` module
 constant that holds it. A default that no driver names does not count.
@@ -38,6 +37,13 @@ that will give it a driver:
 
 An allowlist entry must name something that exists and is still undriven, so
 an entry that gains a driver, or whose name or value is gone, fails too.
+
+Each name has one import path, the module that defines it. The package's
+``__init__`` re-exports nothing, so a fresh ``import gbpl.<m>`` loads exactly
+the ``gbpl`` modules that ``m`` imports at its top level, and their imports in
+turn. Every ``from gbpl.X import Y`` in ``src``, the demos, the benchmark,
+README's Python blocks and the tests names a ``Y`` that ``X`` defines, not one
+that ``X`` only imports.
 
 Every ``gbpl`` command that README shows must parse with the command line's
 own parser, so a renamed or removed flag cannot linger in the docs.
@@ -75,7 +81,7 @@ from pathlib import Path
 
 import pytest
 
-from gbpl import baselines, cli, dgp, nnet
+from gbpl import baselines, cli, dgp, evaluation, nnet
 from gbpl import experiment as ex
 from gbpl.posterior import SgldConfig, TrainConfig
 
@@ -92,6 +98,7 @@ _REGISTRIES = {
     "FeedbackSpec.pseudo": ex.PSEUDO_KINDS,
     "FeedbackSpec.propensity": ex.PROPENSITY_SOURCES,
     "MlpArchitecture.head": nnet._HEADS,
+    "evaluate --rule": evaluation.RULES,
 }
 # registry values that nothing runs yet -> the ROADMAP direction that will run them
 _UNDRIVEN_ALLOWED = {
@@ -102,6 +109,19 @@ _UNDRIVEN_ALLOWED = {
     ("FeedbackSpec.pseudo", "ipw"): "direction 4",
     ("FeedbackSpec.propensity", "true"): "direction 4",
 }
+
+
+def _src_env(**extra):
+    """This process's environment, with ``src`` first on ``PYTHONPATH``, for a
+    fresh interpreter that imports gbpl from this checkout."""
+    path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
+
+
+def _readme_blocks(language):
+    """The text of each ```language block of README."""
+    return re.findall(rf"^```{language}\n(.*?)^```", (_ROOT / "README.md").read_text(),
+                      flags=re.S | re.M)
 
 
 def _tracing():
@@ -170,8 +190,7 @@ def _uses(tree):
 
 def test_every_public_src_definition_is_used_outside_the_unit_tests():
     src = sorted((_ROOT / "src" / "gbpl").glob("*.py"))
-    users = [*(path for path in src if path.name != "__init__.py"),
-             *(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py"),
+    users = [*src, *(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py"),
              _ROOT / "tests" / "test_acceptance.py"]
     uses = {path: set(_uses(ast.parse(path.read_text()))) for path in users}
     unused = []
@@ -189,12 +208,10 @@ def test_every_public_src_definition_is_used_outside_the_unit_tests():
 def _driver_trees():
     """The parsed demos, README's Python blocks, the perfbench workloads and
     the acceptance tests: what runs a registry value."""
-    readme = (_ROOT / "README.md").read_text()
     paths = [*sorted((_ROOT / "demos").glob("*.py")), _ROOT / "perfbench" / "workloads.py",
              _ROOT / "tests" / "test_acceptance.py"]
     return [*(ast.parse(path.read_text()) for path in paths),
-            *(ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme,
-                                                       flags=re.S | re.M))]
+            *(ast.parse(block) for block in _readme_blocks("python"))]
 
 
 def test_every_registry_value_is_run_by_a_driver():
@@ -230,18 +247,79 @@ def test_no_src_class_is_only_a_second_name_for_its_base():
     assert empty == []
 
 
-def test_package_exports_resolve():
-    import gbpl
+_SRC = _ROOT / "src" / "gbpl"
+_MODULES = sorted(path.stem for path in _SRC.glob("*.py") if path.stem != "__init__")
 
-    assert [name for name in gbpl.__all__ if not hasattr(gbpl, name)] == []
+
+def _gbpl_imports(tree, top_level_only=False):
+    """(module, name or None) of every ``gbpl`` import in ``tree``, or of those
+    at its top level; ``from gbpl import m`` gives ``("gbpl", "m")``."""
+    nodes = tree.body if top_level_only else ast.walk(tree)
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gbpl":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "gbpl")
+
+
+def _import_closure(module):
+    """``gbpl``, ``gbpl.<module>`` and every ``gbpl`` module it imports at its
+    top level, transitively."""
+    closure, todo = {"gbpl"}, [module]
+    while todo:
+        name = todo.pop()
+        if f"gbpl.{name}" in closure:
+            continue
+        closure.add(f"gbpl.{name}")
+        tree = ast.parse((_SRC / f"{name}.py").read_text())
+        todo.extend(filter(None, (sub if mod == "gbpl" else mod.partition(".")[2]
+                                  for mod, sub in _gbpl_imports(tree, top_level_only=True))))
+    return closure
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_fresh_import_loads_only_the_import_closure(module):
+    code = (f"import sys, gbpl.{module}; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'gbpl'))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                            capture_output=True, text=True, timeout=60).stdout.split()
+    assert sorted(loaded) == sorted(_import_closure(module))
+
+
+def _defined(module):
+    """The names that ``module`` defines at its top level: functions, classes
+    and assignment targets; the package defines its submodules."""
+    tree = ast.parse((_SRC / ("__init__.py" if module == "gbpl" else
+                              f"{module.partition('.')[2]}.py")).read_text())
+    names = set(_MODULES) if module == "gbpl" else set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name))
+    return names
+
+
+def test_every_gbpl_import_names_what_its_module_defines():
+    trees = {str(path.relative_to(_ROOT)): ast.parse(path.read_text())
+             for folder in ("src/gbpl", "demos", "perfbench", "tests")
+             for path in sorted((_ROOT / folder).glob("*.py"))}
+    trees.update((f"README.md block {i}", ast.parse(block))
+                 for i, block in enumerate(_readme_blocks("python")))
+    stray = [f"{where}: from {module} import {name}" for where, tree in trees.items()
+             for module, name in _gbpl_imports(tree)
+             if name is not None and name not in _defined(module)]
+    assert stray == []
 
 
 def _readme_commands():
     """The arguments of every ``gbpl`` command in README's bash blocks, with
     continued lines joined, comments and ``VAR=value`` prefixes dropped."""
-    text = (_ROOT / "README.md").read_text()
     commands = []
-    for block in re.findall(r"^```bash\n(.*?)^```", text, flags=re.S | re.M):
+    for block in _readme_blocks("bash"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             while words and re.fullmatch(r"[A-Za-z_]\w*=.*", words[0]):
@@ -316,10 +394,8 @@ def test_array_finiteness_is_checked_through_check_finite():
 
 
 def _csv_bytes_with_blas_threads(threads, out, argv):
-    path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(path)}
     subprocess.run([sys.executable, "-m", "gbpl.cli", *argv, "--out", str(out)],
-                   env=env, check=True, capture_output=True, timeout=300)
+                   env=_src_env(OPENBLAS_NUM_THREADS=str(threads)), check=True, capture_output=True, timeout=300)
     return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
 
 
