@@ -27,6 +27,8 @@ from gbpl.posterior import FLAT_PRIOR, TrainConfig, map_train
 from gbpl.surrogate import (
     FullFeedbackDataset,
     check_finite,
+    check_rows,
+    check_simplex,
     project_simplex_rows,
     verify_equivalence_fullvector,
 )
@@ -139,17 +141,14 @@ def clip_propensities(e: np.ndarray, clip: float) -> np.ndarray:
 
 
 def _check_propensities(e, n: int, k: int, true: bool = False) -> np.ndarray:
-    """``e`` as (n, K) float propensity rows that are finite, sum to 1 and respect the floor."""
+    """``e`` as (n, K) float propensity rows that are finite, sum to 1 and
+    respect the overlap floor ``PROPENSITY_FLOOR``."""
     name = "true_propensity" if true else "propensity matrix"
     e = np.asarray(e, dtype=np.float64)
     if e.shape != (n, k):
         raise ValueError(f"{name} must be ({n}, {k})")
     check_finite(name, e)
-    if np.any(np.abs(e.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("propensity rows must sum to 1")
-    if np.any(e < PROPENSITY_FLOOR):
-        raise ValueError(f"{'true ' if true else ''}propensities violate the overlap floor "
-                         f"{PROPENSITY_FLOOR}")
+    check_simplex(name, e, floor=PROPENSITY_FLOOR)
     return e
 
 
@@ -255,9 +254,7 @@ def fit_outcome_regression(
     """
     check_folds(folds)
     cfg = cfg or TrainConfig()
-    train_rows = np.asarray(train_rows, dtype=np.intp)
-    if train_rows.size == 0:
-        raise ValueError("train_rows is empty")
+    train_rows = check_rows("train_rows", train_rows, logged.n)
     fold = make_folds(train_rows.size, folds, cfg.seed) if folds else None
     arch = nnet.MlpArchitecture(logged.d, hidden, logged.k, nnet.HEAD_IDENTITY)
     loss = MaskedRegressionLoss(logged.x, logged.y_obs, logged.action_columns())

@@ -21,7 +21,7 @@ import numpy as np
 
 from gbpl.methods import FittedPolicy
 from gbpl.surrogate import (TIE_TOL, FullFeedbackDataset, check_finite, check_positive,
-                            empirical_welfare)
+                            check_rows, empirical_welfare)
 
 RULE_DETERMINISTIC = "deterministic"
 RULE_RANDOMIZED = "randomized"
@@ -31,7 +31,7 @@ RULES = (RULE_DETERMINISTIC, RULE_RANDOMIZED)
 def oracle_welfare(test: FullFeedbackDataset, rows: np.ndarray | None = None) -> float:
     """Mean of the row-wise best realized outcome; dominates every policy."""
     best = test.y.max(axis=1)
-    return float((best if rows is None else best[rows]).mean())
+    return float((best if rows is None else best[check_rows("rows", rows, test.n)]).mean())
 
 
 def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
@@ -45,6 +45,8 @@ def test_welfare(test: FullFeedbackDataset, policy: FittedPolicy,
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
+    if rows is not None:
+        rows = check_rows("rows", rows, test.n)
     if policy.n_actions != test.k:
         raise ValueError(f"policy acts on {policy.n_actions} actions but the data "
                          f"has {test.k}")

@@ -59,7 +59,8 @@ from gbpl.posterior import (
     map_train,
     sgld_sample,
 )
-from gbpl.surrogate import FullFeedbackDataset, check_finite, check_positive, population_score_binary
+from gbpl.surrogate import (FullFeedbackDataset, check_finite, check_positive, check_simplex,
+                            population_score_binary)
 
 KIND_GBPL = "gbpl"
 # the values of FeedbackSpec's mode, pseudo and propensity
@@ -192,8 +193,9 @@ def _check_split(split, n: int, n_field: str) -> int:
     """Raise unless ``split`` is three positive fractions summing to 1 that
     leave every part of ``n`` rows nonempty; return the training row count."""
     frac = np.asarray(split, dtype=np.float64)
-    if frac.shape != (3,) or not (np.all(frac > 0) and abs(frac.sum() - 1.0) <= 1e-9):
+    if frac.shape != (3,) or not frac.all():  # check_simplex rejects the negative ones
         raise ValueError("split must be three positive fractions summing to 1")
+    check_simplex("split", frac)
     sizes = _split_sizes(n, split)
     for part, size in zip(("training", "validation", "test"), sizes):
         if size < 1:

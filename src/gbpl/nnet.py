@@ -113,18 +113,18 @@ def aligned_empty(shape: int | tuple[int, ...]) -> np.ndarray:
 
 
 def init_params(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh flat parameter vector.
+    """Draw a fresh flat parameter vector, layer by layer into its
+    ``unflatten`` views.
 
     Weights are uniform on [-s, s] with s = sqrt(6 / (fan_in + fan_out)) per
     layer; biases start at zero. Deterministic given the generator state.
     """
-    chunks = []
-    for fan_in, fan_out in arch.layer_dims:
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-s, s, size=(fan_in, fan_out))
-        chunks.append(w.ravel())
-        chunks.append(np.zeros(fan_out))
-    return np.concatenate(chunks, out=aligned_empty(arch.param_count))
+    params = aligned_empty(arch.param_count)
+    for w, b in unflatten(arch, params):
+        s = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+        b[...] = 0.0
+    return params
 
 
 def unflatten(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

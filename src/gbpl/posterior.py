@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbpl import nnet
-from gbpl.surrogate import check_positive
+from gbpl.surrogate import check_positive, check_rows, check_simplex
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,14 @@ _UFUNC_BUFFER = 1024
 
 def _check_finite_set(prior, losses, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """``prior`` and ``losses`` as float vectors of one length; raise unless
-    each is 1-D, they match, no loss is NaN or -inf and eta lies in [0, inf).
-    A +inf loss is legal: its point gets zero posterior weight."""
+    each is 1-D, the prior is a probability vector, they match, no loss is NaN
+    or -inf and eta lies in [0, inf). A +inf loss is legal: its point gets
+    zero posterior weight."""
     prior = np.asarray(prior, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
     if prior.ndim != 1:
         raise ValueError(f"prior must be a 1-D vector, got shape {prior.shape}")
+    check_simplex("prior", prior)
     if losses.shape != prior.shape:
         raise ValueError(f"losses must have the prior's shape {prior.shape}, got {losses.shape}")
     if not (losses > -np.inf).all():  # NaN fails too
@@ -85,8 +87,8 @@ def finite_gibbs_posterior(prior: np.ndarray, losses: np.ndarray, eta: float) ->
     loss must be finite.
     """
     prior, losses = _check_finite_set(prior, losses, eta)
-    if not (np.all(prior > 0) and abs(prior.sum() - 1.0) <= 1e-12):  # NaN fails too
-        raise ValueError("prior must be strictly positive and sum to 1")
+    if not prior.all():  # a zero entry leaves its point out of the support
+        raise ValueError("prior must be strictly positive")
     logw = np.log(prior)
     if eta > 0:
         if not (losses < np.inf).any():
@@ -107,9 +109,7 @@ def variational_objective(q: np.ndarray, prior: np.ndarray, losses: np.ndarray, 
     q = np.asarray(q, dtype=np.float64)
     if q.shape != prior.shape:
         raise ValueError(f"q must have the prior's shape {prior.shape}, got {q.shape}")
-    for name, p in (("prior", prior), ("q", q)):
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails too
-            raise ValueError(f"{name} must be a probability vector")
+    check_simplex("q", q)
     if np.any((q > 0) & (prior == 0)):
         raise ValueError("q is not absolutely continuous w.r.t. the prior (infinite KL)")
     pos = q > 0
@@ -198,10 +198,8 @@ def map_train(
     broadcasts, the ReLU masks' casts and the rank-one products that numpy
     buffers copy through 8 KiB rather than 64 KiB; the bits are the same.
     """
-    train_rows = np.asarray(train_rows, dtype=np.intp)
-    val_rows = np.asarray(val_rows, dtype=np.intp)
-    if train_rows.size == 0 or val_rows.size == 0:
-        raise ValueError("train and validation sets must be nonempty")
+    train_rows = check_rows("train_rows", train_rows, loss.n)
+    val_rows = check_rows("val_rows", val_rows, loss.n)
     rng = np.random.default_rng(cfg.seed)
     params = nnet.init_params(arch, rng)
     n_train = train_rows.size
@@ -309,7 +307,7 @@ def sgld_sample(
     (as in ``run_posterior_viz``), the chain still targets prior precision 1/tau2.
     """
     rng = np.random.default_rng(sgld.seed)
-    rows = np.arange(loss.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = np.arange(loss.n, dtype=np.intp) if rows is None else check_rows("rows", rows, loss.n)
     n = rows.size
     b = min(sgld.batch_size, n)
     w = nnet.aligned_empty(np.shape(init))

@@ -5,9 +5,10 @@ error in outcome-difference space equals maximizing empirical welfare minus a
 quadratic penalty whose strength is a fixed multiple of the scale ``zeta``.
 This module exposes the per-sample loss, the welfare functional, checkers
 that verify the equivalences exactly on finite policy grids, and the input
-checks ``check_finite`` and ``check_positive`` that every module rejects bad
-input through. The surrogate formula is written only here; the ``losses``
-adapters and both checkers call it.
+checks ``check_finite``, ``check_positive``, ``check_simplex`` and
+``check_rows`` that every module rejects bad input through. The surrogate
+formula is written only here; the ``losses`` adapters and both checkers call
+it.
 
 Conventions, binary problems (K = 2): actions are labeled 1 and 0; column 0 of
 an outcome matrix holds Y(1), column 1 holds Y(0). A bounded score f in [-1, 1]
@@ -39,6 +40,30 @@ def check_positive(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless all of ``value`` lies in (0, inf)."""
     if not (np.less(0, value) & np.less(value, np.inf)).all():  # NaN fails both
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_simplex(field: str, p: np.ndarray, floor: float = 0.0) -> None:
+    """Raise ``ValueError`` naming ``field`` unless every row of the float
+    array ``p`` along its last axis (a vector is one row) has every entry at
+    least ``floor`` and sums to 1 within ``SIMPLEX_TOL``. A NaN or an infinity
+    fails too. The row sums are its only temporary: their distance from 1 is
+    formed in place, kept 1-D for a vector so that ``out=`` takes it."""
+    off = p.sum(axis=-1, keepdims=True)
+    np.abs(np.subtract(off, 1.0, out=off), out=off)
+    if not (p.min(initial=np.inf) >= floor and off.max(initial=0.0) <= SIMPLEX_TOL):
+        raise ValueError(f"{field} must be probability rows: every entry at least {floor:g}, "
+                         f"each row summing to 1 within {SIMPLEX_TOL:g}")
+
+
+def check_rows(field: str, rows, n: int) -> np.ndarray:
+    """``rows`` as an intp vector; raise ``ValueError`` naming ``field`` unless
+    it is a nonempty 1-D integer array whose entries index 0 .. n - 1. A
+    boolean mask is not an index array and fails."""
+    rows = np.asarray(rows)
+    if not (rows.ndim == 1 and rows.size and rows.dtype.kind in "iu"
+            and 0 <= rows.min() and rows.max() < n):
+        raise ValueError(f"{field} must be nonempty 1-D integer row indices in 0 .. {n - 1}")
+    return rows.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -122,17 +147,10 @@ def empirical_welfare(data: FullFeedbackDataset, delta: np.ndarray,
     """(1/n) sum_i sum_a delta_{i,a} y_{i,a} for simplex policy rows, over
     the dataset's rows or the n of them indexed by ``rows``."""
     delta = np.asarray(delta, dtype=np.float64)
-    y = data.y if rows is None else data.y[rows]
+    y = data.y if rows is None else data.y[check_rows("rows", rows, data.n)]
     if delta.shape != y.shape:
         raise ValueError("policy rows must match the dataset shape")
-    # a NaN entry makes both reductions NaN, which fails both comparisons; the
-    # row sums' distance from 1 is formed in place, with no (n, K) temporary,
-    # and freed before the products
-    off = delta.sum(axis=-1)
-    np.abs(np.subtract(off, 1.0, out=off), out=off)
-    if not (delta.min(initial=np.inf) >= -SIMPLEX_TOL and off.max(initial=0.0) <= SIMPLEX_TOL):
-        raise ValueError("policy rows are off the probability simplex or not finite")
-    del off
+    check_simplex("policy", delta, floor=-SIMPLEX_TOL)
     # gathered rows are this call's own copy, so the products can go over them
     return float(np.multiply(delta, y, out=None if rows is None else y).sum() / y.shape[0])
 
@@ -207,12 +225,13 @@ def verify_equivalence_binary(
     ``policy_grid`` is a sequence of treatment-probability vectors, one value
     in [0, 1] per dataset row. Each p is scored as the score f = 2 p - 1 in
     ``binary_loss`` against u = Y(1) - Y(0), penalized by f^2, and its welfare
-    is that of the policy rows (p, 1 - p). The affine slope is -2.
+    is that of the policy rows (p, 1 - p), which ``empirical_welfare`` checks.
+    The affine slope is -2.
     """
     def policy_rows(p):
         p = np.asarray(p, dtype=np.float64)
-        if p.shape != (data.n,) or np.any(p < 0) or np.any(p > 1):
-            raise ValueError("each policy must map the rows of the dataset to [0, 1]")
+        if p.shape != (data.n,):
+            raise ValueError("each policy must be a vector with one entry per dataset row")
         return np.column_stack([p, 1.0 - p])
 
     u = data.outcome_diff()

@@ -97,6 +97,12 @@ class TestDrPseudoOutcomes:
         logged = cf.LoggedDataset(x, a, y_obs, k=k)
         np.testing.assert_allclose(cf.dr_pseudo_outcomes(logged, e, gamma), gamma, atol=1e-12)
 
+    def test_propensity_check_holds_only_the_row_sums(self):
+        # no (n, K) boolean table and no second n-vector beside the row sums
+        n, k = 60_000, 5
+        e = _simplex_rows(np.random.default_rng(3), n, k) * 0.5 + 0.5 / k
+        assert peak_bytes(lambda: cf._check_propensities(e, n, k)) < 0.6 * 2**20
+
     def test_hand_example(self):
         logged = cf.LoggedDataset(np.zeros((1, 1)), np.array([1]), np.array([3.0]), k=2)
         e = np.array([[0.5, 0.5]])
@@ -117,8 +123,10 @@ class TestDrPseudoOutcomes:
     @pytest.mark.parametrize(
         "e, gamma, message",
         [([[np.nan, 0.5], [0.5, 0.5]], np.zeros((2, 2)), "propensity matrix must be finite"),
-         ([[0.5, 0.5], [0.5, 0.6]], np.zeros((2, 2)), "propensity rows must sum to 1"),
-         ([[0.5, 0.5], [1.0, 0.0]], np.zeros((2, 2)), "propensities violate the overlap floor"),
+         ([[0.5, 0.5], [0.5, 0.6]], np.zeros((2, 2)),
+          "propensity matrix must be probability rows: .* summing to 1 within 1e-09"),
+         ([[0.5, 0.5], [1.0, 0.0]], np.zeros((2, 2)),
+          "propensity matrix must be probability rows: every entry at least 1e-06"),
          (np.full((2, 2), 0.5), [[0.0, np.inf], [0.0, 0.0]], "gamma_hat must be finite")],
         ids=["e-nan", "e-row-sum", "e-floor", "gamma-inf"],
     )
@@ -282,9 +290,10 @@ class TestLoggedDatasetValidation:
             ([1, 0], [0.0, 0.0, 0.0], 2, None, "a and y_obs must have one entry per row"),
             ([1, 0], [0.0, np.inf], 2, None, "y_obs must be finite"),
             ([1, 1], [0.0, 0.0], 1, None, "need at least two actions"),
-            ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [0.5, 0.6]], "propensity rows must sum to 1"),
+            ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [0.5, 0.6]],
+             "true_propensity must be probability rows: .* summing to 1 within 1e-09"),
             ([1, 0], [0.0, 0.0], 2, [[0.5, 0.5], [1.0, 0.0]],
-             "true propensities violate the overlap floor"),
+             "true_propensity must be probability rows: every entry at least 1e-06"),
         ],
         ids=["a-length", "y-length", "y-non-finite", "one-action", "row-sum", "overlap"],
     )
@@ -417,7 +426,7 @@ class TestFitOutcomeRegression:
         logged = cf.LoggedDataset(
             rng.standard_normal((n, 2)), np.ones(n, dtype=int), np.zeros(n), k=2
         )
-        with pytest.raises(ValueError, match="train_rows is empty"):
+        with pytest.raises(ValueError, match="train_rows must be nonempty"):
             cf.fit_outcome_regression(logged, np.arange(0))
         with pytest.raises(ValueError, match="n_folds <= n"):
             cf.fit_outcome_regression(logged, np.arange(1), folds=2)

@@ -10,9 +10,15 @@ from conftest import peak_bytes
 from gbpl import counterfactual as cf
 from gbpl import evaluation as ev
 from gbpl import experiment as ex
+from gbpl import nnet
 from gbpl import surrogate as sg
+from gbpl.dgp import DgpSpec
 from gbpl.evaluation import oracle_welfare
-from gbpl.posterior import GibbsConfig, SgldConfig, TrainConfig
+from gbpl.losses import FullVectorSurrogateLoss
+from gbpl.methods import FittedPolicy
+from gbpl.posterior import (FLAT_PRIOR, GibbsConfig, SgldConfig, TrainConfig,
+                            finite_gibbs_posterior, map_train, sgld_sample,
+                            variational_objective)
 
 
 def _random_simplex_rows(rng, n, k):
@@ -100,6 +106,82 @@ _SCALAR_ROUTES = {
 }
 
 
+def _bad_row(p, bad):
+    """A copy of ``p`` whose first row (along the last axis) is broken:
+    ``"negative"`` moves mass so its first entry is -0.1 and its sum stays,
+    ``"off-sum"`` adds 1e-6 to its first entry, ``"nan"`` makes it NaN."""
+    p = np.array(p, dtype=np.float64)
+    row = p.reshape(-1, p.shape[-1])[0]
+    if bad == "negative":
+        shift = row[0] + 0.1
+        row[0] -= shift
+        row[1] += shift
+    else:
+        row[0] = row[0] + 1e-6 if bad == "off-sum" else np.nan
+    return p
+
+
+_SQUARE = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
+_THIRDS = np.full(3, 1.0 / 3.0)
+_DGP = DgpSpec("binary2", 100)
+_METHOD = ex.MethodSpec("GBPLNet", "gbpl", zeta=0.1)
+
+# (build from a bad probability array, the field the message names); each
+# route breaks a valid array with ``_bad_row``
+_SIMPLEX_ROUTES = {
+    "empirical_welfare": (lambda b: sg.empirical_welfare(
+        _SQUARE, _bad_row(np.full((2, 2), 0.5), b)), "policy"),
+    "equivalence-fullvector": (lambda b: sg.verify_equivalence_fullvector(
+        _SQUARE, [_bad_row(np.full((2, 2), 0.5), b)], 1.0), "policy"),
+    # a treatment probability of 1 + 1e-6 is the row (1 + 1e-6, -1e-6)
+    "equivalence-binary": (lambda b: sg.verify_equivalence_binary(
+        _SQUARE, [_bad_row([1.0, 0.0], b)], 1.0), "policy"),
+    "e_hat": (lambda b: cf.dr_pseudo_outcomes(_LOGGED, _bad_row(np.full((2, 2), 0.5), b),
+                                              np.zeros((2, 2))), "propensity matrix"),
+    "true_propensity": (lambda b: cf.LoggedDataset(
+        np.zeros((2, 1)), np.array([1, 0]), np.zeros(2), k=2,
+        true_propensity=_bad_row(np.full((2, 2), 0.5), b)), "true_propensity"),
+    "variational-q": (lambda b: variational_objective(_bad_row(_THIRDS, b), _THIRDS,
+                                                      np.zeros(3), 1.0), "q"),
+    "variational-prior": (lambda b: variational_objective(_THIRDS, _bad_row(_THIRDS, b),
+                                                          np.zeros(3), 1.0), "prior"),
+    "gibbs-prior": (lambda b: finite_gibbs_posterior(_bad_row(_THIRDS, b), np.zeros(3), 1.0),
+                    "prior"),
+    "experiment-split": (lambda b: ex.ExperimentConfig(
+        _DGP, (_METHOD,), "unused", split=tuple(_bad_row((0.6, 0.2, 0.2), b))), "split"),
+    "posterior-viz-split": (lambda b: ex.PosteriorVizConfig(
+        "unused", split=tuple(_bad_row((0.6, 0.2, 0.2), b))), "split"),
+}
+
+_ROWS_DATA = sg.FullFeedbackDataset(np.arange(4.0)[:, None], np.eye(4)[:, :2])
+_ROWS_ARCH = nnet.MlpArchitecture(1, (), 2, nnet.HEAD_SOFTMAX)
+_ROWS_POLICY = FittedPolicy(_ROWS_ARCH, np.zeros(_ROWS_ARCH.param_count))
+_ROWS_LOSS = FullVectorSurrogateLoss(_ROWS_DATA.x, _ROWS_DATA.y, 1.0)
+_ROWS_LOGGED = cf.LoggedDataset(_ROWS_DATA.x, np.array([1, 0, 1, 0]), np.zeros(4), k=2)
+_ONE_EPOCH = TrainConfig(max_epochs=1, patience=1)
+_ONE_DRAW = SgldConfig(burn_in=0, n_draws=1, thin=1)
+
+# (score or fit with a bad row-index argument, the field the message names)
+_ROWS_ROUTES = {
+    "empirical_welfare": (lambda r: sg.empirical_welfare(_ROWS_DATA, np.full((len(r), 2), 0.5), r),
+                          "rows"),
+    "test_welfare-deterministic": (lambda r: ev.test_welfare(
+        _ROWS_DATA, _ROWS_POLICY, ev.RULE_DETERMINISTIC, r), "rows"),
+    "test_welfare-randomized": (lambda r: ev.test_welfare(
+        _ROWS_DATA, _ROWS_POLICY, ev.RULE_RANDOMIZED, r), "rows"),
+    "oracle_welfare": (lambda r: oracle_welfare(_ROWS_DATA, r), "rows"),
+    "map_train-train": (lambda r: map_train(_ROWS_ARCH, _ROWS_LOSS, FLAT_PRIOR, _ONE_EPOCH, r,
+                                            np.arange(4)), "train_rows"),
+    "map_train-val": (lambda r: map_train(_ROWS_ARCH, _ROWS_LOSS, FLAT_PRIOR, _ONE_EPOCH,
+                                          np.arange(4), r), "val_rows"),
+    "sgld_sample": (lambda r: sgld_sample(_ROWS_ARCH, _ROWS_LOSS, FLAT_PRIOR,
+                                          np.zeros(_ROWS_ARCH.param_count), _ONE_DRAW, rows=r),
+                    "rows"),
+    "fit_outcome_regression": (lambda r: cf.fit_outcome_regression(
+        _ROWS_LOGGED, r, _ONE_EPOCH, hidden=(2,)), "train_rows"),
+}
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("route", sorted(_ARRAY_ROUTES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -115,6 +197,67 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, "
                                              f"got {re.escape(repr(bad))}$"):
             _SCALAR_ROUTES[name](bad)
+
+    @pytest.mark.parametrize("route", sorted(_SIMPLEX_ROUTES))
+    @pytest.mark.parametrize("bad", ["negative", "off-sum", "nan"])
+    def test_off_simplex_array_rejected_naming_its_field(self, route, bad):
+        # a NaN propensity meets check_finite, which runs first
+        build, field = _SIMPLEX_ROUTES[route]
+        with pytest.raises(ValueError, match=rf"^{field} must be (probability rows: every entry "
+                                             r"at least \S+, each row summing to 1 within "
+                                             r"1e-09|finite)$"):
+            build(bad)
+
+    def _rejects_rows(self, route, rows):
+        build, field = _ROWS_ROUTES[route]
+        with pytest.raises(ValueError, match=rf"^{field} must be nonempty 1-D integer row "
+                                             r"indices in 0 \.\. 3$"):
+            build(np.array(rows))
+
+    @pytest.mark.parametrize("route", sorted(_ROWS_ROUTES))
+    def test_empty_rows_rejected(self, route):
+        # a welfare over no rows was NaN with a RuntimeWarning
+        self._rejects_rows(route, np.array([], dtype=np.intp))
+
+    @pytest.mark.parametrize("route", sorted(_ROWS_ROUTES))
+    def test_boolean_mask_rows_rejected(self, route):
+        # an intp cast read the mask as the indices 1, 0, 1, 0
+        self._rejects_rows(route, [True, False, True, False])
+
+    @pytest.mark.parametrize("route", sorted(_ROWS_ROUTES))
+    def test_negative_rows_rejected(self, route):
+        # -1 indexed the last row
+        self._rejects_rows(route, [-1, 0])
+
+    @pytest.mark.parametrize("route", sorted(_ROWS_ROUTES))
+    def test_out_of_range_rows_rejected(self, route):
+        self._rejects_rows(route, [0, 4])
+
+    def test_check_rows_returns_intp(self):
+        rows = sg.check_rows("rows", np.array([3, 0], dtype=np.int32), 4)
+        assert rows.dtype == np.intp and rows.tolist() == [3, 0]
+
+    def test_check_simplex_on_a_vector(self):
+        sg.check_simplex("p", np.array([0.25, 0.75]))
+        sg.check_simplex("p", np.array([0.25, 0.75 + 0.5e-9]))
+        sg.check_simplex("p", np.array([-0.5e-9, 1.0]), floor=-1e-9)
+        for bad in ([0.25, 0.7], [-0.5e-9, 1.0], [np.inf, 0.0], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="^p must be probability rows: every entry at "
+                                                 "least 0, each row"):
+                sg.check_simplex("p", np.array(bad))
+
+    def test_check_simplex_on_a_table(self):
+        rng = np.random.default_rng(7)
+        p = _random_simplex_rows(rng, 50, 4)
+        sg.check_simplex("p", p)
+        sg.check_simplex("p", np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="entry at least 0.5"):
+            sg.check_simplex("p", p, floor=0.5)
+        for row in (0, 17, 49):
+            bad = p.copy()
+            bad[row] *= 1.0 + 1e-6
+            with pytest.raises(ValueError, match="^p must be probability rows"):
+                sg.check_simplex("p", bad)
 
     def test_dataset_check_allocates_no_temporary_the_size_of_x(self):
         # a boolean mask of the 200,000 x 10 covariates would be 2 MB
@@ -197,7 +340,7 @@ class TestWelfare:
     def test_non_finite_policy_row_rejected(self, bad):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
         delta = np.array([[1.0, 0.0], [bad, 0.5]])
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="^policy must be probability rows"):
             sg.empirical_welfare(data, delta)
 
     def test_indexed_rows_score_in_place_of_a_copy(self):
@@ -352,8 +495,7 @@ class TestFullVectorEquivalence:
     def test_rejects_a_policy_row_off_the_simplex_or_not_finite(self, bad_row):
         data = sg.FullFeedbackDataset(np.zeros((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]))
         grid = [np.full((2, 2), 0.5), np.array([[1.0, 0.0], bad_row])]
-        with pytest.raises(ValueError, match="policy rows are off the probability simplex "
-                                             "or not finite"):
+        with pytest.raises(ValueError, match="^policy must be probability rows"):
             sg.verify_equivalence_fullvector(data, grid, 1.0)
 
 

@@ -57,7 +57,9 @@ multiplies matrices. A non-finite array is rejected through one helper,
 is on an allowlist of checks that need more than a yes or no: the line and
 column of ``dgp._read_table``'s bad cell, ``LoggedDataset``'s whole-number
 label test, and the ``FloatingPointError`` checks of a diverging step in
-``posterior``. A stale entry fails too.
+``posterior``. A stale entry fails too. A probability row is checked through
+one helper as well: no ``src`` code outside ``surrogate.check_simplex``
+subtracts 1 from a ``.sum(...)`` or compares a sum with 1.
 
 Results do not depend on how many threads OpenBLAS runs: a short
 ``posterior-viz`` run and two one-trial experiments on the default 128-wide
@@ -373,24 +375,61 @@ _ISFINITE_ALLOWED = {
 }
 
 
-def test_array_finiteness_is_checked_through_check_finite():
-    calls = Counter()
+def _src_sites(match):
+    """(enclosing definition, line) of every AST node in ``src/gbpl`` that
+    ``match`` accepts; a definition is named ``module.function`` or
+    ``module.Class.method``, and module-level code ``module``."""
+    sites = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "isfinite"
-                    and getattr(child.func.value, "id", None) == "np"):
-                calls[owner] += 1
+            if match(child):
+                sites.append((owner, child.lineno))
             visit(child, owner)
 
     for path in sorted((_ROOT / "src" / "gbpl").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_array_finiteness_is_checked_through_check_finite():
+    calls = Counter(owner for owner, _ in _src_sites(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "isfinite" and getattr(node.func.value, "id", None) == "np"))
     assert {name: n for name, n in calls.items() if _ISFINITE_ALLOWED.get(name) != n} == {}
     assert sorted(_ISFINITE_ALLOWED.keys() - calls.keys()) == [], "stale allowlist entries"
+
+
+def _is_sum(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sum"
+
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+
+def _sum_to_one_test(node):
+    """Whether ``node`` subtracts 1 from a ``.sum(...)`` (``s - 1``, ``1 - s``,
+    ``np.subtract(s, 1)``) or compares one with 1 (``s == 1``,
+    ``np.isclose(s, 1)``)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        operands = [node.left, node.right]
+    elif isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "subtract", "isclose", "allclose"):
+        operands = node.args
+    else:
+        return False
+    return any(map(_is_sum, operands)) and any(map(_is_one, operands))
+
+
+def test_probability_rows_are_checked_through_check_simplex():
+    sites = _src_sites(_sum_to_one_test)
+    assert [site for site in sites if site[0] != "surrogate.check_simplex"] == []
 
 
 def _csv_bytes_with_blas_threads(threads, out, argv):
